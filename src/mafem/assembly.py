@@ -245,7 +245,20 @@ def gradient_jump_matrix(space):
     the normal derivative across the interior edge e.  The quadratic form
     vanishes exactly on C1 functions and measures the distance of a C0
     finite element function from gradient continuity.
+
+    Q depends only on the mesh and the degree, so it is built once per
+    space and cached there; every call returns the same matrix, whose
+    arrays are read-only.
     """
+    if space._jump_matrix is None:
+        Q = _assemble_jump_matrix(space)
+        for arr in (Q.data, Q.indices, Q.indptr):
+            arr.flags.writeable = False
+        space._jump_matrix = Q
+    return space._jump_matrix
+
+
+def _assemble_jump_matrix(space):
     blocks = _edge_jump_blocks(space)
     if not blocks:
         n = space.num_dofs

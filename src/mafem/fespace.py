@@ -228,6 +228,7 @@ class FeSpace:
         self.cell_areas = 0.5 * det
 
         self._tab_cache = {}
+        self._jump_matrix = None  # built by assembly.gradient_jump_matrix
         self._tree = None
 
     def __repr__(self):
@@ -398,13 +399,19 @@ def _push_hessian(h_ref, jinv):
 
 
 def eval_field(f, points):
-    """Evaluate a scalar field at (n, 2) points, accepting scalar callables."""
+    """Evaluate a scalar field at (n, 2) points, accepting scalar callables.
+
+    A vectorized call is tried first.  Only a vectorization mismatch, a
+    result of the wrong shape or the TypeError, ValueError or IndexError
+    of a callable written for one point, falls back to one call per point;
+    any other exception propagates.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     try:
         v = np.asarray(f(pts), dtype=float)
         if v.shape == (len(pts),):
             return v
-    except Exception:
+    except (TypeError, ValueError, IndexError):
         pass
     return np.array([float(f(p)) for p in pts])
 

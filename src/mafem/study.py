@@ -116,7 +116,9 @@ def solve_problem(problem, refinements=None, h_target=None, u0=None,
 
     Runs the truncation schedule (for unbounded data) as an outer
     warm-started loop around the shift-continuation solve.  Returns
-    (solution, space, list of solve report dicts).
+    (solution, space, list of solve report dicts).  Raises
+    NonConvergenceError, carrying the last iterate and the final stage's
+    report, when the final continuation stage did not converge.
     """
     mesh = triangulate(problem.polygon, refinements=refinements,
                        h_target=h_target)
@@ -144,6 +146,11 @@ def solve_problem(problem, refinements=None, h_target=None, u0=None,
         rec = rep.to_dict()
         rec["truncate_M"] = M
         reports.append(rec)
+    if not rep.converged:
+        raise NonConvergenceError(
+            "final stage (truncate_M={}, eps={}) ended with status {!r}"
+            .format(M, rep.stages[-1]["eps"], rep.status),
+            last_iterate=u, report=rep)
     return u, space, reports
 
 

@@ -5,8 +5,9 @@ import os
 
 import pytest
 
-from mafem import cli
+from mafem import cli, study
 from mafem.errors import NonConvergenceError
+from mafem.solver import SolverConfig
 
 
 @pytest.fixture()
@@ -140,6 +141,27 @@ def test_solver_failure_exits_1(tmp_path, paraboloid_file, monkeypatch,
         assert json.load(fh)["report"] is None
     rc = cli.main(["measure", "--problem", paraboloid_file, "--out", out])
     assert rc == 1
+
+
+def test_unconverged_solve_exits_1(tmp_path, monkeypatch, capsys):
+    # Solver settings under which the degenerate problem's final shift
+    # stage stops at max_iters; nothing is written as a solution.
+    monkeypatch.setattr(study, "SolverConfig", lambda **kw: SolverConfig(
+        max_iters=8, continuation_schedule=(1.0, 1e-6)))
+    out = str(tmp_path / "run")
+    rc = cli.main(["solve", "--problem", "degenerate", "--refinements", "3",
+                   "--out", out])
+    assert rc == 1
+    assert "max_iters" in capsys.readouterr().err
+    with open(os.path.join(out, "report.json")) as fh:
+        rec = json.load(fh)
+    assert rec["report"]["status"] == "max_iters"
+    assert rec["report"]["converged"] is False
+    assert not os.path.exists(os.path.join(out, "solution.txt"))
+    rc = cli.main(["measure", "--problem", "degenerate", "--refinements", "3",
+                   "--out", out])
+    assert rc == 1
+    assert not os.path.exists(os.path.join(out, "measure.json"))
 
 
 def test_study_failure_exits_1(paraboloid_file, tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from mafem.fespace import (
     Quadrature,
     broken_norm,
     broken_seminorm,
+    eval_field,
     interpolate,
     l2_error,
     sup_error,
@@ -169,6 +172,30 @@ class TestEvaluation:
         u = lambda p: p[:, 0] * p[:, 1]
         pts = np.random.default_rng(5).random((40, 2))
         assert sup_error(interpolate(sp, u), u, pts) < 1e-13
+
+
+class TestEvalField:
+    pts = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+
+    def test_single_point_callable_evaluated_per_point(self):
+        v = eval_field(lambda p: math.hypot(p[0], p[1]), self.pts)
+        assert np.array_equal(v, np.hypot(self.pts[:, 0], self.pts[:, 1]))
+
+    def test_wrong_shape_evaluated_per_point(self):
+        # Summing over all points instead of per point returns a scalar.
+        v = eval_field(lambda p: np.sum(np.atleast_2d(p) ** 2), self.pts)
+        assert np.allclose(v, np.sum(self.pts ** 2, axis=1), rtol=1e-15)
+
+    def test_genuine_error_propagates_without_retry(self):
+        calls = []
+
+        def broken(p):
+            calls.append(len(np.atleast_2d(p)))
+            raise ZeroDivisionError("bad data")
+
+        with pytest.raises(ZeroDivisionError, match="bad data"):
+            eval_field(broken, self.pts)
+        assert calls == [3]
 
 
 class TestSerialization:

@@ -3,14 +3,18 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+from scipy.sparse.linalg import spsolve
 
-from mafem import triangulate, unit_square
-from mafem.assembly import load_vector, residual, stiffness_matrix
-from mafem.errors import NonConvergenceError
+from mafem import assembly, triangulate, unit_square
+from mafem.assembly import (gradient_jump_matrix, jacobian, load_vector,
+                            residual, stiffness_matrix)
+from mafem.errors import NonConvergenceError, SingularJacobianError
 from mafem.fespace import FeSpace, interpolate
 from mafem.solver import (
     SolveReport,
     SolverConfig,
+    _factor_spd,
     continuation_solve,
     default_initial_guess,
     newton_solve,
@@ -256,3 +260,62 @@ class TestSolveReport:
         u, report = newton_solve(coarse_space, one, paraboloid)
         assert report.converged
         assert report.status in ("residual", "stationary")
+
+
+class TestFactorSpd:
+    def test_normal_matrix_solve_matches_spsolve(self, coarse_space):
+        # The Gauss-Newton normal matrix at a rough iterate of a real solve.
+        rng = np.random.default_rng(7)
+        u = default_initial_guess(coarse_space, smooth_f, smooth_exact)
+        I = coarse_space.interior_dofs
+        u.coeffs[I] += 1e-2 * rng.standard_normal(len(I))
+        J = jacobian(u).matrix
+        Q = gradient_jump_matrix(coarse_space)
+        H = (J.T @ J + 1e-2 * Q[I][:, I]).tocsc()
+        b = rng.standard_normal(len(I))
+        x = _factor_spd(H).solve(b)
+        ref = spsolve(H, b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_exactly_singular_raises_singular_jacobian_error(self):
+        # Path-graph Laplacian: symmetric positive semidefinite, constants
+        # in its kernel, and its elimination is exact in binary arithmetic.
+        n = 6
+        L = sparse.diags([-np.ones(n - 1), np.r_[1.0, 2.0 * np.ones(n - 2),
+                                                 1.0], -np.ones(n - 1)],
+                         [-1, 0, 1])
+        with pytest.raises(SingularJacobianError, match="singular"):
+            _factor_spd(L)
+
+
+class TestJumpMatrixCache:
+    def test_built_once_per_space(self, monkeypatch):
+        space = FeSpace(triangulate(unit_square(), refinements=2), 2)
+        real = assembly._assemble_jump_matrix
+        built = []
+
+        def counting(sp):
+            built.append(sp)
+            return real(sp)
+
+        monkeypatch.setattr(assembly, "_assemble_jump_matrix", counting)
+        cfg = SolverConfig(continuation_schedule=(1.0, 0.5, 0.0))
+        _, report = continuation_solve(space, one, paraboloid, cfg)
+        assert len(report.stages) == 3
+        assert built == [space]
+
+        cached = gradient_jump_matrix(space)
+        fresh = real(space)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(cached, attr), getattr(fresh, attr))
+
+        finer = FeSpace(triangulate(unit_square(), refinements=3), 2)
+        Qf = gradient_jump_matrix(finer)
+        assert built == [space, finer]
+        assert Qf.shape == (finer.num_dofs, finer.num_dofs)
+        assert Qf is not cached and gradient_jump_matrix(finer) is Qf
+
+    def test_cached_matrix_is_read_only(self, coarse_space):
+        Q = gradient_jump_matrix(coarse_space)
+        with pytest.raises(ValueError):
+            Q.data[0] = 1.0

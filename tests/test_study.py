@@ -8,6 +8,7 @@ import pytest
 from mafem.errors import NonConvergenceError
 from mafem.problems import get_problem, problem_from_json
 from mafem import study
+from mafem.solver import SolverConfig
 from mafem.study import (StudyReport, default_bumps, interior_grid,
                          run_convergence_study, run_measure_verification,
                          solve_problem)
@@ -170,6 +171,35 @@ class TestConvergenceStudy:
         assert "forced failure" in rep.failures[0]["message"]
         assert len(rep.levels) == 1
         assert rep.levels[0]["level"] == 2
+
+
+# Eight Gauss-Newton iterations reach the eps = 1 solution of the
+# degenerate problem at level 3 but not the eps = 1e-6 one.
+STARVED = dict(max_iters=8, continuation_schedule=(1.0, 1e-6))
+
+
+class TestNonConvergence:
+
+    def test_unconverged_final_stage_raises(self):
+        with pytest.raises(NonConvergenceError) as err:
+            solve_problem(get_problem("degenerate"), refinements=3,
+                          config=SolverConfig(**STARVED))
+        rep = err.value.report
+        assert rep.status == "max_iters" and not rep.converged
+        assert [s["eps"] for s in rep.stages] == [1.0, 1e-6]
+        assert [s["converged"] for s in rep.stages] == [True, False]
+        u = err.value.last_iterate
+        assert u is not None and u.space.num_dofs > 0
+        assert "max_iters" in str(err.value)
+
+    def test_study_records_unconverged_level(self, monkeypatch):
+        monkeypatch.setattr(study, "SolverConfig",
+                            lambda **kw: SolverConfig(**STARVED))
+        rep = run_convergence_study(get_problem("degenerate"), levels=(3,),
+                                    grid_n=9)
+        assert rep.levels == []
+        assert [f["level"] for f in rep.failures] == [3]
+        assert "max_iters" in rep.failures[0]["message"]
 
 
 class TestMeasureVerification:
