@@ -9,6 +9,7 @@ Jacobian live on interior dofs only.
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.special import roots_legendre
 
 from . import kernels
 from .fespace import eval_field, phys_quad_points
@@ -196,45 +197,30 @@ def load_vector(space, f, quad=None, backend=None):
 
 
 def _edge_jump_blocks(space):
-    """Per interior edge: (dof indices, Gauss weights, jump rows B).
+    """Normal-derivative jump operator of every interior edge, batched.
 
-    B maps the stacked local coefficients of the two owner cells to the
+    Returns (idx, wt, B): idx (ni, 2 nloc) stacks the dofs of the two owner
+    cells of each interior edge, wt (nq,) holds the Gauss weights on [0, 1]
+    and B (ni, nq, 2 nloc) maps the stacked local coefficients to the
     normal-derivative jump at the edge Gauss points, scaled so that
-    sum(w * (B c)^2) = (1/|e|) int_e [dn u]^2 ds.
+    sum(wt * (B c)^2) = (1/|e|) int_e [dn u]^2 ds.
     """
-    from scipy.special import roots_legendre
-
     mesh = space.mesh
-    edges, cell_edges = mesh.edge_midpoint_index()
-    owners = [[] for _ in range(len(edges))]
-    for c in range(mesh.num_cells):
-        for e in range(3):
-            owners[cell_edges[c, e]].append(c)
-
+    pairs, owners, _ = mesh.interior_edges()
     xg, wg = roots_legendre(space.degree + 1)
-    t = 0.5 * (xg + 1.0)
-    wt = 0.5 * wg
-    nloc = space.cell_dofs.shape[1]
-    blocks = []
-    for eid, own in enumerate(owners):
-        if len(own) != 2:
-            continue
-        a, b = mesh.vertices[edges[eid]]
-        pts_e = a[None, :] + t[:, None] * (b - a)[None, :]
-        tang = b - a
-        nrm = np.array([-tang[1], tang[0]])
-        nrm /= np.linalg.norm(nrm)
-        B = np.empty((len(t), 2 * nloc))
-        for s, (c, sgn) in enumerate(((own[0], 1.0), (own[1], -1.0))):
-            v0 = mesh.vertices[mesh.cells[c, 0]]
-            ref = (pts_e - v0) @ space.cell_jinv[c].T
-            gtab = space.ref.tabulate(ref)["grad"]
-            gphys = np.einsum("ji,qlj->qli", space.cell_jinv[c], gtab)
-            B[:, s * nloc:(s + 1) * nloc] = sgn * (gphys @ nrm)
-        idx = np.concatenate([space.cell_dofs[own[0]],
-                              space.cell_dofs[own[1]]])
-        blocks.append((idx, wt, B))
-    return blocks
+    gtab = space.interior_edge_tables(0.5 * (xg + 1.0), "grad")
+    tang = mesh.vertices[pairs[:, 1]] - mesh.vertices[pairs[:, 0]]
+    nrm = np.column_stack([-tang[:, 1], tang[:, 0]])
+    nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+    # n . grad = (Jinv n) . grad_ref, taken + on the first owner and - on
+    # the second
+    nref = np.einsum("esji,ei->esj", space.cell_jinv[owners], nrm)
+    nref[:, 1] *= -1.0
+    dn = np.einsum("estlj,esj->estl", gtab, nref)
+    ni, _, nq, nloc = dn.shape
+    B = dn.transpose(0, 2, 1, 3).reshape(ni, nq, 2 * nloc)
+    idx = space.cell_dofs[owners].reshape(ni, 2 * nloc)
+    return idx, 0.5 * wg, B
 
 
 def gradient_jump_matrix(space):
@@ -259,18 +245,12 @@ def gradient_jump_matrix(space):
 
 
 def _assemble_jump_matrix(space):
-    blocks = _edge_jump_blocks(space)
-    if not blocks:
-        n = space.num_dofs
-        return sparse.csr_matrix((n, n))
-    rows, cols, vals = [], [], []
-    for idx, wt, B in blocks:
-        Qe = np.einsum("q,ql,qm->lm", wt, B, B)
-        rows.append(np.repeat(idx, len(idx)))
-        cols.append(np.tile(idx, len(idx)))
-        vals.append(Qe.ravel())
+    idx, wt, B = _edge_jump_blocks(space)
+    n = idx.shape[1]
+    Qe = np.einsum("q,eql,eqm->elm", wt, B, B)
     Q = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (Qe.ravel(), (np.repeat(idx, n, axis=1).ravel(),
+                      np.tile(idx, (1, n)).ravel())),
         shape=(space.num_dofs, space.num_dofs))
     return Q.tocsr()
 
@@ -278,12 +258,10 @@ def _assemble_jump_matrix(space):
 def gradient_jump_seminorm(u_h):
     """Scaled L2 norm of normal-derivative jumps across interior edges.
 
-    Evaluated edge by edge from the jump values themselves (not through
-    the Gram matrix, whose quadratic form loses the small-jump regime to
+    Evaluated from the jump values themselves (not through the Gram
+    matrix, whose quadratic form loses the small-jump regime to
     cancellation), so C1 fields come out at machine zero.
     """
-    total = 0.0
-    for idx, wt, B in _edge_jump_blocks(u_h.space):
-        jump = B @ u_h.coeffs[idx]
-        total += float(wt @ (jump * jump))
-    return float(np.sqrt(total))
+    idx, wt, B = _edge_jump_blocks(u_h.space)
+    jump = np.einsum("eql,el->eq", B, u_h.coeffs[idx])
+    return float(np.sqrt(np.einsum("q,eq->", wt, jump * jump)))

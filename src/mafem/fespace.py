@@ -204,12 +204,10 @@ class FeSpace:
         self.dof_coords = coords
 
         # boundary dofs: boundary vertices plus dofs of boundary edges
-        edge_id = {tuple(e): i for i, e in enumerate(map(tuple, edges))}
-        bdofs = set(map(int, np.unique(mesh.boundary_edges)))
-        for i, j in mesh.boundary_edges:
-            eid = edge_id[tuple(sorted((int(i), int(j))))]
-            bdofs.update(range(nv + eid * n_edge, nv + (eid + 1) * n_edge))
-        self.boundary_dofs = np.array(sorted(bdofs), dtype=np.int64)
+        beid = mesh.edge_index(mesh.boundary_edges)
+        self.boundary_dofs = np.unique(np.concatenate([
+            mesh.boundary_edges.ravel(),
+            (nv + beid[:, None] * n_edge + np.arange(n_edge)).ravel()]))
         mask = np.ones(self.num_dofs, dtype=bool)
         mask[self.boundary_dofs] = False
         self.interior_dofs = np.nonzero(mask)[0]
@@ -267,6 +265,27 @@ class FeSpace:
             raise ValueError("point outside the meshed domain")
         return cand[rows, best], ref[rows, best]
 
+    def interior_edge_tables(self, t, key):
+        """Basis tables of both owner cells at points on every interior edge.
+
+        The points are a + t (b - a) for each interior edge with sorted
+        vertex pair (a, b) (see Mesh.interior_edges).  In the reference
+        element they lie at fixed points of one of the 3 local edges, run
+        in one of 2 directions, so 6 tabulations serve all edges.  Returns
+        the reference tabulation `key` ('val', 'grad' or 'hess') with shape
+        (ni, 2, len(t), nloc, ...), axis 1 running over the two owners.
+        """
+        pairs, owners, local = self.mesh.interior_edges()
+        corner = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        along = np.stack([t, 1.0 - t])  # forward, backward
+        ref = (corner[:, None, None, :] + along[None, :, :, None]
+               * (corner[[1, 2, 0]] - corner)[:, None, None, :])
+        tab = self.ref.tabulate(ref.reshape(-1, 2))[key]
+        tab = tab.reshape((3, 2, len(t)) + tab.shape[1:])
+        # local edge e runs from cell vertex e to vertex e + 1
+        backward = self.mesh.cells[owners, local] != pairs[:, [0]]
+        return tab[local, backward.astype(np.int64)]
+
     def check_conformity(self, seed=0):
         """Max mismatch of a random member across interior edges.
 
@@ -275,26 +294,11 @@ class FeSpace:
         """
         rng = np.random.default_rng(seed)
         coeffs = rng.standard_normal(self.num_dofs)
-        edges, cell_edges = self.mesh.edge_midpoint_index()
-        owners = [[] for _ in range(len(edges))]
-        for c in range(self.mesh.num_cells):
-            for e in range(3):
-                owners[cell_edges[c, e]].append(c)
         t = np.linspace(0.0, 1.0, 2 * (self.degree + 1))
-        worst = 0.0
-        for eid, cells in enumerate(owners):
-            if len(cells) != 2:
-                continue
-            a, b = self.mesh.vertices[edges[eid]]
-            pts = a[None, :] + t[:, None] * (b - a)[None, :]
-            vals = []
-            for c in cells:
-                v0 = self.mesh.vertices[self.mesh.cells[c, 0]]
-                ref = (pts - v0) @ self.cell_jinv[c].T
-                tab = self.ref.tabulate(ref)["val"]
-                vals.append(tab @ coeffs[self.cell_dofs[c]])
-            worst = max(worst, float(np.max(np.abs(vals[0] - vals[1]))))
-        return worst
+        _, owners, _ = self.mesh.interior_edges()
+        val = self.interior_edge_tables(t, "val")
+        vals = np.einsum("estl,esl->est", val, coeffs[self.cell_dofs[owners]])
+        return float(np.max(np.abs(vals[:, 0] - vals[:, 1]), initial=0.0))
 
 
 class FeFunction:
@@ -404,13 +408,18 @@ def eval_field(f, points):
     A vectorized call is tried first.  Only a vectorization mismatch, a
     result of the wrong shape or the TypeError, ValueError or IndexError
     of a callable written for one point, falls back to one call per point;
-    any other exception propagates.
+    any other exception propagates.  Two points are probed as three (the
+    first one repeated): a (2, 2) array unpacks into two rows exactly like
+    one point unpacks into x and y, so a callable written for one point
+    would return a result of the right shape and the wrong values.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n = len(pts)
+    probe = pts[[0, 0, 1]] if n == 2 else pts
     try:
-        v = np.asarray(f(pts), dtype=float)
-        if v.shape == (len(pts),):
-            return v
+        v = np.asarray(f(probe), dtype=float)
+        if v.shape == (len(probe),):
+            return v[1:] if n == 2 else v
     except (TypeError, ValueError, IndexError):
         pass
     return np.array([float(f(p)) for p in pts])

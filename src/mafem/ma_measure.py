@@ -69,19 +69,6 @@ def interpolate_p1(mesh, field):
     return P1Function(mesh, eval_field(field, mesh.vertices))
 
 
-def _interior_edge_arrays(mesh):
-    """Interior-edge vertex pairs and the two owning cells, as arrays."""
-    edges, cell_edges = mesh.edge_midpoint_index()
-    flat = cell_edges.ravel()
-    order = np.argsort(flat, kind="stable")
-    counts = np.bincount(flat, minlength=len(edges))
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    interior = np.flatnonzero(counts == 2)
-    c1 = order[starts[interior]] // 3
-    c2 = order[starts[interior] + 1] // 3
-    return edges[interior], c1, c2
-
-
 def p1_convexity_violations(v, tol=1e-10):
     """Interior edges whose normal gradient jump is negative beyond tol.
 
@@ -92,7 +79,8 @@ def p1_convexity_violations(v, tol=1e-10):
     mesh = v.mesh
     grads = v.cell_gradients()
     cents = mesh.cell_coords().mean(axis=1)
-    pairs, c1, c2 = _interior_edge_arrays(mesh)
+    pairs, owners, _ = mesh.interior_edges()
+    c1, c2 = owners[:, 0], owners[:, 1]
     tang = mesh.vertices[pairs[:, 1]] - mesh.vertices[pairs[:, 0]]
     nrm = np.column_stack([-tang[:, 1], tang[:, 0]])
     nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)

@@ -31,6 +31,8 @@ class Mesh:
         if self.cells.ndim != 2 or self.cells.shape[1] != 3:
             raise ValueError("cells must be an (nc, 3) index array")
         self._fix_orientation()
+        self._edges = None  # (edges, cell_edges), see edge_midpoint_index
+        self._interior_edges = None
 
     def _fix_orientation(self):
         v = self.vertices
@@ -84,13 +86,68 @@ class Mesh:
         return float(h.max())
 
     def edge_midpoint_index(self):
-        """Map sorted vertex pair -> mesh edge id, plus the (ne, 2) edge list."""
-        pairs = np.vstack([
-            self.cells[:, [0, 1]], self.cells[:, [1, 2]], self.cells[:, [2, 0]],
-        ])
-        pairs = np.sort(pairs, axis=1)
-        uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        return uniq, inverse.reshape(3, self.num_cells).T
+        """Edge table (edges, cell_edges), computed once per mesh.
+
+        edges (ne, 2) lists the sorted vertex pairs; cell_edges (nc, 3) maps
+        local edge e (v_e to v_{e+1}) of each cell to its row in edges.  The
+        arrays are read-only: a mesh is not modified once built.
+        """
+        if self._edges is None:
+            pairs = np.vstack([
+                self.cells[:, [0, 1]], self.cells[:, [1, 2]],
+                self.cells[:, [2, 0]],
+            ])
+            pairs = np.sort(pairs, axis=1)
+            uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
+            cell_edges = inverse.reshape(3, self.num_cells).T
+            for arr in (uniq, cell_edges):
+                arr.flags.writeable = False
+            self._edges = (uniq, cell_edges)
+        return self._edges
+
+    def edge_index(self, pairs):
+        """Rows of the edge list of edge_midpoint_index for vertex pairs.
+
+        pairs (n, 2) may list each edge's vertices in either order; a pair
+        that is not an edge of the mesh raises ValueError.
+        """
+        edges, _ = self.edge_midpoint_index()
+        want = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
+                       axis=1)
+        # the edge list is sorted by (first, second), so by this key too
+        keys = edges[:, 0] * self.num_vertices + edges[:, 1]
+        code = want[:, 0] * self.num_vertices + want[:, 1]
+        ids = np.searchsorted(keys, code)
+        found = ids < len(keys)
+        found[found] = keys[ids[found]] == code[found]
+        if not found.all():
+            raise ValueError("vertex pair is not an edge of the mesh")
+        return ids
+
+    def interior_edges(self):
+        """Edges shared by two cells, computed once per mesh.
+
+        Returns (pairs, owners, local): pairs (ni, 2) holds the sorted
+        vertex pair of each interior edge, owners (ni, 2) its two cells
+        (the lower cell index first) and local (ni, 2) the edge's local
+        index in each owner, as in edge_midpoint_index.  The arrays are
+        read-only.
+        """
+        if self._interior_edges is None:
+            edges, cell_edges = self.edge_midpoint_index()
+            flat = cell_edges.ravel()
+            order = np.argsort(flat, kind="stable")
+            counts = np.bincount(flat, minlength=len(edges))
+            starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+            interior = np.flatnonzero(counts == 2)
+            first = starts[interior]
+            slots = np.column_stack([order[first], order[first + 1]])
+            pairs = edges[interior]
+            owners, local = np.divmod(slots, 3)
+            for arr in (pairs, owners, local):
+                arr.flags.writeable = False
+            self._interior_edges = (pairs, owners, local)
+        return self._interior_edges
 
     def save(self, path):
         """Plain-text save.
@@ -168,13 +225,10 @@ def refine_uniform(mesh):
     ])
 
     # Boundary facets split in two, each child inheriting the parent's tag.
-    edge_lookup = {tuple(e): i for i, e in enumerate(map(tuple, edges))}
-    bedges, btags = [], []
-    for (i, j), t in zip(mesh.boundary_edges, mesh.boundary_tags):
-        m = nv + edge_lookup[tuple(sorted((int(i), int(j))))]
-        bedges.extend([[i, m], [m, j]])
-        btags.extend([t, t])
-    return Mesh(verts, cells, np.array(bedges), np.array(btags))
+    b = mesh.boundary_edges
+    m = nv + mesh.edge_index(b)
+    bedges = np.column_stack([b[:, 0], m, m, b[:, 1]]).reshape(-1, 2)
+    return Mesh(verts, cells, bedges, np.repeat(mesh.boundary_tags, 2))
 
 
 def triangulate(polygon, h_target=None, refinements=None):

@@ -111,47 +111,66 @@ class StudyReport:
 
 
 def solve_problem(problem, refinements=None, h_target=None, u0=None,
-                  config=None):
+                  config=None, space=None):
     """One solve of a catalogue problem at a given mesh resolution.
 
-    Runs the truncation schedule (for unbounded data) as an outer
-    warm-started loop around the shift-continuation solve.  Returns
-    (solution, space, list of solve report dicts).  Raises
-    NonConvergenceError, carrying the last iterate and the final stage's
-    report, when the final continuation stage did not converge.
+    The space is built from refinements or h_target, or given as `space`
+    (of the problem's degree; then give neither).  Runs the truncation
+    schedule (for unbounded data) as an outer warm-started loop around the
+    shift-continuation solve.  Returns (solution, space, list of solve
+    report dicts); the solution lives on the returned space.  Raises
+    NonConvergenceError, carrying the last iterate and that stage's
+    report, when a truncation stage did not converge, also after a cold
+    retry.
     """
-    mesh = triangulate(problem.polygon, refinements=refinements,
-                       h_target=h_target)
-    space = FeSpace(mesh, problem.degree)
+    if space is None:
+        mesh = triangulate(problem.polygon, refinements=refinements,
+                           h_target=h_target)
+        space = FeSpace(mesh, problem.degree)
+    elif refinements is not None or h_target is not None:
+        raise ValueError("give a space or a mesh resolution, not both")
+    elif space.degree != problem.degree:
+        raise ValueError("space has degree {}, the problem {}".format(
+            space.degree, problem.degree))
     if config is None:
         config = SolverConfig(
             continuation_schedule=problem.epsilon_schedule)
     reports = []
     u = u0
-    stages = problem.truncate_schedule or (None,)
-    for M in stages:
-        reg = problem.regularized(truncate_M=M)
-        try:
-            u, rep = continuation_solve(space, reg.f_m,
-                                        problem.solve_boundary,
-                                        config=config, u0=u)
-        except NonConvergenceError:
-            # A warm start from an earlier stage can sit too far from the
-            # large-shift solution at the head of the schedule; retry cold.
-            if u is None:
-                raise
-            u, rep = continuation_solve(space, reg.f_m,
-                                        problem.solve_boundary,
-                                        config=config, u0=None)
+    for M in problem.truncate_schedule or (None,):
+        u, rep = _solve_stage(problem, space, config, M, u)
         rec = rep.to_dict()
         rec["truncate_M"] = M
         reports.append(rec)
-    if not rep.converged:
-        raise NonConvergenceError(
-            "final stage (truncate_M={}, eps={}) ended with status {!r}"
-            .format(M, rep.stages[-1]["eps"], rep.status),
-            last_iterate=u, report=rep)
     return u, space, reports
+
+
+def _solve_stage(problem, space, config, M, u0):
+    """Continuation solve of one truncation stage, warm then cold.
+
+    A warm start from an earlier stage can sit too far from the
+    large-shift solution at the head of the schedule, so a warm solve that
+    failed or did not converge is retried cold.  Raises
+    NonConvergenceError naming the stage when the last attempt did not
+    converge.
+    """
+    reg = problem.regularized(truncate_M=M)
+    starts = (u0, None) if u0 is not None else (None,)
+    for start in starts:
+        try:
+            u, rep = continuation_solve(space, reg.f_m,
+                                        problem.solve_boundary,
+                                        config=config, u0=start)
+        except NonConvergenceError as exc:
+            u, rep, status = exc.last_iterate, exc.report, str(exc)
+        else:
+            if rep.converged:
+                return u, rep
+            status = "status {!r} at eps={}".format(rep.status,
+                                                    rep.stages[-1]["eps"])
+    raise NonConvergenceError(
+        "truncation stage truncate_M={} did not converge: {}".format(
+            M, status), last_iterate=u, report=rep)
 
 
 def _prolong(u_coarse, space, problem):
@@ -197,7 +216,7 @@ def run_convergence_study(problem, levels=None, grid_n=33,
             space = FeSpace(mesh, problem.degree)
             u0 = _prolong(u_prev, space, problem) if u_prev is not None \
                 else None
-            u, space, solve_reports = solve_problem(problem, level, u0=u0)
+            u, _, solve_reports = solve_problem(problem, u0=u0, space=space)
         except NonConvergenceError as exc:
             report.add_failure(level, exc)
             u_prev = None

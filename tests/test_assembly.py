@@ -2,8 +2,11 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+from hypothesis import given, settings, strategies as st
+from scipy.special import roots_legendre
 
-from mafem import triangulate, unit_square
+from mafem import regular_polygon, triangulate, unit_square
 from mafem.assembly import (
     apply_boundary,
     fd_jacobian,
@@ -16,7 +19,9 @@ from mafem.assembly import (
     set_boundary_values,
     stiffness_matrix,
 )
+from mafem.assembly import _assemble_jump_matrix
 from mafem.fespace import FeFunction, FeSpace, Quadrature, interpolate
+from mafem.geometry import ConvexPolygon
 from mafem.mesh import Mesh
 
 
@@ -31,6 +36,52 @@ def two_cell_mesh():
     cells = [[0, 1, 2], [0, 2, 3]]
     bedges = [[0, 1], [1, 2], [2, 3], [3, 0]]
     return Mesh(verts, cells, bedges, [0, 1, 2, 3])
+
+
+def per_edge_jump_matrix(space):
+    """Reference Q, one interior edge at a time.
+
+    Finds each edge's two cells by a scan over the cells, maps the edge
+    Gauss points into each cell through its inverse affine map and
+    tabulates there.
+    """
+    mesh = space.mesh
+    xg, wg = roots_legendre(space.degree + 1)
+    t, wt = 0.5 * (xg + 1.0), 0.5 * wg
+    shared = {}
+    for c, cell in enumerate(mesh.cells):
+        for e in range(3):
+            key = tuple(sorted((int(cell[e]), int(cell[(e + 1) % 3]))))
+            shared.setdefault(key, []).append(c)
+    Q = np.zeros((space.num_dofs, space.num_dofs))
+    for (ia, ib), cells in shared.items():
+        if len(cells) != 2:
+            continue
+        a, b = mesh.vertices[ia], mesh.vertices[ib]
+        pts = a + t[:, None] * (b - a)
+        nrm = np.array([a[1] - b[1], b[0] - a[0]]) / np.linalg.norm(b - a)
+        rows, idx = [], []
+        for c, sign in zip(cells, (1.0, -1.0)):
+            ref = (pts - mesh.vertices[mesh.cells[c, 0]]) @ space.cell_jinv[c].T
+            grad = space.ref.tabulate(ref)["grad"] @ space.cell_jinv[c]
+            rows.append(sign * grad @ nrm)
+            idx.append(space.cell_dofs[c])
+        B, idx = np.hstack(rows), np.concatenate(idx)
+        np.add.at(Q, (idx[:, None], idx[None, :]), (B.T * wt) @ B)
+    return Q
+
+
+@st.composite
+def convex_polygons(draw):
+    """3 to 8 vertices on an ellipse, at angles at least 0.3 apart."""
+    n = draw(st.integers(3, 8))
+    gaps = np.array(draw(st.lists(st.floats(0.3, 1.0), min_size=n,
+                                  max_size=n)))
+    theta = np.cumsum(gaps / gaps.sum() * 2.0 * np.pi)
+    ax = draw(st.floats(0.5, 2.0))
+    ay = draw(st.floats(0.5, 2.0))
+    return ConvexPolygon(np.column_stack([ax * np.cos(theta),
+                                          ay * np.sin(theta)]))
 
 
 @pytest.fixture(scope="module")
@@ -344,6 +395,50 @@ class TestGradientJump:
                                                 - np.atleast_2d(p)[:, 1]))
         assert gradient_jump_seminorm(u) ** 2 == pytest.approx(8.0,
                                                                abs=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_matches_per_edge_reference(self, k, level):
+        space = FeSpace(triangulate(regular_polygon(5), refinements=level), k)
+        ref = per_edge_jump_matrix(space)
+        Q = _assemble_jump_matrix(space)
+        assert np.abs(Q.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @settings(max_examples=8, deadline=None)
+    @given(convex_polygons(), st.sampled_from([2, 3]))
+    def test_matches_per_edge_reference_on_random_polygons(self, polygon, k):
+        space = FeSpace(triangulate(polygon, refinements=1), k)
+        ref = per_edge_jump_matrix(space)
+        Q = _assemble_jump_matrix(space)
+        assert np.abs(Q.toarray() - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_global_quadratic_in_kernel(self, k):
+        space = FeSpace(triangulate(regular_polygon(6), refinements=2), k)
+        u = interpolate(space, lambda p: 0.3 * p[:, 0] ** 2
+                        - 0.7 * p[:, 0] * p[:, 1] + 1.1 * p[:, 1] ** 2
+                        + p[:, 0] - 2.0 * p[:, 1] + 0.5)
+        Q = gradient_jump_matrix(space)
+        scale = abs(Q).max() * np.abs(u.coeffs).max()
+        assert np.abs(Q @ u.coeffs).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_seminorm_squared_is_gram_form(self, k):
+        space = FeSpace(triangulate(unit_square(), refinements=2), k)
+        Q = gradient_jump_matrix(space)
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            u = FeFunction(space, rng.standard_normal(space.num_dofs))
+            assert gradient_jump_seminorm(u) ** 2 == pytest.approx(
+                u.coeffs @ (Q @ u.coeffs), rel=1e-12)
+
+    def test_no_interior_edge(self):
+        tri = Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]],
+                   [[0, 1], [1, 2], [2, 0]], [0, 1, 2])
+        space = FeSpace(tri, 2)
+        Q = _assemble_jump_matrix(space)
+        assert sparse.issparse(Q) and Q.shape == (6, 6) and Q.nnz == 0
+        assert gradient_jump_seminorm(FeFunction(space, np.ones(6))) == 0.0
 
     def test_symmetric_positive_semidefinite(self, space):
         Q = gradient_jump_matrix(space)

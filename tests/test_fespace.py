@@ -181,6 +181,23 @@ class TestEvalField:
         v = eval_field(lambda p: math.hypot(p[0], p[1]), self.pts)
         assert np.array_equal(v, np.hypot(self.pts[:, 0], self.pts[:, 1]))
 
+    def test_single_point_callable_at_two_points(self):
+        # A (2, 2) array unpacks into two rows just as one point unpacks
+        # into x and y, so the vectorized call has the right shape.
+        v = eval_field(lambda p: p[0] ** 2 + p[1], self.pts[:2])
+        assert np.allclose(v, [0.21, 0.49], rtol=1e-15)
+
+    def test_vectorized_callable_at_two_points(self):
+        calls = []
+
+        def f(p):
+            calls.append(np.array(p))
+            return p[:, 0] ** 2 + p[:, 1]
+
+        v = eval_field(f, self.pts[:2])
+        assert np.array_equal(v, self.pts[:2, 0] ** 2 + self.pts[:2, 1])
+        assert len(calls) == 1
+
     def test_wrong_shape_evaluated_per_point(self):
         # Summing over all points instead of per point returns a scalar.
         v = eval_field(lambda p: np.sum(np.atleast_2d(p) ** 2), self.pts)

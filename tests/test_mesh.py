@@ -139,6 +139,49 @@ class TestRefine:
         assert report["ok"]
 
 
+class TestEdgeTables:
+    def test_interior_edges(self):
+        mesh = triangulate(regular_polygon(5), refinements=2)
+        pairs, owners, local = mesh.interior_edges()
+        nb = len(mesh.boundary_edges)
+        assert len(pairs) == (3 * mesh.num_cells - nb) // 2
+        assert np.all(pairs[:, 0] < pairs[:, 1])
+        assert np.all(owners[:, 0] < owners[:, 1])
+        for s in range(2):
+            cells = mesh.cells[owners[:, s]]
+            rows = np.arange(len(pairs))
+            ends = np.sort(np.column_stack([
+                cells[rows, local[:, s]],
+                cells[rows, (local[:, s] + 1) % 3]]), axis=1)
+            assert np.array_equal(ends, pairs)
+        keys = {tuple(e) for e in pairs.tolist()}
+        assert len(keys) == len(pairs)
+        assert not keys & {tuple(sorted(e)) for e in
+                           mesh.boundary_edges.tolist()}
+
+    def test_computed_once_and_read_only(self):
+        mesh = triangulate(unit_square(), refinements=1)
+        first = mesh.interior_edges()
+        assert mesh.interior_edges() is first
+        assert mesh.edge_midpoint_index() is mesh.edge_midpoint_index()
+        for arr in first + mesh.edge_midpoint_index():
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_edge_index(self):
+        mesh = triangulate(regular_polygon(5), refinements=1)
+        edges, cell_edges = mesh.edge_midpoint_index()
+        local = mesh.cells[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 3, 2)
+        assert np.array_equal(mesh.edge_index(local[..., ::-1].reshape(-1, 2)),
+                              cell_edges.ravel())
+        with pytest.raises(ValueError, match="not an edge"):
+            mesh.edge_index([[0, mesh.num_vertices]])
+
+    def test_single_cell_has_none(self):
+        pairs, owners, local = tri_mesh([[0, 0], [1, 0], [0, 1]]).interior_edges()
+        assert pairs.shape == owners.shape == local.shape == (0, 2)
+
+
 class TestShapeMetrics:
     def test_equilateral(self):
         m = tri_mesh([[0, 0], [1, 0], [0.5, np.sqrt(3) / 2]])

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sparse
 from scipy.sparse.linalg import spsolve
 
-from mafem import assembly, triangulate, unit_square
+from mafem import assembly, solver, triangulate, unit_square
 from mafem.assembly import (gradient_jump_matrix, jacobian, load_vector,
                             residual, stiffness_matrix)
 from mafem.errors import NonConvergenceError, SingularJacobianError
@@ -260,6 +260,56 @@ class TestSolveReport:
         u, report = newton_solve(coarse_space, one, paraboloid)
         assert report.converged
         assert report.status in ("residual", "stationary")
+
+
+def objective_gradient(u, f, config):
+    """Gradient of the Gauss-Newton objective at u, over interior dofs."""
+    space = u.space
+    I = space.interior_dofs
+    J = jacobian(u).matrix
+    grad = (J.T @ residual(u, f).values
+            + config.jump_penalty * (gradient_jump_matrix(space) @ u.coeffs)[I])
+    hinge = solver._ConvexityHinge(space, config.convex_penalty,
+                                   config.convex_allowance)
+    s, S = hinge.residual_and_jacobian(u)
+    return grad + S.T @ s if s.size else grad
+
+
+class TestPolish:
+    @pytest.fixture
+    def factor_count(self, monkeypatch):
+        real = solver._factor_spd
+        calls = []
+
+        def counting(A):
+            calls.append(A.shape)
+            return real(A)
+
+        monkeypatch.setattr(solver, "_factor_spd", counting)
+        return calls
+
+    @pytest.mark.parametrize("refinements,k", [(2, 2), (3, 2), (2, 3)])
+    def test_one_factor_per_gauss_newton_iteration(self, factor_count,
+                                                   refinements, k):
+        # Polish reuses the last Gauss-Newton factor: beyond the Poisson
+        # start, a solve that ends stationary after polishing factors
+        # once per Gauss-Newton iteration.
+        space = FeSpace(triangulate(unit_square(), refinements=refinements),
+                        k)
+        u, report = newton_solve(space, smooth_f, smooth_exact)
+        assert report.status == "stationary"
+        assert len(factor_count) <= report.iterations + 1
+
+    @pytest.mark.parametrize("refinements,k", [(2, 2), (3, 2), (2, 3)])
+    def test_stationary_point_is_critical(self, refinements, k):
+        # Chord steps use the exact gradient at every iterate, so polish
+        # drives it to rounding level (1e-13 to 5e-13 on these cases).
+        space = FeSpace(triangulate(unit_square(), refinements=refinements),
+                        k)
+        config = SolverConfig()
+        u, report = newton_solve(space, smooth_f, smooth_exact, config=config)
+        assert report.status == "stationary"
+        assert np.abs(objective_gradient(u, smooth_f, config)).max() <= 5e-12
 
 
 class TestFactorSpd:

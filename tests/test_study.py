@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from mafem.errors import NonConvergenceError
+from mafem.fespace import FeSpace
+from mafem.mesh import triangulate
 from mafem.problems import get_problem, problem_from_json
 from mafem import study
 from mafem.solver import SolverConfig
@@ -66,6 +68,23 @@ class TestSolveProblem:
         u, space, reports = solve_problem(paraboloid, refinements=2)
         pts = interior_grid(paraboloid.interior_compact(), n=9)
         assert np.max(np.abs(u(pts) - paraboloid.exact(pts))) <= 1e-9
+
+
+    def test_given_space_is_used(self, paraboloid, monkeypatch):
+        space = FeSpace(triangulate(paraboloid.polygon, refinements=2), 2)
+        built = []
+        monkeypatch.setattr(study, "FeSpace",
+                            lambda *a: built.append(a) or FeSpace(*a))
+        u, out, _ = solve_problem(paraboloid, space=space)
+        assert out is space and u.space is space and built == []
+
+    def test_space_and_resolution_rejected(self, paraboloid):
+        space = FeSpace(triangulate(paraboloid.polygon, refinements=1), 2)
+        with pytest.raises(ValueError, match="not both"):
+            solve_problem(paraboloid, refinements=1, space=space)
+        cubic = FeSpace(space.mesh, 3)
+        with pytest.raises(ValueError, match="degree"):
+            solve_problem(paraboloid, space=cubic)
 
 
 class TestStudyReport:
@@ -152,16 +171,42 @@ class TestConvergenceStudy:
         b = run_convergence_study(paraboloid, levels=(1, 2), grid_n=9)
         assert a.csv_text() == b.csv_text()
 
+    def test_one_space_per_level(self, paraboloid, monkeypatch):
+        builds = []
+        real_init = FeSpace.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FeSpace, "__init__", counting)
+        captured = []
+        real_solve = study.solve_problem
+
+        def capture(*args, **kwargs):
+            out = real_solve(*args, **kwargs)
+            captured.append(out)
+            return out
+
+        monkeypatch.setattr(study, "solve_problem", capture)
+        rep = run_convergence_study(paraboloid, levels=(1, 2, 3), grid_n=9)
+        assert len(rep.levels) == 3 and len(builds) == 3
+        for (u, space, _), built in zip(captured, builds):
+            assert u.space is space and space is built
+
     def test_failures_recorded_and_study_continues(self, paraboloid,
                                                    monkeypatch):
         real = study.solve_problem
         calls = []
 
-        def flaky(problem, refinements=None, **kw):
-            calls.append(refinements)
-            if refinements == 1:
+        def flaky(problem, space=None, **kw):
+            # the study builds each level's space and passes it in; the
+            # unit square's fan mesh has 4 cells, refined 4x per level
+            level = int(round(np.log(space.mesh.num_cells / 4) / np.log(4)))
+            calls.append(level)
+            if level == 1:
                 raise NonConvergenceError("forced failure")
-            return real(problem, refinements=refinements, **kw)
+            return real(problem, space=space, **kw)
 
         monkeypatch.setattr(study, "solve_problem", flaky)
         rep = run_convergence_study(paraboloid, levels=(1, 2), grid_n=9)
@@ -200,6 +245,52 @@ class TestNonConvergence:
         assert rep.levels == []
         assert [f["level"] for f in rep.failures] == [3]
         assert "max_iters" in rep.failures[0]["message"]
+
+
+    def test_unconverged_intermediate_stage_raises(self, monkeypatch):
+        # The first of two truncation stages comes back converged=False
+        # (from a cold start, so there is no retry); the solve must not go
+        # on to the second stage.
+        real = study.continuation_solve
+        calls = []
+
+        def first_unconverged(space, f, g, config=None, u0=None):
+            u, rep = real(space, f, g, config=config, u0=u0)
+            calls.append(u0)
+            if len(calls) == 1:
+                rep.converged = False
+                rep.status = "max_iters"
+            return u, rep
+
+        monkeypatch.setattr(study, "continuation_solve", first_unconverged)
+        prob = get_problem("singular")
+        prob.truncate_schedule = (10.0, 40.0)
+        with pytest.raises(NonConvergenceError,
+                           match="truncate_M=10.0") as err:
+            solve_problem(prob, refinements=1)
+        assert calls == [None]
+        assert err.value.last_iterate is not None
+        assert not err.value.report.converged
+
+    def test_unconverged_warm_stage_retried_cold(self, monkeypatch):
+        real = study.continuation_solve
+        starts = []
+
+        def second_warm_unconverged(space, f, g, config=None, u0=None):
+            u, rep = real(space, f, g, config=config, u0=u0)
+            starts.append(u0 is not None)
+            if len(starts) == 2:
+                rep.converged = False
+            return u, rep
+
+        monkeypatch.setattr(study, "continuation_solve",
+                            second_warm_unconverged)
+        prob = get_problem("singular")
+        prob.truncate_schedule = (10.0, 40.0)
+        _, _, reports = solve_problem(prob, refinements=1)
+        assert starts == [False, True, False]
+        assert [r["truncate_M"] for r in reports] == [10.0, 40.0]
+        assert all(r["converged"] for r in reports)
 
 
 class TestMeasureVerification:
