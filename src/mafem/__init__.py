@@ -56,7 +56,6 @@ from .solver import (
     continuation_solve,
     default_initial_guess,
     newton_solve,
-    time_march,
 )
 from .study import (
     StudyReport,
@@ -119,7 +118,6 @@ __all__ = [
     "strictify",
     "subdifferential_p1",
     "sup_error",
-    "time_march",
     "triangulate",
     "truncate",
     "unit_square",

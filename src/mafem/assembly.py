@@ -5,6 +5,13 @@ functions, its exact Jacobian through the cofactor linearization, Dirichlet
 data by Lagrange-node interpolation, and the Poisson stiffness/load objects
 shared with the solvers.  Boundary dofs are eliminated: residual and
 Jacobian live on interior dofs only.
+
+Everything that depends only on the space is computed once and cached on
+it: the default quadrature rule, the packed Hessian push-forward of every
+cell, the integration weights |K| w_q phi_i(x_q) and the interior sparsity
+(element_layer), and the gradient-jump matrix (gradient_jump_matrix).  A
+residual or Jacobian is then a few numpy kernels (see kernels) and one
+np.bincount.
 """
 
 import numpy as np
@@ -57,71 +64,137 @@ class JacobianMatrix:
                 fh.write(f"{r} {c} {v:.17g}\n")
 
 
-def _f_at_qpts(space, f, quad):
-    fq = eval_field(f, phys_quad_points(space, quad).reshape(-1, 2))
+class _ElementLayer:
+    """Cell tables of a space at its default quadrature, built once.
+
+    ref_hess (nq, nloc, 3) and push (nc, 3, 3) give the physical Hessians,
+    wphi (nc, nq, nloc) = |K| w_q phi_i(x_q) the integration weights.  The
+    interior rows of the cell vectors are summed by np.bincount over
+    res_index (boundary rows go to a last bin that is dropped), and the
+    interior-by-interior entries of the cell blocks over jac_index into
+    the data of one fixed CSR pattern (indptr, indices), so assembly needs
+    no COO matrix, sort or fancy slicing.
+    """
+
+    def __init__(self, space):
+        quad = space.default_quadrature()
+        tab = space.tables(quad)
+        self.shape = (space.mesh.num_cells, quad.num_points)
+        self.ref_hess = tab["hess"]
+        self.push = space.cell_hess_push
+        self.wphi = (space.cell_areas[:, None, None]
+                     * quad.weights[None, :, None] * tab["val"][None])
+        ni = len(space.interior_dofs)
+        imap = np.full(space.num_dofs, ni, dtype=np.int64)
+        imap[space.interior_dofs] = np.arange(ni)
+        local = imap[space.cell_dofs]
+        nloc = local.shape[1]
+        rows = np.repeat(local, nloc, axis=1).ravel()
+        cols = np.tile(local, (1, nloc)).ravel()
+        keep = (rows < ni) & (cols < ni)
+        keys, pos = np.unique(rows[keep] * ni + cols[keep],
+                              return_inverse=True)
+        self.n = ni
+        self.nnz = len(keys)
+        self.res_index = local.ravel()
+        self.jac_index = np.full(len(rows), self.nnz, dtype=np.int64)
+        self.jac_index[keep] = pos
+        # built through scipy once so that the index arrays have the dtype
+        # it picks; every jacobian then wraps them without a copy
+        pattern = sparse.csr_matrix(
+            (np.zeros(self.nnz), keys % ni,
+             np.r_[0, np.cumsum(np.bincount(keys // ni, minlength=ni))]),
+            shape=(ni, ni))
+        self.indices, self.indptr = pattern.indices, pattern.indptr
+        for arr in (self.wphi, self.res_index, self.jac_index, self.indices,
+                    self.indptr):
+            arr.flags.writeable = False
+
+
+def element_layer(space):
+    """The space's cached _ElementLayer; built on first use."""
+    if space._elements is None:
+        space._elements = _ElementLayer(space)
+    return space._elements
+
+
+def f_at_qpts(space, f):
+    """Samples (nc, nq) of a field at the default quadrature points.
+
+    f is a callable, or an array of such samples, which is returned as is
+    once its shape is checked.
+    """
+    shape = element_layer(space).shape
+    if not callable(f):
+        fq = np.asarray(f, dtype=float)
+        if fq.shape != shape:
+            raise ValueError("samples of f have shape {}, expected {}".format(
+                fq.shape, shape))
+        return fq
+    pts = phys_quad_points(space, space.default_quadrature())
+    fq = eval_field(f, pts.reshape(-1, 2))
     if not np.all(np.isfinite(fq)):
         raise ValueError("right-hand side is not finite at a quadrature point")
-    return fq.reshape(space.mesh.num_cells, quad.num_points)
+    return fq.reshape(shape)
 
 
-def residual(u_h, f, quad=None, backend=None):
-    """Entries sum_K int_K (det D2u_h - f) phi_i over interior dofs i."""
+def _hessians(u_h, el):
+    return kernels.hessians_at_qpts(u_h.coeffs[u_h.space.cell_dofs],
+                                    el.ref_hess, el.push)
+
+
+def residual(u_h, f):
+    """Entries sum_K int_K (det D2u_h - f) phi_i over interior dofs i.
+
+    f is a callable or its samples from f_at_qpts; a solver that evaluates
+    many residuals samples f once.
+    """
     space = u_h.space
-    if quad is None:
-        quad = space.default_quadrature()
-    tab = space.tables(quad)
-    local = u_h.coeffs[space.cell_dofs]
-    hess = kernels.hessians_at_qpts(local, tab["hess"], space.cell_jinv,
-                                    backend=backend)
-    fq = _f_at_qpts(space, f, quad)
-    cell_r = kernels.residual_cells(hess, fq, tab["val"], quad.weights,
-                                    space.cell_areas, backend=backend)
-    full = np.zeros(space.num_dofs)
-    np.add.at(full, space.cell_dofs, cell_r)
-    return Residual(full[space.interior_dofs], space.interior_dofs)
+    el = element_layer(space)
+    cell_r = kernels.residual_cells(_hessians(u_h, el), f_at_qpts(space, f),
+                                    el.wphi)
+    vals = np.bincount(el.res_index, weights=cell_r.ravel(),
+                       minlength=el.n + 1)[:el.n]
+    return Residual(vals, space.interior_dofs)
 
 
-def _scatter_matrix(space, blocks):
-    nloc = space.cell_dofs.shape[1]
-    rows = np.repeat(space.cell_dofs, nloc, axis=1).ravel()
-    cols = np.tile(space.cell_dofs, (1, nloc)).ravel()
-    mat = sparse.coo_matrix((blocks.ravel(), (rows, cols)),
-                            shape=(space.num_dofs, space.num_dofs))
-    return mat.tocsr()
+def _scatter_matrix(n, idx, blocks):
+    """Sum the blocks (m, l, l) into an n x n csr matrix at dofs idx (m, l)."""
+    nloc = idx.shape[1]
+    rows = np.repeat(idx, nloc, axis=1).ravel()
+    cols = np.tile(idx, (1, nloc)).ravel()
+    return sparse.coo_matrix((blocks.ravel(), (rows, cols)),
+                             shape=(n, n)).tocsr()
 
 
-def jacobian(u_h, quad=None, backend=None):
+def jacobian(u_h):
     """Exact derivative of the residual: (i, j) = sum_K int (cof D2u_h : D2phi_j) phi_i."""
     space = u_h.space
-    if quad is None:
-        quad = space.default_quadrature()
-    tab = space.tables(quad)
-    local = u_h.coeffs[space.cell_dofs]
-    hess = kernels.hessians_at_qpts(local, tab["hess"], space.cell_jinv,
-                                    backend=backend)
-    blocks = kernels.jacobian_cells(hess, tab["hess"], space.cell_jinv,
-                                    tab["val"], quad.weights, space.cell_areas,
-                                    backend=backend)
-    full = _scatter_matrix(space, blocks)
-    idx = space.interior_dofs
-    return JacobianMatrix(full[idx][:, idx], idx)
+    el = element_layer(space)
+    blocks = kernels.jacobian_cells(_hessians(u_h, el), el.ref_hess, el.push,
+                                    el.wphi)
+    data = np.bincount(el.jac_index, weights=blocks.ravel(),
+                       minlength=el.nnz + 1)[:el.nnz]
+    J = sparse.csr_matrix((data, el.indices, el.indptr), shape=(el.n, el.n))
+    return JacobianMatrix(J, space.interior_dofs)
 
 
-def fd_jacobian(u_h, f, quad=None):
+def fd_jacobian(u_h, f):
     """Central-difference Jacobian oracle, step 1e-6 (1 + |coeffs|_inf).
 
     Dense over interior dofs; intended for verification on small spaces.
     """
     space = u_h.space
+    fq = f_at_qpts(space, f)
     step = 1e-6 * (1.0 + float(np.max(np.abs(u_h.coeffs))))
     n = len(space.interior_dofs)
     out = np.empty((n, n))
     work = u_h.copy()
     for col, dof in enumerate(space.interior_dofs):
         work.coeffs[dof] = u_h.coeffs[dof] + step
-        rp = residual(work, f, quad=quad).values
+        rp = residual(work, fq).values
         work.coeffs[dof] = u_h.coeffs[dof] - step
-        rm = residual(work, f, quad=quad).values
+        rm = residual(work, fq).values
         work.coeffs[dof] = u_h.coeffs[dof]
         out[:, col] = (rp - rm) / (2.0 * step)
     return out
@@ -172,28 +245,21 @@ def linearized_operator_check(u_h, w, quad=None):
     return float(np.max(np.abs(via_matrix - expanded)))
 
 
-def stiffness_matrix(space, quad=None, backend=None):
+def stiffness_matrix(space):
     """Full Poisson stiffness matrix (all dofs), csr."""
-    if quad is None:
-        quad = space.default_quadrature()
-    tab = space.tables(quad)
-    blocks = kernels.stiffness_cells(tab["grad"], space.cell_jinv,
-                                     quad.weights, space.cell_areas,
-                                     backend=backend)
-    return _scatter_matrix(space, blocks)
+    quad = space.default_quadrature()
+    blocks = kernels.stiffness_cells(space.tables(quad)["grad"],
+                                     space.cell_jinv, quad.weights,
+                                     space.cell_areas)
+    return _scatter_matrix(space.num_dofs, space.cell_dofs, blocks)
 
 
-def load_vector(space, f, quad=None, backend=None):
-    """Full load vector int f phi_i (all dofs)."""
-    if quad is None:
-        quad = space.default_quadrature()
-    tab = space.tables(quad)
-    fq = _f_at_qpts(space, f, quad)
-    cell_b = kernels.load_cells(fq, tab["val"], quad.weights,
-                                space.cell_areas, backend=backend)
-    out = np.zeros(space.num_dofs)
-    np.add.at(out, space.cell_dofs, cell_b)
-    return out
+def load_vector(space, f):
+    """Full load vector int f phi_i (all dofs); f as for residual."""
+    cell_b = kernels.load_cells(f_at_qpts(space, f),
+                                element_layer(space).wphi)
+    return np.bincount(space.cell_dofs.ravel(), weights=cell_b.ravel(),
+                       minlength=space.num_dofs)
 
 
 def _edge_jump_blocks(space):
@@ -246,13 +312,8 @@ def gradient_jump_matrix(space):
 
 def _assemble_jump_matrix(space):
     idx, wt, B = _edge_jump_blocks(space)
-    n = idx.shape[1]
     Qe = np.einsum("q,eql,eqm->elm", wt, B, B)
-    Q = sparse.coo_matrix(
-        (Qe.ravel(), (np.repeat(idx, n, axis=1).ravel(),
-                      np.tile(idx, (1, n)).ravel())),
-        shape=(space.num_dofs, space.num_dofs))
-    return Q.tocsr()
+    return _scatter_matrix(space.num_dofs, idx, Qe)
 
 
 def gradient_jump_seminorm(u_h):

@@ -121,6 +121,9 @@ class Quadrature:
         self.order = order
         self.points = np.column_stack([1.0 - xi - eta, xi, eta])
         self.weights = w
+        # a rule is shared (FeSpace.default_quadrature), so it is read-only
+        self.points.flags.writeable = False
+        self.weights.flags.writeable = False
 
     @property
     def num_points(self):
@@ -224,8 +227,20 @@ class FeSpace:
         self.cell_jac = jac
         self.cell_jinv = inv
         self.cell_areas = 0.5 * det
+        # Packed push-forward of Hessians, H -> A^T H A with A = Jinv:
+        # (hxx, hxy, hyy)_phys = cell_hess_push @ (hxx, hxy, hyy)_ref.
+        a00, a01 = inv[:, 0, 0], inv[:, 0, 1]
+        a10, a11 = inv[:, 1, 0], inv[:, 1, 1]
+        push = np.empty((nc, 3, 3))
+        push[:, 0] = np.column_stack([a00 * a00, 2 * a00 * a10, a10 * a10])
+        push[:, 1] = np.column_stack([a00 * a01, a00 * a11 + a01 * a10,
+                                      a10 * a11])
+        push[:, 2] = np.column_stack([a01 * a01, 2 * a01 * a11, a11 * a11])
+        self.cell_hess_push = push
 
+        self._quad = None
         self._tab_cache = {}
+        self._elements = None  # built by assembly.element_layer
         self._jump_matrix = None  # built by assembly.gradient_jump_matrix
         self._tree = None
 
@@ -234,7 +249,10 @@ class FeSpace:
                 f"cells={self.mesh.num_cells})")
 
     def default_quadrature(self):
-        return Quadrature(2 * self.degree)
+        """The rule of order 2k used for assembly, built once per space."""
+        if self._quad is None:
+            self._quad = Quadrature(2 * self.degree)
+        return self._quad
 
     def tables(self, quad):
         """Cached reference tabulation at a quadrature rule's points."""
@@ -320,16 +338,9 @@ class FeFunction:
     def _eval_tab(self, points, key):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         cells, ref = self.space.locate(pts)
-        out = None
-        for c in np.unique(cells):
-            sel = cells == c
-            tab = self.space.ref.tabulate(ref[sel])[key]
-            local = self.coeffs[self.space.cell_dofs[c]]
-            v = np.tensordot(tab, local, axes=([1], [0]))
-            if out is None:
-                out = np.zeros((len(pts),) + v.shape[1:])
-            out[sel] = v
-        return out, cells
+        tab = self.space.ref.tabulate(ref)[key]
+        local = self.coeffs[self.space.cell_dofs[cells]]
+        return np.einsum("pl...,pl->p...", tab, local), cells
 
     def __call__(self, points):
         v, _ = self._eval_tab(points, "val")
@@ -344,7 +355,7 @@ class FeFunction:
     def hessian(self, points):
         """Cellwise Hessians as (n, 3) arrays (dxx, dxy, dyy)."""
         h_ref, cells = self._eval_tab(points, "hess")
-        h = _push_hessian(h_ref[:, None, :], self.space.cell_jinv[cells])[:, 0]
+        h = _push_hessian(h_ref, self.space.cell_hess_push[cells])
         return h if np.asarray(points).ndim == 2 else h[0]
 
     def cell_values(self, quad):
@@ -360,7 +371,7 @@ class FeFunction:
         """(nc, nq, 3) physical Hessians (dxx, dxy, dyy) at quadrature points."""
         tab = self.space.tables(quad)["hess"]
         h_ref = np.einsum("cj,qjm->cqm", self.coeffs[self.space.cell_dofs], tab)
-        return _push_hessian(h_ref, self.space.cell_jinv)
+        return _push_hessian(h_ref, self.space.cell_hess_push[:, None])
 
     def save(self, path, mesh_ref):
         """Plain-text save: mesh file reference, degree, one coeff per line."""
@@ -382,24 +393,13 @@ class FeFunction:
         return cls(space, np.array(lines[2:], dtype=float))
 
 
-def _push_hessian(h_ref, jinv):
-    """Map reference Hessians (..., 3) to physical ones via A^T H A, A = Jinv.
+def _push_hessian(h_ref, push):
+    """Physical Hessians (..., 3) from reference ones (..., 3).
 
-    jinv broadcasts over the leading axis of h_ref ((nc, nq, 3) with
-    (nc, 2, 2), or (np, 3) with (np, 2, 2)).
+    push holds rows of FeSpace.cell_hess_push and broadcasts against the
+    leading axes of h_ref.
     """
-    a00 = jinv[..., 0, 0]
-    a01 = jinv[..., 0, 1]
-    a10 = jinv[..., 1, 0]
-    a11 = jinv[..., 1, 1]
-    if h_ref.ndim == 3 and jinv.ndim == 3:
-        a00, a01, a10, a11 = (a[:, None] for a in (a00, a01, a10, a11))
-    h0, h1, h2 = h_ref[..., 0], h_ref[..., 1], h_ref[..., 2]
-    out = np.empty_like(h_ref)
-    out[..., 0] = a00 * a00 * h0 + 2 * a00 * a10 * h1 + a10 * a10 * h2
-    out[..., 1] = a00 * a01 * h0 + (a00 * a11 + a01 * a10) * h1 + a10 * a11 * h2
-    out[..., 2] = a01 * a01 * h0 + 2 * a01 * a11 * h1 + a11 * a11 * h2
-    return out
+    return np.einsum("...ab,...b->...a", push, h_ref)
 
 
 def eval_field(f, points):
@@ -476,7 +476,7 @@ def broken_seminorm(v, t, p=2, quad=None, sample_order=10):
             g = np.einsum("cji,cqj->cqi", space.cell_jinv, g_ref)
             return float(np.abs(g).max())
         h_ref = np.einsum("cj,qjm->cqm", local, tab["hess"])
-        h = _push_hessian(h_ref, space.cell_jinv)
+        h = _push_hessian(h_ref, space.cell_hess_push[:, None])
         return float(np.abs(h).max())
     raise ValueError("p must be 2 or inf")
 

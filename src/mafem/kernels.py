@@ -1,228 +1,50 @@
-"""Cell-local assembly kernels in two interchangeable flavors.
+"""Cell-local assembly kernels, vectorized with numpy.
 
-Every kernel has a compiled loop version (numba) and a vectorized numpy
-version.  The default backend is numba when available; set MAFEM_NUMBA=0 to
-force the numpy path.  Both are kept importable so they can be compared and
-benchmarked against each other.
-
-All kernels work on cell-batched data: `hess` is (nc, nq, 3) with Hessian
-components ordered (dxx, dxy, dyy), `ref_*` tables are tabulated on the
-reference cell, `jinv` is the per-cell inverse of the affine map Jacobian,
-and integrals use normalized weights (cell integral = area * sum(w * f)).
+All kernels work on cell-batched data at the points of one quadrature
+rule: Hessians are (nc, nq, 3) with components ordered (dxx, dxy, dyy),
+`ref_*` tables are tabulated on the reference cell, `push` (nc, 3, 3) is
+FeSpace.cell_hess_push, which maps packed reference Hessians to physical
+ones, and `wphi` (nc, nq, nloc) holds |K| w_q phi_i(x_q), so that
+sum_q wphi[c, q, i] g(x_q) = int_K g phi_i.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
 
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-        return wrap if not (args and callable(args[0])) else args[0]
-
-USE_NUMBA = HAVE_NUMBA and os.environ.get("MAFEM_NUMBA", "1") != "0"
-
-
-def _pick(backend):
-    if backend is None:
-        return "numba" if USE_NUMBA else "numpy"
-    if backend not in ("numba", "numpy"):
-        raise ValueError("backend must be 'numba' or 'numpy'")
-    if backend == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is unavailable")
-    return backend
-
-
-# hessians of a coefficient field at quadrature points
-
-@njit(cache=True)
-def _hessians_nb(local, ref_hess, jinv):
-    nc, nloc = local.shape
-    nq = ref_hess.shape[0]
-    out = np.empty((nc, nq, 3))
-    for c in range(nc):
-        a00 = jinv[c, 0, 0]
-        a01 = jinv[c, 0, 1]
-        a10 = jinv[c, 1, 0]
-        a11 = jinv[c, 1, 1]
-        for q in range(nq):
-            h0 = 0.0
-            h1 = 0.0
-            h2 = 0.0
-            for j in range(nloc):
-                cj = local[c, j]
-                h0 += cj * ref_hess[q, j, 0]
-                h1 += cj * ref_hess[q, j, 1]
-                h2 += cj * ref_hess[q, j, 2]
-            out[c, q, 0] = a00 * a00 * h0 + 2 * a00 * a10 * h1 + a10 * a10 * h2
-            out[c, q, 1] = (a00 * a01 * h0 + (a00 * a11 + a01 * a10) * h1
-                            + a10 * a11 * h2)
-            out[c, q, 2] = a01 * a01 * h0 + 2 * a01 * a11 * h1 + a11 * a11 * h2
-    return out
-
-
-def _hessians_np(local, ref_hess, jinv):
-    h = np.einsum("cj,qjm->cqm", local, ref_hess)
-    a00 = jinv[:, None, 0, 0]
-    a01 = jinv[:, None, 0, 1]
-    a10 = jinv[:, None, 1, 0]
-    a11 = jinv[:, None, 1, 1]
-    h0, h1, h2 = h[..., 0], h[..., 1], h[..., 2]
-    out = np.empty_like(h)
-    out[..., 0] = a00 * a00 * h0 + 2 * a00 * a10 * h1 + a10 * a10 * h2
-    out[..., 1] = a00 * a01 * h0 + (a00 * a11 + a01 * a10) * h1 + a10 * a11 * h2
-    out[..., 2] = a01 * a01 * h0 + 2 * a01 * a11 * h1 + a11 * a11 * h2
-    return out
-
-
-def hessians_at_qpts(local, ref_hess, jinv, backend=None):
+def hessians_at_qpts(local, ref_hess, push):
     """(nc, nq, 3) physical Hessians of the field with local coeffs (nc, nloc)."""
-    fn = _hessians_nb if _pick(backend) == "numba" else _hessians_np
-    return fn(np.ascontiguousarray(local), ref_hess, jinv)
+    nq, nloc, _ = ref_hess.shape
+    h_ref = local @ ref_hess.transpose(1, 0, 2).reshape(nloc, 3 * nq)
+    return np.matmul(h_ref.reshape(-1, nq, 3), push.transpose(0, 2, 1))
 
 
-# residual: r[c, i] = area_c * sum_q w_q (det H - f) phi_i
-
-@njit(cache=True)
-def _residual_nb(hess, fq, val, w, areas):
-    nc, nq, _ = hess.shape
-    nloc = val.shape[1]
-    out = np.zeros((nc, nloc))
-    for c in range(nc):
-        for q in range(nq):
-            det = hess[c, q, 0] * hess[c, q, 2] - hess[c, q, 1] ** 2
-            s = areas[c] * w[q] * (det - fq[c, q])
-            for i in range(nloc):
-                out[c, i] += s * val[q, i]
-    return out
-
-
-def _residual_np(hess, fq, val, w, areas):
+def residual_cells(hess, fq, wphi):
+    """Local residual vectors int_K (det H - f) phi_i, one row per cell."""
     det = hess[..., 0] * hess[..., 2] - hess[..., 1] ** 2
-    return np.einsum("c,cq,q,qi->ci", areas, det - fq, w, val)
+    return np.einsum("cq,cqi->ci", det - fq, wphi)
 
 
-def residual_cells(hess, fq, val, w, areas, backend=None):
-    """Local residual vectors of the determinant equation, one row per cell."""
-    fn = _residual_nb if _pick(backend) == "numba" else _residual_np
-    return fn(hess, fq, val, w, areas)
+def jacobian_cells(hess, ref_hess, push, wphi):
+    """Local blocks int_K (cof H : D2 phi_j) phi_i of the residual's Jacobian.
+
+    cof H : B = (hyy, -2 hxy, hxx) . b for packed B = b, and b = push @ r
+    for the packed reference Hessian r of phi_j, so the cofactor is pulled
+    back to the reference frame once per point instead of pushing every
+    basis Hessian forward: O(nc nq) extra memory, not O(nc nq nloc).
+    """
+    cof = np.stack([hess[..., 2], -2.0 * hess[..., 1], hess[..., 0]],
+                   axis=-1)
+    cref = np.matmul(cof, push).transpose(1, 0, 2)
+    contr = np.matmul(cref, ref_hess.transpose(0, 2, 1)).transpose(1, 0, 2)
+    return np.matmul(wphi.transpose(0, 2, 1), contr)
 
 
-# jacobian: M[c, i, j] = area_c * sum_q w_q (cof H : D2 phi_j) phi_i
-
-@njit(cache=True)
-def _jacobian_nb(hess, ref_hess, jinv, val, w, areas):
-    nc, nq, _ = hess.shape
-    nloc = val.shape[1]
-    out = np.zeros((nc, nloc, nloc))
-    contr = np.empty(nloc)
-    for c in range(nc):
-        a00 = jinv[c, 0, 0]
-        a01 = jinv[c, 0, 1]
-        a10 = jinv[c, 1, 0]
-        a11 = jinv[c, 1, 1]
-        for q in range(nq):
-            hxx = hess[c, q, 0]
-            hxy = hess[c, q, 1]
-            hyy = hess[c, q, 2]
-            for j in range(nloc):
-                r0 = ref_hess[q, j, 0]
-                r1 = ref_hess[q, j, 1]
-                r2 = ref_hess[q, j, 2]
-                bxx = a00 * a00 * r0 + 2 * a00 * a10 * r1 + a10 * a10 * r2
-                bxy = a00 * a01 * r0 + (a00 * a11 + a01 * a10) * r1 \
-                    + a10 * a11 * r2
-                byy = a01 * a01 * r0 + 2 * a01 * a11 * r1 + a11 * a11 * r2
-                contr[j] = hyy * bxx - 2.0 * hxy * bxy + hxx * byy
-            for i in range(nloc):
-                s = areas[c] * w[q] * val[q, i]
-                for j in range(nloc):
-                    out[c, i, j] += s * contr[j]
-    return out
-
-
-def _jacobian_np(hess, ref_hess, jinv, val, w, areas):
-    a00 = jinv[:, None, None, 0, 0]
-    a01 = jinv[:, None, None, 0, 1]
-    a10 = jinv[:, None, None, 1, 0]
-    a11 = jinv[:, None, None, 1, 1]
-    r0, r1, r2 = (ref_hess[None, :, :, m] for m in range(3))
-    bxx = a00 * a00 * r0 + 2 * a00 * a10 * r1 + a10 * a10 * r2
-    bxy = a00 * a01 * r0 + (a00 * a11 + a01 * a10) * r1 + a10 * a11 * r2
-    byy = a01 * a01 * r0 + 2 * a01 * a11 * r1 + a11 * a11 * r2
-    contr = (hess[..., 2, None] * bxx - 2 * hess[..., 1, None] * bxy
-             + hess[..., 0, None] * byy)
-    return np.einsum("c,q,qi,cqj->cij", areas, w, val, contr)
-
-
-def jacobian_cells(hess, ref_hess, jinv, val, w, areas, backend=None):
-    """Local Jacobian blocks of the determinant residual (cofactor form)."""
-    fn = _jacobian_nb if _pick(backend) == "numba" else _jacobian_np
-    return fn(hess, ref_hess, jinv, val, w, areas)
-
-
-# stiffness: S[c, i, j] = area_c * sum_q w_q grad phi_i . grad phi_j
-
-@njit(cache=True)
-def _stiffness_nb(ref_grad, jinv, w, areas):
-    nq, nloc, _ = ref_grad.shape
-    nc = len(areas)
-    out = np.zeros((nc, nloc, nloc))
-    gx = np.empty(nloc)
-    gy = np.empty(nloc)
-    for c in range(nc):
-        a00 = jinv[c, 0, 0]
-        a01 = jinv[c, 0, 1]
-        a10 = jinv[c, 1, 0]
-        a11 = jinv[c, 1, 1]
-        for q in range(nq):
-            for j in range(nloc):
-                gx[j] = a00 * ref_grad[q, j, 0] + a10 * ref_grad[q, j, 1]
-                gy[j] = a01 * ref_grad[q, j, 0] + a11 * ref_grad[q, j, 1]
-            for i in range(nloc):
-                s = areas[c] * w[q]
-                for j in range(nloc):
-                    out[c, i, j] += s * (gx[i] * gx[j] + gy[i] * gy[j])
-    return out
-
-
-def _stiffness_np(ref_grad, jinv, w, areas):
+def stiffness_cells(ref_grad, jinv, w, areas):
+    """Local Laplacian stiffness blocks."""
     g = np.einsum("cji,qlj->cqli", jinv, ref_grad)
     return np.einsum("c,q,cqid,cqjd->cij", areas, w, g, g)
 
 
-def stiffness_cells(ref_grad, jinv, w, areas, backend=None):
-    """Local Laplacian stiffness blocks."""
-    fn = _stiffness_nb if _pick(backend) == "numba" else _stiffness_np
-    return fn(ref_grad, jinv, w, areas)
-
-
-# load: b[c, i] = area_c * sum_q w_q f phi_i
-
-@njit(cache=True)
-def _load_nb(fq, val, w, areas):
-    nc, nq = fq.shape
-    nloc = val.shape[1]
-    out = np.zeros((nc, nloc))
-    for c in range(nc):
-        for q in range(nq):
-            s = areas[c] * w[q] * fq[c, q]
-            for i in range(nloc):
-                out[c, i] += s * val[q, i]
-    return out
-
-
-def _load_np(fq, val, w, areas):
-    return np.einsum("c,cq,q,qi->ci", areas, fq, w, val)
-
-
-def load_cells(fq, val, w, areas, backend=None):
-    """Local load vectors for a field sampled at quadrature points."""
-    fn = _load_nb if _pick(backend) == "numba" else _load_np
-    return fn(fq, val, w, areas)
+def load_cells(fq, wphi):
+    """Local load vectors int_K f phi_i of a field sampled at quadrature points."""
+    return np.einsum("cq,cqi->ci", fq, wphi)

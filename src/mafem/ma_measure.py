@@ -177,7 +177,7 @@ def _cell_hessians_at(v, cell, pts):
     ref = (np.atleast_2d(pts) - v0) @ space.cell_jinv[cell].T
     tab = space.ref.tabulate(ref)["hess"]
     h_ref = np.einsum("j,qjm->qm", v.coeffs[space.cell_dofs[cell]], tab)
-    return _push_hessian(h_ref, space.cell_jinv[cell])
+    return _push_hessian(h_ref, space.cell_hess_push[cell])
 
 
 def partial_ma_measure(v, region, quad=None, tol_convex=1e-10):

@@ -11,7 +11,6 @@ import json
 
 import numpy as np
 from scipy.special import roots_legendre
-from scipy.stats import qmc
 
 from .geometry import nearest_boundary_point
 
@@ -116,17 +115,41 @@ def shift(f, eps):
     return shifted
 
 
+def _radical_inverse(index, base):
+    """Van der Corput points of the integers index in the given base.
+
+    Digits are added from the least significant one, in the order of
+    scipy.stats.qmc's unscrambled sequence, so the points are the same.
+    """
+    out = np.zeros(len(index))
+    q = np.array(index, dtype=np.int64)
+    b2r = 1.0 / base
+    while np.any(q > 0):
+        out += (q % base) * b2r
+        b2r /= base
+        q //= base
+    return out
+
+
 def interior_samples(polygon, n_samples, seed=0):
-    """Quasi-random (Halton) interior sample points of the polygon."""
+    """Quasi-random (Halton, bases 2 and 3) interior sample points.
+
+    The unscrambled sequence does not depend on seed.
+    """
     lo = polygon.vertices.min(axis=0)
     hi = polygon.vertices.max(axis=0)
-    sampler = qmc.Halton(d=2, scramble=False, seed=seed)
     pts = np.empty((0, 2))
+    n_draw, start = max(64, 2 * n_samples), 0
     while len(pts) < n_samples:
-        draw = lo + (hi - lo) * sampler.random(max(64, 2 * n_samples))
+        index = np.arange(start, start + n_draw)
+        start += n_draw
+        unit = np.column_stack([_radical_inverse(index, 2),
+                                _radical_inverse(index, 3)])
+        draw = lo + (hi - lo) * unit
         keep = draw[polygon.contains(draw)]
         pts = np.vstack([pts, keep])
     return pts[:n_samples]
+
 
 def validate_bounds(f, polygon, n_samples=400):
     """Empirical data bounds over quasi-random interior samples."""

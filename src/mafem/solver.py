@@ -1,6 +1,6 @@
 """Nonlinear solvers for the discrete determinant equation.
 
-Three drivers share one problem setup (boundary data pinned at Lagrange
+Two drivers share one problem setup (boundary data pinned at Lagrange
 nodes, residual and Jacobian over interior dofs):
 
 * newton_solve: damped Gauss-Newton on the penalized least-squares
@@ -16,9 +16,6 @@ nodes, residual and Jacobian over interior dofs):
   (the determinant alone cannot tell the branches apart).  For data with an
   exact discrete solution whose gradient is continuous (e.g. quadratic
   patches) the penalized minimizer is that exact solution.
-* time_march: pseudo-transient iteration nu*A*(u' - u) = +r(u) with A the
-  Poisson stiffness matrix, a gradient-flow discretization whose fixed
-  points are exactly the discrete solutions.
 * continuation_solve: warm-started sweep over a decreasing schedule of
   positive shifts f + eps, for degenerate or unbounded data.
 
@@ -31,16 +28,21 @@ are stable for SPD matrices, and the symmetric ordering gives less fill
 than SuperLU's default column ordering with partial pivoting (3.2M instead
 of 4.3M factor nonzeros on a normal matrix of 8,065 interior dofs).
 
-newton_solve factors the normal matrix once per Gauss-Newton iteration
-and nowhere else.  Its terminal polish takes chord steps on the factor of
-the last Gauss-Newton iteration: each step recomputes the exact gradient
-J^T r + eta (Q u)_I (+ S^T s) at the current iterate and back-solves with
-the old factor.  Polish moves the iterate by less than 1e-5, so the old
-normal matrix still contracts the steps, and with the exact gradient the
-stationary point is the same (Kelley, Iterative Methods for Linear and
-Nonlinear Equations, SIAM 1995, sec. 5.4).  The previous factor is
-released before the next one is computed, so at most one factor is alive
-at a time.
+newton_solve samples f at the quadrature points once, for the positivity
+check, the Poisson start and every residual of the solve; the residual,
+the Jacobian and the hinge run on cell tables built once per space (see
+assembly.element_layer).  It factors the normal matrix once per
+Gauss-Newton iteration and nowhere else.  Its terminal polish takes
+chord steps on the factor of the last Gauss-Newton iteration: each step
+recomputes the exact gradient J^T r + eta (Q u)_I (+ S^T s) at the
+current iterate and back-solves with the old factor.  Polish moves the
+iterate by less than 1e-5, so the old normal matrix still contracts the
+steps, and with the exact gradient the stationary point is the same
+(Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
+sec. 5.4).  The previous factor is released before the next one is
+computed, so at most one factor is alive at a time.  Every Gauss-Newton
+direction counts in report.iterations, so a solve factors the normal
+matrix exactly report.iterations times (plus once for the Poisson start).
 """
 
 import json
@@ -51,36 +53,31 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
 from . import convexity
-from .assembly import (apply_boundary, gradient_jump_matrix, jacobian,
-                       load_vector, residual, set_boundary_values,
+from . import kernels
+from .assembly import (apply_boundary, f_at_qpts, gradient_jump_matrix,
+                       jacobian, load_vector, residual, set_boundary_values,
                        stiffness_matrix)
 from .errors import NonConvergenceError, SingularJacobianError
-from .fespace import FeFunction, Quadrature, phys_quad_points
+from .fespace import FeFunction, Quadrature
 
 
 class SolverConfig:
     """Tolerances and knobs shared by the solve drivers."""
 
     def __init__(self, tol_residual=1e-10, max_iters=120, min_step=2.0 ** -20,
-                 armijo=1e-4, nu=5.0, continuation_schedule=(),
-                 jump_penalty=1e-2, convex_penalty=1.0, convex_allowance=1e-2,
-                 tol_step=1e-10, tol_march=1e-8, march_max_iters=2000):
+                 armijo=1e-4, continuation_schedule=(), jump_penalty=1e-2,
+                 convex_penalty=1.0, convex_allowance=1e-2, tol_step=1e-10):
         if tol_residual <= 0:
             raise ValueError("tol_residual must be positive")
-        if nu <= 0:
-            raise ValueError("nu must be positive")
         self.tol_residual = float(tol_residual)
         self.max_iters = int(max_iters)
         self.min_step = float(min_step)
         self.armijo = float(armijo)
-        self.nu = float(nu)
         self.continuation_schedule = tuple(continuation_schedule)
         self.jump_penalty = float(jump_penalty)
         self.convex_penalty = float(convex_penalty)
         self.convex_allowance = float(convex_allowance)
         self.tol_step = float(tol_step)
-        self.tol_march = float(tol_march)
-        self.march_max_iters = int(march_max_iters)
 
     def to_dict(self):
         return {
@@ -88,14 +85,11 @@ class SolverConfig:
             "max_iters": self.max_iters,
             "min_step": self.min_step,
             "armijo": self.armijo,
-            "nu": self.nu,
             "continuation_schedule": list(self.continuation_schedule),
             "jump_penalty": self.jump_penalty,
             "convex_penalty": self.convex_penalty,
             "convex_allowance": self.convex_allowance,
             "tol_step": self.tol_step,
-            "tol_march": self.tol_march,
-            "march_max_iters": self.march_max_iters,
         }
 
 
@@ -155,26 +149,29 @@ class SolveReport:
 
 
 def _check_positive_data(space, f):
-    """Sample f at quadrature points; reject negative or vanishing data."""
-    pts = phys_quad_points(space, space.default_quadrature())
-    vals = np.asarray(f(pts.reshape(-1, 2)), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("f is not finite at sampled interior points")
-    fmin = float(vals.min())
+    """Sample f at quadrature points; reject negative or vanishing data.
+
+    Returns the samples (see assembly.f_at_qpts).
+    """
+    fq = f_at_qpts(space, f)
+    fmin = float(fq.min())
     if fmin <= 0.0:
         raise ValueError(
             "sampled min of f is {:.3e} <= 0; use continuation_solve with a "
             "positive shift schedule for degenerate data".format(fmin))
-    return fmin
+    return fq
 
 
 def _factor_spd(A):
     """SuperLU factorization of a symmetric positive definite matrix.
 
-    An exactly singular factor raises SingularJacobianError.
+    A csr matrix is handed over as its transpose, which is the same matrix
+    in csc form without a copy.  An exactly singular factor raises
+    SingularJacobianError.
     """
+    A = A.T if A.format == "csr" else A.tocsc()
     try:
-        return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+        return splu(A, permc_spec="MMD_AT_PLUS_A",
                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SingularJacobianError(
@@ -189,10 +186,11 @@ def default_initial_guess(space, f, g):
 
     In 2D, det D2u = f is consistent with lap(u) = 2*sqrt(f) when
     D2u = sqrt(f)*I, which makes this the natural data-driven convex start.
+    f is a callable or its samples from assembly.f_at_qpts.
     """
     A = stiffness_matrix(space)
-    b = load_vector(space, lambda p: -2.0 * np.sqrt(
-        np.maximum(np.asarray(f(p), dtype=float), 0.0)))
+    b = load_vector(space, -2.0 * np.sqrt(np.maximum(f_at_qpts(space, f),
+                                                     0.0)))
     u = FeFunction(space)
     set_boundary_values(u, apply_boundary(space, g))
     I = space.interior_dofs
@@ -225,17 +223,8 @@ class _ConvexityHinge:
         on_bd[mesh.boundary_vertex_indices()] = True
         self.cells = np.flatnonzero(~on_bd[mesh.cells].any(axis=1))
         quad = Quadrature(max(2 * space.degree - 4, 2))
-        tab = space.tables(quad)["hess"]
-        jinv = space.cell_jinv[self.cells]
-        a00, a01 = jinv[:, 0, 0], jinv[:, 0, 1]
-        a10, a11 = jinv[:, 1, 0], jinv[:, 1, 1]
-        # Packed map (hxx, hxy, hyy)_phys = T @ (.)_ref for H -> A^T H A.
-        T = np.empty((len(self.cells), 3, 3))
-        T[:, 0] = np.column_stack([a00 * a00, 2 * a00 * a10, a10 * a10])
-        T[:, 1] = np.column_stack([a00 * a01, a00 * a11 + a01 * a10,
-                                   a10 * a11])
-        T[:, 2] = np.column_stack([a01 * a01, 2 * a01 * a11, a11 * a11])
-        self.basis = np.einsum("cab,qlb->cqla", T, tab)
+        self.ref_hess = space.tables(quad)["hess"]
+        self.push = space.cell_hess_push[self.cells]
         self.gdofs = space.cell_dofs[self.cells]
         self.weights = (self.penalty * space.cell_areas[self.cells][:, None]
                         * quad.weights[None, :])
@@ -246,7 +235,8 @@ class _ConvexityHinge:
 
     def deficits(self, u_h):
         """Hinge activations max(0, -(lambda1 + allowance)) per (cell, q)."""
-        h = np.einsum("cqlm,cl->cqm", self.basis, u_h.coeffs[self.gdofs])
+        h = kernels.hessians_at_qpts(u_h.coeffs[self.gdofs], self.ref_hess,
+                                     self.push)
         lam1 = convexity.eigmin_2x2(h[..., 0], h[..., 1], h[..., 2])
         return np.maximum(0.0, -(lam1 + self.allowance)), h
 
@@ -270,14 +260,16 @@ class _ConvexityHinge:
         dlam = np.column_stack([0.5 - (hxx - hyy) / (4.0 * rad),
                                 -hxy / rad,
                                 0.5 + (hxx - hyy) / (4.0 * rad)])
-        vals = -sw[:, None] * np.einsum("am,alm->al", dlam,
-                                        self.basis[ci, qi])
+        # d lambda1 . (push @ r) = (d lambda1 @ push) . r for the packed
+        # reference Hessian r of each basis function
+        dref = np.einsum("am,amb->ab", dlam, self.push[ci])
+        vals = -sw[:, None] * np.einsum("ab,alb->al", dref,
+                                        self.ref_hess[qi])
         cols = self.cols[ci]
         keep = cols >= 0
-        na, nl = cols.shape
-        rows = np.broadcast_to(np.arange(na)[:, None], (na, nl))
-        S = sparse.coo_matrix((vals[keep], (rows[keep], cols[keep])),
-                              shape=(na, self.n_interior)).tocsr()
+        indptr = np.r_[0, np.cumsum(keep.sum(axis=1))]
+        S = sparse.csr_matrix((vals[keep], cols[keep], indptr),
+                              shape=(len(ci), self.n_interior))
         return s, S
 
 
@@ -296,23 +288,23 @@ def newton_solve(space, f, g, u0=None, config=None):
         config = SolverConfig()
     t0 = time.perf_counter()
     report = SolveReport("newton")
-    _check_positive_data(space, f)
+    fq = _check_positive_data(space, f)
 
-    u = u0.copy() if u0 is not None else default_initial_guess(space, f, g)
+    u = u0.copy() if u0 is not None else default_initial_guess(space, fq, g)
     bc = apply_boundary(space, g)
     set_boundary_values(u, bc)
 
     I = space.interior_dofs
     eta = config.jump_penalty
     Q = gradient_jump_matrix(space)
-    QII = Q[I][:, I].tocsr()
+    QII = Q[I][:, I].tocsc()
     hinge = None
     if config.convex_penalty > 0.0:
         hinge = _ConvexityHinge(space, config.convex_penalty,
                                 config.convex_allowance)
 
     def objective(u_h):
-        r = residual(u_h, f)
+        r = residual(u_h, fq)
         pen = 0.5 * eta * float(u_h.coeffs @ (Q @ u_h.coeffs))
         if hinge is not None:
             pen += hinge.value(u_h)
@@ -362,7 +354,7 @@ def newton_solve(space, f, g, u0=None, config=None):
         prev = np.inf
         for _ in range(50):
             if d is None:
-                d = solve_normal(lu, gradient(u_h, residual(u_h, f))[0])
+                d = solve_normal(lu, gradient(u_h, residual(u_h, fq))[0])
             d_sup = float(np.max(np.abs(d))) if len(d) else 0.0
             if d_sup > cap or d_sup >= prev:
                 break
@@ -395,16 +387,15 @@ def newton_solve(space, f, g, u0=None, config=None):
                 # The predicted decrease is below the noise floor of the
                 # objective, so Armijo is blind here.  The iterate is
                 # terminal, not stuck, if it is already nearly fixed or if
-                # undamped steps contract from it.
+                # undamped steps contract from it.  Iteration it computed
+                # and factored a direction, so it counts.
+                report.iterations = it + 1
                 if d_sup <= 1e-6 or abs(gd) <= 16 * np.finfo(float).eps * phi:
                     u, _ = polish(u, lu, d)
-                    report.iterations = it
                     return u, report.finish("stationary", True, u, t0)
                 u, last_step = polish(u, lu, d, cap=1e-4)
                 if last_step <= 1e-6:
-                    report.iterations = it
                     return u, report.finish("stationary", True, u, t0)
-                report.iterations = it
                 report.finish("stagnation", False, u, t0)
                 raise NonConvergenceError(
                     "line search stagnated below min_step", last_iterate=u,
@@ -421,63 +412,6 @@ def newton_solve(space, f, g, u0=None, config=None):
         return u, report.finish("residual", True, u, t0)
     report.finish("max_iters", False, u, t0)
     raise NonConvergenceError("newton_solve hit max_iters", last_iterate=u,
-                              report=report)
-
-
-def time_march(space, f, g, u0=None, config=None):
-    """Pseudo-transient iteration nu*A*(u' - u) = +r(u); returns (u_h, report).
-
-    A is the Poisson stiffness matrix on interior dofs, so one step solves
-    nu * int grad(u') . grad(v) = nu * int grad(u) . grad(v)
-                                  + sum_K int_K (det D2u - f) v.
-    The update direction +A^{-1} r / nu is the dissipative orientation of
-    the gradient flow: the linearization of the cellwise determinant acts
-    like a (negative) weak Laplacian, so the flow u_t = A^{-1} r contracts
-    along residual-active directions, while the opposite sign amplifies
-    them (see the solver tests for the divergence experiment).  Fixed
-    points are exactly the discrete solutions.  After each step, cells with
-    min Hessian eigenvalue below -1e-8 trigger a strictification by the
-    violation magnitude and boundary re-pinning, preserving weak convexity.
-    """
-    if config is None:
-        config = SolverConfig()
-    t0 = time.perf_counter()
-    report = SolveReport("time_march")
-    _check_positive_data(space, f)
-
-    u = u0.copy() if u0 is not None else default_initial_guess(space, f, g)
-    bc = apply_boundary(space, g)
-    set_boundary_values(u, bc)
-
-    I = space.interior_dofs
-    A = stiffness_matrix(space)
-    lu = _factor_spd(A[I][:, I])
-    tol_convex = 1e-8
-
-    scale = 1.0 + float(np.max(np.abs(u.coeffs)))
-    for it in range(config.march_max_iters):
-        r = residual(u, f)
-        d = lu.solve(r.values) / config.nu
-        step_sup = float(np.max(np.abs(d))) if len(d) else 0.0
-        report.record(r.norm(2), r.norm(np.inf), step_sup)
-        if not np.isfinite(step_sup) or step_sup > 1e6 * scale:
-            report.iterations = it
-            report.finish("diverged", False, u, t0)
-            raise NonConvergenceError(
-                "time_march diverged (the gradient flow is unstable along "
-                "edge-jump coupling modes; use newton_solve)",
-                last_iterate=u, report=report)
-        if step_sup <= config.tol_march:
-            report.iterations = it
-            return u, report.finish("fixed_point", True, u, t0)
-        u.coeffs[I] += d
-        lam = convexity.analyze(u).global_min_lambda1
-        if np.isfinite(lam) and lam < -tol_convex:
-            u = convexity.strictify(u, -lam)
-            set_boundary_values(u, bc)
-    report.iterations = config.march_max_iters
-    report.finish("max_iters", False, u, t0)
-    raise NonConvergenceError("time_march hit max_iters", last_iterate=u,
                               report=report)
 
 

@@ -19,7 +19,7 @@ from mafem.assembly import (
     set_boundary_values,
     stiffness_matrix,
 )
-from mafem.assembly import _assemble_jump_matrix
+from mafem.assembly import _assemble_jump_matrix, element_layer, f_at_qpts
 from mafem.fespace import FeFunction, FeSpace, Quadrature, interpolate
 from mafem.geometry import ConvexPolygon
 from mafem.mesh import Mesh
@@ -113,6 +113,122 @@ def dense_residual_oracle(u_h, f):
     full = np.zeros(space.num_dofs)
     np.add.at(full, space.cell_dofs, cell_r)
     return full[space.interior_dofs]
+
+
+def _old_hessians(local, ref_hess, jinv):
+    h = np.einsum("cj,qjm->cqm", local, ref_hess)
+    a00 = jinv[:, None, 0, 0]
+    a01 = jinv[:, None, 0, 1]
+    a10 = jinv[:, None, 1, 0]
+    a11 = jinv[:, None, 1, 1]
+    h0, h1, h2 = h[..., 0], h[..., 1], h[..., 2]
+    out = np.empty_like(h)
+    out[..., 0] = a00 * a00 * h0 + 2 * a00 * a10 * h1 + a10 * a10 * h2
+    out[..., 1] = a00 * a01 * h0 + (a00 * a11 + a01 * a10) * h1 + a10 * a11 * h2
+    out[..., 2] = a01 * a01 * h0 + 2 * a01 * a11 * h1 + a11 * a11 * h2
+    return out
+
+
+def old_path_residual(u_h, f):
+    """Reference residual, independent of the cached element layer.
+
+    Hessians pushed forward by the explicit A^T H A formula, one einsum
+    per cell vector and np.add.at into the full vector.
+    """
+    space = u_h.space
+    quad = Quadrature(2 * space.degree)
+    tab = space.tables(quad)
+    hess = _old_hessians(u_h.coeffs[space.cell_dofs], tab["hess"],
+                         space.cell_jinv)
+    pts = np.einsum("qj,cjd->cqd", quad.points, space.mesh.cell_coords())
+    fq = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(hess.shape[:2])
+    det = hess[..., 0] * hess[..., 2] - hess[..., 1] ** 2
+    cell_r = np.einsum("c,cq,q,qi->ci", space.cell_areas, det - fq,
+                       quad.weights, tab["val"])
+    full = np.zeros(space.num_dofs)
+    np.add.at(full, space.cell_dofs, cell_r)
+    return full[space.interior_dofs]
+
+
+def old_path_jacobian(u_h):
+    """Reference Jacobian, independent of the cached element layer.
+
+    Every basis Hessian pushed forward per cell, blocks scattered through
+    a COO matrix over all dofs, then sliced to the interior.
+    """
+    space = u_h.space
+    quad = Quadrature(2 * space.degree)
+    tab = space.tables(quad)
+    jinv = space.cell_jinv
+    hess = _old_hessians(u_h.coeffs[space.cell_dofs], tab["hess"], jinv)
+    a00 = jinv[:, None, None, 0, 0]
+    a01 = jinv[:, None, None, 0, 1]
+    a10 = jinv[:, None, None, 1, 0]
+    a11 = jinv[:, None, None, 1, 1]
+    r0, r1, r2 = (tab["hess"][None, :, :, m] for m in range(3))
+    bxx = a00 * a00 * r0 + 2 * a00 * a10 * r1 + a10 * a10 * r2
+    bxy = a00 * a01 * r0 + (a00 * a11 + a01 * a10) * r1 + a10 * a11 * r2
+    byy = a01 * a01 * r0 + 2 * a01 * a11 * r1 + a11 * a11 * r2
+    contr = (hess[..., 2, None] * bxx - 2 * hess[..., 1, None] * bxy
+             + hess[..., 0, None] * byy)
+    blocks = np.einsum("c,q,qi,cqj->cij", space.cell_areas, quad.weights,
+                       tab["val"], contr)
+    nloc = space.cell_dofs.shape[1]
+    rows = np.repeat(space.cell_dofs, nloc, axis=1).ravel()
+    cols = np.tile(space.cell_dofs, (1, nloc)).ravel()
+    full = sparse.coo_matrix((blocks.ravel(), (rows, cols)),
+                             shape=(space.num_dofs, space.num_dofs)).tocsr()
+    idx = space.interior_dofs
+    return full[idx][:, idx]
+
+
+class TestElementLayer:
+    @settings(max_examples=8, deadline=None)
+    @given(convex_polygons(), st.sampled_from([1, 2]),
+           st.sampled_from([2, 3]), st.integers(0, 2 ** 31))
+    def test_matches_old_path(self, polygon, level, k, seed):
+        space = FeSpace(triangulate(polygon, refinements=level), k)
+        rng = np.random.default_rng(seed)
+        u = FeFunction(space, rng.standard_normal(space.num_dofs))
+        f = lambda p: 1.0 + np.atleast_2d(p)[:, 0] ** 2
+        ref = old_path_residual(u, f)
+        r = residual(u, f).values
+        assert np.abs(r - ref).max() <= 1e-13 * np.abs(ref).max()
+        ref = old_path_jacobian(u).toarray()
+        J = jacobian(u).toarray()
+        assert np.abs(J - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_default_quadrature_is_cached(self, k):
+        space = FeSpace(two_cell_mesh(), k)
+        quad = space.default_quadrature()
+        assert space.default_quadrature() is quad
+        fresh = Quadrature(2 * k)
+        assert quad.order == fresh.order == 2 * k
+        assert np.array_equal(quad.points, fresh.points)
+        assert np.array_equal(quad.weights, fresh.weights)
+        with pytest.raises(ValueError):
+            quad.weights[0] = 1.0
+
+    def test_built_once_per_space(self, space):
+        el = element_layer(space)
+        u = interpolate(space, paraboloid)
+        residual(u, lambda p: np.ones(len(p)))
+        jacobian(u)
+        assert element_layer(space) is el
+        assert element_layer(FeSpace(space.mesh, 2)) is not el
+
+    def test_samples_stand_in_for_f(self, space):
+        rng = np.random.default_rng(5)
+        u = FeFunction(space, rng.standard_normal(space.num_dofs))
+        f = lambda p: 2.0 + np.sin(np.atleast_2d(p)[:, 0])
+        fq = f_at_qpts(space, f)
+        assert fq.shape == (space.mesh.num_cells,
+                            space.default_quadrature().num_points)
+        assert np.array_equal(residual(u, fq).values, residual(u, f).values)
+        assert np.array_equal(load_vector(space, fq), load_vector(space, f))
+        with pytest.raises(ValueError, match="shape"):
+            residual(u, fq[:, :-1])
 
 
 class TestResidual:

@@ -158,6 +158,14 @@ class TestEvaluation:
         assert np.allclose(h[:, 1], 1.0, atol=1e-10)
         assert np.allclose(h[:, 2], 0.0, atol=1e-10)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_nodal_values_at_all_dofs(self, mesh, k):
+        # one batched call over points spread across every cell
+        sp = FeSpace(mesh, k)
+        v = FeFunction(sp, np.random.default_rng(3).standard_normal(
+            sp.num_dofs))
+        assert np.abs(v(sp.dof_coords) - v.coeffs).max() <= 1e-12
+
     def test_single_point_scalar(self, mesh):
         v = interpolate(FeSpace(mesh, 2), lambda p: p[:, 1])
         assert v(np.array([0.2, 0.7])) == pytest.approx(0.7, abs=1e-13)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mafem import triangulate, regular_polygon
+from mafem.assembly import element_layer
 from mafem.fespace import FeSpace, interpolate
 from mafem import kernels
 
@@ -12,81 +13,22 @@ def setup():
     space = FeSpace(mesh, 3)
     quad = space.default_quadrature()
     tab = space.tables(quad)
-    rng = np.random.default_rng(7)
-    u = interpolate(space, lambda p: np.exp(p[:, 0]) + p[:, 1] ** 3)
-    local = u.coeffs[space.cell_dofs]
-    fq = rng.random((mesh.num_cells, quad.num_points))
-    return space, quad, tab, local, fq
-
-
-needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA,
-                                 reason="numba not installed")
-
-
-@needs_numba
-class TestBackendsAgree:
-    def test_hessians(self, setup):
-        space, quad, tab, local, fq = setup
-        a = kernels.hessians_at_qpts(local, tab["hess"], space.cell_jinv,
-                                     backend="numba")
-        b = kernels.hessians_at_qpts(local, tab["hess"], space.cell_jinv,
-                                     backend="numpy")
-        assert np.max(np.abs(a - b)) < 1e-12
-
-    def test_residual(self, setup):
-        space, quad, tab, local, fq = setup
-        hess = kernels.hessians_at_qpts(local, tab["hess"], space.cell_jinv,
-                                        backend="numpy")
-        args = (hess, fq, tab["val"], quad.weights, space.cell_areas)
-        a = kernels.residual_cells(*args, backend="numba")
-        b = kernels.residual_cells(*args, backend="numpy")
-        assert np.max(np.abs(a - b)) < 1e-12
-
-    def test_jacobian(self, setup):
-        space, quad, tab, local, fq = setup
-        hess = kernels.hessians_at_qpts(local, tab["hess"], space.cell_jinv,
-                                        backend="numpy")
-        args = (hess, tab["hess"], space.cell_jinv, tab["val"], quad.weights,
-                space.cell_areas)
-        a = kernels.jacobian_cells(*args, backend="numba")
-        b = kernels.jacobian_cells(*args, backend="numpy")
-        assert np.max(np.abs(a - b)) < 1e-12
-
-    def test_stiffness(self, setup):
-        space, quad, tab, local, fq = setup
-        args = (tab["grad"], space.cell_jinv, quad.weights, space.cell_areas)
-        a = kernels.stiffness_cells(*args, backend="numba")
-        b = kernels.stiffness_cells(*args, backend="numpy")
-        assert np.max(np.abs(a - b)) < 1e-12
-
-    def test_load(self, setup):
-        space, quad, tab, local, fq = setup
-        args = (fq, tab["val"], quad.weights, space.cell_areas)
-        a = kernels.load_cells(*args, backend="numba")
-        b = kernels.load_cells(*args, backend="numpy")
-        assert np.max(np.abs(a - b)) < 1e-12
+    return space, quad, tab
 
 
 class TestNumpyPath:
     def test_hessian_of_quadratic(self, setup):
-        space, quad, tab, local, fq = setup
+        space, quad, tab = setup
         v = interpolate(space, lambda p: 0.5 * p[:, 0] ** 2 + p[:, 0] * p[:, 1])
         h = kernels.hessians_at_qpts(v.coeffs[space.cell_dofs], tab["hess"],
-                                     space.cell_jinv, backend="numpy")
+                                     space.cell_hess_push)
         assert np.allclose(h[..., 0], 1.0, atol=1e-11)
         assert np.allclose(h[..., 1], 1.0, atol=1e-11)
         assert np.allclose(h[..., 2], 0.0, atol=1e-11)
 
     def test_load_constant_sums_to_area(self, setup):
-        space, quad, tab, local, fq = setup
+        space, quad, tab = setup
         ones = np.ones((space.mesh.num_cells, quad.num_points))
-        b = kernels.load_cells(ones, tab["val"], quad.weights,
-                               space.cell_areas, backend="numpy")
+        b = kernels.load_cells(ones, element_layer(space).wphi)
         # partition of unity: row sums integrate 1 over each cell
         assert np.allclose(b.sum(axis=1), space.cell_areas, atol=1e-13)
-
-    def test_bad_backend_rejected(self, setup):
-        space, quad, tab, local, fq = setup
-        with pytest.raises(ValueError):
-            kernels.load_cells(fq, tab["val"], quad.weights,
-                               space.cell_areas, backend="gpu")

@@ -127,3 +127,35 @@ def test_regularized_data_pipeline(square):
     assert ops == ["truncate", "mollify", "shift"]
     assert data.check()
     assert data.bounds.c2 > 0
+
+
+@pytest.mark.parametrize("start", [0, 1, 63, 128, 1000])
+def test_radical_inverse_matches_scipy_halton(start):
+    from scipy.stats import qmc
+    from mafem.regularize import _radical_inverse
+    sampler = qmc.Halton(d=2, scramble=False)
+    if start:
+        sampler.fast_forward(start)
+    ref = sampler.random(600)
+    index = np.arange(start, start + 600)
+    ours = np.column_stack([_radical_inverse(index, 2),
+                            _radical_inverse(index, 3)])
+    assert np.array_equal(ours, ref)
+
+
+def test_interior_samples_redraw_continues_the_sequence():
+    # This triangle keeps just under half of the first 2n Halton points,
+    # so a second draw is needed; it must continue the sequence the way
+    # one scipy sampler does across calls.
+    from scipy.stats import qmc
+    from mafem.geometry import ConvexPolygon
+    tri = ConvexPolygon(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+    n = 200
+    sampler = qmc.Halton(d=2, scramble=False)
+    ref, draws = np.empty((0, 2)), 0
+    while len(ref) < n:
+        draw = sampler.random(2 * n)
+        ref = np.vstack([ref, draw[tri.contains(draw)]])
+        draws += 1
+    assert draws == 2
+    assert np.array_equal(interior_samples(tri, n), ref[:n])

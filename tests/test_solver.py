@@ -6,11 +6,12 @@ import pytest
 import scipy.sparse as sparse
 from scipy.sparse.linalg import spsolve
 
-from mafem import assembly, solver, triangulate, unit_square
+from mafem import (assembly, convexity, regular_polygon, solver,
+                   triangulate, unit_square)
 from mafem.assembly import (gradient_jump_matrix, jacobian, load_vector,
                             residual, stiffness_matrix)
 from mafem.errors import NonConvergenceError, SingularJacobianError
-from mafem.fespace import FeSpace, interpolate
+from mafem.fespace import FeFunction, FeSpace, Quadrature, interpolate
 from mafem.solver import (
     SolveReport,
     SolverConfig,
@@ -18,7 +19,6 @@ from mafem.solver import (
     continuation_solve,
     default_initial_guess,
     newton_solve,
-    time_march,
 )
 
 
@@ -61,18 +61,15 @@ class TestSolverConfig:
         cfg = SolverConfig()
         assert cfg.tol_residual == 1e-10
         assert cfg.min_step == 2.0 ** -20
-        assert cfg.nu > 0
 
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
             SolverConfig(tol_residual=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(nu=-1.0)
 
     def test_to_dict_roundtrips_via_json(self):
-        cfg = SolverConfig(nu=2.0, continuation_schedule=(1.0, 0.5))
+        cfg = SolverConfig(armijo=2e-4, continuation_schedule=(1.0, 0.5))
         d = json.loads(json.dumps(cfg.to_dict()))
-        assert d["nu"] == 2.0
+        assert d["armijo"] == 2e-4
         assert d["continuation_schedule"] == [1.0, 0.5]
 
 
@@ -164,47 +161,6 @@ class TestNewtonSolve:
         assert len(d["residual_history"]) == len(d["residual_history_sup"])
         assert d["min_lambda1"] == pytest.approx(1.0, abs=1e-8)
         assert d["wall_time"] >= 0.0
-
-
-class TestTimeMarch:
-    def test_fixed_point_at_discrete_solution(self, space):
-        ui = interpolate(space, paraboloid)
-        u, report = time_march(space, one, paraboloid, u0=ui)
-        assert report.status == "fixed_point"
-        assert report.iterations == 0
-        assert np.max(np.abs(u.coeffs - ui.coeffs)) <= 1e-12
-
-    def test_agrees_with_newton_on_paraboloid(self, space):
-        cfg = SolverConfig(nu=1.0)
-        u_march, _ = time_march(space, one, paraboloid, config=cfg)
-        u_newton, _ = newton_solve(space, one, paraboloid)
-        xx = np.linspace(0.0, 1.0, 21)
-        P = np.column_stack([np.repeat(xx, 21), np.tile(xx, 21)])
-        assert np.max(np.abs(u_march(P) - u_newton(P))) <= 1e-8
-
-    def test_doubling_nu_halves_first_step(self, space):
-        u0 = interpolate(space, lambda p: paraboloid(p) + 0.01 * np.sin(
-            3.0 * np.atleast_2d(p)[:, 0]) * np.sin(
-            3.0 * np.atleast_2d(p)[:, 1]))
-        first = {}
-        for nu in (5.0, 10.0):
-            cfg = SolverConfig(nu=nu, march_max_iters=1)
-            with pytest.raises(NonConvergenceError) as err:
-                time_march(space, one, paraboloid, u0=u0, config=cfg)
-            first[nu] = err.value.report.step_history[0]
-        assert first[5.0] / first[10.0] == pytest.approx(2.0, rel=1e-12)
-
-    def test_divergence_raises_with_iterate(self, space):
-        # The linearized flow has growing modes along edge-jump couplings;
-        # a rough perturbation of the exact solution blows up.
-        rng = np.random.default_rng(0)
-        I = space.interior_dofs
-        u0 = interpolate(space, paraboloid)
-        u0.coeffs[I] += 1e-3 * rng.standard_normal(len(I))
-        with pytest.raises(NonConvergenceError) as err:
-            time_march(space, one, paraboloid, u0=u0)
-        assert err.value.last_iterate is not None
-        assert err.value.report.status in ("diverged", "max_iters")
 
 
 class TestContinuationSolve:
@@ -300,6 +256,46 @@ class TestPolish:
         assert report.status == "stationary"
         assert len(factor_count) <= report.iterations + 1
 
+    @pytest.mark.parametrize("start", ["poisson", "near_solution"])
+    def test_min_step_exit_counts_its_direction(self, factor_count,
+                                                coarse_space, start):
+        # armijo = 0.9 rejects the full Gauss-Newton step (it gains about
+        # half the predicted decrease) and min_step = 0.75 forbids any
+        # shorter one, so the solve leaves through the min_step branch in
+        # its first iteration: from the Poisson start by stagnation, near
+        # the solution as stationary.  Either way the direction it
+        # factored counts as an iteration.
+        config = SolverConfig(armijo=0.9, min_step=0.75)
+        u0 = None
+        if start == "near_solution":
+            u0, _ = newton_solve(coarse_space, smooth_f, smooth_exact)
+            I = coarse_space.interior_dofs
+            u0.coeffs[I] += 1e-8 * np.random.default_rng(0).standard_normal(
+                len(I))
+            factor_count.clear()
+        try:
+            _, report = newton_solve(coarse_space, smooth_f, smooth_exact,
+                                     u0=u0, config=config)
+        except NonConvergenceError as exc:
+            report = exc.report
+        assert report.status == ("stagnation" if u0 is None
+                                 else "stationary")
+        assert report.iterations == 1
+        poisson = 1 if u0 is None else 0
+        assert len(factor_count) == report.iterations + poisson
+
+    def test_f_sampled_once_per_solve(self, coarse_space):
+        calls = []
+
+        def counted(p):
+            calls.append(len(p))
+            return smooth_f(p)
+
+        u, _ = newton_solve(coarse_space, counted, smooth_exact)
+        assert len(calls) == 1
+        newton_solve(coarse_space, counted, smooth_exact, u0=u)
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("refinements,k", [(2, 2), (3, 2), (2, 3)])
     def test_stationary_point_is_critical(self, refinements, k):
         # Chord steps use the exact gradient at every iterate, so polish
@@ -310,6 +306,58 @@ class TestPolish:
         u, report = newton_solve(space, smooth_f, smooth_exact, config=config)
         assert report.status == "stationary"
         assert np.abs(objective_gradient(u, smooth_f, config)).max() <= 5e-12
+
+
+def basis_table_hinge(hinge, u):
+    """Reference hinge values and dense ds/dc.
+
+    Built from a (nc, nq, nloc, 3) table of physical basis Hessians, each
+    pushed forward by an explicit A^T H A, instead of pulling d lambda1
+    back to the reference frame.
+    """
+    space = hinge.space
+    quad = Quadrature(max(2 * space.degree - 4, 2))
+    jinv = space.cell_jinv[hinge.cells]
+    a00, a01 = jinv[:, 0, 0], jinv[:, 0, 1]
+    a10, a11 = jinv[:, 1, 0], jinv[:, 1, 1]
+    T = np.empty((len(hinge.cells), 3, 3))
+    T[:, 0] = np.column_stack([a00 * a00, 2 * a00 * a10, a10 * a10])
+    T[:, 1] = np.column_stack([a00 * a01, a00 * a11 + a01 * a10, a10 * a11])
+    T[:, 2] = np.column_stack([a01 * a01, 2 * a01 * a11, a11 * a11])
+    basis = np.einsum("cab,qlb->cqla", T, space.tables(quad)["hess"])
+    h = np.einsum("cqlm,cl->cqm", basis, u.coeffs[hinge.gdofs])
+    lam1 = convexity.eigmin_2x2(h[..., 0], h[..., 1], h[..., 2])
+    t = np.maximum(0.0, -(lam1 + hinge.allowance))
+    ci, qi = np.nonzero(t)
+    sw = np.sqrt(hinge.weights[ci, qi])
+    hxx, hxy, hyy = h[ci, qi, 0], h[ci, qi, 1], h[ci, qi, 2]
+    rad = np.sqrt((0.5 * (hxx - hyy)) ** 2 + hxy ** 2)
+    dlam = np.column_stack([0.5 - (hxx - hyy) / (4.0 * rad), -hxy / rad,
+                            0.5 + (hxx - hyy) / (4.0 * rad)])
+    vals = -sw[:, None] * np.einsum("am,alm->al", dlam, basis[ci, qi])
+    S = np.zeros((len(ci), hinge.n_interior))
+    for a, c in enumerate(ci):
+        for l, col in enumerate(hinge.cols[c]):
+            if col >= 0:
+                S[a, col] += vals[a, l]
+    return sw * t[ci, qi], S
+
+
+class TestConvexityHinge:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_basis_table_oracle(self, k):
+        space = FeSpace(triangulate(regular_polygon(6), refinements=2), k)
+        u = FeFunction(space, np.random.default_rng(1).standard_normal(
+            space.num_dofs))
+        hinge = solver._ConvexityHinge(space, 1.0, 1e-2)
+        s, S = hinge.residual_and_jacobian(u)
+        s_ref, S_ref = basis_table_hinge(hinge, u)
+        assert len(s) == len(s_ref) > 100
+        assert np.abs(s - s_ref).max() <= 1e-13 * np.abs(s_ref).max()
+        assert np.abs(S.toarray() - S_ref).max() <= \
+            1e-13 * np.abs(S_ref).max()
+        assert hinge.value(u) == pytest.approx(0.5 * s_ref @ s_ref,
+                                               rel=1e-13)
 
 
 class TestFactorSpd:
