@@ -19,7 +19,7 @@ import scipy.sparse as sparse
 from scipy.special import roots_legendre
 
 from . import kernels
-from .fespace import eval_field, phys_quad_points
+from .fespace import eval_field
 
 
 class Residual:
@@ -121,21 +121,16 @@ def element_layer(space):
 def f_at_qpts(space, f):
     """Samples (nc, nq) of a field at the default quadrature points.
 
-    f is a callable, or an array of such samples, which is returned as is
-    once its shape is checked.
+    f is a callable (see FeSpace.sample), or an array of such samples,
+    which is returned as is once its shape is checked.
     """
+    fq = (space.sample(f, space.default_quadrature()) if callable(f)
+          else np.asarray(f, dtype=float))
     shape = element_layer(space).shape
-    if not callable(f):
-        fq = np.asarray(f, dtype=float)
-        if fq.shape != shape:
-            raise ValueError("samples of f have shape {}, expected {}".format(
-                fq.shape, shape))
-        return fq
-    pts = phys_quad_points(space, space.default_quadrature())
-    fq = eval_field(f, pts.reshape(-1, 2))
-    if not np.all(np.isfinite(fq)):
-        raise ValueError("right-hand side is not finite at a quadrature point")
-    return fq.reshape(shape)
+    if fq.shape != shape:
+        raise ValueError("samples of f have shape {}, expected {}".format(
+            fq.shape, shape))
+    return fq
 
 
 def _hessians(u_h, el):

@@ -30,11 +30,26 @@ def _load_problem(ref):
 
 
 def _apply_overrides(problem, args):
-    if getattr(args, "k", None):
-        problem.degree = int(args.k)
-    if getattr(args, "levels", None):
-        problem.levels = tuple(range(2, 2 + int(args.levels)))
+    if args.k is not None:
+        if args.k < 2:
+            raise ValueError("--k must be at least 2, got {}".format(args.k))
+        problem.degree = args.k
+    if getattr(args, "levels", None) is not None:
+        if args.levels < 1:
+            raise ValueError("--levels must be at least 1, got {}".format(
+                args.levels))
+        problem.levels = tuple(range(2, 2 + args.levels))
     return problem
+
+
+def _refinements(args, problem):
+    """The --refinements value, by default the problem's first level."""
+    if args.refinements is None:
+        return problem.levels[0]
+    if args.refinements < 0:
+        raise ValueError("--refinements must be nonnegative, got {}".format(
+            args.refinements))
+    return args.refinements
 
 
 def _outdir(args):
@@ -56,8 +71,7 @@ def _cmd_solve(args):
     if args.h is not None:
         kw["h_target"] = float(args.h)
     else:
-        kw["refinements"] = (int(args.refinements) if args.refinements
-                             is not None else problem.levels[0])
+        kw["refinements"] = _refinements(args, problem)
     try:
         u, space, reports = solve_problem(problem, **kw)
     except NonConvergenceError as exc:
@@ -93,10 +107,9 @@ def _cmd_study(args):
 def _cmd_measure(args):
     problem = _apply_overrides(_load_problem(args.problem), args)
     out = _outdir(args)
-    refinements = (int(args.refinements) if args.refinements is not None
-                   else problem.levels[0])
     try:
-        u, space, _ = solve_problem(problem, refinements=refinements)
+        u, space, _ = solve_problem(problem,
+                                    refinements=_refinements(args, problem))
     except NonConvergenceError as exc:
         print("solver failed: {}".format(exc), file=sys.stderr)
         return 1
@@ -109,9 +122,8 @@ def _cmd_measure(args):
 
 def _cmd_check_mesh(args):
     problem = _apply_overrides(_load_problem(args.problem), args)
-    refinements = (int(args.refinements) if args.refinements is not None
-                   else problem.levels[0])
-    mesh = triangulate(problem.polygon, refinements=refinements)
+    mesh = triangulate(problem.polygon,
+                       refinements=_refinements(args, problem))
     rec = check_mesh(mesh, problem.polygon)
     regularity, quasi_uniformity = shape_metrics(mesh)
     rec["shape_regularity"] = regularity

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .fespace import FeFunction, Quadrature, interpolate
+from .fespace import FeFunction, interpolate
 
 
 def eigmin_2x2(hxx, hxy, hyy):
@@ -73,7 +73,7 @@ def analyze(u_h, sample_order=None, tol=1e-9):
     if sample_order < 2 * k - 4:
         raise ValueError("sample_order {} < 2k-4 = {}".format(
             sample_order, 2 * k - 4))
-    quad = Quadrature(sample_order)
+    quad = space.quadrature(sample_order)
     hess = u_h.cell_hessians(quad)
     lam1 = eigmin_2x2(hess[:, :, 0], hess[:, :, 1], hess[:, :, 2])
     det = hess[:, :, 0] * hess[:, :, 2] - hess[:, :, 1] ** 2
@@ -113,7 +113,7 @@ def bubble_integrals(u_h, quad=None):
     """
     space = u_h.space
     if quad is None:
-        quad = Quadrature(2 * space.degree + 2)
+        quad = space.error_quadrature()
     hess = u_h.cell_hessians(quad)
     det = hess[:, :, 0] * hess[:, :, 2] - hess[:, :, 1] ** 2
     xi = quad.points[:, 0]
@@ -122,13 +122,10 @@ def bubble_integrals(u_h, quad=None):
     return space.cell_areas * (det @ (quad.weights * bubble))
 
 
-def bubble_positivity_check(u_h, f=None, quad=None):
+def bubble_positivity_check(u_h, quad=None):
     """Flag cells where int_K (det D2u_h) v_K <= 0 (potential degeneracy).
 
-    Returns a boolean array over cells; True marks a flagged cell.  The
-    optional data f is accepted for signature compatibility with callers
-    that pair the check with the right-hand side; it does not enter the
-    integral.
+    Returns a boolean array over cells; True marks a flagged cell.
     """
     vals = bubble_integrals(u_h, quad=quad)
     return vals <= 0.0

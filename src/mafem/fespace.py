@@ -15,6 +15,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import roots_jacobi, roots_legendre
 
+from . import kernels
 from .mesh import Mesh  # noqa: F401  (re-exported for space serialization users)
 
 
@@ -121,7 +122,7 @@ class Quadrature:
         self.order = order
         self.points = np.column_stack([1.0 - xi - eta, xi, eta])
         self.weights = w
-        # a rule is shared (FeSpace.default_quadrature), so it is read-only
+        # a rule is shared (FeSpace.quadrature), so it is read-only
         self.points.flags.writeable = False
         self.weights.flags.writeable = False
 
@@ -238,7 +239,7 @@ class FeSpace:
         push[:, 2] = np.column_stack([a01 * a01, 2 * a01 * a11, a11 * a11])
         self.cell_hess_push = push
 
-        self._quad = None
+        self._rules = {}
         self._tab_cache = {}
         self._elements = None  # built by assembly.element_layer
         self._jump_matrix = None  # built by assembly.gradient_jump_matrix
@@ -248,11 +249,36 @@ class FeSpace:
         return (f"FeSpace(degree={self.degree}, dofs={self.num_dofs}, "
                 f"cells={self.mesh.num_cells})")
 
+    def quadrature(self, order):
+        """The rule exact to degree `order`, built once per space and order."""
+        if order not in self._rules:
+            self._rules[order] = Quadrature(order)
+        return self._rules[order]
+
     def default_quadrature(self):
-        """The rule of order 2k used for assembly, built once per space."""
-        if self._quad is None:
-            self._quad = Quadrature(2 * self.degree)
-        return self._quad
+        """The rule of order 2k used for assembly."""
+        return self.quadrature(2 * self.degree)
+
+    def error_quadrature(self):
+        """The rule of order 2k+2 used for norms, errors and pairings."""
+        return self.quadrature(2 * self.degree + 2)
+
+    def sample(self, f, quad):
+        """Samples (nc, nq, ...) of a field at the physical points of a rule.
+
+        f is evaluated through eval_field; a field with vector values
+        ((n, 2) gradients, (n, 3) Hessians) must be vectorized.  Raises
+        ValueError when a sample is not finite.
+        """
+        pts = phys_quad_points(self, quad)
+        vals = eval_field(f, pts.reshape(-1, 2))
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("field is not finite at a quadrature point")
+        return vals.reshape(pts.shape[:2] + vals.shape[1:])
+
+    def integrate(self, dens, quad):
+        """Integral over the domain of a density sampled (nc, nq) at a rule."""
+        return float(np.sum(self.cell_areas * (dens @ quad.weights)))
 
     def tables(self, quad):
         """Cached reference tabulation at a quadrature rule's points."""
@@ -355,23 +381,35 @@ class FeFunction:
     def hessian(self, points):
         """Cellwise Hessians as (n, 3) arrays (dxx, dxy, dyy)."""
         h_ref, cells = self._eval_tab(points, "hess")
-        h = _push_hessian(h_ref, self.space.cell_hess_push[cells])
+        h = np.einsum("pab,pb->pa", self.space.cell_hess_push[cells], h_ref)
         return h if np.asarray(points).ndim == 2 else h[0]
 
+    def cellwise(self, key, tab):
+        """Values, gradients or Hessians on every cell at tabulated points.
+
+        tab is a reference tabulation (ReferenceElement.tabulate) at nq
+        points and key one of its entries; returns (nc, nq) values, (nc,
+        nq, 2) gradients or (nc, nq, 3) Hessians (dxx, dxy, dyy).
+        """
+        space = self.space
+        local = self.coeffs[space.cell_dofs]
+        if key == "val":
+            return local @ tab["val"].T
+        if key == "grad":
+            g_ref = np.einsum("cj,qjd->cqd", local, tab["grad"])
+            return np.einsum("cji,cqj->cqi", space.cell_jinv, g_ref)
+        return kernels.hessians_at_qpts(local, tab["hess"],
+                                        space.cell_hess_push)
+
     def cell_values(self, quad):
-        tab = self.space.tables(quad)["val"]
-        return self.coeffs[self.space.cell_dofs] @ tab.T
+        return self.cellwise("val", self.space.tables(quad))
 
     def cell_gradients(self, quad):
-        tab = self.space.tables(quad)["grad"]
-        g_ref = np.einsum("cj,qjd->cqd", self.coeffs[self.space.cell_dofs], tab)
-        return np.einsum("cji,cqj->cqi", self.space.cell_jinv, g_ref)
+        return self.cellwise("grad", self.space.tables(quad))
 
     def cell_hessians(self, quad):
         """(nc, nq, 3) physical Hessians (dxx, dxy, dyy) at quadrature points."""
-        tab = self.space.tables(quad)["hess"]
-        h_ref = np.einsum("cj,qjm->cqm", self.coeffs[self.space.cell_dofs], tab)
-        return _push_hessian(h_ref, self.space.cell_hess_push[:, None])
+        return self.cellwise("hess", self.space.tables(quad))
 
     def save(self, path, mesh_ref):
         """Plain-text save: mesh file reference, degree, one coeff per line."""
@@ -393,32 +431,26 @@ class FeFunction:
         return cls(space, np.array(lines[2:], dtype=float))
 
 
-def _push_hessian(h_ref, push):
-    """Physical Hessians (..., 3) from reference ones (..., 3).
-
-    push holds rows of FeSpace.cell_hess_push and broadcasts against the
-    leading axes of h_ref.
-    """
-    return np.einsum("...ab,...b->...a", push, h_ref)
-
-
 def eval_field(f, points):
-    """Evaluate a scalar field at (n, 2) points, accepting scalar callables.
+    """Evaluate a field at (n, 2) points, accepting scalar callables.
 
-    A vectorized call is tried first.  Only a vectorization mismatch, a
-    result of the wrong shape or the TypeError, ValueError or IndexError
-    of a callable written for one point, falls back to one call per point;
-    any other exception propagates.  Two points are probed as three (the
-    first one repeated): a (2, 2) array unpacks into two rows exactly like
-    one point unpacks into x and y, so a callable written for one point
-    would return a result of the right shape and the wrong values.
+    A vectorized call is tried first; it returns (n,) values, or (n, m)
+    rows, m >= 2, for a field with vector values.  Only a vectorization
+    mismatch, a result of the wrong shape or the TypeError, ValueError or
+    IndexError of a scalar callable written for one point, falls back to
+    one call per point; any other exception propagates.  Two points are
+    probed as three (the first one repeated): a (2, 2) array unpacks into
+    two rows exactly like one point unpacks into x and y, so a callable
+    written for one point would return a result of the right shape and
+    the wrong values.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = len(pts)
     probe = pts[[0, 0, 1]] if n == 2 else pts
     try:
         v = np.asarray(f(probe), dtype=float)
-        if v.shape == (len(probe),):
+        if len(v) == len(probe) and (v.ndim == 1
+                                     or v.ndim == 2 and v.shape[1] > 1):
             return v[1:] if n == 2 else v
     except (TypeError, ValueError, IndexError):
         pass
@@ -451,33 +483,21 @@ def broken_seminorm(v, t, p=2, quad=None, sample_order=10):
     if t not in (0, 1, 2):
         raise ValueError("derivative order t must be 0, 1 or 2")
     space = v.space
+    key = ("val", "grad", "hess")[t]
     if p == 2:
         if quad is None:
-            quad = Quadrature(2 * space.degree + 2)
-        w, areas = quad.weights, space.cell_areas
+            quad = space.error_quadrature()
+        d = v.cellwise(key, space.tables(quad))
         if t == 0:
-            dens = v.cell_values(quad) ** 2
+            dens = d ** 2
         elif t == 1:
-            g = v.cell_gradients(quad)
-            dens = g[..., 0] ** 2 + g[..., 1] ** 2
+            dens = d[..., 0] ** 2 + d[..., 1] ** 2
         else:
-            h = v.cell_hessians(quad)
-            dens = h[..., 0] ** 2 + 2 * h[..., 1] ** 2 + h[..., 2] ** 2
-        return float(np.sqrt(np.sum(areas * (dens @ w))))
+            dens = d[..., 0] ** 2 + 2 * d[..., 1] ** 2 + d[..., 2] ** 2
+        return float(np.sqrt(space.integrate(dens, quad)))
     if p == np.inf or p == "inf":
-        pts = _sample_lattice(sample_order)
-        tab = space.ref.tabulate(pts)
-        local = v.coeffs[space.cell_dofs]
-        if t == 0:
-            vals = local @ tab["val"].T
-            return float(np.abs(vals).max())
-        if t == 1:
-            g_ref = np.einsum("cj,qjd->cqd", local, tab["grad"])
-            g = np.einsum("cji,cqj->cqi", space.cell_jinv, g_ref)
-            return float(np.abs(g).max())
-        h_ref = np.einsum("cj,qjm->cqm", local, tab["hess"])
-        h = _push_hessian(h_ref, space.cell_hess_push[:, None])
-        return float(np.abs(h).max())
+        tab = space.ref.tabulate(_sample_lattice(sample_order))
+        return float(np.abs(v.cellwise(key, tab)).max())
     raise ValueError("p must be 2 or inf")
 
 
@@ -519,18 +539,13 @@ def phys_quad_points(space, quad):
     return np.einsum("qj,cjd->cqd", quad.points, space.mesh.cell_coords())
 
 
-def _field_at_qpts(space, quad, f):
-    pts = phys_quad_points(space, quad)
-    return eval_field(f, pts.reshape(-1, 2)).reshape(pts.shape[:2])
-
-
 def l2_error(v, exact, quad=None):
     """L2 norm of v minus a callable field, by cellwise quadrature."""
     space = v.space
     if quad is None:
-        quad = Quadrature(2 * space.degree + 2)
-    d = v.cell_values(quad) - _field_at_qpts(space, quad, exact)
-    return float(np.sqrt(np.sum(space.cell_areas * ((d ** 2) @ quad.weights))))
+        quad = space.error_quadrature()
+    d = v.cell_values(quad) - space.sample(exact, quad)
+    return float(np.sqrt(space.integrate(d ** 2, quad)))
 
 
 def broken_error_h2(v, exact, exact_grad, exact_hess, quad=None):
@@ -542,18 +557,13 @@ def broken_error_h2(v, exact, exact_grad, exact_hess, quad=None):
     """
     space = v.space
     if quad is None:
-        quad = Quadrature(2 * space.degree + 2)
-    pts = phys_quad_points(space, quad)
-    flat = pts.reshape(-1, 2)
-    shape = pts.shape[:2]
-    d0 = v.cell_values(quad) - eval_field(exact, flat).reshape(shape)
-    d1 = v.cell_gradients(quad) - np.asarray(exact_grad(flat),
-                                             dtype=float).reshape(shape + (2,))
-    d2 = v.cell_hessians(quad) - np.asarray(exact_hess(flat),
-                                            dtype=float).reshape(shape + (3,))
+        quad = space.error_quadrature()
+    d0 = v.cell_values(quad) - space.sample(exact, quad)
+    d1 = v.cell_gradients(quad) - space.sample(exact_grad, quad)
+    d2 = v.cell_hessians(quad) - space.sample(exact_hess, quad)
     dens = (d0 ** 2 + d1[..., 0] ** 2 + d1[..., 1] ** 2
             + d2[..., 0] ** 2 + 2 * d2[..., 1] ** 2 + d2[..., 2] ** 2)
-    return float(np.sqrt(np.sum(space.cell_areas * (dens @ quad.weights))))
+    return float(np.sqrt(space.integrate(dens, quad)))
 
 
 def sup_error(v, exact, points):

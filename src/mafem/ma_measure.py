@@ -15,7 +15,8 @@ import numpy as np
 from scipy.spatial import ConvexHull, cKDTree
 
 from .errors import NonConvexInputError
-from .fespace import FeFunction, Quadrature, _push_hessian, eval_field
+from . import kernels
+from .fespace import FeFunction, eval_field, phys_quad_points
 from .geometry import clip_convex, signed_area
 
 
@@ -92,6 +93,16 @@ def p1_convexity_violations(v, tol=1e-10):
             for b in bad]
 
 
+def _require_convex(v):
+    """Raise NonConvexInputError listing the edges where P1 v is not convex."""
+    bad = p1_convexity_violations(v)
+    if bad:
+        edges = ", ".join("({}, {})".format(i, j) for i, j, _ in bad[:8])
+        raise NonConvexInputError(
+            "function is not convex; negative normal-gradient jumps across "
+            "edges " + edges)
+
+
 def _incident_cells(mesh):
     """Per-vertex arrays of incident cell indices."""
     verts = mesh.cells.ravel()
@@ -133,12 +144,7 @@ def subdifferential_p1(v, vertex):
     is unbounded and not supported.
     """
     mesh = v.mesh
-    bad = p1_convexity_violations(v)
-    if bad:
-        edges = ", ".join("({}, {})".format(i, j) for i, j, _ in bad[:8])
-        raise NonConvexInputError(
-            "function is not convex; negative normal-gradient jumps across "
-            "edges " + edges)
+    _require_convex(v)
     if vertex in set(map(int, mesh.boundary_vertex_indices())):
         raise ValueError(
             "vertex {} lies on the boundary; the subdifferential there is "
@@ -176,8 +182,8 @@ def _cell_hessians_at(v, cell, pts):
     v0 = space.mesh.vertices[space.mesh.cells[cell, 0]]
     ref = (np.atleast_2d(pts) - v0) @ space.cell_jinv[cell].T
     tab = space.ref.tabulate(ref)["hess"]
-    h_ref = np.einsum("j,qjm->qm", v.coeffs[space.cell_dofs[cell]], tab)
-    return _push_hessian(h_ref, space.cell_hess_push[cell])
+    return kernels.hessians_at_qpts(v.coeffs[space.cell_dofs[cell]][None],
+                                    tab, space.cell_hess_push[cell][None])[0]
 
 
 def partial_ma_measure(v, region, quad=None, tol_convex=1e-10):
@@ -190,15 +196,10 @@ def partial_ma_measure(v, region, quad=None, tol_convex=1e-10):
     contained in the mesh domain and NonConvexInputError when a sampled
     determinant on a touched cell is below -tol_convex.
     """
-    if isinstance(v, P1Function):
-        area = _clipped_area_total(v.mesh, region)
-        if area < region.area * (1.0 - 1e-10) - 1e-14:
-            raise ValueError("region extends outside the mesh domain")
-        return 0.0
-    space = v.space
-    if quad is None:
-        quad = space.default_quadrature()
-    mesh = space.mesh
+    fe = not isinstance(v, P1Function)
+    mesh = v.space.mesh if fe else v.mesh
+    if fe and quad is None:
+        quad = v.space.default_quadrature()
     coords = mesh.cell_coords()
     total = 0.0
     covered = 0.0
@@ -210,6 +211,8 @@ def partial_ma_measure(v, region, quad=None, tol_convex=1e-10):
         if part_area <= 0.0:
             continue
         covered += part_area
+        if not fe:
+            continue
         centroid = poly.mean(axis=0)
         for i in range(len(poly)):
             tri = np.vstack([centroid, poly[i], poly[(i + 1) % len(poly)]])
@@ -229,16 +232,6 @@ def partial_ma_measure(v, region, quad=None, tol_convex=1e-10):
     return total
 
 
-def _clipped_area_total(mesh, region):
-    coords = mesh.cell_coords()
-    covered = 0.0
-    for c in range(mesh.num_cells):
-        poly = clip_convex(region.vertices, coords[c])
-        if len(poly) >= 3:
-            covered += max(signed_area(poly), 0.0)
-    return covered
-
-
 class MaMeasure:
     """Monge-Ampere measure of a piecewise convex function.
 
@@ -252,13 +245,7 @@ class MaMeasure:
         self.function = v
         self.atoms = {}
         if isinstance(v, P1Function):
-            bad = p1_convexity_violations(v)
-            if bad:
-                edges = ", ".join("({}, {})".format(i, j)
-                                  for i, j, _ in bad[:8])
-                raise NonConvexInputError(
-                    "function is not convex; negative normal-gradient jumps "
-                    "across edges " + edges)
+            _require_convex(v)
             mesh = v.mesh
             grads = v.cell_gradients()
             cents = mesh.cell_coords().mean(axis=1)
@@ -313,13 +300,10 @@ def measure_pairing(v, p, quad=None):
                          for k, m in measure.atoms.items()))
     space = v.space
     if quad is None:
-        quad = Quadrature(2 * space.degree + 2)
+        quad = space.error_quadrature()
     h = v.cell_hessians(quad)
     det = h[..., 0] * h[..., 2] - h[..., 1] ** 2
-    pts = np.einsum("qv,cvx->cqx", quad.points, space.mesh.cell_coords())
-    pv = np.asarray(eval_field(p, pts.reshape(-1, 2)),
-                    dtype=float).reshape(det.shape)
-    return float(np.sum(space.cell_areas * ((det * pv) @ quad.weights)))
+    return space.integrate(det * space.sample(p, quad), quad)
 
 
 def check_interior_support(v, p):
@@ -358,16 +342,14 @@ def aleksandrov_bound(v, a, polygon, c_n=1.0, points=None):
     """
     space = v.space
     quad = space.default_quadrature()
-    from .fespace import phys_quad_points
-    qpts = phys_quad_points(space, quad).reshape(-1, 2)
-    avals = np.asarray(eval_field(a, qpts), dtype=float).reshape(
-        space.mesh.num_cells, quad.num_points)
+    avals = space.sample(a, quad)
     if avals.min() < 0.0:
         raise ValueError("the right-hand density a must be nonnegative")
-    int_a = float(np.sum(space.cell_areas * (avals @ quad.weights)))
+    int_a = space.integrate(avals, quad)
 
     if points is None:
-        points = np.vstack([qpts, space.dof_coords[space.interior_dofs]])
+        points = np.vstack([phys_quad_points(space, quad).reshape(-1, 2),
+                            space.dof_coords[space.interior_dofs]])
     points = np.atleast_2d(np.asarray(points, dtype=float))
     C = float(np.min(v.coeffs[space.boundary_dofs]))
     depth = np.maximum(0.0, -(np.asarray(v(points), dtype=float) - C))

@@ -278,12 +278,6 @@ def regular_polygon(n, radius=1.0, center=(0.0, 0.0)):
     return ConvexPolygon(c + radius * np.column_stack([np.cos(th), np.sin(th)]))
 
 
-def interior_cell_mask(mesh, subdomain):
-    """Cells whose three vertices all lie in the given convex subdomain."""
-    inside = subdomain.contains(mesh.vertices)
-    return np.all(inside[mesh.cells], axis=1)
-
-
 def check_mesh(mesh, polygon=None):
     """Sanity report: orientation, area tiling, boundary closure.
 

@@ -58,7 +58,7 @@ from .assembly import (apply_boundary, f_at_qpts, gradient_jump_matrix,
                        jacobian, load_vector, residual, set_boundary_values,
                        stiffness_matrix)
 from .errors import NonConvergenceError, SingularJacobianError
-from .fespace import FeFunction, Quadrature
+from .fespace import FeFunction
 
 
 class SolverConfig:
@@ -222,7 +222,7 @@ class _ConvexityHinge:
         on_bd = np.zeros(len(mesh.vertices), dtype=bool)
         on_bd[mesh.boundary_vertex_indices()] = True
         self.cells = np.flatnonzero(~on_bd[mesh.cells].any(axis=1))
-        quad = Quadrature(max(2 * space.degree - 4, 2))
+        quad = space.quadrature(max(2 * space.degree - 4, 2))
         self.ref_hess = space.tables(quad)["hess"]
         self.push = space.cell_hess_push[self.cells]
         self.gdofs = space.cell_dofs[self.cells]
@@ -422,8 +422,9 @@ def continuation_solve(space, f, g, config=None, u0=None):
     decreasing schedule, starting each stage from the previous solution
     (the first from u0 when given), and returns the final iterate with a
     report whose stages record the per-stage outcomes.  A failure of the
-    first stage is a failure of the whole solve; later stages fall back to
-    the last successful iterate.
+    first stage is a failure of the whole solve, raised with a report that
+    holds the failed stage; a later stage that fails is recorded and the
+    next one continues from its last iterate.
     """
     if config is None:
         config = SolverConfig(continuation_schedule=(0.0,))
@@ -433,22 +434,23 @@ def continuation_solve(space, f, g, config=None, u0=None):
     u = u0
     for j, eps in enumerate(schedule):
         f_eps = (lambda e: lambda p: np.asarray(f(p), dtype=float) + e)(eps)
+        failed = False
         try:
-            u, stage = newton_solve(space, f_eps, g, u0=u, config=config)
+            u_next, stage = newton_solve(space, f_eps, g, u0=u, config=config)
         except NonConvergenceError as exc:
-            if j == 0 or exc.last_iterate is None:
-                report.iterations = j
-                report.finish("stage_failed", False,
-                              exc.last_iterate or FeFunction(space), t0)
-                raise NonConvergenceError(
-                    "continuation stage eps={} failed".format(eps),
-                    last_iterate=exc.last_iterate, report=report)
-            u = exc.last_iterate
-            stage = exc.report
-        report.stages.append({"eps": float(eps), **stage.to_dict()})
-        report.residual_history.extend(stage.residual_history)
-        report.residual_history_sup.extend(stage.residual_history_sup)
-        report.step_history.extend(stage.step_history)
-        report.iterations += stage.iterations
+            u_next, stage, failed = exc.last_iterate, exc.report, True
+        if stage is not None:
+            report.stages.append({"eps": float(eps), **stage.to_dict()})
+            report.residual_history.extend(stage.residual_history)
+            report.residual_history_sup.extend(stage.residual_history_sup)
+            report.step_history.extend(stage.step_history)
+            report.iterations += stage.iterations
+        if failed and (j == 0 or u_next is None):
+            report.finish("stage_failed", False, u_next or FeFunction(space),
+                          t0)
+            raise NonConvergenceError(
+                "continuation stage eps={} failed".format(eps),
+                last_iterate=u_next, report=report)
+        u = u_next
     converged = bool(report.stages and report.stages[-1]["converged"])
     return u, report.finish(report.stages[-1]["status"], converged, u, t0)

@@ -19,8 +19,8 @@ import numpy as np
 from . import ma_measure
 from .convexity import analyze
 from .errors import NonConvergenceError
-from .fespace import (FeFunction, FeSpace, Quadrature, broken_error_h2,
-                      eval_field, l2_error, phys_quad_points)
+from .fespace import (FeFunction, FeSpace, broken_error_h2, eval_field,
+                      l2_error, sup_error)
 from .mesh import triangulate
 from .regularize import truncate
 from .solver import SolverConfig, continuation_solve
@@ -191,9 +191,7 @@ def level_errors(u, space, problem, grid):
     if problem.exact_hess is not None:
         rec["err_h2_broken"] = broken_error_h2(
             u, problem.exact, problem.exact_grad, problem.exact_hess)
-    exact_vals = np.asarray(eval_field(problem.exact, grid), dtype=float)
-    rec["err_linf_interior"] = float(
-        np.max(np.abs(u(grid) - exact_vals)))
+    rec["err_linf_interior"] = sup_error(u, problem.exact, grid)
     return rec
 
 
@@ -202,9 +200,12 @@ def run_convergence_study(problem, levels=None, grid_n=33,
     """Solve across mesh levels and report errors and observed rates.
 
     A failing level is recorded in the report and the study continues
-    cold-started on the remaining levels.
+    cold-started on the remaining levels.  Raises ValueError when there
+    is no level to solve.
     """
     levels = problem.levels if levels is None else tuple(levels)
+    if not levels:
+        raise ValueError("a convergence study needs at least one level")
     compact = problem.interior_compact()
     grid = interior_grid(compact, n=grid_n)
     report = StudyReport(problem.name, problem.degree)
@@ -267,15 +268,12 @@ def run_measure_verification(problem, u, bumps=None, quad=None):
     if bumps is None:
         bumps = default_bumps(problem.interior_compact())
     if quad is None:
-        quad = Quadrature(2 * space.degree + 2)
-    pts = phys_quad_points(space, quad).reshape(-1, 2)
-    fv = np.asarray(eval_field(problem.f, pts), dtype=float).reshape(
-        space.mesh.num_cells, quad.num_points)
+        quad = space.error_quadrature()
+    fv = space.sample(problem.f, quad)
     residuals = []
     for p in bumps:
         ma_measure.check_interior_support(u, p)
-        pv = np.asarray(eval_field(p, pts), dtype=float).reshape(fv.shape)
-        target = float(np.sum(space.cell_areas * ((fv * pv) @ quad.weights)))
+        target = space.integrate(fv * space.sample(p, quad), quad)
         pairing = ma_measure.measure_pairing(u, p, quad=quad)
         residuals.append(abs(pairing - target))
     return {"problem": problem.name, "dofs": int(space.num_dofs),

@@ -117,6 +117,22 @@ def test_invalid_schema_exits_2(tmp_path, capsys):
     assert "missing field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-mesh", "--problem", "smooth", "--k", "0", "--refinements", "-1"],
+    ["check-mesh", "--problem", "smooth", "--k", "1"],
+    ["check-mesh", "--problem", "smooth", "--refinements", "-1"],
+    ["solve", "--problem", "smooth", "--refinements", "-1"],
+    ["solve", "--problem", "smooth", "--k", "0"],
+    ["measure", "--problem", "smooth", "--refinements", "-1"],
+    ["study", "--problem", "smooth", "--levels", "0"],
+    ["study", "--problem", "smooth", "--levels", "-1"],
+])
+def test_bad_override_exits_2(tmp_path, capsys, argv):
+    rc = cli.main(argv + ["--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
 def test_bad_usage_exits_2(capsys):
     assert cli.main(["solve"]) == 2
     assert cli.main([]) == 2

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from mafem import refine_uniform, triangulate, unit_square
+from mafem import (get_problem, ma_measure, refine_uniform, regular_polygon,
+                   study, triangulate, unit_square)
 from mafem.fespace import (
     FeFunction,
     FeSpace,
     Quadrature,
+    bary_lattice,
+    broken_error_h2,
     broken_norm,
     broken_seminorm,
     eval_field,
@@ -122,6 +125,133 @@ class TestBrokenNorms:
             broken_seminorm(v, 3, 2)
         with pytest.raises(ValueError):
             broken_seminorm(v, 0, 4)
+
+
+def _seminorm_inf_oracle(v, t, sample_order=10):
+    """broken_seminorm(p=inf) as written before the cellwise evaluator."""
+    space = v.space
+    pts = bary_lattice(sample_order)[0][:, 1:]
+    tab = space.ref.tabulate(pts)
+    local = v.coeffs[space.cell_dofs]
+    if t == 0:
+        return float(np.abs(local @ tab["val"].T).max())
+    if t == 1:
+        g_ref = np.einsum("cj,qjd->cqd", local, tab["grad"])
+        g = np.einsum("cji,cqj->cqi", space.cell_jinv, g_ref)
+        return float(np.abs(g).max())
+    h_ref = np.einsum("cj,qjm->cqm", local, tab["hess"])
+    h = np.einsum("...ab,...b->...a", space.cell_hess_push[:, None], h_ref)
+    return float(np.abs(h).max())
+
+
+def _cell_hessians_oracle(v, quad):
+    """FeFunction.cell_hessians as written before the cellwise evaluator."""
+    space = v.space
+    tab = space.tables(quad)["hess"]
+    h_ref = np.einsum("cj,qjm->cqm", v.coeffs[space.cell_dofs], tab)
+    return np.einsum("...ab,...b->...a", space.cell_hess_push[:, None], h_ref)
+
+
+def _nan_at_first(p):
+    """A positive field that is NaN at the first of the points it is given."""
+    p = np.atleast_2d(p)
+    out = 1.0 + p[:, 0] ** 2
+    out[0] = np.nan
+    return out
+
+
+class TestEvaluationLayer:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_rules_cached_per_order(self, mesh, k):
+        space = FeSpace(mesh, k)
+        for order in (2, 4, 2 * k, 2 * k + 2):
+            assert space.quadrature(order) is space.quadrature(order)
+            assert space.quadrature(order).order == order
+        assert space.default_quadrature() is space.quadrature(2 * k)
+        assert space.error_quadrature() is space.quadrature(2 * k + 2)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_integrate_one_is_area(self, k):
+        poly = regular_polygon(5)
+        space = FeSpace(triangulate(poly, refinements=1), k)
+        quad = space.error_quadrature()
+        ones = np.ones((space.mesh.num_cells, quad.num_points))
+        assert space.integrate(ones, quad) == pytest.approx(poly.area,
+                                                             rel=1e-14)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_integrate_exact_to_degree_2k_plus_2(self, mesh, k):
+        space = FeSpace(mesh, k)
+        quad = space.error_quadrature()
+        n = 2 * k + 2
+        for a in range(n + 1):
+            b = n - a
+            dens = space.sample(lambda p: p[:, 0] ** a * p[:, 1] ** b, quad)
+            exact = 1.0 / ((a + 1) * (b + 1))  # over the unit square
+            assert space.integrate(dens, quad) == pytest.approx(exact,
+                                                                rel=1e-13)
+
+    def test_sample_shapes(self, mesh):
+        space = FeSpace(mesh, 2)
+        quad = space.error_quadrature()
+        nc, nq = mesh.num_cells, quad.num_points
+        assert space.sample(lambda p: p[:, 0], quad).shape == (nc, nq)
+        assert space.sample(lambda p: float(p[0]), quad).shape == (nc, nq)
+        assert space.sample(lambda p: 2 * p, quad).shape == (nc, nq, 2)
+
+    def test_sample_rejects_nonfinite(self, mesh):
+        space = FeSpace(mesh, 2)
+        with pytest.raises(ValueError, match="not finite"):
+            space.sample(_nan_at_first, space.error_quadrature())
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_previous_evaluators(self, k):
+        space = FeSpace(triangulate(regular_polygon(6), refinements=2), k)
+        rng = np.random.default_rng(k)
+        v = FeFunction(space, rng.standard_normal(space.num_dofs))
+        for t in (0, 1, 2):
+            ref = _seminorm_inf_oracle(v, t)
+            assert broken_seminorm(v, t, np.inf) == pytest.approx(ref,
+                                                                  rel=1e-13)
+        for quad in (space.default_quadrature(), space.error_quadrature()):
+            ref = _cell_hessians_oracle(v, quad)
+            got = v.cell_hessians(quad)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestNonFiniteFields:
+    """A field that is NaN at one point is rejected, not integrated."""
+
+    @pytest.fixture(scope="class")
+    def u(self):
+        space = FeSpace(triangulate(unit_square(), refinements=2), 2)
+        return interpolate(space, lambda p: 0.5 * (p[:, 0] ** 2
+                                                   + p[:, 1] ** 2))
+
+    def test_l2_error(self, u):
+        with pytest.raises(ValueError, match="not finite"):
+            l2_error(u, _nan_at_first)
+
+    def test_broken_error_h2(self, u):
+        grad = lambda p: np.asarray(p, dtype=float)
+        hess = lambda p: np.tile([1.0, 0.0, 1.0], (len(p), 1))
+        with pytest.raises(ValueError, match="not finite"):
+            broken_error_h2(u, _nan_at_first, grad, hess)
+
+    def test_measure_pairing(self, u):
+        with pytest.raises(ValueError, match="not finite"):
+            ma_measure.measure_pairing(u, _nan_at_first)
+
+    def test_aleksandrov_bound(self, u):
+        with pytest.raises(ValueError, match="not finite"):
+            ma_measure.aleksandrov_bound(u, _nan_at_first, unit_square())
+
+    def test_measure_verification(self, u):
+        problem = get_problem("smooth")
+        problem.f = _nan_at_first
+        with pytest.raises(ValueError, match="not finite"):
+            study.run_measure_verification(problem, u)
 
 
 class TestInverseInequality:

@@ -6,8 +6,8 @@ import pytest
 import scipy.sparse as sparse
 from scipy.sparse.linalg import spsolve
 
-from mafem import (assembly, convexity, regular_polygon, solver,
-                   triangulate, unit_square)
+from mafem import (assembly, convexity, get_problem, regular_polygon,
+                   solver, triangulate, unit_square)
 from mafem.assembly import (gradient_jump_matrix, jacobian, load_vector,
                             residual, stiffness_matrix)
 from mafem.errors import NonConvergenceError, SingularJacobianError
@@ -205,6 +205,26 @@ class TestContinuationSolve:
         cfg = SolverConfig(continuation_schedule=(1.0,))
         with pytest.raises(ValueError):
             continuation_solve(coarse_space, bad, paraboloid, cfg)
+
+    def test_failed_first_stage_is_reported(self):
+        problem = get_problem("envelope")
+        space = FeSpace(triangulate(problem.polygon, refinements=2),
+                        problem.degree)
+        cfg = SolverConfig(continuation_schedule=problem.epsilon_schedule,
+                           max_iters=2)
+        with pytest.raises(NonConvergenceError) as err:
+            continuation_solve(space, problem.f, problem.solve_boundary, cfg)
+        rep = err.value.report
+        assert rep.status == "stage_failed" and not rep.converged
+        assert rep.iterations == 2
+        assert len(rep.stages) == 1
+        stage = rep.stages[0]
+        assert stage["eps"] == problem.epsilon_schedule[0]
+        assert stage["iterations"] == 2 and stage["converged"] is False
+        assert rep.residual_history == stage["residual_history"]
+        assert len(rep.residual_history) == 3
+        assert rep.step_history == stage["step_history"]
+        assert json.loads(rep.to_json())["stages"][0]["eps"] == stage["eps"]
 
 
 class TestSolveReport:

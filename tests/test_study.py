@@ -158,6 +158,10 @@ class TestConvergenceStudy:
         for j in range(cols.shape[1]):
             assert np.all(np.diff(cols[:, j]) < 0)
 
+    def test_no_levels_rejected(self, paraboloid):
+        with pytest.raises(ValueError, match="at least one level"):
+            run_convergence_study(paraboloid, levels=())
+
     def test_exact_in_space_saturates(self, paraboloid):
         rep = run_convergence_study(paraboloid, levels=(1, 2), grid_n=9,
                                     with_measure=True)
