@@ -196,18 +196,13 @@ def fd_jacobian(u_h, f):
 
 
 def apply_boundary(space, g):
-    """Boundary coefficient map {dof: g at its Lagrange node}."""
-    vals = eval_field(g, space.dof_coords[space.boundary_dofs])
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("boundary data is not finite at a Lagrange node")
-    return dict(zip(map(int, space.boundary_dofs), map(float, vals)))
+    """Samples of g at the Lagrange nodes of space.boundary_dofs, in order.
 
-
-def set_boundary_values(u_h, bc):
-    """Write a boundary coefficient map into a function's coefficients."""
-    for dof, val in bc.items():
-        u_h.coeffs[dof] = val
-    return u_h
+    g is a field as eval_field takes it; a solver assigns the samples to
+    u.coeffs[space.boundary_dofs].  Raises ValueError for a result of the
+    wrong shape or a sample that is not finite.
+    """
+    return eval_field(g, space.dof_coords[space.boundary_dofs])
 
 
 def linearized_operator_check(u_h, w, quad=None):

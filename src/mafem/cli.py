@@ -66,12 +66,14 @@ def _write_json(path, obj):
 
 def _cmd_solve(args):
     problem = _apply_overrides(_load_problem(args.problem), args)
-    out = _outdir(args)
     kw = {}
     if args.h is not None:
+        if args.refinements is not None:
+            raise ValueError("give --h or --refinements, not both")
         kw["h_target"] = float(args.h)
     else:
         kw["refinements"] = _refinements(args, problem)
+    out = _outdir(args)
     try:
         u, space, reports = solve_problem(problem, **kw)
     except NonConvergenceError as exc:

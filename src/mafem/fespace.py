@@ -266,14 +266,12 @@ class FeSpace:
     def sample(self, f, quad):
         """Samples (nc, nq, ...) of a field at the physical points of a rule.
 
-        f is evaluated through eval_field; a field with vector values
-        ((n, 2) gradients, (n, 3) Hessians) must be vectorized.  Raises
-        ValueError when a sample is not finite.
+        f is a field as eval_field takes it: (n, 2) points to (n,) values
+        or (n, m) rows, m >= 2; eval_field raises ValueError for any other
+        shape and for a sample that is not finite.
         """
         pts = phys_quad_points(self, quad)
         vals = eval_field(f, pts.reshape(-1, 2))
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field is not finite at a quadrature point")
         return vals.reshape(pts.shape[:2] + vals.shape[1:])
 
     def integrate(self, dens, quad):
@@ -432,29 +430,26 @@ class FeFunction:
 
 
 def eval_field(f, points):
-    """Evaluate a field at (n, 2) points, accepting scalar callables.
+    """Samples of a field at (n, 2) points; every field sample is taken here.
 
-    A vectorized call is tried first; it returns (n,) values, or (n, m)
-    rows, m >= 2, for a field with vector values.  Only a vectorization
-    mismatch, a result of the wrong shape or the TypeError, ValueError or
-    IndexError of a scalar callable written for one point, falls back to
-    one call per point; any other exception propagates.  Two points are
-    probed as three (the first one repeated): a (2, 2) array unpacks into
-    two rows exactly like one point unpacks into x and y, so a callable
-    written for one point would return a result of the right shape and
-    the wrong values.
+    A field is a callable mapping an (n, 2) array of points to (n,)
+    values, or to (n, m) rows, m >= 2, for a field with vector values
+    (gradients, Hessians).  It is called once, on all the points.  Raises
+    ValueError when the result has any other shape (a callable written for
+    one point returns one) or a sample is not finite; an exception raised
+    by f itself propagates.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    v = np.asarray(f(pts), dtype=float)
     n = len(pts)
-    probe = pts[[0, 0, 1]] if n == 2 else pts
-    try:
-        v = np.asarray(f(probe), dtype=float)
-        if len(v) == len(probe) and (v.ndim == 1
-                                     or v.ndim == 2 and v.shape[1] > 1):
-            return v[1:] if n == 2 else v
-    except (TypeError, ValueError, IndexError):
-        pass
-    return np.array([float(f(p)) for p in pts])
+    if not (v.shape == (n,) or v.ndim == 2 and v.shape[0] == n
+            and v.shape[1] >= 2):
+        raise ValueError("a field maps (n, 2) points to (n,) values or "
+                         "(n, m) rows, m >= 2; got shape {} for {} "
+                         "points".format(v.shape, n))
+    if not np.all(np.isfinite(v)):
+        raise ValueError("field is not finite at a sample point")
+    return v
 
 
 def interpolate(space, u):
@@ -462,10 +457,7 @@ def interpolate(space, u):
     if isinstance(u, FeFunction) and u.space is space:
         # already determined by its nodal values; exact projection
         return u.copy()
-    vals = eval_field(u, space.dof_coords)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("field is not finite at an interpolation node")
-    return FeFunction(space, vals)
+    return FeFunction(space, eval_field(u, space.dof_coords))
 
 
 def _sample_lattice(order):

@@ -8,7 +8,7 @@ small, so no exact arithmetic is attempted.
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import DegeneratePolygonError, EmptySubdomainError
+from .errors import DegeneratePolygonError
 
 GEOM_RTOL = 1e-12
 
@@ -195,43 +195,6 @@ def clip_halfplane(pts, anchor, normal):
             out.append(q)
         prev, prev_in = q, cur_in
     return np.array(out) if out else np.zeros((0, 2))
-
-
-def offset_inward(polygon, delta):
-    """Shrink a convex polygon by moving every edge inward by delta.
-
-    delta = 0 returns the polygon unchanged.  Raises EmptySubdomainError when
-    the offset region vanishes (delta >= inradius).
-    """
-    if delta < 0:
-        raise ValueError("offset distance must be nonnegative")
-    if delta == 0.0:
-        return polygon
-    v = polygon.vertices
-    n = polygon.edge_normals()
-    out = v.copy()
-    for i in range(len(v)):
-        out = clip_halfplane(out, v[i] + delta * n[i], n[i])
-        if len(out) == 0:
-            raise EmptySubdomainError(f"offset {delta} meets or exceeds the inradius")
-    try:
-        return ConvexPolygon(out)
-    except DegeneratePolygonError as exc:
-        raise EmptySubdomainError(
-            f"offset {delta} meets or exceeds the inradius"
-        ) from exc
-
-
-def point_segment_distance(p, a, b):
-    """Distance from point(s) p to segment [a, b]."""
-    p = np.atleast_2d(np.asarray(p, dtype=float))
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ab = b - a
-    t = np.clip(((p - a) @ ab) / (ab @ ab), 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    d = np.linalg.norm(p - proj, axis=1)
-    return d if np.asarray(p).ndim == 2 else float(d[0])
 
 
 def nearest_boundary_point(polygon, points):

@@ -294,10 +294,9 @@ def measure_pairing(v, p, quad=None):
     through the cellwise density det D2v by quadrature.
     """
     if isinstance(v, P1Function):
-        measure = MaMeasure(v)
-        verts = v.mesh.vertices
-        return float(sum(m * float(np.atleast_1d(eval_field(p, verts[k:k + 1]))[0])
-                         for k, m in measure.atoms.items()))
+        atoms = MaMeasure(v).atoms
+        vals = eval_field(p, v.mesh.vertices[list(atoms)])
+        return float(sum(m * pv for m, pv in zip(atoms.values(), vals)))
     space = v.space
     if quad is None:
         quad = space.error_quadrature()
@@ -312,8 +311,7 @@ def check_interior_support(v, p):
     i, j = mesh.boundary_edges[:, 0], mesh.boundary_edges[:, 1]
     pts = np.vstack([mesh.vertices[i],
                      0.5 * (mesh.vertices[i] + mesh.vertices[j])])
-    vals = np.asarray(eval_field(p, pts), dtype=float)
-    if np.max(np.abs(vals)) > 1e-14:
+    if np.max(np.abs(eval_field(p, pts))) > 1e-14:
         raise ValueError("test field support touches the boundary")
 
 
@@ -389,9 +387,7 @@ def convex_envelope_boundary(polygon, b, per_edge=32):
     if per_edge < 3:
         raise ValueError("need at least 3 samples per edge")
     samples = polygon.boundary_samples(per_edge)
-    values = np.asarray(eval_field(b, samples), dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("boundary data is not finite at a sample")
+    values = eval_field(b, samples)
     pts3 = np.column_stack([samples, values])
 
     # affine data has a flat graph; the envelope is that plane
@@ -461,10 +457,10 @@ def graph_convergence_check(b_sequence, b, points, resolution):
     uniformly convergent data.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    ref_vals = np.asarray(eval_field(b, points), dtype=float)
+    ref_vals = eval_field(b, points)
     out = []
     for bs in b_sequence:
-        vals = np.asarray(eval_field(bs, points), dtype=float)
+        vals = eval_field(bs, points)
         sup = float(np.max(np.abs(vals - ref_vals)))
         ceiling = float(max(vals.max(), ref_vals.max()))
         G1 = UpperGraph(points, vals, resolution, ceiling=ceiling)

@@ -8,8 +8,8 @@ by connecting edge midpoints, so the mesh size halves exactly per level.
 
 import numpy as np
 
-from .errors import DegeneratePolygonError
-from .geometry import ConvexPolygon, offset_inward, signed_area
+from .errors import DegeneratePolygonError, EmptySubdomainError
+from .geometry import ConvexPolygon, clip_halfplane, signed_area
 
 
 class Mesh:
@@ -265,7 +265,24 @@ def interior_subdomain(polygon, delta):
     Shrinks every edge inward by delta; raises EmptySubdomainError when
     nothing is left.  delta = 0 returns the polygon itself.
     """
-    return offset_inward(polygon, delta)
+    if delta < 0:
+        raise ValueError("offset distance must be nonnegative")
+    if delta == 0.0:
+        return polygon
+    v = polygon.vertices
+    n = polygon.edge_normals()
+    out = v.copy()
+    for i in range(len(v)):
+        out = clip_halfplane(out, v[i] + delta * n[i], n[i])
+        if len(out) == 0:
+            raise EmptySubdomainError(
+                f"offset {delta} meets or exceeds the inradius")
+    try:
+        return ConvexPolygon(out)
+    except DegeneratePolygonError as exc:
+        raise EmptySubdomainError(
+            f"offset {delta} meets or exceeds the inradius"
+        ) from exc
 
 
 def unit_square():

@@ -13,6 +13,7 @@ import os
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .fespace import eval_field
 from .geometry import ConvexPolygon
 from .mesh import interior_subdomain, unit_square
 from .regularize import RegularizedData, interior_samples
@@ -45,8 +46,8 @@ class Problem:
             else g
         if self.degree < 2:
             raise ValueError("degree must be at least 2")
-        if not self.levels:
-            raise ValueError("need at least one mesh level")
+        if not self.levels or min(self.levels) < 0:
+            raise ValueError("need at least one mesh level, none negative")
 
     def interior_compact(self, fraction=0.2):
         """Fixed compact for interior sup-norm errors, set by the inradius."""
@@ -65,10 +66,9 @@ class Problem:
         if self.exact_hess is None:
             raise ValueError("problem has no exact Hessian")
         pts = interior_samples(self.polygon, n_points, seed=seed)
-        h = np.asarray(self.exact_hess(pts), dtype=float)
-        det = h[..., 0] * h[..., 2] - h[..., 1] ** 2
-        return float(np.max(np.abs(det - np.asarray(self.f(pts),
-                                                    dtype=float))))
+        h = eval_field(self.exact_hess, pts)
+        det = h[:, 0] * h[:, 2] - h[:, 1] ** 2
+        return float(np.max(np.abs(det - eval_field(self.f, pts))))
 
     def to_dict(self):
         return {
@@ -252,20 +252,40 @@ def get_problem(name):
             name, sorted(CATALOGUE)))
 
 
-def _poly_field(coeffs):
-    c = np.asarray(coeffs, dtype=float)
-    if c.ndim != 2:
-        raise ValueError("polynomial coefficients must be a 2D array c[i][j]"
-                         " for sum c_ij x^i y^j")
+_SHAPES = ("a finite {}", "a list of finite {}s", "a 2D array of finite {}s")
 
+
+def _numeric(value, key, ndim, integer=False):
+    """value as an array of rank ndim holding only finite numbers.
+
+    Anything else (null, booleans, strings, objects, ragged lists, an
+    empty 2D array) raises ValueError naming the key.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if (arr.ndim != ndim or arr.dtype.kind not in ("iu" if integer else "iuf")
+            or not np.all(np.isfinite(arr)) or ndim == 2 and not arr.size):
+        kind = _SHAPES[ndim].format("integer" if integer else "number")
+        raise ValueError("{!r} must be {}, got {!r}".format(key, kind, value))
+    return arr
+
+
+def _optional_number(obj, key):
+    value = obj.get(key)
+    return None if value is None else float(_numeric(value, key, 0))
+
+
+def _poly_field(c):
+    """The polynomial sum c[i][j] x^i y^j of a 2D coefficient array."""
     def field(p):
         p = np.asarray(p, dtype=float)
         return npoly.polyval2d(p[..., 0], p[..., 1], c)
     return field
 
 
-def _poly_exact(coeffs):
-    c = np.asarray(coeffs, dtype=float)
+def _poly_exact(c):
     cx = npoly.polyder(c, axis=0)
     cy = npoly.polyder(c, axis=1)
     cxx = npoly.polyder(cx, axis=0)
@@ -307,7 +327,7 @@ def _field_from_spec(spec, registry_exact=False):
         raise ValueError('field spec must be {"name": ...} or {"poly": ...}')
     if "name" in spec:
         name = spec["name"]
-        if name not in NAMED_FIELDS:
+        if not isinstance(name, str) or name not in NAMED_FIELDS:
             raise ValueError("unknown field name {!r}; known: {}".format(
                 name, sorted(NAMED_FIELDS)))
         if registry_exact:
@@ -318,9 +338,9 @@ def _field_from_spec(spec, registry_exact=False):
             return NAMED_FIELDS[name], None, None
         return NAMED_FIELDS[name]
     if "poly" in spec:
-        if registry_exact:
-            return _poly_exact(spec["poly"])
-        return _poly_field(spec["poly"])
+        # c[i][j] multiplies x^i y^j
+        c = _numeric(spec["poly"], "poly", 2).astype(float)
+        return _poly_exact(c) if registry_exact else _poly_field(c)
     raise ValueError('field spec must be {"name": ...} or {"poly": ...}')
 
 
@@ -333,20 +353,21 @@ def problem_from_json(source):
     [...], "mollify_radius": ..., "delta": ...}}.  An integer "levels" n
     means the n uniform refinement levels 2, 3, ..., n+1.
     """
-    if isinstance(source, dict):
-        obj = source
-        name = obj.get("name", "custom")
-    else:
+    obj, name = source, "custom"
+    if not isinstance(source, dict):
         text = str(source)
         if text.lstrip().startswith("{"):
             obj = json.loads(text)
-            name = obj.get("name", "custom")
         else:
             with open(text) as fh:
-                obj = json.load(fh)
-            name = obj.get("name", text)
+                obj, name = json.load(fh), text
+    if not isinstance(obj, dict):
+        raise ValueError("a problem must be a JSON object")
+    name = obj.get("name", name)
+    if not isinstance(name, str):
+        raise ValueError("'name' must be a string, got {!r}".format(name))
     try:
-        polygon = ConvexPolygon(np.asarray(obj["polygon"], dtype=float))
+        polygon = ConvexPolygon(_numeric(obj["polygon"], "polygon", 2))
         f = _field_from_spec(obj["f"])
         g = _field_from_spec(obj["g"])
     except KeyError as exc:
@@ -356,17 +377,28 @@ def problem_from_json(source):
         exact, exact_grad, exact_hess = _field_from_spec(
             obj["exact"], registry_exact=True)
     levels = obj.get("levels", 4)
-    if isinstance(levels, int):
-        levels = tuple(range(2, 2 + levels))
+    if isinstance(levels, (list, tuple)):
+        levels = _numeric(levels, "levels", 1, integer=True)
+    else:
+        levels = range(2, 2 + int(_numeric(levels, "levels", 0,
+                                           integer=True)))
     reg = obj.get("regularization", {})
+    if not isinstance(reg, dict):
+        raise ValueError("'regularization' must be an object, got {!r}".format(
+            reg))
     solve_boundary = None
     if "solve_boundary" in obj:
         solve_boundary = _field_from_spec(obj["solve_boundary"])
     return Problem(name, polygon, f, g, exact=exact, exact_grad=exact_grad,
-                   exact_hess=exact_hess, degree=int(obj.get("k", 2)),
+                   exact_hess=exact_hess,
+                   degree=_numeric(obj.get("k", 2), "k", 0, integer=True),
                    levels=levels,
-                   epsilon_schedule=reg.get("epsilon_schedule", (0.0,)),
-                   truncate_schedule=reg.get("truncate_schedule", ()),
-                   mollify_radius=reg.get("mollify_radius"),
-                   subdomain_margin=reg.get("delta"),
+                   epsilon_schedule=_numeric(
+                       reg.get("epsilon_schedule", (0.0,)),
+                       "epsilon_schedule", 1),
+                   truncate_schedule=_numeric(
+                       reg.get("truncate_schedule", ()),
+                       "truncate_schedule", 1),
+                   mollify_radius=_optional_number(reg, "mollify_radius"),
+                   subdomain_margin=_optional_number(reg, "delta"),
                    solve_boundary=solve_boundary)

@@ -1,10 +1,11 @@
 """Data regularization: mollification, truncation, positive shift, bounds.
 
-Fields are callables mapping (n, 2) point arrays to (n,) values.  The
-mollifier is the standard compactly supported bump exp(-1/(1-|z/r|^2)),
-normalized to unit mass numerically, evaluated by a fixed polar quadrature
-over its support; near the boundary the field is extended by its
-nearest-boundary value so bounds are preserved by construction.
+Fields are callables mapping (n, 2) point arrays to (n,) values, sampled
+through fespace.eval_field.  The mollifier is the standard compactly
+supported bump exp(-1/(1-|z/r|^2)), normalized to unit mass numerically,
+evaluated by a fixed polar quadrature over its support; near the boundary
+the field is extended by its nearest-boundary value so bounds are
+preserved by construction.
 """
 
 import json
@@ -12,6 +13,7 @@ import json
 import numpy as np
 from scipy.special import roots_legendre
 
+from .fespace import eval_field
 from .geometry import nearest_boundary_point
 
 
@@ -155,10 +157,7 @@ def validate_bounds(f, polygon, n_samples=400):
     """Empirical data bounds over quasi-random interior samples."""
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
-    pts = interior_samples(polygon, n_samples)
-    vals = np.asarray(f(pts), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("f is non-finite at an interior sample")
+    vals = eval_field(f, interior_samples(polygon, n_samples))
     c0 = float(max(vals.min(), 0.0))
     c1 = float(vals.max())
     return DataBounds(c0, c1, degenerate=vals.min() < 1e-12)
@@ -195,8 +194,8 @@ class RegularizedData:
 
     def check(self, n_samples=400):
         """Invariant: sampled min of f_m >= c2 - 1e-12."""
-        pts = interior_samples(self.polygon, n_samples)
-        return float(np.min(self.f_m(pts))) >= self.bounds.c2 - 1e-12
+        vals = eval_field(self.f_m, interior_samples(self.polygon, n_samples))
+        return float(vals.min()) >= self.bounds.c2 - 1e-12
 
     def to_dict(self):
         return {"radius": self.radius, "operations": self.operations,

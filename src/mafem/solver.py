@@ -55,8 +55,7 @@ from scipy.sparse.linalg import splu
 from . import convexity
 from . import kernels
 from .assembly import (apply_boundary, f_at_qpts, gradient_jump_matrix,
-                       jacobian, load_vector, residual, set_boundary_values,
-                       stiffness_matrix)
+                       jacobian, load_vector, residual, stiffness_matrix)
 from .errors import NonConvergenceError, SingularJacobianError
 from .fespace import FeFunction
 
@@ -192,7 +191,7 @@ def default_initial_guess(space, f, g):
     b = load_vector(space, -2.0 * np.sqrt(np.maximum(f_at_qpts(space, f),
                                                      0.0)))
     u = FeFunction(space)
-    set_boundary_values(u, apply_boundary(space, g))
+    u.coeffs[space.boundary_dofs] = apply_boundary(space, g)
     I = space.interior_dofs
     B = space.boundary_dofs
     rhs = b[I] - A[I][:, B] @ u.coeffs[B]
@@ -291,8 +290,7 @@ def newton_solve(space, f, g, u0=None, config=None):
     fq = _check_positive_data(space, f)
 
     u = u0.copy() if u0 is not None else default_initial_guess(space, fq, g)
-    bc = apply_boundary(space, g)
-    set_boundary_values(u, bc)
+    u.coeffs[space.boundary_dofs] = apply_boundary(space, g)
 
     I = space.interior_dofs
     eta = config.jump_penalty
@@ -424,19 +422,21 @@ def continuation_solve(space, f, g, config=None, u0=None):
     report whose stages record the per-stage outcomes.  A failure of the
     first stage is a failure of the whole solve, raised with a report that
     holds the failed stage; a later stage that fails is recorded and the
-    next one continues from its last iterate.
+    next one continues from its last iterate.  f (a field or its samples)
+    is sampled once; each stage solves with the samples plus its shift.
     """
     if config is None:
         config = SolverConfig(continuation_schedule=(0.0,))
     schedule = config.continuation_schedule or (0.0,)
     t0 = time.perf_counter()
     report = SolveReport("continuation")
+    fq = f_at_qpts(space, f)
     u = u0
     for j, eps in enumerate(schedule):
-        f_eps = (lambda e: lambda p: np.asarray(f(p), dtype=float) + e)(eps)
         failed = False
         try:
-            u_next, stage = newton_solve(space, f_eps, g, u0=u, config=config)
+            u_next, stage = newton_solve(space, fq + eps, g, u0=u,
+                                         config=config)
         except NonConvergenceError as exc:
             u_next, stage, failed = exc.last_iterate, exc.report, True
         if stage is not None:

@@ -17,12 +17,11 @@ import time
 import numpy as np
 
 from . import ma_measure
+from .assembly import apply_boundary
 from .convexity import analyze
 from .errors import NonConvergenceError
-from .fespace import (FeFunction, FeSpace, broken_error_h2, eval_field,
-                      l2_error, sup_error)
+from .fespace import FeFunction, FeSpace, broken_error_h2, l2_error, sup_error
 from .mesh import triangulate
-from .regularize import truncate
 from .solver import SolverConfig, continuation_solve
 
 
@@ -176,8 +175,8 @@ def _solve_stage(problem, space, config, M, u0):
 def _prolong(u_coarse, space, problem):
     """Initial guess on a finer space from a coarser solution."""
     u = FeFunction(space, u_coarse(space.dof_coords))
-    u.coeffs[space.boundary_dofs] = eval_field(
-        problem.solve_boundary, space.dof_coords[space.boundary_dofs])
+    u.coeffs[space.boundary_dofs] = apply_boundary(space,
+                                                   problem.solve_boundary)
     return u
 
 

@@ -126,11 +126,22 @@ def test_invalid_schema_exits_2(tmp_path, capsys):
     ["measure", "--problem", "smooth", "--refinements", "-1"],
     ["study", "--problem", "smooth", "--levels", "0"],
     ["study", "--problem", "smooth", "--levels", "-1"],
+    ["solve", "--problem", "smooth", "--h", "0.3", "--refinements", "1"],
 ])
 def test_bad_override_exits_2(tmp_path, capsys, argv):
     rc = cli.main(argv + ["--out", str(tmp_path / "run")])
     assert rc == 2
     assert "invalid input" in capsys.readouterr().err
+
+
+def test_wrong_type_in_problem_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"polygon": [[0, 0], [1, 0], [1, 1], [0, 1]],
+                               "f": {"name": "one"}, "g": {"name": "zero"},
+                               "levels": 2.5}))
+    assert cli.main(["study", "--problem", str(bad),
+                     "--out", str(tmp_path / "run")]) == 2
+    assert "'levels'" in capsys.readouterr().err
 
 
 def test_bad_usage_exits_2(capsys):

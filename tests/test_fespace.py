@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -196,7 +194,6 @@ class TestEvaluationLayer:
         quad = space.error_quadrature()
         nc, nq = mesh.num_cells, quad.num_points
         assert space.sample(lambda p: p[:, 0], quad).shape == (nc, nq)
-        assert space.sample(lambda p: float(p[0]), quad).shape == (nc, nq)
         assert space.sample(lambda p: 2 * p, quad).shape == (nc, nq, 2)
 
     def test_sample_rejects_nonfinite(self, mesh):
@@ -252,6 +249,29 @@ class TestNonFiniteFields:
         problem.f = _nan_at_first
         with pytest.raises(ValueError, match="not finite"):
             study.run_measure_verification(problem, u)
+
+    def test_interior_support(self, u):
+        # zero on the boundary but for one NaN sample
+        def field(p):
+            return np.where(np.arange(len(p)) == 0, np.nan, 0.0)
+
+        with pytest.raises(ValueError, match="not finite"):
+            ma_measure.check_interior_support(u, field)
+
+    def test_p1_measure_pairing(self):
+        v = ma_measure.interpolate_p1(
+            triangulate(unit_square(), refinements=2),
+            lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2))
+        calls = []
+
+        def field(p):
+            calls.append(len(p))
+            return _nan_at_first(p)
+
+        with pytest.raises(ValueError, match="not finite"):
+            ma_measure.measure_pairing(v, field)
+        # every atom vertex in one call
+        assert calls == [len(ma_measure.MaMeasure(v).atoms)]
 
 
 class TestInverseInequality:
@@ -315,16 +335,6 @@ class TestEvaluation:
 class TestEvalField:
     pts = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
 
-    def test_single_point_callable_evaluated_per_point(self):
-        v = eval_field(lambda p: math.hypot(p[0], p[1]), self.pts)
-        assert np.array_equal(v, np.hypot(self.pts[:, 0], self.pts[:, 1]))
-
-    def test_single_point_callable_at_two_points(self):
-        # A (2, 2) array unpacks into two rows just as one point unpacks
-        # into x and y, so the vectorized call has the right shape.
-        v = eval_field(lambda p: p[0] ** 2 + p[1], self.pts[:2])
-        assert np.allclose(v, [0.21, 0.49], rtol=1e-15)
-
     def test_vectorized_callable_at_two_points(self):
         calls = []
 
@@ -336,10 +346,15 @@ class TestEvalField:
         assert np.array_equal(v, self.pts[:2, 0] ** 2 + self.pts[:2, 1])
         assert len(calls) == 1
 
-    def test_wrong_shape_evaluated_per_point(self):
-        # Summing over all points instead of per point returns a scalar.
-        v = eval_field(lambda p: np.sum(np.atleast_2d(p) ** 2), self.pts)
-        assert np.allclose(v, np.sum(self.pts ** 2, axis=1), rtol=1e-15)
+    @pytest.mark.parametrize("f", [
+        lambda p: p[0] ** 2 + p[1],  # written for one point: rows, not points
+        lambda p: np.sum(np.atleast_2d(p) ** 2),  # one scalar for all points
+        lambda p: p[:, :1],  # (n, 1)
+        lambda p: np.ones((len(p), 3, 3)),  # (n, 3, 3)
+    ], ids=["scalar_only", "scalar_result", "n_by_1", "rank_3"])
+    def test_outside_the_contract_raises(self, f):
+        with pytest.raises(ValueError, match="a field maps"):
+            eval_field(f, self.pts)
 
     def test_genuine_error_propagates_without_retry(self):
         calls = []

@@ -5,10 +5,39 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mafem.problems import (CATALOGUE, NAMED_FIELDS, Problem, get_problem,
                             problem_from_json, problems_dir)
 from mafem.regularize import interior_samples
+
+
+# Any JSON value.  Integers stay small because an integer "levels" n is
+# expanded into n levels, so a huge one only allocates.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-100, 100) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+
+SCHEMA_KEYS = ["name", "polygon", "f", "g", "exact", "solve_boundary", "k",
+               "levels", "regularization", "regularization.epsilon_schedule",
+               "regularization.truncate_schedule",
+               "regularization.mollify_radius", "regularization.delta"]
+
+
+def _with_value(key, value):
+    """A valid problem object with one schema key set to value."""
+    obj = {"polygon": [[0, 0], [1, 0], [1, 1], [0, 1]],
+           "f": {"name": "one"}, "g": {"name": "zero"},
+           "regularization": {"epsilon_schedule": [0.0]}}
+    head, _, sub = key.partition(".")
+    if sub:
+        obj[head][sub] = value
+    else:
+        obj[head] = value
+    return obj
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +219,38 @@ class TestJsonLoader:
             problem_from_json({"polygon": [[0, 0], [1, 0], [1, 1], [0, 1]],
                                "f": {"poly": [1.0, 2.0]},
                                "g": {"name": "zero"}})
+
+    @pytest.mark.parametrize("key,value,match", [
+        ("levels", 2.5, "'levels'"), ("levels", [2, 2.5], "'levels'"),
+        ("levels", [-1], "negative"), ("k", [2], "'k'"), ("k", 2.5, "'k'"),
+        ("k", True, "'k'"), ("regularization", [1], "'regularization'"),
+        ("regularization.epsilon_schedule", 0.5, "'epsilon_schedule'"),
+        ("regularization.truncate_schedule", [8, None],
+         "'truncate_schedule'"),
+        ("regularization.mollify_radius", "0.1", "'mollify_radius'"),
+        ("polygon", {"x": 0}, "'polygon'"),
+        ("polygon", [[0, 0], [1, "0"], [1, 1]], "'polygon'"),
+        ("f", {"name": ["one"]}, "unknown field name"),
+        ("g", {"poly": [[]]}, "'poly'"), ("name", 3, "'name'"),
+    ])
+    def test_wrong_type_raises_value_error(self, key, value, match):
+        with pytest.raises(ValueError, match=match):
+            problem_from_json(json.dumps(_with_value(key, value)))
+
+    def test_top_level_must_be_an_object(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="JSON object"):
+            problem_from_json(str(path))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(SCHEMA_KEYS), JSON_VALUES)
+    def test_malformed_values_raise_only_value_error(self, key, value):
+        try:
+            prob = problem_from_json(json.dumps(_with_value(key, value)))
+        except ValueError:
+            return
+        assert isinstance(prob, Problem)
 
     def test_named_field_registry(self):
         pts = np.array([[0.2, 0.7]])

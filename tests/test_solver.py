@@ -178,6 +178,18 @@ class TestContinuationSolve:
                               paraboloid, config=SolverConfig())
         assert np.array_equal(u_c.coeffs, u_n.coeffs)
 
+    def test_f_sampled_once(self, coarse_space):
+        calls = []
+
+        def counted(p):
+            calls.append(len(p))
+            return one(p)
+
+        cfg = SolverConfig(continuation_schedule=(1.0, 0.25, 0.0))
+        _, report = continuation_solve(coarse_space, counted, paraboloid, cfg)
+        assert len(report.stages) == 3
+        assert len(calls) == 1
+
     def test_kink_data_stage_differences_decrease(self, space):
         g = lambda p: np.abs(np.atleast_2d(p)[:, 0] - 0.5)
         cfg = SolverConfig(continuation_schedule=(1.0, 0.25, 1.0 / 16,
