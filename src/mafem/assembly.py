@@ -205,18 +205,17 @@ def apply_boundary(space, g):
     return eval_field(g, space.dof_coords[space.boundary_dofs])
 
 
-def linearized_operator_check(u_h, w, quad=None):
+def linearized_operator_check(u_h, w):
     """Max quadrature-point gap between two forms of the linearized operator.
 
     Compares cof(D2u):D2w, built from the explicit 2x2 cofactor matrix,
-    with the expanded expression u_yy w_xx + u_xx w_yy - 2 u_xy w_xy; the
-    two are algebraically identical.
+    with the expanded expression u_yy w_xx + u_xx w_yy - 2 u_xy w_xy at
+    the points of the space's assembly rule; the two are algebraically
+    identical.
     """
     if w.space is not u_h.space:
         raise ValueError("functions must share a space")
-    space = u_h.space
-    if quad is None:
-        quad = space.default_quadrature()
+    quad = u_h.space.default_quadrature()
     hu = u_h.cell_hessians(quad)
     hw = w.cell_hessians(quad)
     cof = np.empty(hu.shape[:2] + (2, 2))

@@ -1,9 +1,10 @@
 """Cellwise convexity diagnostics and strict-convexity repair.
 
 Convexity of a piecewise polynomial is certified by sampling the cellwise
-Hessian at quadrature points: for degree 2 the Hessian is constant per cell
-and the check is exact; for degree 3 it is sampled on a dense point set with
-a documented tolerance.  Strictification adds the interpolant of
+Hessian at the points of the space's Hessian rule: for degree 2 the Hessian
+is constant per cell and the check is exact; for degree 3 it is sampled on
+a dense point set, and a function counts as convex when no sampled
+eigenvalue is below -CONVEX_TOL.  Strictification adds the interpolant of
 eps*|x - x0|^2, shifting every Hessian eigenvalue up by exactly 2*eps.
 """
 
@@ -12,6 +13,8 @@ import json
 import numpy as np
 
 from .fespace import FeFunction, interpolate
+
+CONVEX_TOL = 1e-9
 
 
 def eigmin_2x2(hxx, hxy, hyy):
@@ -59,26 +62,19 @@ class ConvexityReport:
                     self.convex, self.strictly_convex))
 
 
-def analyze(u_h, sample_order=None, tol=1e-9):
+def analyze(u_h):
     """Sample cellwise Hessian eigenvalues and determinants of u_h.
 
-    The Hessian of a degree-k function is a cellwise polynomial of degree
-    k-2; sample_order must be at least 2k-4 so the quadrature sees its full
-    variation (exact for k=2 where the Hessian is constant per cell).
+    The samples are taken at the points of the space's Hessian rule
+    (FeSpace.hessian_quadrature); u_h counts as convex when no sampled
+    eigenvalue is below -CONVEX_TOL.
     """
-    space = u_h.space
-    k = space.degree
-    if sample_order is None:
-        sample_order = max(2 * k - 4, 2)
-    if sample_order < 2 * k - 4:
-        raise ValueError("sample_order {} < 2k-4 = {}".format(
-            sample_order, 2 * k - 4))
-    quad = space.quadrature(sample_order)
+    quad = u_h.space.hessian_quadrature()
     hess = u_h.cell_hessians(quad)
     lam1 = eigmin_2x2(hess[:, :, 0], hess[:, :, 1], hess[:, :, 2])
     det = hess[:, :, 0] * hess[:, :, 2] - hess[:, :, 1] ** 2
     return ConvexityReport(lam1.min(axis=1), det.min(axis=1),
-                           sample_order, tol)
+                           quad.order, CONVEX_TOL)
 
 
 def strictify(u_h, eps, x0=None):
@@ -104,7 +100,7 @@ def strictify(u_h, eps, x0=None):
     return out
 
 
-def bubble_integrals(u_h, quad=None):
+def bubble_integrals(u_h):
     """Per-cell integrals int_K (det D2u_h) v_K with v_K the cubic bubble.
 
     v_K = 60*l1*l2*l3 in barycentric coordinates: the cubic that vanishes
@@ -112,8 +108,7 @@ def bubble_integrals(u_h, quad=None):
     determinant every integral is positive.
     """
     space = u_h.space
-    if quad is None:
-        quad = space.error_quadrature()
+    quad = space.error_quadrature()
     hess = u_h.cell_hessians(quad)
     det = hess[:, :, 0] * hess[:, :, 2] - hess[:, :, 1] ** 2
     xi = quad.points[:, 0]
@@ -122,10 +117,9 @@ def bubble_integrals(u_h, quad=None):
     return space.cell_areas * (det @ (quad.weights * bubble))
 
 
-def bubble_positivity_check(u_h, quad=None):
+def bubble_positivity_check(u_h):
     """Flag cells where int_K (det D2u_h) v_K <= 0 (potential degeneracy).
 
     Returns a boolean array over cells; True marks a flagged cell.
     """
-    vals = bubble_integrals(u_h, quad=quad)
-    return vals <= 0.0
+    return bubble_integrals(u_h) <= 0.0

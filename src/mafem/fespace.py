@@ -263,6 +263,11 @@ class FeSpace:
         """The rule of order 2k+2 used for norms, errors and pairings."""
         return self.quadrature(2 * self.degree + 2)
 
+    def hessian_quadrature(self):
+        """The rule of order max(2k-4, 2), exact for squared Hessians, used
+        for the convexity samples and the solver's convexity hinge."""
+        return self.quadrature(max(2 * self.degree - 4, 2))
+
     def sample(self, f, quad):
         """Samples (nc, nq, ...) of a field at the physical points of a rule.
 
@@ -465,20 +470,19 @@ def _sample_lattice(order):
     return lam[:, 1:]
 
 
-def broken_seminorm(v, t, p=2, quad=None, sample_order=10):
+def broken_seminorm(v, t, p=2):
     """Cellwise Sobolev seminorm of order t (0, 1 or 2), p = 2 or inf.
 
-    p=2 integrates squared derivatives by quadrature (the order-2 term is
-    the Hessian Frobenius norm: dxx^2 + 2 dxy^2 + dyy^2).  p=inf takes the
-    max over a per-cell sample lattice.
+    p=2 integrates squared derivatives with the space's error rule (the
+    order-2 term is the Hessian Frobenius norm: dxx^2 + 2 dxy^2 + dyy^2).
+    p=inf takes the max over a per-cell barycentric lattice of order 10.
     """
     if t not in (0, 1, 2):
         raise ValueError("derivative order t must be 0, 1 or 2")
     space = v.space
     key = ("val", "grad", "hess")[t]
     if p == 2:
-        if quad is None:
-            quad = space.error_quadrature()
+        quad = space.error_quadrature()
         d = v.cellwise(key, space.tables(quad))
         if t == 0:
             dens = d ** 2
@@ -488,15 +492,14 @@ def broken_seminorm(v, t, p=2, quad=None, sample_order=10):
             dens = d[..., 0] ** 2 + 2 * d[..., 1] ** 2 + d[..., 2] ** 2
         return float(np.sqrt(space.integrate(dens, quad)))
     if p == np.inf or p == "inf":
-        tab = space.ref.tabulate(_sample_lattice(sample_order))
+        tab = space.ref.tabulate(_sample_lattice(10))
         return float(np.abs(v.cellwise(key, tab)).max())
     raise ValueError("p must be 2 or inf")
 
 
-def broken_norm(v, t, p=2, quad=None, sample_order=10):
+def broken_norm(v, t, p=2):
     """Cellwise Sobolev norm: combines seminorms of orders 0..t."""
-    semis = [broken_seminorm(v, s, p, quad=quad, sample_order=sample_order)
-             for s in range(t + 1)]
+    semis = [broken_seminorm(v, s, p) for s in range(t + 1)]
     if p == 2:
         return float(np.sqrt(np.sum(np.square(semis))))
     return float(np.max(semis))
@@ -531,16 +534,15 @@ def phys_quad_points(space, quad):
     return np.einsum("qj,cjd->cqd", quad.points, space.mesh.cell_coords())
 
 
-def l2_error(v, exact, quad=None):
-    """L2 norm of v minus a callable field, by cellwise quadrature."""
+def l2_error(v, exact):
+    """L2 norm of v minus a callable field, with the space's error rule."""
     space = v.space
-    if quad is None:
-        quad = space.error_quadrature()
+    quad = space.error_quadrature()
     d = v.cell_values(quad) - space.sample(exact, quad)
     return float(np.sqrt(space.integrate(d ** 2, quad)))
 
 
-def broken_error_h2(v, exact, exact_grad, exact_hess, quad=None):
+def broken_error_h2(v, exact, exact_grad, exact_hess):
     """Broken H2 error against callables for the field and its derivatives.
 
     exact_grad maps (n, 2) points to (n, 2) gradients; exact_hess to (n, 3)
@@ -548,8 +550,7 @@ def broken_error_h2(v, exact, exact_grad, exact_hess, quad=None):
     Hessian Frobenius density dxx^2 + 2 dxy^2 + dyy^2.
     """
     space = v.space
-    if quad is None:
-        quad = space.error_quadrature()
+    quad = space.error_quadrature()
     d0 = v.cell_values(quad) - space.sample(exact, quad)
     d1 = v.cell_gradients(quad) - space.sample(exact_grad, quad)
     d2 = v.cell_hessians(quad) - space.sample(exact_hess, quad)

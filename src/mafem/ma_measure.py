@@ -19,6 +19,9 @@ from . import kernels
 from .fespace import FeFunction, eval_field, phys_quad_points
 from .geometry import clip_convex, signed_area
 
+P1_JUMP_TOL = 1e-10
+DET_TOL = 1e-10
+
 
 class P1Function:
     """Piecewise-linear function given by its values at mesh vertices."""
@@ -70,8 +73,8 @@ def interpolate_p1(mesh, field):
     return P1Function(mesh, eval_field(field, mesh.vertices))
 
 
-def p1_convexity_violations(v, tol=1e-10):
-    """Interior edges whose normal gradient jump is negative beyond tol.
+def p1_convexity_violations(v):
+    """Interior edges whose normal gradient jump is below -P1_JUMP_TOL.
 
     A piecewise-linear function is convex exactly when the jump of the
     normal derivative across every interior edge (in the direction of
@@ -88,7 +91,7 @@ def p1_convexity_violations(v, tol=1e-10):
     flip = np.sum(nrm * (cents[c2] - cents[c1]), axis=1) < 0
     nrm[flip] *= -1.0
     jumps = np.sum((grads[c2] - grads[c1]) * nrm, axis=1)
-    bad = np.flatnonzero(jumps < -tol)
+    bad = np.flatnonzero(jumps < -P1_JUMP_TOL)
     return [(int(pairs[b, 0]), int(pairs[b, 1]), float(jumps[b]))
             for b in bad]
 
@@ -186,19 +189,19 @@ def _cell_hessians_at(v, cell, pts):
                                     tab, space.cell_hess_push[cell][None])[0]
 
 
-def partial_ma_measure(v, region, quad=None, tol_convex=1e-10):
+def partial_ma_measure(v, region):
     """Sum over cells of the integral of det D2v over region-cell overlaps.
 
     Mass carried by cell boundaries (gradient jumps) is excluded by
     definition; for piecewise-linear v the result is therefore 0.  The
     clipped polygons are integrated exactly by a centroid fan of triangles
-    with the cell quadrature.  Raises ValueError when the region is not
-    contained in the mesh domain and NonConvexInputError when a sampled
-    determinant on a touched cell is below -tol_convex.
+    with the space's assembly rule.  Raises ValueError when the region is
+    not contained in the mesh domain and NonConvexInputError when a
+    sampled determinant on a touched cell is below -DET_TOL.
     """
     fe = not isinstance(v, P1Function)
     mesh = v.space.mesh if fe else v.mesh
-    if fe and quad is None:
+    if fe:
         quad = v.space.default_quadrature()
     coords = mesh.cell_coords()
     total = 0.0
@@ -222,7 +225,7 @@ def partial_ma_measure(v, region, quad=None, tol_convex=1e-10):
             pts = quad.points @ tri
             h = _cell_hessians_at(v, c, pts)
             det = h[:, 0] * h[:, 2] - h[:, 1] ** 2
-            if det.min() < -tol_convex:
+            if det.min() < -DET_TOL:
                 raise NonConvexInputError(
                     "det D2v = {:.3e} < 0 sampled on cell {}".format(
                         float(det.min()), c))
@@ -275,7 +278,8 @@ class MaMeasure:
                  "mass": float(m)} for k, m in sorted(self.atoms.items())]
 
     def to_dict(self, regions=None):
-        out = {"kind": "atomic" if self.atoms else "density",
+        atomic = isinstance(self.function, P1Function)
+        out = {"kind": "atomic" if atomic else "density",
                "total_atom_mass": float(sum(self.atoms.values())),
                "atoms": self.atom_table()}
         if regions:
@@ -287,19 +291,18 @@ class MaMeasure:
         return json.dumps(self.to_dict(regions), indent=2)
 
 
-def measure_pairing(v, p, quad=None):
+def measure_pairing(v, p):
     """Integral of the test field p against the Monge-Ampere measure of v.
 
     P1 inputs pair through their vertex atoms, finite element inputs
-    through the cellwise density det D2v by quadrature.
+    through the cellwise density det D2v with the space's error rule.
     """
     if isinstance(v, P1Function):
         atoms = MaMeasure(v).atoms
         vals = eval_field(p, v.mesh.vertices[list(atoms)])
         return float(sum(m * pv for m, pv in zip(atoms.values(), vals)))
     space = v.space
-    if quad is None:
-        quad = space.error_quadrature()
+    quad = space.error_quadrature()
     h = v.cell_hessians(quad)
     det = h[..., 0] * h[..., 2] - h[..., 1] ** 2
     return space.integrate(det * space.sample(p, quad), quad)
@@ -315,7 +318,7 @@ def check_interior_support(v, p):
         raise ValueError("test field support touches the boundary")
 
 
-def weak_convergence_residual(sequence, limit, p, quad=None):
+def weak_convergence_residual(sequence, limit, p):
     """|int p dM[v_j] - int p dM[limit]| for each member of the sequence.
 
     The pairing uses vertex atoms for P1 inputs and the partial-measure
@@ -324,19 +327,19 @@ def weak_convergence_residual(sequence, limit, p, quad=None):
     """
     for v in list(sequence) + [limit]:
         check_interior_support(v, p)
-    ref = measure_pairing(limit, p, quad=quad)
-    return [abs(measure_pairing(v, p, quad=quad) - ref)
-            for v in sequence]
+    ref = measure_pairing(limit, p)
+    return [abs(measure_pairing(v, p) - ref) for v in sequence]
 
 
-def aleksandrov_bound(v, a, polygon, c_n=1.0, points=None):
+def aleksandrov_bound(v, a, polygon):
     """Worst-case slack of the Aleksandrov maximum principle (n = 2).
 
     With C the minimum boundary value of v, evaluates
-    max(0, -(v(x) - C))^2 - c_n * diam(Omega) * d(x, boundary) * int_Omega a
-    over the sample points (default: cell quadrature points and interior
-    Lagrange nodes) and returns the maximum.  A value <= 0 means the
-    principle holds at every sample.
+    max(0, -(v(x) - C))^2 - diam(Omega) * d(x, boundary) * int_Omega a,
+    the principle with its dimensional constant taken as 1, at the points
+    of the space's assembly rule and the interior Lagrange nodes, and
+    returns the maximum.  int_Omega a is integrated with the same rule.
+    A value <= 0 means the principle holds at every sample.
     """
     space = v.space
     quad = space.default_quadrature()
@@ -345,14 +348,12 @@ def aleksandrov_bound(v, a, polygon, c_n=1.0, points=None):
         raise ValueError("the right-hand density a must be nonnegative")
     int_a = space.integrate(avals, quad)
 
-    if points is None:
-        points = np.vstack([phys_quad_points(space, quad).reshape(-1, 2),
-                            space.dof_coords[space.interior_dofs]])
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = np.vstack([phys_quad_points(space, quad).reshape(-1, 2),
+                        space.dof_coords[space.interior_dofs]])
     C = float(np.min(v.coeffs[space.boundary_dofs]))
     depth = np.maximum(0.0, -(np.asarray(v(points), dtype=float) - C))
     dist = np.maximum(polygon.distance_to_boundary(points), 0.0)
-    slack = depth ** 2 - c_n * polygon.diameter * dist * int_a
+    slack = depth ** 2 - polygon.diameter * dist * int_a
     return float(np.max(slack))
 
 
@@ -428,14 +429,12 @@ class UpperGraph:
     comparisons see the region above the graph, not just its surface.
     """
 
-    def __init__(self, points, values, resolution, ceiling=None,
-                 kind="interior"):
+    def __init__(self, points, values, resolution, ceiling=None):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         values = np.asarray(values, dtype=float)
         if resolution <= 0:
             raise ValueError("resolution must be positive")
         self.resolution = float(resolution)
-        self.kind = kind
         if ceiling is None:
             ceiling = float(values.max())
         rows = []

@@ -234,22 +234,23 @@ def refine_uniform(mesh):
 def triangulate(polygon, h_target=None, refinements=None):
     """Mesh a convex polygon: centroid fan, then uniform refinement.
 
-    Exactly one of h_target (refine until mesh size <= h_target) or
-    refinements (fixed number of levels) must be given; with neither, the
-    fan mesh is returned as is.
+    Exactly one of h_target (refine until mesh size <= h_target; positive
+    and finite) or refinements (fixed number of levels; nonnegative) must
+    be given; with neither, the fan mesh is returned as is.
     """
     if h_target is not None and refinements is not None:
         raise ValueError("give h_target or refinements, not both")
+    if refinements is not None and refinements < 0:
+        raise ValueError("refinements must be nonnegative, got {}".format(
+            refinements))
+    if h_target is not None and not 0.0 < h_target < np.inf:
+        raise ValueError("h_target must be positive and finite, got {}"
+                         .format(h_target))
     mesh = _fan_mesh(polygon)
-    if refinements is not None:
-        for _ in range(refinements):
-            mesh = refine_uniform(mesh)
-        return mesh
-    if h_target is not None:
-        if h_target <= 0:
-            raise ValueError("h_target must be positive")
-        while mesh.mesh_size() > h_target:
-            mesh = refine_uniform(mesh)
+    for _ in range(refinements or 0):
+        mesh = refine_uniform(mesh)
+    while h_target is not None and mesh.mesh_size() > h_target:
+        mesh = refine_uniform(mesh)
     return mesh
 
 

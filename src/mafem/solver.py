@@ -19,6 +19,22 @@ nodes, residual and Jacobian over interior dofs):
 * continuation_solve: warm-started sweep over a decreasing schedule of
   positive shifts f + eps, for degenerate or unbounded data.
 
+A caller sets only the iteration cap and the shift schedule (SolverConfig).
+Every other setting is a module constant, read when a solve runs, so that
+a test can monkeypatch it:
+
+* JUMP_PENALTY = 1e-2, the weight eta of |u|_J^2.  It makes the normal
+  matrix definite; the bias it puts on the minimizer grows with it and
+  sets the error floor of the convergence studies.
+* CONVEX_PENALTY = 1, which weighs a hinge deficit like a residual of the
+  same size, and CONVEX_ALLOWANCE = 1e-2 (see _ConvexityHinge).
+* TOL_RESIDUAL = 1e-10 and TOL_STEP = 1e-10, the sup norms of residual
+  and accepted update that end a solve (see newton_solve).
+* ARMIJO = 1e-4, the usual sufficient-decrease constant (Nocedal & Wright,
+  Numerical Optimization, sec. 3.1), and MIN_STEP = 2^-20, the shortest
+  step tried: below it the predicted decrease is under the evaluation
+  noise of the objective, so polish decides the outcome.
+
 Every linear system solved here is symmetric positive definite: the
 Gauss-Newton normal matrix J^T J + eta Q_II (+ S^T S), definite through
 the jump penalty, and the interior Poisson stiffness matrix.  All of them
@@ -59,36 +75,30 @@ from .assembly import (apply_boundary, f_at_qpts, gradient_jump_matrix,
 from .errors import NonConvergenceError, SingularJacobianError
 from .fespace import FeFunction
 
+JUMP_PENALTY = 1e-2
+CONVEX_PENALTY = 1.0
+CONVEX_ALLOWANCE = 1e-2
+TOL_RESIDUAL = 1e-10
+TOL_STEP = 1e-10
+ARMIJO = 1e-4
+MIN_STEP = 2.0 ** -20
+
 
 class SolverConfig:
-    """Tolerances and knobs shared by the solve drivers."""
+    """The Gauss-Newton iteration cap of each newton_solve (at least 1) and
+    the decreasing shifts eps of continuation_solve."""
 
-    def __init__(self, tol_residual=1e-10, max_iters=120, min_step=2.0 ** -20,
-                 armijo=1e-4, continuation_schedule=(), jump_penalty=1e-2,
-                 convex_penalty=1.0, convex_allowance=1e-2, tol_step=1e-10):
-        if tol_residual <= 0:
-            raise ValueError("tol_residual must be positive")
-        self.tol_residual = float(tol_residual)
+    def __init__(self, max_iters=120, continuation_schedule=()):
+        if max_iters < 1:
+            raise ValueError("max_iters must be at least 1, got {}".format(
+                max_iters))
         self.max_iters = int(max_iters)
-        self.min_step = float(min_step)
-        self.armijo = float(armijo)
         self.continuation_schedule = tuple(continuation_schedule)
-        self.jump_penalty = float(jump_penalty)
-        self.convex_penalty = float(convex_penalty)
-        self.convex_allowance = float(convex_allowance)
-        self.tol_step = float(tol_step)
 
     def to_dict(self):
         return {
-            "tol_residual": self.tol_residual,
             "max_iters": self.max_iters,
-            "min_step": self.min_step,
-            "armijo": self.armijo,
             "continuation_schedule": list(self.continuation_schedule),
-            "jump_penalty": self.jump_penalty,
-            "convex_penalty": self.convex_penalty,
-            "convex_allowance": self.convex_allowance,
-            "tol_step": self.tol_step,
         }
 
 
@@ -206,26 +216,26 @@ class _ConvexityHinge:
     one (det is sign-symmetric under u -> -u up to boundary data), so for
     degenerate or envelope-type data the unpenalized objective admits
     mixed-signature minimizers.  This term adds
-    penalty/2 * sum_{K, q} w_q |K| max(0, -(lambda1 + allowance))^2
-    over cells none of whose vertices lie on the boundary.  Cells touching
-    the boundary are exempt because pinned data without a convex extension
-    genuinely forces a concave layer there; the allowance keeps the hinge
-    inactive near weakly convex iterates (lambda1 >= -allowance).
+    CONVEX_PENALTY/2 * sum_{K, q} w_q |K| max(0, -(lambda1 + allowance))^2,
+    with allowance = CONVEX_ALLOWANCE, at the points of the space's Hessian
+    rule over cells none of whose vertices lie on the boundary.  Cells
+    touching the boundary are exempt because pinned data without a convex
+    extension genuinely forces a concave layer there; the allowance keeps
+    the hinge inactive near weakly convex iterates (lambda1 >= -allowance).
     """
 
-    def __init__(self, space, penalty, allowance):
+    def __init__(self, space):
         self.space = space
-        self.penalty = float(penalty)
-        self.allowance = float(allowance)
+        self.allowance = CONVEX_ALLOWANCE
         mesh = space.mesh
         on_bd = np.zeros(len(mesh.vertices), dtype=bool)
         on_bd[mesh.boundary_vertex_indices()] = True
         self.cells = np.flatnonzero(~on_bd[mesh.cells].any(axis=1))
-        quad = space.quadrature(max(2 * space.degree - 4, 2))
+        quad = space.hessian_quadrature()
         self.ref_hess = space.tables(quad)["hess"]
         self.push = space.cell_hess_push[self.cells]
         self.gdofs = space.cell_dofs[self.cells]
-        self.weights = (self.penalty * space.cell_areas[self.cells][:, None]
+        self.weights = (CONVEX_PENALTY * space.cell_areas[self.cells][:, None]
                         * quad.weights[None, :])
         imap = np.full(space.num_dofs, -1, dtype=np.int64)
         imap[space.interior_dofs] = np.arange(len(space.interior_dofs))
@@ -275,8 +285,8 @@ class _ConvexityHinge:
 def newton_solve(space, f, g, u0=None, config=None):
     """Damped Gauss-Newton with gradient-jump penalty; returns (u_h, report).
 
-    Stops when the sup norm of the residual falls below tol_residual
-    (status "residual") or the accepted update falls below tol_step
+    Stops when the sup norm of the residual falls below TOL_RESIDUAL
+    (status "residual") or the accepted update falls below TOL_STEP
     (status "stationary"; the iterate is then a penalized least-squares
     critical point, the meaningful notion of discrete solution when no
     exact one exists).  Raises NonConvergenceError on line-search
@@ -293,19 +303,15 @@ def newton_solve(space, f, g, u0=None, config=None):
     u.coeffs[space.boundary_dofs] = apply_boundary(space, g)
 
     I = space.interior_dofs
-    eta = config.jump_penalty
+    eta = JUMP_PENALTY
     Q = gradient_jump_matrix(space)
     QII = Q[I][:, I].tocsc()
-    hinge = None
-    if config.convex_penalty > 0.0:
-        hinge = _ConvexityHinge(space, config.convex_penalty,
-                                config.convex_allowance)
+    hinge = _ConvexityHinge(space)
 
     def objective(u_h):
         r = residual(u_h, fq)
         pen = 0.5 * eta * float(u_h.coeffs @ (Q @ u_h.coeffs))
-        if hinge is not None:
-            pen += hinge.value(u_h)
+        pen += hinge.value(u_h)
         return 0.5 * float(r.values @ r.values) + pen, r
 
     def gradient(u_h, r):
@@ -314,14 +320,10 @@ def newton_solve(space, f, g, u0=None, config=None):
         # when no hinge entry is active).
         J = jacobian(u_h).matrix
         grad = J.T @ r.values + eta * (Q @ u_h.coeffs)[I]
-        S = None
-        if hinge is not None:
-            s, S = hinge.residual_and_jacobian(u_h)
-            if s.size:
-                grad = grad + S.T @ s
-            else:
-                S = None
-        return grad, J, S
+        s, S = hinge.residual_and_jacobian(u_h)
+        if not s.size:
+            return grad, J, None
+        return grad + S.T @ s, J, S
 
     def solve_normal(lu, grad):
         d = lu.solve(-grad)
@@ -366,7 +368,7 @@ def newton_solve(space, f, g, u0=None, config=None):
     phi, r = objective(u)
     report.record(r.norm(2), r.norm(np.inf))
     for it in range(config.max_iters):
-        if r.norm(np.inf) <= config.tol_residual:
+        if r.norm(np.inf) <= TOL_RESIDUAL:
             report.iterations = it
             return u, report.finish("residual", True, u, t0)
         lu = None  # release the last factor before computing the next
@@ -378,10 +380,10 @@ def newton_solve(space, f, g, u0=None, config=None):
         while True:
             trial.coeffs[I] = u.coeffs[I] + step * d
             phi_t, r_t = objective(trial)
-            if phi_t <= phi + config.armijo * step * gd:
+            if phi_t <= phi + ARMIJO * step * gd:
                 break
             step *= 0.5
-            if step < config.min_step:
+            if step < MIN_STEP:
                 # The predicted decrease is below the noise floor of the
                 # objective, so Armijo is blind here.  The iterate is
                 # terminal, not stuck, if it is already nearly fixed or if
@@ -396,17 +398,17 @@ def newton_solve(space, f, g, u0=None, config=None):
                     return u, report.finish("stationary", True, u, t0)
                 report.finish("stagnation", False, u, t0)
                 raise NonConvergenceError(
-                    "line search stagnated below min_step", last_iterate=u,
+                    "line search stagnated below MIN_STEP", last_iterate=u,
                     report=report)
         u, phi, r = trial, phi_t, r_t
         step_sup = step * float(np.max(np.abs(d)))
         report.record(r.norm(2), r.norm(np.inf), step_sup)
-        if step_sup <= config.tol_step:
+        if step_sup <= TOL_STEP:
             u, _ = polish(u, lu)
             report.iterations = it + 1
             return u, report.finish("stationary", True, u, t0)
     report.iterations = config.max_iters
-    if r.norm(np.inf) <= config.tol_residual:
+    if r.norm(np.inf) <= TOL_RESIDUAL:
         return u, report.finish("residual", True, u, t0)
     report.finish("max_iters", False, u, t0)
     raise NonConvergenceError("newton_solve hit max_iters", last_iterate=u,

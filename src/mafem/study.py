@@ -40,7 +40,8 @@ def interior_grid(compact, n=33):
 
 
 def _fmt(x):
-    return "%.17g" % float(x)
+    """A CSV cell: full float precision, empty for a missing value."""
+    return "" if x is None else "%.17g" % float(x)
 
 
 class StudyReport:
@@ -88,20 +89,18 @@ class StudyReport:
             fh.write(self.to_json())
 
     def csv_text(self):
-        """CSV table: level,h,dofs,err_h2_broken,err_linf_interior,rate_h2."""
+        """CSV table: level,h,dofs,err_h2_broken,err_linf_interior,rate_h2.
+
+        A cell without a value (no exact solution, no rate) is empty."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["level", "h", "dofs", "err_h2_broken",
                          "err_linf_interior", "rate_h2"])
         rates = self.rates("err_h2_broken")
         for rec, rate in zip(self.levels, rates):
-            writer.writerow([
-                rec["level"], _fmt(rec["h"]), rec["dofs"],
-                _fmt(rec["err_h2_broken"]) if rec["err_h2_broken"]
-                is not None else "",
-                _fmt(rec["err_linf_interior"]),
-                _fmt(rate) if rate is not None else "",
-            ])
+            writer.writerow([rec["level"], _fmt(rec["h"]), rec["dofs"],
+                             _fmt(rec["err_h2_broken"]),
+                             _fmt(rec["err_linf_interior"]), _fmt(rate)])
         return buf.getvalue()
 
     def write_csv(self, path):
@@ -256,7 +255,7 @@ def default_bumps(compact):
     return [make(c) for c in centers]
 
 
-def run_measure_verification(problem, u, bumps=None, quad=None):
+def run_measure_verification(problem, u, bumps=None):
     """Residuals |int p d(det D2u) - int f p dx| for interior test bumps.
 
     The bumps must be supported strictly inside the domain; under mesh
@@ -266,14 +265,13 @@ def run_measure_verification(problem, u, bumps=None, quad=None):
     space = u.space
     if bumps is None:
         bumps = default_bumps(problem.interior_compact())
-    if quad is None:
-        quad = space.error_quadrature()
+    quad = space.error_quadrature()
     fv = space.sample(problem.f, quad)
     residuals = []
     for p in bumps:
         ma_measure.check_interior_support(u, p)
         target = space.integrate(fv * space.sample(p, quad), quad)
-        pairing = ma_measure.measure_pairing(u, p, quad=quad)
+        pairing = ma_measure.measure_pairing(u, p)
         residuals.append(abs(pairing - target))
     return {"problem": problem.name, "dofs": int(space.num_dofs),
             "h": float(space.mesh.mesh_size()), "residuals": residuals}

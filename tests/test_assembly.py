@@ -197,6 +197,27 @@ class TestElementLayer:
         J = jacobian(u).toarray()
         assert np.abs(J - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    @settings(max_examples=8, deadline=None)
+    @given(convex_polygons(), st.sampled_from([1, 2]),
+           st.sampled_from([2, 3]), st.integers(0, 2 ** 31))
+    def test_affine_term_leaves_residual_and_jacobian(self, polygon, level,
+                                                      k, seed):
+        # An affine function has zero Hessian and is represented exactly,
+        # so adding one to u changes no cellwise Hessian.
+        space = FeSpace(triangulate(polygon, refinements=level), k)
+        rng = np.random.default_rng(seed)
+        u = FeFunction(space, rng.standard_normal(space.num_dofs))
+        a = rng.standard_normal(3)
+        shifted = FeFunction(space, u.coeffs + interpolate(
+            space, lambda p: a[0] + p @ a[1:]).coeffs)
+        f = lambda p: 1.0 + np.atleast_2d(p)[:, 0] ** 2
+        r = residual(u, f).values
+        assert (np.abs(residual(shifted, f).values - r).max()
+                <= 1e-10 * np.abs(r).max())
+        J = jacobian(u).toarray()
+        assert (np.abs(jacobian(shifted).toarray() - J).max()
+                <= 1e-10 * np.abs(J).max())
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_default_quadrature_is_cached(self, k):
         space = FeSpace(two_cell_mesh(), k)

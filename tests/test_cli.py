@@ -85,6 +85,25 @@ def test_study_writes_csv_and_json(tmp_path, paraboloid_file, capsys):
     assert rec["failures"] == []
 
 
+def test_study_without_exact_solution_leaves_error_cells_empty(tmp_path):
+    path = tmp_path / "no_exact.json"
+    path.write_text(json.dumps({
+        "polygon": [[0, 0], [1, 0], [1, 1], [0, 1]],
+        "f": {"name": "one"},
+        "g": {"poly": [[0, 0, 0.5], [0, 0, 0], [0.5, 0, 0]]},
+        "levels": [1, 2],
+    }))
+    out = str(tmp_path / "run")
+    assert cli.main(["study", "--problem", str(path), "--out", out]) == 0
+    with open(os.path.join(out, "study.csv")) as fh:
+        rows = fh.read().strip().split("\n")
+    assert [row.split(",")[3:] for row in rows[1:]] == [["", "", ""]] * 2
+    with open(os.path.join(out, "study.json")) as fh:
+        rec = json.load(fh)
+    assert rec["failures"] == []
+    assert [lvl["err_linf_interior"] for lvl in rec["levels"]] == [None] * 2
+
+
 def test_measure_writes_report(tmp_path, paraboloid_file):
     out = str(tmp_path / "run")
     rc = cli.main(["measure", "--problem", paraboloid_file,
@@ -127,6 +146,7 @@ def test_invalid_schema_exits_2(tmp_path, capsys):
     ["study", "--problem", "smooth", "--levels", "0"],
     ["study", "--problem", "smooth", "--levels", "-1"],
     ["solve", "--problem", "smooth", "--h", "0.3", "--refinements", "1"],
+    ["solve", "--problem", "smooth", "--h", "nan"],
 ])
 def test_bad_override_exits_2(tmp_path, capsys, argv):
     rc = cli.main(argv + ["--out", str(tmp_path / "run")])

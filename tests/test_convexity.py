@@ -40,22 +40,19 @@ def test_analyze_cylinder_convex_not_strict(space):
     assert rep.convex and not rep.strictly_convex
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_analyze_samples_at_the_hessian_rule(k):
+    sp = FeSpace(triangulate(unit_square(), refinements=1), k)
+    rep = analyze(interpolate(sp, lambda p: p[:, 0] ** 2))
+    assert rep.sample_order == sp.hessian_quadrature().order
+    assert rep.global_min_lambda1 == pytest.approx(0.0, abs=1e-9)
+
+
 def test_analyze_saddle(space):
     u = interpolate(space, lambda p: p[:, 0] * p[:, 1])
     rep = analyze(u)
     assert abs(rep.global_min_lambda1 + 1.0) <= 1e-12
     assert not rep.convex
-
-
-def test_analyze_sample_order_guard(space):
-    u = interpolate(space, lambda p: p[:, 0] ** 2)
-    mesh3 = triangulate(unit_square(), refinements=1)
-    sp3 = FeSpace(mesh3, 3)
-    v = interpolate(sp3, lambda p: p[:, 0] ** 3)
-    with pytest.raises(ValueError):
-        analyze(v, sample_order=1)
-    rep = analyze(v)
-    assert rep.sample_order >= 2
 
 
 def test_strictify_shifts_lambda1(space):

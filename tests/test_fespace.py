@@ -168,6 +168,11 @@ class TestEvaluationLayer:
         assert space.default_quadrature() is space.quadrature(2 * k)
         assert space.error_quadrature() is space.quadrature(2 * k + 2)
 
+    @pytest.mark.parametrize("k,order", [(2, 2), (3, 2), (4, 4)])
+    def test_hessian_rule(self, mesh, k, order):
+        space = FeSpace(mesh, k)
+        assert space.hessian_quadrature() is space.quadrature(order)
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_integrate_one_is_area(self, k):
         poly = regular_polygon(5)

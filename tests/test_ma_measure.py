@@ -218,6 +218,17 @@ class TestMaMeasure:
         assert len(blob["atoms"]) == 1
 
 
+    def test_kind_follows_the_input_type(self, quad_space):
+        # a one-triangle mesh has no interior vertex, so no atoms
+        tri = meshmod.triangulate(
+            ConvexPolygon([[0, 0], [1, 0], [0, 1]]), refinements=0)
+        p1 = mm.MaMeasure(mm.interpolate_p1(tri, centered_paraboloid))
+        assert p1.atoms == {}
+        assert p1.to_dict()["kind"] == "atomic"
+        fe = mm.MaMeasure(interpolate(quad_space, centered_paraboloid))
+        assert fe.to_dict()["kind"] == "density"
+
+
 class TestPartialMeasure:
     def test_paraboloid_measures_area(self, quad_space):
         space = quad_space

@@ -98,6 +98,15 @@ class TestTriangulate:
             3.0 * np.sqrt(3.0) / 2.0, abs=1e-10
         )
 
+    def test_rejects_negative_refinements(self):
+        with pytest.raises(ValueError, match="refinements"):
+            triangulate(unit_square(), refinements=-1)
+
+    @pytest.mark.parametrize("h", [0.0, -0.5, np.nan, np.inf])
+    def test_rejects_h_target_not_positive_and_finite(self, h):
+        with pytest.raises(ValueError, match="h_target"):
+            triangulate(unit_square(), h_target=h)
+
     def test_rejects_degenerate(self):
         with pytest.raises(DegeneratePolygonError):
             ConvexPolygon([[0, 0], [1e-8, 0], [0, 1e-8]])

@@ -58,19 +58,18 @@ def coarse_space():
 
 class TestSolverConfig:
     def test_defaults(self):
-        cfg = SolverConfig()
-        assert cfg.tol_residual == 1e-10
-        assert cfg.min_step == 2.0 ** -20
+        assert vars(SolverConfig()) == {"max_iters": 120,
+                                        "continuation_schedule": ()}
 
     def test_invalid_rejected(self):
-        with pytest.raises(ValueError):
-            SolverConfig(tol_residual=0.0)
+        for max_iters in (0, -3):
+            with pytest.raises(ValueError, match="max_iters"):
+                SolverConfig(max_iters=max_iters)
 
     def test_to_dict_roundtrips_via_json(self):
-        cfg = SolverConfig(armijo=2e-4, continuation_schedule=(1.0, 0.5))
+        cfg = SolverConfig(max_iters=7, continuation_schedule=(1.0, 0.5))
         d = json.loads(json.dumps(cfg.to_dict()))
-        assert d["armijo"] == 2e-4
-        assert d["continuation_schedule"] == [1.0, 0.5]
+        assert d == {"max_iters": 7, "continuation_schedule": [1.0, 0.5]}
 
 
 class TestDefaultInitialGuess:
@@ -250,15 +249,14 @@ class TestSolveReport:
         assert report.status in ("residual", "stationary")
 
 
-def objective_gradient(u, f, config):
+def objective_gradient(u, f):
     """Gradient of the Gauss-Newton objective at u, over interior dofs."""
     space = u.space
     I = space.interior_dofs
     J = jacobian(u).matrix
     grad = (J.T @ residual(u, f).values
-            + config.jump_penalty * (gradient_jump_matrix(space) @ u.coeffs)[I])
-    hinge = solver._ConvexityHinge(space, config.convex_penalty,
-                                   config.convex_allowance)
+            + solver.JUMP_PENALTY * (gradient_jump_matrix(space) @ u.coeffs)[I])
+    hinge = solver._ConvexityHinge(space)
     s, S = hinge.residual_and_jacobian(u)
     return grad + S.T @ s if s.size else grad
 
@@ -290,14 +288,14 @@ class TestPolish:
 
     @pytest.mark.parametrize("start", ["poisson", "near_solution"])
     def test_min_step_exit_counts_its_direction(self, factor_count,
-                                                coarse_space, start):
-        # armijo = 0.9 rejects the full Gauss-Newton step (it gains about
-        # half the predicted decrease) and min_step = 0.75 forbids any
-        # shorter one, so the solve leaves through the min_step branch in
+                                                coarse_space, monkeypatch,
+                                                start):
+        # ARMIJO = 0.9 rejects the full Gauss-Newton step (it gains about
+        # half the predicted decrease) and MIN_STEP = 0.75 forbids any
+        # shorter one, so the solve leaves through the MIN_STEP branch in
         # its first iteration: from the Poisson start by stagnation, near
         # the solution as stationary.  Either way the direction it
         # factored counts as an iteration.
-        config = SolverConfig(armijo=0.9, min_step=0.75)
         u0 = None
         if start == "near_solution":
             u0, _ = newton_solve(coarse_space, smooth_f, smooth_exact)
@@ -305,9 +303,11 @@ class TestPolish:
             u0.coeffs[I] += 1e-8 * np.random.default_rng(0).standard_normal(
                 len(I))
             factor_count.clear()
+        monkeypatch.setattr(solver, "ARMIJO", 0.9)
+        monkeypatch.setattr(solver, "MIN_STEP", 0.75)
         try:
             _, report = newton_solve(coarse_space, smooth_f, smooth_exact,
-                                     u0=u0, config=config)
+                                     u0=u0)
         except NonConvergenceError as exc:
             report = exc.report
         assert report.status == ("stagnation" if u0 is None
@@ -334,10 +334,9 @@ class TestPolish:
         # drives it to rounding level (1e-13 to 5e-13 on these cases).
         space = FeSpace(triangulate(unit_square(), refinements=refinements),
                         k)
-        config = SolverConfig()
-        u, report = newton_solve(space, smooth_f, smooth_exact, config=config)
+        u, report = newton_solve(space, smooth_f, smooth_exact)
         assert report.status == "stationary"
-        assert np.abs(objective_gradient(u, smooth_f, config)).max() <= 5e-12
+        assert np.abs(objective_gradient(u, smooth_f)).max() <= 5e-12
 
 
 def basis_table_hinge(hinge, u):
@@ -381,7 +380,7 @@ class TestConvexityHinge:
         space = FeSpace(triangulate(regular_polygon(6), refinements=2), k)
         u = FeFunction(space, np.random.default_rng(1).standard_normal(
             space.num_dofs))
-        hinge = solver._ConvexityHinge(space, 1.0, 1e-2)
+        hinge = solver._ConvexityHinge(space)
         s, S = hinge.residual_and_jacobian(u)
         s_ref, S_ref = basis_table_hinge(hinge, u)
         assert len(s) == len(s_ref) > 100
