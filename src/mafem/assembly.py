@@ -260,13 +260,9 @@ def _edge_jump_blocks(space):
     normal-derivative jump at the edge Gauss points, scaled so that
     sum(wt * (B c)^2) = (1/|e|) int_e [dn u]^2 ds.
     """
-    mesh = space.mesh
-    pairs, owners, _ = mesh.interior_edges()
+    _, owners, _, nrm = space.mesh.interior_edges()
     xg, wg = roots_legendre(space.degree + 1)
     gtab = space.interior_edge_tables(0.5 * (xg + 1.0), "grad")
-    tang = mesh.vertices[pairs[:, 1]] - mesh.vertices[pairs[:, 0]]
-    nrm = np.column_stack([-tang[:, 1], tang[:, 0]])
-    nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
     # n . grad = (Jinv n) . grad_ref, taken + on the first owner and - on
     # the second
     nref = np.einsum("esji,ei->esj", space.cell_jinv[owners], nrm)

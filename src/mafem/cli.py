@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .errors import MafemError, NonConvergenceError
-from .mesh import check_mesh, shape_metrics, triangulate
+from .mesh import check_mesh, triangulate
 from .problems import CATALOGUE, get_problem, problem_from_json
 from .study import run_convergence_study, run_measure_verification, \
     solve_problem
@@ -127,9 +127,6 @@ def _cmd_check_mesh(args):
     mesh = triangulate(problem.polygon,
                        refinements=_refinements(args, problem))
     rec = check_mesh(mesh, problem.polygon)
-    regularity, quasi_uniformity = shape_metrics(mesh)
-    rec["shape_regularity"] = regularity
-    rec["quasi_uniformity"] = quasi_uniformity
     text = json.dumps(rec, indent=2, default=float)
     if getattr(args, "out", None):
         os.makedirs(args.out, exist_ok=True)

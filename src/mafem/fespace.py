@@ -12,7 +12,6 @@ import math
 import os
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.special import roots_jacobi, roots_legendre
 
 from . import kernels
@@ -171,7 +170,6 @@ class FeSpace:
         n_edge = k - 1
         n_cell = (k - 1) * (k - 2) // 2
         self.num_dofs = nv + ne * n_edge + nc * n_cell
-        self.edges = edges
 
         cell_dofs = np.empty((nc, self.ref.num_nodes), dtype=np.int64)
         for n, ent in enumerate(self.ref.entities):
@@ -216,18 +214,9 @@ class FeSpace:
         mask[self.boundary_dofs] = False
         self.interior_dofs = np.nonzero(mask)[0]
 
-        # affine geometry, fixed per cell
-        xy = mesh.cell_coords()
-        jac = np.stack([xy[:, 1] - xy[:, 0], xy[:, 2] - xy[:, 0]], axis=-1)
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        inv = np.empty_like(jac)
-        inv[:, 0, 0] = jac[:, 1, 1] / det
-        inv[:, 0, 1] = -jac[:, 0, 1] / det
-        inv[:, 1, 0] = -jac[:, 1, 0] / det
-        inv[:, 1, 1] = jac[:, 0, 0] / det
-        self.cell_jac = jac
-        self.cell_jinv = inv
-        self.cell_areas = 0.5 * det
+        # the mesh's affine cell maps, shared read-only
+        self.cell_jinv = inv = mesh.cell_jinv
+        self.cell_areas = mesh.cell_areas
         # Packed push-forward of Hessians, H -> A^T H A with A = Jinv:
         # (hxx, hxy, hyy)_phys = cell_hess_push @ (hxx, hxy, hyy)_ref.
         a00, a01 = inv[:, 0, 0], inv[:, 0, 1]
@@ -243,7 +232,6 @@ class FeSpace:
         self._tab_cache = {}
         self._elements = None  # built by assembly.element_layer
         self._jump_matrix = None  # built by assembly.gradient_jump_matrix
-        self._tree = None
 
     def __repr__(self):
         return (f"FeSpace(degree={self.degree}, dofs={self.num_dofs}, "
@@ -290,28 +278,6 @@ class FeSpace:
             self._tab_cache[key] = self.ref.tabulate(quad.points_ref)
         return self._tab_cache[key]
 
-    def locate(self, points):
-        """Cell index and reference coordinates for each physical point."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self._tree is None:
-            centroids = self.mesh.cell_coords().mean(axis=1)
-            self._tree = cKDTree(centroids)
-        m = min(self.mesh.num_cells, 16)
-        _, cand = self._tree.query(pts, k=m)
-        cand = np.atleast_2d(cand.reshape(len(pts), -1))
-        v0 = self.mesh.vertices[self.mesh.cells[cand, 0]]
-        d = pts[:, None, :] - v0
-        jinv = self.cell_jinv[cand]
-        ref = np.einsum("pcij,pcj->pci", jinv, d)
-        bary_min = np.minimum(np.minimum(ref[..., 0], ref[..., 1]),
-                              1.0 - ref[..., 0] - ref[..., 1])
-        best = np.argmax(bary_min, axis=1)
-        rows = np.arange(len(pts))
-        score = bary_min[rows, best]
-        if np.any(score < -1e-6 * max(self.mesh.mesh_size(), 1.0)):
-            raise ValueError("point outside the meshed domain")
-        return cand[rows, best], ref[rows, best]
-
     def interior_edge_tables(self, t, key):
         """Basis tables of both owner cells at points on every interior edge.
 
@@ -322,7 +288,7 @@ class FeSpace:
         the reference tabulation `key` ('val', 'grad' or 'hess') with shape
         (ni, 2, len(t), nloc, ...), axis 1 running over the two owners.
         """
-        pairs, owners, local = self.mesh.interior_edges()
+        pairs, owners, local, _ = self.mesh.interior_edges()
         corner = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         along = np.stack([t, 1.0 - t])  # forward, backward
         ref = (corner[:, None, None, :] + along[None, :, :, None]
@@ -342,7 +308,7 @@ class FeSpace:
         rng = np.random.default_rng(seed)
         coeffs = rng.standard_normal(self.num_dofs)
         t = np.linspace(0.0, 1.0, 2 * (self.degree + 1))
-        _, owners, _ = self.mesh.interior_edges()
+        _, owners, _, _ = self.mesh.interior_edges()
         val = self.interior_edge_tables(t, "val")
         vals = np.einsum("estl,esl->est", val, coeffs[self.cell_dofs[owners]])
         return float(np.max(np.abs(vals[:, 0] - vals[:, 1]), initial=0.0))
@@ -365,8 +331,7 @@ class FeFunction:
         return FeFunction(self.space, self.coeffs.copy())
 
     def _eval_tab(self, points, key):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        cells, ref = self.space.locate(pts)
+        cells, ref = self.space.mesh.locate(points)
         tab = self.space.ref.tabulate(ref)[key]
         local = self.coeffs[self.space.cell_dofs[cells]]
         return np.einsum("pl...,pl->p...", tab, local), cells

@@ -35,36 +35,17 @@ class P1Function:
             raise ValueError("vertex values must be finite")
 
     def cell_gradients(self):
-        """(nc, 2) constant gradient of each cell."""
-        xy = self.mesh.cell_coords()
-        e1 = xy[:, 1] - xy[:, 0]
-        e2 = xy[:, 2] - xy[:, 0]
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        """(nc, 2) constant gradient of each cell, J^-T (v1 - v0, v2 - v0)."""
         vc = self.values[self.mesh.cells]
-        d1 = vc[:, 1] - vc[:, 0]
-        d2 = vc[:, 2] - vc[:, 0]
-        gx = (e2[:, 1] * d1 - e1[:, 1] * d2) / det
-        gy = (-e2[:, 0] * d1 + e1[:, 0] * d2) / det
-        return np.column_stack([gx, gy])
+        return np.einsum("cji,cj->ci", self.mesh.cell_jinv,
+                         vc[:, 1:] - vc[:, :1])
 
     def __call__(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        xy = self.mesh.cell_coords()
-        e1 = xy[:, 1] - xy[:, 0]
-        e2 = xy[:, 2] - xy[:, 0]
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        out = np.empty(len(pts))
-        vc = self.values[self.mesh.cells]
-        for i, p in enumerate(pts):
-            r = p[None, :] - xy[:, 0]
-            a = (r[:, 0] * e2[:, 1] - r[:, 1] * e2[:, 0]) / det
-            b = (e1[:, 0] * r[:, 1] - e1[:, 1] * r[:, 0]) / det
-            ok = (a >= -1e-12) & (b >= -1e-12) & (a + b <= 1 + 1e-12)
-            if not ok.any():
-                raise ValueError("point outside the mesh domain")
-            c = int(np.argmax(ok))
-            out[i] = (vc[c, 0] + a[c] * (vc[c, 1] - vc[c, 0])
-                      + b[c] * (vc[c, 2] - vc[c, 0]))
+        """Values at points of the mesh domain (see Mesh.locate)."""
+        cells, ref = self.mesh.locate(points)
+        vc = self.values[self.mesh.cells[cells]]
+        out = (vc[:, 0] + ref[:, 0] * (vc[:, 1] - vc[:, 0])
+               + ref[:, 1] * (vc[:, 2] - vc[:, 0]))
         return out if np.asarray(points).ndim == 2 else float(out[0])
 
 
@@ -80,17 +61,10 @@ def p1_convexity_violations(v):
     normal derivative across every interior edge (in the direction of
     crossing) is nonnegative.
     """
-    mesh = v.mesh
     grads = v.cell_gradients()
-    cents = mesh.cell_coords().mean(axis=1)
-    pairs, owners, _ = mesh.interior_edges()
-    c1, c2 = owners[:, 0], owners[:, 1]
-    tang = mesh.vertices[pairs[:, 1]] - mesh.vertices[pairs[:, 0]]
-    nrm = np.column_stack([-tang[:, 1], tang[:, 0]])
-    nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
-    flip = np.sum(nrm * (cents[c2] - cents[c1]), axis=1) < 0
-    nrm[flip] *= -1.0
-    jumps = np.sum((grads[c2] - grads[c1]) * nrm, axis=1)
+    pairs, owners, _, normals = v.mesh.interior_edges()
+    jumps = np.sum((grads[owners[:, 1]] - grads[owners[:, 0]]) * normals,
+                   axis=1)
     bad = np.flatnonzero(jumps < -P1_JUMP_TOL)
     return [(int(pairs[b, 0]), int(pairs[b, 1]), float(jumps[b]))
             for b in bad]
@@ -104,15 +78,6 @@ def _require_convex(v):
         raise NonConvexInputError(
             "function is not convex; negative normal-gradient jumps across "
             "edges " + edges)
-
-
-def _incident_cells(mesh):
-    """Per-vertex arrays of incident cell indices."""
-    verts = mesh.cells.ravel()
-    rows = np.repeat(np.arange(mesh.num_cells), 3)
-    order = np.argsort(verts, kind="stable")
-    counts = np.bincount(verts, minlength=mesh.num_vertices)
-    return np.split(rows[order], np.cumsum(counts)[:-1])
 
 
 class SubdifferentialPolygon:
@@ -148,17 +113,18 @@ def subdifferential_p1(v, vertex):
     """
     mesh = v.mesh
     _require_convex(v)
-    if vertex in set(map(int, mesh.boundary_vertex_indices())):
+    if not 0 <= vertex < mesh.num_vertices:
+        raise ValueError("no vertex {} in the mesh".format(vertex))
+    if mesh.boundary_vertex_mask[vertex]:
         raise ValueError(
             "vertex {} lies on the boundary; the subdifferential there is "
             "unbounded and unsupported".format(vertex))
-    incident = np.nonzero((mesh.cells == vertex).any(axis=1))[0]
     return _gradient_polygon(mesh, v.cell_gradients(),
-                             mesh.cell_coords().mean(axis=1),
-                             vertex, incident)
+                             mesh.cell_coords().mean(axis=1), vertex)
 
 
-def _gradient_polygon(mesh, grads, cents, vertex, incident):
+def _gradient_polygon(mesh, grads, cents, vertex):
+    incident = mesh.vertex_cells()[vertex]
     rel = cents[incident] - mesh.vertices[vertex]
     order = np.argsort(np.arctan2(rel[:, 1], rel[:, 0]))
     return SubdifferentialPolygon(mesh.vertices[vertex],
@@ -252,14 +218,9 @@ class MaMeasure:
             mesh = v.mesh
             grads = v.cell_gradients()
             cents = mesh.cell_coords().mean(axis=1)
-            incident = _incident_cells(mesh)
-            boundary = set(map(int, mesh.boundary_vertex_indices()))
-            for vertex in range(mesh.num_vertices):
-                if vertex in boundary:
-                    continue
-                poly = _gradient_polygon(mesh, grads, cents, vertex,
-                                         incident[vertex])
-                self.atoms[vertex] = poly.area
+            for vertex in np.flatnonzero(~mesh.boundary_vertex_mask).tolist():
+                self.atoms[vertex] = _gradient_polygon(mesh, grads, cents,
+                                                       vertex).area
 
     def total(self, region):
         """Measure of a convex polygonal region."""

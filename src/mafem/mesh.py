@@ -1,15 +1,27 @@
-"""Triangle meshes of convex polygons.
+"""Triangle meshes of convex polygons, with their affine cell maps.
 
 A mesh stores vertices, cells (vertex index triples, counterclockwise) and
 tagged boundary edges.  Meshes are built by fanning the polygon from its
 centroid and refining uniformly; refinement splits each triangle into four
 by connecting edge midpoints, so the mesh size halves exactly per level.
+
+The mesh alone works out the affine cell maps x = v0 + J xi from the
+reference triangle, J = [v1 - v0, v2 - v0]: J^-1 and the areas det(J)/2
+when it is built, then on first use the edge tables (with interior-edge
+normals), the cells around each vertex and the point locator.  It copies
+its input and all its arrays are read-only, so none of these go stale.
 """
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import DegeneratePolygonError, EmptySubdomainError
-from .geometry import ConvexPolygon, clip_halfplane, signed_area
+from .geometry import ConvexPolygon, clip_halfplane
+
+
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
 
 
 class Mesh:
@@ -21,29 +33,60 @@ class Mesh:
     cells : (nc, 3) int array, counterclockwise vertex triples
     boundary_edges : (nb, 2) int array, oriented along the boundary
     boundary_tags : (nb,) int array, polygon edge index each facet lies on
+    cell_jinv : (nc, 2, 2) float array, inverse Jacobian of each cell map
+    cell_areas : (nc,) float array, det(J)/2 > 0
+    boundary_vertex_mask : (nv,) bool array, True on boundary vertices
+
+    Clockwise cells are reversed.  A wrong shape or a vertex index outside
+    [0, nv) raises ValueError, a zero-area cell DegeneratePolygonError.
     """
 
     def __init__(self, vertices, cells, boundary_edges, boundary_tags):
-        self.vertices = np.asarray(vertices, dtype=float)
-        self.cells = np.asarray(cells, dtype=np.int64)
-        self.boundary_edges = np.asarray(boundary_edges, dtype=np.int64)
-        self.boundary_tags = np.asarray(boundary_tags, dtype=np.int64)
-        if self.cells.ndim != 2 or self.cells.shape[1] != 3:
-            raise ValueError("cells must be an (nc, 3) index array")
-        self._fix_orientation()
-        self._edges = None  # (edges, cell_edges), see edge_midpoint_index
-        self._interior_edges = None
+        self.vertices = np.array(vertices, dtype=float)
+        self.cells = np.array(cells, dtype=np.int64)
+        self.boundary_edges = np.array(boundary_edges, dtype=np.int64)
+        self.boundary_tags = np.array(boundary_tags, dtype=np.int64)
+        nv = len(self.vertices)
+        for name, arr, width in (("vertices", self.vertices, 2),
+                                 ("cells", self.cells, 3),
+                                 ("boundary_edges", self.boundary_edges, 2)):
+            if arr.ndim != 2 or arr.shape[1] != width:
+                raise ValueError("{} must be an (n, {}) array, got shape {}"
+                                 .format(name, width, arr.shape))
+            if name != "vertices" and arr.size and not (
+                    0 <= arr.min() and arr.max() < nv):
+                raise ValueError("{} index out of range [0, {})".format(
+                    name, nv))
+        if self.boundary_tags.shape != self.boundary_edges.shape[:1]:
+            raise ValueError("boundary_tags must be an (nb,) array")
 
-    def _fix_orientation(self):
-        v = self.vertices
-        c = self.cells
-        a = v[c[:, 1]] - v[c[:, 0]]
-        b = v[c[:, 2]] - v[c[:, 0]]
-        det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+        xy = self.cell_coords()
+        jac = np.stack([xy[:, 1] - xy[:, 0], xy[:, 2] - xy[:, 0]], axis=-1)
+        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         if np.any(det == 0.0):
             raise DegeneratePolygonError("mesh contains a zero-area cell")
+        # reversing a clockwise cell swaps the columns of J, which negates
+        # det exactly
         flip = det < 0
         self.cells[flip] = self.cells[flip][:, [0, 2, 1]]
+        jac[flip] = jac[flip][..., ::-1]
+        det[flip] = -det[flip]
+        inv = np.empty_like(jac)
+        inv[:, 0, 0] = jac[:, 1, 1] / det
+        inv[:, 0, 1] = -jac[:, 0, 1] / det
+        inv[:, 1, 0] = -jac[:, 1, 0] / det
+        inv[:, 1, 1] = jac[:, 0, 0] / det
+        self.cell_jinv = inv
+        self.cell_areas = 0.5 * det
+        self.boundary_vertex_mask = np.zeros(nv, dtype=bool)
+        self.boundary_vertex_mask[self.boundary_edges] = True
+        _read_only(self.vertices, self.cells, self.boundary_edges,
+                   self.boundary_tags, self.cell_jinv, self.cell_areas,
+                   self.boundary_vertex_mask)
+        self._edges = None  # (edges, cell_edges), see edge_midpoint_index
+        self._interior_edges = None
+        self._vertex_cells = None
+        self._tree = None
 
     @property
     def num_vertices(self):
@@ -60,25 +103,14 @@ class Mesh:
         """(nc, 3, 2) array of cell vertex coordinates."""
         return self.vertices[self.cells]
 
-    def cell_areas(self):
-        xy = self.cell_coords()
-        a = xy[:, 1] - xy[:, 0]
-        b = xy[:, 2] - xy[:, 0]
-        return 0.5 * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
-
     def boundary_vertex_indices(self):
-        return np.unique(self.boundary_edges)
+        return np.flatnonzero(self.boundary_vertex_mask)
 
     def cell_metrics(self):
         """Per-cell (h_K, rho_K): longest edge and incircle radius 2|K|/perimeter."""
         xy = self.cell_coords()
-        e0 = np.linalg.norm(xy[:, 1] - xy[:, 0], axis=1)
-        e1 = np.linalg.norm(xy[:, 2] - xy[:, 1], axis=1)
-        e2 = np.linalg.norm(xy[:, 0] - xy[:, 2], axis=1)
-        perim = e0 + e1 + e2
-        h = np.max(np.stack([e0, e1, e2]), axis=0)
-        rho = 2.0 * self.cell_areas() / perim
-        return h, rho
+        edges = np.linalg.norm(xy[:, [1, 2, 0]] - xy, axis=2)
+        return edges.max(axis=1), 2.0 * self.cell_areas / edges.sum(axis=1)
 
     def mesh_size(self):
         """Largest cell diameter."""
@@ -100,8 +132,7 @@ class Mesh:
             pairs = np.sort(pairs, axis=1)
             uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
             cell_edges = inverse.reshape(3, self.num_cells).T
-            for arr in (uniq, cell_edges):
-                arr.flags.writeable = False
+            _read_only(uniq, cell_edges)
             self._edges = (uniq, cell_edges)
         return self._edges
 
@@ -127,11 +158,12 @@ class Mesh:
     def interior_edges(self):
         """Edges shared by two cells, computed once per mesh.
 
-        Returns (pairs, owners, local): pairs (ni, 2) holds the sorted
-        vertex pair of each interior edge, owners (ni, 2) its two cells
-        (the lower cell index first) and local (ni, 2) the edge's local
-        index in each owner, as in edge_midpoint_index.  The arrays are
-        read-only.
+        Returns (pairs, owners, local, normals): pairs (ni, 2) holds the
+        sorted vertex pair of each interior edge, owners (ni, 2) its two
+        cells (the lower cell index first), local (ni, 2) the edge's local
+        index in each owner, as in edge_midpoint_index, and normals (ni, 2)
+        its unit normal, pointing from the first owner into the second.
+        The arrays are read-only.
         """
         if self._interior_edges is None:
             edges, cell_edges = self.edge_midpoint_index()
@@ -144,10 +176,50 @@ class Mesh:
             slots = np.column_stack([order[first], order[first + 1]])
             pairs = edges[interior]
             owners, local = np.divmod(slots, 3)
-            for arr in (pairs, owners, local):
-                arr.flags.writeable = False
-            self._interior_edges = (pairs, owners, local)
+            # the tangent along the first owner, which is counterclockwise,
+            # turned clockwise: its outward normal, into the second owner
+            tang = self.vertices[pairs[:, 1]] - self.vertices[pairs[:, 0]]
+            tang[self.cells[owners[:, 0], local[:, 0]] != pairs[:, 0]] *= -1
+            normals = np.column_stack([tang[:, 1], -tang[:, 0]])
+            normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+            _read_only(pairs, owners, local, normals)
+            self._interior_edges = (pairs, owners, local, normals)
         return self._interior_edges
+
+    def vertex_cells(self):
+        """Per-vertex arrays of incident cell indices, ascending, computed
+        once per mesh; the arrays are read-only."""
+        if self._vertex_cells is None:
+            verts = self.cells.ravel()
+            rows = np.repeat(np.arange(self.num_cells), 3)
+            order = np.argsort(verts, kind="stable")
+            counts = np.bincount(verts, minlength=self.num_vertices)
+            fans = tuple(np.split(rows[order], np.cumsum(counts)[:-1]))
+            _read_only(*fans)
+            self._vertex_cells = fans
+        return self._vertex_cells
+
+    def locate(self, points):
+        """Cell index (n,) and reference coordinates (n, 2) of each point.
+
+        Of the 16 cells with the nearest centroids, takes the one whose least
+        barycentric coordinate is largest; raises ValueError when that is
+        below -1e-6 max(h, 1), a point outside the mesh.
+        """
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if self._tree is None:
+            self._tree = cKDTree(self.cell_coords().mean(axis=1))
+        _, cand = self._tree.query(pts, k=min(self.num_cells, 16))
+        cand = cand.reshape(len(pts), -1)
+        d = pts[:, None, :] - self.vertices[self.cells[cand, 0]]
+        ref = np.einsum("pcij,pcj->pci", self.cell_jinv[cand], d)
+        bary_min = np.minimum(np.minimum(ref[..., 0], ref[..., 1]),
+                              1.0 - ref[..., 0] - ref[..., 1])
+        best = np.argmax(bary_min, axis=1)
+        rows = np.arange(len(pts))
+        if np.any(bary_min[rows, best] < -1e-6 * max(self.mesh_size(), 1.0)):
+            raise ValueError("point outside the meshed domain")
+        return cand[rows, best], ref[rows, best]
 
     def save(self, path):
         """Plain-text save.
@@ -301,7 +373,7 @@ def check_mesh(mesh, polygon=None):
 
     Returns a dict of metrics; raises nothing (inspect the 'ok' flag).
     """
-    areas = mesh.cell_areas()
+    areas = mesh.cell_areas
     regularity, uniformity = shape_metrics(mesh)
     report = {
         "num_vertices": mesh.num_vertices,

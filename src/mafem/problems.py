@@ -25,8 +25,7 @@ class Problem:
     def __init__(self, name, polygon, f, g, exact=None, exact_grad=None,
                  exact_hess=None, degree=2, levels=(2, 3, 4, 5),
                  epsilon_schedule=(0.0,), truncate_schedule=(),
-                 mollify_radius=None, subdomain_margin=None,
-                 solve_boundary=None):
+                 mollify_radius=None, solve_boundary=None):
         self.name = name
         self.polygon = polygon
         self.f = f
@@ -39,7 +38,6 @@ class Problem:
         self.epsilon_schedule = tuple(float(e) for e in epsilon_schedule)
         self.truncate_schedule = tuple(float(m) for m in truncate_schedule)
         self.mollify_radius = mollify_radius
-        self.subdomain_margin = subdomain_margin
         # data actually imposed at boundary nodes; differs from g only for
         # nonconvex traces, which no convex function can attain
         self.solve_boundary = solve_boundary if solve_boundary is not None \
@@ -79,7 +77,6 @@ class Problem:
             "epsilon_schedule": list(self.epsilon_schedule),
             "truncate_schedule": list(self.truncate_schedule),
             "mollify_radius": self.mollify_radius,
-            "subdomain_margin": self.subdomain_margin,
             "has_exact": self.exact is not None,
         }
 
@@ -272,9 +269,11 @@ def _numeric(value, key, ndim, integer=False):
     return arr
 
 
-def _optional_number(obj, key):
-    value = obj.get(key)
-    return None if value is None else float(_numeric(value, key, 0))
+def _reject_unknown_keys(obj, known, where):
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ValueError("unknown key {!r} in {}; known keys: {}".format(
+            unknown[0], where, ", ".join(known)))
 
 
 def _poly_field(c):
@@ -350,8 +349,9 @@ def problem_from_json(source):
     Schema: {"polygon": [[x,y],...], "f": {"name"|"poly": ...},
     "g": {...}, "exact": optional {...}, "k": int, "levels": int or list,
     "regularization": {"epsilon_schedule": [...], "truncate_schedule":
-    [...], "mollify_radius": ..., "delta": ...}}.  An integer "levels" n
-    means the n uniform refinement levels 2, 3, ..., n+1.
+    [...], "mollify_radius": ...}}.  An integer "levels" n means the n
+    uniform refinement levels 2, 3, ..., n+1.  Any other key, at the top
+    level or in "regularization", raises ValueError naming it.
     """
     obj, name = source, "custom"
     if not isinstance(source, dict):
@@ -363,6 +363,9 @@ def problem_from_json(source):
                 obj, name = json.load(fh), text
     if not isinstance(obj, dict):
         raise ValueError("a problem must be a JSON object")
+    _reject_unknown_keys(obj, ("name", "polygon", "f", "g", "exact",
+                               "solve_boundary", "k", "levels",
+                               "regularization"), "the problem")
     name = obj.get("name", name)
     if not isinstance(name, str):
         raise ValueError("'name' must be a string, got {!r}".format(name))
@@ -386,6 +389,9 @@ def problem_from_json(source):
     if not isinstance(reg, dict):
         raise ValueError("'regularization' must be an object, got {!r}".format(
             reg))
+    _reject_unknown_keys(reg, ("epsilon_schedule", "truncate_schedule",
+                               "mollify_radius"), "'regularization'")
+    radius = reg.get("mollify_radius")
     solve_boundary = None
     if "solve_boundary" in obj:
         solve_boundary = _field_from_spec(obj["solve_boundary"])
@@ -399,6 +405,6 @@ def problem_from_json(source):
                    truncate_schedule=_numeric(
                        reg.get("truncate_schedule", ()),
                        "truncate_schedule", 1),
-                   mollify_radius=_optional_number(reg, "mollify_radius"),
-                   subdomain_margin=_optional_number(reg, "delta"),
+                   mollify_radius=None if radius is None else float(
+                       _numeric(radius, "mollify_radius", 0)),
                    solve_boundary=solve_boundary)

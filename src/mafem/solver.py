@@ -89,9 +89,11 @@ class SolverConfig:
     the decreasing shifts eps of continuation_solve."""
 
     def __init__(self, max_iters=120, continuation_schedule=()):
-        if max_iters < 1:
-            raise ValueError("max_iters must be at least 1, got {}".format(
-                max_iters))
+        if (isinstance(max_iters, bool)
+                or not isinstance(max_iters, (int, np.integer))
+                or max_iters < 1):
+            raise ValueError("max_iters must be an integer of at least 1, "
+                             "got {!r}".format(max_iters))
         self.max_iters = int(max_iters)
         self.continuation_schedule = tuple(continuation_schedule)
 
@@ -228,9 +230,8 @@ class _ConvexityHinge:
         self.space = space
         self.allowance = CONVEX_ALLOWANCE
         mesh = space.mesh
-        on_bd = np.zeros(len(mesh.vertices), dtype=bool)
-        on_bd[mesh.boundary_vertex_indices()] = True
-        self.cells = np.flatnonzero(~on_bd[mesh.cells].any(axis=1))
+        self.cells = np.flatnonzero(
+            ~mesh.boundary_vertex_mask[mesh.cells].any(axis=1))
         quad = space.hessian_quadrature()
         self.ref_hess = space.tables(quad)["hess"]
         self.push = space.cell_hess_push[self.cells]

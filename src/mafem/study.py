@@ -104,8 +104,9 @@ class StudyReport:
         return buf.getvalue()
 
     def write_csv(self, path):
+        text = self.csv_text()  # first, so that a failure writes no file
         with open(path, "w") as fh:
-            fh.write(self.csv_text())
+            fh.write(text)
 
 
 def solve_problem(problem, refinements=None, h_target=None, u0=None,

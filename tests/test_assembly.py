@@ -20,8 +20,8 @@ from mafem.assembly import (
 )
 from mafem.assembly import _assemble_jump_matrix, element_layer, f_at_qpts
 from mafem.fespace import FeFunction, FeSpace, Quadrature, interpolate
-from mafem.geometry import ConvexPolygon
 from mafem.mesh import Mesh
+from strategies import convex_polygons
 
 
 def paraboloid(p):
@@ -68,19 +68,6 @@ def per_edge_jump_matrix(space):
         B, idx = np.hstack(rows), np.concatenate(idx)
         np.add.at(Q, (idx[:, None], idx[None, :]), (B.T * wt) @ B)
     return Q
-
-
-@st.composite
-def convex_polygons(draw):
-    """3 to 8 vertices on an ellipse, at angles at least 0.3 apart."""
-    n = draw(st.integers(3, 8))
-    gaps = np.array(draw(st.lists(st.floats(0.3, 1.0), min_size=n,
-                                  max_size=n)))
-    theta = np.cumsum(gaps / gaps.sum() * 2.0 * np.pi)
-    ax = draw(st.floats(0.5, 2.0))
-    ay = draw(st.floats(0.5, 2.0))
-    return ConvexPolygon(np.column_stack([ax * np.cos(theta),
-                                          ay * np.sin(theta)]))
 
 
 @pytest.fixture(scope="module")

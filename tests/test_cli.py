@@ -154,6 +154,16 @@ def test_bad_override_exits_2(tmp_path, capsys, argv):
     assert "invalid input" in capsys.readouterr().err
 
 
+def test_unknown_key_in_problem_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"polygon": [[0, 0], [1, 0], [1, 1], [0, 1]],
+                               "f": {"name": "one"}, "g": {"name": "zero"},
+                               "regularization": {"delta": 0.1}}))
+    assert cli.main(["solve", "--problem", str(bad),
+                     "--out", str(tmp_path / "run")]) == 2
+    assert "'delta'" in capsys.readouterr().err
+
+
 def test_wrong_type_in_problem_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"polygon": [[0, 0], [1, 0], [1, 1], [0, 1]],

@@ -168,6 +168,13 @@ class TestSubdifferential:
         with pytest.raises(ValueError, match="boundary"):
             mm.subdifferential_p1(v, vertex)
 
+    def test_vertex_out_of_range(self, square_mesh):
+        # these used to give an empty polygon of area 0
+        v = mm.interpolate_p1(square_mesh, centered_paraboloid)
+        for vertex in (-1, square_mesh.num_vertices):
+            with pytest.raises(ValueError, match="no vertex"):
+                mm.subdifferential_p1(v, vertex)
+
     def test_atom_equals_gradient_hull_for_cones(self):
         # every supporting plane of a cone touches the apex, so the whole
         # normal-mapping image is the apex polygon

@@ -1,5 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mafem import (
     ConvexPolygon,
@@ -14,7 +18,10 @@ from mafem import (
     triangulate,
     unit_square,
 )
+from mafem.fespace import FeFunction, FeSpace, interpolate
 from mafem.geometry import clip_convex, nearest_boundary_point
+from mafem.ma_measure import interpolate_p1
+from strategies import convex_polygons
 
 
 def tri_mesh(verts):
@@ -85,16 +92,16 @@ class TestTriangulate:
         t = ConvexPolygon([[0, 0], [1, 0], [0, 1]])
         mesh = triangulate(t, h_target=2.0)
         assert mesh.num_cells == 1
-        assert mesh.cell_areas().sum() == pytest.approx(0.5, abs=1e-15)
+        assert mesh.cell_areas.sum() == pytest.approx(0.5, abs=1e-15)
 
     def test_square_area_conserved(self):
         mesh = triangulate(unit_square(), h_target=0.3)
-        assert mesh.cell_areas().sum() == pytest.approx(1.0, abs=1e-12)
+        assert mesh.cell_areas.sum() == pytest.approx(1.0, abs=1e-12)
         assert mesh.mesh_size() <= 0.3
 
     def test_hexagon_area(self):
         mesh = triangulate(regular_polygon(6), h_target=0.5)
-        assert mesh.cell_areas().sum() == pytest.approx(
+        assert mesh.cell_areas.sum() == pytest.approx(
             3.0 * np.sqrt(3.0) / 2.0, abs=1e-10
         )
 
@@ -113,14 +120,14 @@ class TestTriangulate:
 
     def test_all_cells_positive(self):
         mesh = triangulate(regular_polygon(5), h_target=0.2)
-        assert mesh.cell_areas().min() > 0
+        assert mesh.cell_areas.min() > 0
 
 
 class TestRefine:
     def test_one_cell_to_four(self):
         mesh = refine_uniform(tri_mesh([[0, 0], [1, 0], [0, 1]]))
         assert mesh.num_cells == 4
-        assert mesh.cell_areas().sum() == pytest.approx(0.5, abs=1e-15)
+        assert mesh.cell_areas.sum() == pytest.approx(0.5, abs=1e-15)
 
     def test_equilateral_children_similar(self):
         m0 = tri_mesh([[0, 0], [1, 0], [0.5, np.sqrt(3) / 2]])
@@ -151,7 +158,7 @@ class TestRefine:
 class TestEdgeTables:
     def test_interior_edges(self):
         mesh = triangulate(regular_polygon(5), refinements=2)
-        pairs, owners, local = mesh.interior_edges()
+        pairs, owners, local, normals = mesh.interior_edges()
         nb = len(mesh.boundary_edges)
         assert len(pairs) == (3 * mesh.num_cells - nb) // 2
         assert np.all(pairs[:, 0] < pairs[:, 1])
@@ -163,6 +170,13 @@ class TestEdgeTables:
                 cells[rows, local[:, s]],
                 cells[rows, (local[:, s] + 1) % 3]]), axis=1)
             assert np.array_equal(ends, pairs)
+        # unit normals across each edge, from the first owner to the second
+        tang = mesh.vertices[pairs[:, 1]] - mesh.vertices[pairs[:, 0]]
+        cents = mesh.cell_coords().mean(axis=1)
+        assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-15)
+        assert np.allclose(np.sum(normals * tang, axis=1), 0.0, atol=1e-15)
+        assert np.all(np.sum(normals * (cents[owners[:, 1]]
+                                        - cents[owners[:, 0]]), axis=1) > 0)
         keys = {tuple(e) for e in pairs.tolist()}
         assert len(keys) == len(pairs)
         assert not keys & {tuple(sorted(e)) for e in
@@ -187,8 +201,10 @@ class TestEdgeTables:
             mesh.edge_index([[0, mesh.num_vertices]])
 
     def test_single_cell_has_none(self):
-        pairs, owners, local = tri_mesh([[0, 0], [1, 0], [0, 1]]).interior_edges()
+        mesh = tri_mesh([[0, 0], [1, 0], [0, 1]])
+        pairs, owners, local, normals = mesh.interior_edges()
         assert pairs.shape == owners.shape == local.shape == (0, 2)
+        assert normals.shape == (0, 2)
 
 
 class TestShapeMetrics:
@@ -259,3 +275,152 @@ class TestSerialization:
         assert lines[0] == "3"
         assert lines[4] == "1"
         assert len(lines) == 5 + 1 + 3  # header+verts, cell block, 3 boundary edges
+
+
+SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+SQUARE_BOUNDARY = [[0, 1], [1, 2], [2, 3], [3, 0]]
+
+
+class TestValidation:
+    @pytest.mark.parametrize("cells", [[[0, 1, 2], [0, 2, -1]],
+                                       [[0, 1, 2], [0, 2, 4]]])
+    def test_cell_index_out_of_range(self, cells):
+        with pytest.raises(ValueError, match="cells index out of range"):
+            Mesh(SQUARE, cells, SQUARE_BOUNDARY, [0, 1, 2, 3])
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_boundary_index_out_of_range(self, bad):
+        with pytest.raises(ValueError, match="boundary_edges index"):
+            Mesh(SQUARE, [[0, 1, 2], [0, 2, 3]],
+                 [[0, 1], [1, 2], [2, 3], [3, bad]], [0, 1, 2, 3])
+
+    @pytest.mark.parametrize("args,name", [
+        ((SQUARE, [0, 1, 2], SQUARE_BOUNDARY, [0, 1, 2, 3]), "cells"),
+        ((SQUARE, [[0, 1, 2, 3]], SQUARE_BOUNDARY, [0, 1, 2, 3]), "cells"),
+        ((SQUARE, [[0, 1, 2], [0, 2, 3]], [0, 1, 2, 3], [0, 1, 2, 3]),
+         "boundary_edges"),
+        ((SQUARE, [[0, 1, 2], [0, 2, 3]], SQUARE_BOUNDARY, [0, 1, 2]),
+         "boundary_tags"),
+        ((SQUARE, [[0, 1, 2], [0, 2, 3]], SQUARE_BOUNDARY, [[0, 1, 2, 3]]),
+         "boundary_tags"),
+        (([0.0, 1.0, 2.0], [[0, 1, 2]], [[0, 1]], [0]), "vertices"),
+    ])
+    def test_wrong_shape(self, args, name):
+        with pytest.raises(ValueError, match=name + " must be"):
+            Mesh(*args)
+
+    def test_load_rejects_negative_index(self, tmp_path):
+        # -1 used to wrap around to the last vertex: a valid-looking square
+        path = tmp_path / "mesh.txt"
+        path.write_text("4\n0 0\n1 0\n1 1\n0 1\n2\n0 1 2\n0 2 -1\n"
+                        "0 1 0\n1 2 1\n2 3 2\n3 0 3\n")
+        with pytest.raises(ValueError, match="out of range"):
+            Mesh.load(path)
+
+    def test_clockwise_cell_reversed(self):
+        mesh = Mesh(SQUARE, [[0, 2, 1], [0, 2, 3]], SQUARE_BOUNDARY,
+                    [0, 1, 2, 3])
+        fresh = Mesh(SQUARE, mesh.cells, SQUARE_BOUNDARY, [0, 1, 2, 3])
+        assert mesh.cells.tolist() == [[0, 1, 2], [0, 2, 3]]
+        assert np.array_equal(mesh.cell_jinv, fresh.cell_jinv)
+        assert np.array_equal(mesh.cell_areas, [0.5, 0.5])
+
+
+def _interior_points(mesh, rng, n=40):
+    """Random points strictly inside random cells."""
+    lam = rng.dirichlet(np.ones(3), size=n)
+    cells = rng.integers(mesh.num_cells, size=n)
+    return np.einsum("pj,pjd->pd", lam, mesh.cell_coords()[cells])
+
+
+MESHES = st.tuples(convex_polygons(), st.integers(0, 3))
+
+
+class TestAffineCellMap:
+    @settings(max_examples=10, deadline=None)
+    @given(MESHES, st.integers(0, 2 ** 31))
+    def test_locate_inverts_the_cell_map(self, drawn, seed):
+        polygon, level = drawn
+        mesh = triangulate(polygon, refinements=level)
+        pts = _interior_points(mesh, np.random.default_rng(seed))
+        cells, ref = mesh.locate(pts)
+        xy = mesh.cell_coords()[cells]
+        jac = np.stack([xy[:, 1] - xy[:, 0], xy[:, 2] - xy[:, 0]], axis=-1)
+        back = xy[:, 0] + np.einsum("pij,pj->pi", jac, ref)
+        assert np.abs(back - pts).max() <= 1e-12 * np.abs(pts).max()
+        assert (np.minimum(ref.min(axis=1), 1.0 - ref.sum(axis=1)).min()
+                >= -1e-12)
+
+    @settings(max_examples=10, deadline=None)
+    @given(MESHES, st.integers(0, 2 ** 31))
+    def test_p1_and_p2_reproduce_affine_fields(self, drawn, seed):
+        polygon, level = drawn
+        mesh = triangulate(polygon, refinements=level)
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(3)
+        field = lambda p: a[0] + p @ a[1:]
+        pts = _interior_points(mesh, rng)
+        exact = field(pts)
+        tol = 1e-12 * (1.0 + np.abs(exact).max())
+        assert np.abs(interpolate_p1(mesh, field)(pts) - exact).max() <= tol
+        p2 = interpolate(FeSpace(mesh, 2), field)
+        assert np.abs(p2(pts) - exact).max() <= tol
+
+    @settings(max_examples=6, deadline=None)
+    @given(MESHES, st.sampled_from([2, 3]), st.integers(0, 2 ** 31))
+    def test_save_load_bit_exact(self, drawn, k, seed):
+        polygon, level = drawn
+        mesh = triangulate(polygon, refinements=level)
+        u = FeFunction(FeSpace(mesh, k), np.random.default_rng(
+            seed).standard_normal(FeSpace(mesh, k).num_dofs))
+        with tempfile.TemporaryDirectory() as tmp:
+            mesh.save(Path(tmp) / "mesh.txt")
+            u.save(Path(tmp) / "u.txt", "mesh.txt")
+            back = Mesh.load(Path(tmp) / "mesh.txt")
+            u_back = FeFunction.load(Path(tmp) / "u.txt")
+        for name in ("vertices", "cells", "boundary_edges", "boundary_tags",
+                     "cell_jinv", "cell_areas"):
+            assert np.array_equal(getattr(back, name), getattr(mesh, name))
+        assert u_back.space.degree == k
+        assert np.array_equal(u_back.coeffs, u.coeffs)
+        assert np.array_equal(u_back.space.cell_dofs, u.space.cell_dofs)
+
+    @settings(max_examples=6, deadline=None)
+    @given(MESHES)
+    def test_arrays_read_only(self, drawn):
+        polygon, level = drawn
+        mesh = triangulate(polygon, refinements=level)
+        arrays = [mesh.vertices, mesh.cells, mesh.boundary_edges,
+                  mesh.boundary_tags, mesh.cell_jinv, mesh.cell_areas,
+                  mesh.boundary_vertex_mask]
+        arrays += list(mesh.edge_midpoint_index()) + list(
+            mesh.interior_edges()) + list(mesh.vertex_cells())
+        assert not any(arr.flags.writeable for arr in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.cell_jinv[0] = 0.0
+        space = FeSpace(mesh, 2)
+        assert space.cell_jinv is mesh.cell_jinv
+        assert space.cell_areas is mesh.cell_areas
+
+
+class TestTopologyTables:
+    def test_input_copied(self):
+        verts = np.array(SQUARE)
+        cells = np.array([[0, 1, 2], [0, 2, 3]])
+        mesh = Mesh(verts, cells, SQUARE_BOUNDARY, [0, 1, 2, 3])
+        verts[0] = [5.0, 5.0]
+        cells[0] = [3, 2, 1]
+        assert mesh.vertices[0].tolist() == [0.0, 0.0]
+        assert mesh.cells[0].tolist() == [0, 1, 2]
+
+    def test_vertex_cells_and_boundary_mask(self):
+        mesh = triangulate(regular_polygon(5), refinements=2)
+        fans = mesh.vertex_cells()
+        assert mesh.vertex_cells() is fans
+        for vertex, fan in enumerate(fans):
+            assert np.array_equal(
+                fan, np.flatnonzero((mesh.cells == vertex).any(axis=1)))
+        assert np.array_equal(np.flatnonzero(mesh.boundary_vertex_mask),
+                              np.unique(mesh.boundary_edges))
+        assert np.array_equal(mesh.boundary_vertex_indices(),
+                              np.unique(mesh.boundary_edges))

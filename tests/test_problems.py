@@ -24,7 +24,7 @@ JSON_VALUES = st.recursive(
 SCHEMA_KEYS = ["name", "polygon", "f", "g", "exact", "solve_boundary", "k",
                "levels", "regularization", "regularization.epsilon_schedule",
                "regularization.truncate_schedule",
-               "regularization.mollify_radius", "regularization.delta"]
+               "regularization.mollify_radius"]
 
 
 def _with_value(key, value):
@@ -180,13 +180,20 @@ class TestJsonLoader:
             "g": {"name": "zero"},
             "regularization": {"epsilon_schedule": [0.5, 0.125],
                                "truncate_schedule": [8, 32],
-                               "mollify_radius": 0.05,
-                               "delta": 0.1},
+                               "mollify_radius": 0.05},
         })
         assert prob.epsilon_schedule == (0.5, 0.125)
         assert prob.truncate_schedule == (8.0, 32.0)
         assert prob.mollify_radius == 0.05
-        assert prob.subdomain_margin == 0.1
+        assert "subdomain_margin" not in prob.to_dict()
+
+    @pytest.mark.parametrize("key", ["regularization.delta",
+                                     "regularization.epsilon_schedul",
+                                     "delta", "kk", "exact_solution"])
+    def test_unknown_key_raises(self, key):
+        with pytest.raises(ValueError, match="unknown key '{}'".format(
+                key.rpartition(".")[2])):
+            problem_from_json(_with_value(key, 0.1))
 
     def test_solve_boundary_override(self):
         prob = problem_from_json({

@@ -62,9 +62,14 @@ class TestSolverConfig:
                                         "continuation_schedule": ()}
 
     def test_invalid_rejected(self):
-        for max_iters in (0, -3):
+        for max_iters in (0, -3, 2.5, 3.0, True, "3", None, np.float64(3),
+                          np.int64(0)):
             with pytest.raises(ValueError, match="max_iters"):
                 SolverConfig(max_iters=max_iters)
+
+    def test_numpy_integer_accepted(self):
+        cfg = SolverConfig(max_iters=np.int32(7))
+        assert cfg.max_iters == 7 and type(cfg.max_iters) is int
 
     def test_to_dict_roundtrips_via_json(self):
         cfg = SolverConfig(max_iters=7, continuation_schedule=(1.0, 0.5))

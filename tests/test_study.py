@@ -118,6 +118,15 @@ class TestStudyReport:
         assert float(cells[1]) == 0.5
         assert cells[5] == ""
 
+    def test_write_csv_failure_leaves_no_file(self, tmp_path):
+        rep = StudyReport("demo", 2)
+        rep.add_level({"level": 2, "dofs": 10, "err_h2_broken": 0.125,
+                       "err_linf_interior": 0.5})  # no "h"
+        path = tmp_path / "study.csv"
+        with pytest.raises(KeyError):
+            rep.write_csv(path)
+        assert not path.exists()
+
     def test_csv_floats_roundtrip(self, smooth_study):
         lines = smooth_study.csv_text().strip().split("\n")[1:]
         for line, rec in zip(lines, smooth_study.levels):
