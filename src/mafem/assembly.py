@@ -3,8 +3,9 @@
 The residual of the problem det D2u = f tested against interior basis
 functions, its exact Jacobian through the cofactor linearization, Dirichlet
 data by Lagrange-node interpolation, and the Poisson stiffness/load objects
-shared with the solvers.  Boundary dofs are eliminated: residual and
-Jacobian live on interior dofs only.
+shared with the solvers.  Boundary dofs are eliminated: the residual is
+a plain (ni,) array and the Jacobian an (ni, ni) csr matrix over the
+space's numbering of its ni interior dofs (FeSpace.interior_index).
 
 Everything that depends only on the space is computed once and cached on
 it: the default quadrature rule, the packed Hessian push-forward of every
@@ -22,46 +23,12 @@ from . import kernels
 from .fespace import eval_field
 
 
-class Residual:
-    """Residual vector over the interior dofs of a space."""
-
-    def __init__(self, values, interior_dofs):
-        self.values = np.asarray(values, dtype=float)
-        self.interior_dofs = interior_dofs
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("residual has non-finite entries")
-
-    def norm(self, kind=2):
-        if kind == 2:
-            return float(np.linalg.norm(self.values))
-        if kind == np.inf or kind == "inf":
-            return float(np.max(np.abs(self.values))) if len(self.values) else 0.0
-        raise ValueError("kind must be 2 or inf")
-
-    def __len__(self):
-        return len(self.values)
-
-
-class JacobianMatrix:
-    """Sparse Jacobian of the residual, over interior dofs."""
-
-    def __init__(self, matrix, interior_dofs):
-        self.matrix = matrix.tocsr()
-        self.interior_dofs = interior_dofs
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    def toarray(self):
-        return self.matrix.toarray()
-
-    def export_triplets(self, path):
-        """Write 'row col value' lines, reduced-system indices, 17 digits."""
-        coo = self.matrix.tocoo()
-        with open(path, "w") as fh:
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r} {c} {v:.17g}\n")
+def export_triplets(matrix, path):
+    """Write a sparse matrix as 'row col value' lines, 17 digits."""
+    coo = matrix.tocoo()
+    with open(path, "w") as fh:
+        for r, c, v in zip(coo.row, coo.col, coo.data):
+            fh.write(f"{r} {c} {v:.17g}\n")
 
 
 class _ElementLayer:
@@ -70,10 +37,11 @@ class _ElementLayer:
     ref_hess (nq, nloc, 3) and push (nc, 3, 3) give the physical Hessians,
     wphi (nc, nq, nloc) = |K| w_q phi_i(x_q) the integration weights.  The
     interior rows of the cell vectors are summed by np.bincount over
-    res_index (boundary rows go to a last bin that is dropped), and the
-    interior-by-interior entries of the cell blocks over jac_index into
-    the data of one fixed CSR pattern (indptr, indices), so assembly needs
-    no COO matrix, sort or fancy slicing.
+    res_index, the space's interior_index of each cell dof (boundary rows
+    go to a last bin that is dropped), and the interior-by-interior
+    entries of the cell blocks over jac_index into the data of one fixed
+    CSR pattern (indptr, indices), so assembly needs no COO matrix, sort
+    or fancy slicing.
     """
 
     def __init__(self, space):
@@ -85,9 +53,7 @@ class _ElementLayer:
         self.wphi = (space.cell_areas[:, None, None]
                      * quad.weights[None, :, None] * tab["val"][None])
         ni = len(space.interior_dofs)
-        imap = np.full(space.num_dofs, ni, dtype=np.int64)
-        imap[space.interior_dofs] = np.arange(ni)
-        local = imap[space.cell_dofs]
+        local = space.interior_index[space.cell_dofs]
         nloc = local.shape[1]
         rows = np.repeat(local, nloc, axis=1).ravel()
         cols = np.tile(local, (1, nloc)).ravel()
@@ -141,8 +107,9 @@ def _hessians(u_h, el):
 def residual(u_h, f):
     """Entries sum_K int_K (det D2u_h - f) phi_i over interior dofs i.
 
-    f is a callable or its samples from f_at_qpts; a solver that evaluates
-    many residuals samples f once.
+    Returns an (ni,) array in the order of space.interior_dofs.  f is a
+    callable or its samples from f_at_qpts; a solver that evaluates many
+    residuals samples f once.  Raises ValueError for a non-finite entry.
     """
     space = u_h.space
     el = element_layer(space)
@@ -150,7 +117,9 @@ def residual(u_h, f):
                                     el.wphi)
     vals = np.bincount(el.res_index, weights=cell_r.ravel(),
                        minlength=el.n + 1)[:el.n]
-    return Residual(vals, space.interior_dofs)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("residual has non-finite entries")
+    return vals
 
 
 def _scatter_matrix(n, idx, blocks):
@@ -163,15 +132,19 @@ def _scatter_matrix(n, idx, blocks):
 
 
 def jacobian(u_h):
-    """Exact derivative of the residual: (i, j) = sum_K int (cof D2u_h : D2phi_j) phi_i."""
+    """Exact derivative of the residual, an (ni, ni) csr matrix.
+
+    Entry (i, j) = sum_K int (cof D2u_h : D2phi_j) phi_i over interior
+    dofs i, j, in the order of space.interior_dofs.
+    """
     space = u_h.space
     el = element_layer(space)
     blocks = kernels.jacobian_cells(_hessians(u_h, el), el.ref_hess, el.push,
                                     el.wphi)
     data = np.bincount(el.jac_index, weights=blocks.ravel(),
                        minlength=el.nnz + 1)[:el.nnz]
-    J = sparse.csr_matrix((data, el.indices, el.indptr), shape=(el.n, el.n))
-    return JacobianMatrix(J, space.interior_dofs)
+    return sparse.csr_matrix((data, el.indices, el.indptr),
+                             shape=(el.n, el.n))
 
 
 def fd_jacobian(u_h, f):
@@ -187,9 +160,9 @@ def fd_jacobian(u_h, f):
     work = u_h.copy()
     for col, dof in enumerate(space.interior_dofs):
         work.coeffs[dof] = u_h.coeffs[dof] + step
-        rp = residual(work, fq).values
+        rp = residual(work, fq)
         work.coeffs[dof] = u_h.coeffs[dof] - step
-        rm = residual(work, fq).values
+        rm = residual(work, fq)
         work.coeffs[dof] = u_h.coeffs[dof]
         out[:, col] = (rp - rm) / (2.0 * step)
     return out

@@ -70,7 +70,10 @@ def _cmd_solve(args):
     if args.h is not None:
         if args.refinements is not None:
             raise ValueError("give --h or --refinements, not both")
-        kw["h_target"] = float(args.h)
+        if not (args.h > 0.0 and np.isfinite(args.h)):
+            raise ValueError("--h must be positive and finite, got {}".format(
+                args.h))
+        kw["h_target"] = args.h
     else:
         kw["refinements"] = _refinements(args, problem)
     out = _outdir(args)

@@ -157,6 +157,9 @@ class FeSpace:
     dofs are numbered by entity: mesh vertices, then mesh edges (k-1 dofs
     each, ordered away from the edge's smaller vertex index), then cell
     interiors.  This makes shared-edge dofs coincide by construction.
+    The unknowns of a solve are numbered once, here: interior_index maps
+    each dof to its position in interior_dofs, a boundary dof to
+    len(interior_dofs).
     """
 
     def __init__(self, mesh, degree):
@@ -213,6 +216,10 @@ class FeSpace:
         mask = np.ones(self.num_dofs, dtype=bool)
         mask[self.boundary_dofs] = False
         self.interior_dofs = np.nonzero(mask)[0]
+        ni = len(self.interior_dofs)
+        self.interior_index = np.full(self.num_dofs, ni, dtype=np.int64)
+        self.interior_index[self.interior_dofs] = np.arange(ni)
+        self.interior_index.flags.writeable = False
 
         # the mesh's affine cell maps, shared read-only
         self.cell_jinv = inv = mesh.cell_jinv

@@ -37,8 +37,9 @@ class Mesh:
     cell_areas : (nc,) float array, det(J)/2 > 0
     boundary_vertex_mask : (nv,) bool array, True on boundary vertices
 
-    Clockwise cells are reversed.  A wrong shape or a vertex index outside
-    [0, nv) raises ValueError, a zero-area cell DegeneratePolygonError.
+    Clockwise cells are reversed.  A wrong shape, a vertex coordinate that
+    is not finite or a vertex index outside [0, nv) raises ValueError, a
+    zero-area cell DegeneratePolygonError.
     """
 
     def __init__(self, vertices, cells, boundary_edges, boundary_tags):
@@ -59,6 +60,8 @@ class Mesh:
                     name, nv))
         if self.boundary_tags.shape != self.boundary_edges.shape[:1]:
             raise ValueError("boundary_tags must be an (nb,) array")
+        if not np.all(np.isfinite(self.vertices)):
+            raise ValueError("vertices must be finite")
 
         xy = self.cell_coords()
         jac = np.stack([xy[:, 1] - xy[:, 0], xy[:, 2] - xy[:, 0]], axis=-1)

@@ -53,9 +53,9 @@ class Problem:
                                   fraction * self.polygon.inradius())
 
     def regularized(self, truncate_M=None):
-        """Truncation/mollification applied to the data (shift is the
-        solver's job via the epsilon schedule)."""
-        return RegularizedData(self.f, self.g, self.polygon,
+        """Truncation/mollification applied to f (shift is the solver's
+        job via the epsilon schedule)."""
+        return RegularizedData(self.f, self.polygon,
                                radius=self.mollify_radius,
                                truncate_M=truncate_M)
 

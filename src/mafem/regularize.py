@@ -164,9 +164,11 @@ def validate_bounds(f, polygon, n_samples=400):
 
 
 class RegularizedData:
-    """Pipeline record: truncation, mollification and shift applied to data."""
+    """Pipeline record: truncation, mollification and shift applied to f.
 
-    def __init__(self, f, g, polygon, radius=None, truncate_M=None,
+    A solve imposes the boundary data as given, so the record holds no g."""
+
+    def __init__(self, f, polygon, radius=None, truncate_M=None,
                  shift_eps=None, n_samples=400):
         self.polygon = polygon
         self.radius = radius
@@ -175,16 +177,13 @@ class RegularizedData:
         if truncate_M is not None:
             fm = truncate(fm, truncate_M)
             self.operations.append({"op": "truncate", "M": float(truncate_M)})
-        gm = g
         if radius is not None:
             fm = mollify(fm, radius, polygon)
-            gm = mollify(gm, radius, polygon)
             self.operations.append({"op": "mollify", "radius": float(radius)})
         if shift_eps is not None:
             fm = shift(fm, shift_eps)
             self.operations.append({"op": "shift", "eps": float(shift_eps)})
         self.f_m = fm
-        self.g_m = gm
         raw = validate_bounds(f, polygon, n_samples)
         reg = validate_bounds(fm, polygon, n_samples)
         self.bounds = DataBounds(raw.c0, raw.c1,

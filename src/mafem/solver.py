@@ -1,7 +1,7 @@
 """Nonlinear solvers for the discrete determinant equation.
 
 Two drivers share one problem setup (boundary data pinned at Lagrange
-nodes, residual and Jacobian over interior dofs):
+nodes, unknowns numbered by FeSpace.interior_index on one given space):
 
 * newton_solve: damped Gauss-Newton on the penalized least-squares
   objective Phi(c) = 1/2 ||r(c)||^2 + eta/2 * |u|_J^2 + hinge(c), where
@@ -119,9 +119,10 @@ class SolveReport:
         self.wall_time = 0.0
         self.stages = []
 
-    def record(self, res2, res_sup, step_sup=None):
-        self.residual_history.append(float(res2))
-        self.residual_history_sup.append(float(res_sup))
+    def record(self, r, step_sup=None):
+        """Append the 2- and sup norms of the residual r (and a step size)."""
+        self.residual_history.append(float(np.linalg.norm(r)))
+        self.residual_history_sup.append(_sup(r))
         if step_sup is not None:
             self.step_history.append(float(step_sup))
 
@@ -157,6 +158,11 @@ class SolveReport:
         return ("SolveReport(method={!r}, iterations={}, converged={}, "
                 "status={!r})".format(self.method, self.iterations,
                                       self.converged, self.status))
+
+
+def _sup(v):
+    """Sup norm of a vector, 0 for an empty one."""
+    return float(np.max(np.abs(v), initial=0.0))
 
 
 def _check_positive_data(space, f):
@@ -205,9 +211,7 @@ def default_initial_guess(space, f, g):
     u = FeFunction(space)
     u.coeffs[space.boundary_dofs] = apply_boundary(space, g)
     I = space.interior_dofs
-    B = space.boundary_dofs
-    rhs = b[I] - A[I][:, B] @ u.coeffs[B]
-    u.coeffs[I] = _factor_spd(A[I][:, I]).solve(rhs)
+    u.coeffs[I] = _factor_spd(A[I][:, I]).solve((b - A @ u.coeffs)[I])
     return u
 
 
@@ -238,9 +242,7 @@ class _ConvexityHinge:
         self.gdofs = space.cell_dofs[self.cells]
         self.weights = (CONVEX_PENALTY * space.cell_areas[self.cells][:, None]
                         * quad.weights[None, :])
-        imap = np.full(space.num_dofs, -1, dtype=np.int64)
-        imap[space.interior_dofs] = np.arange(len(space.interior_dofs))
-        self.cols = imap[self.gdofs]
+        self.cols = space.interior_index[self.gdofs]
         self.n_interior = len(space.interior_dofs)
 
     def deficits(self, u_h):
@@ -251,15 +253,11 @@ class _ConvexityHinge:
         return np.maximum(0.0, -(lam1 + self.allowance)), h
 
     def value(self, u_h):
-        if not len(self.cells):
-            return 0.0
         t, _ = self.deficits(u_h)
         return 0.5 * float(np.sum(self.weights * t * t))
 
     def residual_and_jacobian(self, u_h):
         """Weighted hinge values s and sparse ds/dc over interior dofs."""
-        if not len(self.cells):
-            return np.zeros(0), sparse.csr_matrix((0, self.n_interior))
         t, h = self.deficits(u_h)
         ci, qi = np.nonzero(t)
         sw = np.sqrt(self.weights[ci, qi])
@@ -276,11 +274,23 @@ class _ConvexityHinge:
         vals = -sw[:, None] * np.einsum("ab,alb->al", dref,
                                         self.ref_hess[qi])
         cols = self.cols[ci]
-        keep = cols >= 0
+        keep = cols < self.n_interior
         indptr = np.r_[0, np.cumsum(keep.sum(axis=1))]
         S = sparse.csr_matrix((vals[keep], cols[keep], indptr),
                               shape=(len(ci), self.n_interior))
         return s, S
+
+
+def _start_on(space, u0):
+    """A copy of u0 as a member of space; ValueError when it cannot be."""
+    other = u0.space
+    if other is not space and not (
+            other.degree == space.degree
+            and np.array_equal(other.mesh.vertices, space.mesh.vertices)
+            and np.array_equal(other.mesh.cells, space.mesh.cells)):
+        raise ValueError("u0 lives on {!r} over {!r}, not on the solve's "
+                         "space {!r}".format(other, other.mesh, space))
+    return FeFunction(space, u0.coeffs.copy())
 
 
 def newton_solve(space, f, g, u0=None, config=None):
@@ -293,6 +303,8 @@ def newton_solve(space, f, g, u0=None, config=None):
     exact one exists).  Raises NonConvergenceError on line-search
     stagnation and SingularJacobianError if the normal matrix cannot be
     factorized.
+    The iterate lives on `space`: u0 is copied onto it, or raises
+    ValueError unless it has the same degree, mesh vertices and cells.
     """
     if config is None:
         config = SolverConfig()
@@ -300,7 +312,8 @@ def newton_solve(space, f, g, u0=None, config=None):
     report = SolveReport("newton")
     fq = _check_positive_data(space, f)
 
-    u = u0.copy() if u0 is not None else default_initial_guess(space, fq, g)
+    u = (_start_on(space, u0) if u0 is not None
+         else default_initial_guess(space, fq, g))
     u.coeffs[space.boundary_dofs] = apply_boundary(space, g)
 
     I = space.interior_dofs
@@ -313,14 +326,14 @@ def newton_solve(space, f, g, u0=None, config=None):
         r = residual(u_h, fq)
         pen = 0.5 * eta * float(u_h.coeffs @ (Q @ u_h.coeffs))
         pen += hinge.value(u_h)
-        return 0.5 * float(r.values @ r.values) + pen, r
+        return 0.5 * float(r @ r) + pen, r
 
     def gradient(u_h, r):
         # Gradient of Phi at u_h from the residual r there, with the
         # Jacobians of the residual and of the hinge values (S is None
         # when no hinge entry is active).
-        J = jacobian(u_h).matrix
-        grad = J.T @ r.values + eta * (Q @ u_h.coeffs)[I]
+        J = jacobian(u_h)
+        grad = J.T @ r + eta * (Q @ u_h.coeffs)[I]
         s, S = hinge.residual_and_jacobian(u_h)
         if not s.size:
             return grad, J, None
@@ -356,26 +369,26 @@ def newton_solve(space, f, g, u0=None, config=None):
         for _ in range(50):
             if d is None:
                 d = solve_normal(lu, gradient(u_h, residual(u_h, fq))[0])
-            d_sup = float(np.max(np.abs(d))) if len(d) else 0.0
+            d_sup = _sup(d)
             if d_sup > cap or d_sup >= prev:
                 break
             u_h.coeffs[I] += d
             prev = d_sup
-            if d_sup <= 1e-14 * (1.0 + float(np.max(np.abs(u_h.coeffs)))):
+            if d_sup <= 1e-14 * (1.0 + _sup(u_h.coeffs)):
                 break
             d = None
         return u_h, prev
 
     phi, r = objective(u)
-    report.record(r.norm(2), r.norm(np.inf))
+    report.record(r)
     for it in range(config.max_iters):
-        if r.norm(np.inf) <= TOL_RESIDUAL:
+        if _sup(r) <= TOL_RESIDUAL:
             report.iterations = it
             return u, report.finish("residual", True, u, t0)
         lu = None  # release the last factor before computing the next
         d, grad, lu = gn_direction(u, r)
         gd = float(grad @ d)
-        d_sup = float(np.max(np.abs(d))) if len(d) else 0.0
+        d_sup = _sup(d)
         step = 1.0
         trial = u.copy()
         while True:
@@ -402,14 +415,14 @@ def newton_solve(space, f, g, u0=None, config=None):
                     "line search stagnated below MIN_STEP", last_iterate=u,
                     report=report)
         u, phi, r = trial, phi_t, r_t
-        step_sup = step * float(np.max(np.abs(d)))
-        report.record(r.norm(2), r.norm(np.inf), step_sup)
+        step_sup = step * d_sup
+        report.record(r, step_sup)
         if step_sup <= TOL_STEP:
             u, _ = polish(u, lu)
             report.iterations = it + 1
             return u, report.finish("stationary", True, u, t0)
     report.iterations = config.max_iters
-    if r.norm(np.inf) <= TOL_RESIDUAL:
+    if _sup(r) <= TOL_RESIDUAL:
         return u, report.finish("residual", True, u, t0)
     report.finish("max_iters", False, u, t0)
     raise NonConvergenceError("newton_solve hit max_iters", last_iterate=u,
@@ -442,18 +455,16 @@ def continuation_solve(space, f, g, config=None, u0=None):
                                          config=config)
         except NonConvergenceError as exc:
             u_next, stage, failed = exc.last_iterate, exc.report, True
-        if stage is not None:
-            report.stages.append({"eps": float(eps), **stage.to_dict()})
-            report.residual_history.extend(stage.residual_history)
-            report.residual_history_sup.extend(stage.residual_history_sup)
-            report.step_history.extend(stage.step_history)
-            report.iterations += stage.iterations
-        if failed and (j == 0 or u_next is None):
-            report.finish("stage_failed", False, u_next or FeFunction(space),
-                          t0)
+        report.stages.append({"eps": float(eps), **stage.to_dict()})
+        report.residual_history.extend(stage.residual_history)
+        report.residual_history_sup.extend(stage.residual_history_sup)
+        report.step_history.extend(stage.step_history)
+        report.iterations += stage.iterations
+        if failed and j == 0:
+            report.finish("stage_failed", False, u_next, t0)
             raise NonConvergenceError(
                 "continuation stage eps={} failed".format(eps),
                 last_iterate=u_next, report=report)
         u = u_next
-    converged = bool(report.stages and report.stages[-1]["converged"])
-    return u, report.finish(report.stages[-1]["status"], converged, u, t0)
+    last = report.stages[-1]
+    return u, report.finish(last["status"], last["converged"], u, t0)

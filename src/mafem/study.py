@@ -180,7 +180,7 @@ def _prolong(u_coarse, space, problem):
     return u
 
 
-def level_errors(u, space, problem, grid):
+def level_errors(u, problem, grid):
     """Error record of one solved level against the exact fields."""
     rec = {"err_h2_broken": None, "err_l2": None,
            "err_linf_interior": None}
@@ -224,7 +224,7 @@ def run_convergence_study(problem, levels=None, grid_n=33,
         rec = {"level": int(level), "h": float(space.mesh.mesh_size()),
                "dofs": int(space.num_dofs),
                "elapsed": time.perf_counter() - t0}
-        rec.update(level_errors(u, space, problem, grid))
+        rec.update(level_errors(u, problem, grid))
         rec["solves"] = solve_reports
         rec["convexity"] = analyze(u).to_dict()
         if with_measure:

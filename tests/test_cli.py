@@ -1,26 +1,31 @@
 """Tests for the command line driver and its exit codes."""
 
 import json
+import math
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mafem import cli, study
 from mafem.errors import NonConvergenceError
+from mafem.problems import CATALOGUE
 from mafem.solver import SolverConfig
+
+PARABOLOID = {
+    "name": "paraboloid",
+    "polygon": [[0, 0], [1, 0], [1, 1], [0, 1]],
+    "f": {"name": "one"},
+    "g": {"poly": [[0, 0, 0.5], [0, 0, 0], [0.5, 0, 0]]},
+    "exact": {"poly": [[0, 0, 0.5], [0, 0, 0], [0.5, 0, 0]]},
+    "levels": [1, 2],
+}
 
 
 @pytest.fixture()
 def paraboloid_file(tmp_path):
     path = tmp_path / "paraboloid.json"
-    path.write_text(json.dumps({
-        "name": "paraboloid",
-        "polygon": [[0, 0], [1, 0], [1, 1], [0, 1]],
-        "f": {"name": "one"},
-        "g": {"poly": [[0, 0, 0.5], [0, 0, 0], [0.5, 0, 0]]},
-        "exact": {"poly": [[0, 0, 0.5], [0, 0, 0], [0.5, 0, 0]]},
-        "levels": [1, 2],
-    }))
+    path.write_text(json.dumps(PARABOLOID))
     return str(path)
 
 
@@ -233,3 +238,89 @@ def test_study_failure_exits_1(paraboloid_file, tmp_path, monkeypatch):
     rc = cli.main(["study", "--problem", paraboloid_file,
                    "--out", str(tmp_path / "run")])
     assert rc == 1
+
+
+COMMANDS = st.sampled_from(["solve", "study", "measure", "check-mesh"])
+
+
+def _smooth_with(command_and_option):
+    command, option = command_and_option
+    return [command, "--problem=smooth", option]
+
+
+def _not_a_problem_reference(text):
+    return text not in CATALOGUE and not os.path.exists(text)
+
+
+# argv that each hold one invalid value: an option out of range or, for
+# solve, --h with --refinements, or a --problem that names neither a
+# catalogue problem nor a file
+INVALID_ARGV = st.one_of(
+    st.tuples(COMMANDS, st.integers(max_value=1).map("--k={}".format))
+    .map(_smooth_with),
+    st.integers(max_value=0).map(
+        lambda n: ["study", "--problem=smooth", "--levels={}".format(n)]),
+    st.tuples(st.sampled_from(["solve", "measure", "check-mesh"]),
+              st.integers(max_value=-1).map("--refinements={}".format))
+    .map(_smooth_with),
+    st.one_of(st.floats(max_value=0.0), st.sampled_from([math.inf, math.nan]))
+    .map(lambda h: ["solve", "--problem=smooth", "--h={!r}".format(h)]),
+    st.tuples(st.floats(1e-3, 1.0), st.integers(0, 3)).map(
+        lambda hr: ["solve", "--problem=smooth", "--h={!r}".format(hr[0]),
+                    "--refinements={}".format(hr[1])]),
+    st.tuples(COMMANDS, st.text(st.characters(blacklist_categories=("Cs",),
+                                              blacklist_characters="\0"),
+                                max_size=12)
+              .filter(_not_a_problem_reference)).map(
+        lambda ct: [ct[0], "--problem=" + ct[1]]),
+)
+
+
+def _broken_problem_text():
+    """Texts that are not a valid problem: cut short, a required key
+    missing, an unknown key, or a JSON value that is not an object."""
+    full = json.dumps(PARABOLOID)
+    cut = st.integers(0, len(full) - 1).map(lambda n: full[:n])
+    missing = st.sampled_from(["polygon", "f", "g"]).map(
+        lambda key: json.dumps({k: v for k, v in PARABOLOID.items()
+                                if k != key}))
+    unknown = st.text(min_size=1, max_size=8).filter(
+        lambda key: key not in PARABOLOID).map(
+        lambda key: json.dumps({**PARABOLOID, key: 1}))
+    not_object = st.one_of(st.integers(), st.lists(st.integers()),
+                           st.text(max_size=8), st.none()).map(json.dumps)
+    return st.one_of(cut, missing, unknown, not_object)
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("invalid input reached a solve")
+
+
+def _exits_2_without_solving(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "solve_problem", _no_solve)
+    monkeypatch.setattr(cli, "run_convergence_study", _no_solve)
+    rc = cli.main(argv + ["--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
+INVALID_INPUT_SETTINGS = settings(
+    max_examples=30, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@INVALID_INPUT_SETTINGS
+@given(argv=INVALID_ARGV)
+def test_invalid_option_exits_2_without_solving(argv, tmp_path, monkeypatch,
+                                                capsys):
+    _exits_2_without_solving(argv, tmp_path, monkeypatch, capsys)
+
+
+@INVALID_INPUT_SETTINGS
+@given(command=COMMANDS, text=_broken_problem_text())
+def test_broken_problem_file_exits_2_without_solving(command, text, tmp_path,
+                                                     monkeypatch, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(text)
+    _exits_2_without_solving([command, "--problem", str(path)], tmp_path,
+                             monkeypatch, capsys)

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mafem import triangulate, unit_square
 from mafem.convexity import (analyze, bubble_integrals,
                              bubble_positivity_check, eigmin_2x2, strictify)
-from mafem.fespace import FeSpace, interpolate
+from mafem.fespace import FeFunction, FeSpace, interpolate
+from strategies import convex_polygons
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +64,21 @@ def test_strictify_shifts_lambda1(space):
         shifted = analyze(strictify(u, eps, x0=(0.5, 0.5)))
         assert abs(shifted.global_min_lambda1
                    - base.global_min_lambda1 - 2 * eps) <= 1e-12
+
+
+@settings(max_examples=8, deadline=None)
+@given(convex_polygons(), st.sampled_from([1, 2]), st.sampled_from([2, 3]),
+       st.floats(1e-9, 1e-1), st.integers(0, 2 ** 31))
+def test_strictify_shifts_every_lambda1_on_random_polygons(polygon, level, k,
+                                                           eps, seed):
+    space = FeSpace(triangulate(polygon, refinements=level), k)
+    rng = np.random.default_rng(seed)
+    u = FeFunction(space, rng.standard_normal(space.num_dofs))
+    base = analyze(u).cell_min_lambda1
+    x0 = polygon.vertices.mean(axis=0) + rng.uniform(-0.1, 0.1, 2)
+    shifted = analyze(strictify(u, eps, x0=x0)).cell_min_lambda1
+    scale = 1.0 + np.max(np.abs(base))
+    assert np.max(np.abs(shifted - base - 2.0 * eps)) <= 1e-13 * scale
 
 
 def test_strictify_value_at_center_unchanged(space):

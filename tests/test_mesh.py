@@ -317,6 +317,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="out of range"):
             Mesh.load(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_vertex(self, bad):
+        # a NaN determinant passes both the zero-area and the orientation
+        # test, so the coordinates are checked themselves
+        with pytest.raises(ValueError, match="vertices must be finite"):
+            Mesh([[0.0, 0.0], [1.0, 0.0], [bad, 1.0]], [[0, 1, 2]],
+                 [[0, 1], [1, 2], [2, 0]], [0, 1, 2])
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_load_rejects_nonfinite_vertex(self, tmp_path, token):
+        path = tmp_path / "mesh.txt"
+        path.write_text("4\n0 0\n1 0\n1 1\n0 {}\n2\n0 1 2\n0 2 3\n"
+                        "0 1 0\n1 2 1\n2 3 2\n3 0 3\n".format(token))
+        with pytest.raises(ValueError, match="vertices must be finite"):
+            Mesh.load(path)
+
     def test_clockwise_cell_reversed(self):
         mesh = Mesh(SQUARE, [[0, 2, 1], [0, 2, 3]], SQUARE_BOUNDARY,
                     [0, 1, 2, 3])

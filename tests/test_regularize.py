@@ -120,13 +120,14 @@ def test_bounds_type_invariants():
 
 def test_regularized_data_pipeline(square):
     f = lambda p: 2.0 / (2.0 - p[:, 0] ** 2 - p[:, 1] ** 2) ** 2
-    g = lambda p: p[:, 0] ** 2 + p[:, 1] ** 2
-    data = RegularizedData(f, g, square, radius=0.05, truncate_M=10.0,
+    data = RegularizedData(f, square, radius=0.05, truncate_M=10.0,
                            shift_eps=1e-3)
     ops = [o["op"] for o in data.operations]
     assert ops == ["truncate", "mollify", "shift"]
     assert data.check()
     assert data.bounds.c2 > 0
+    # the record describes f only: a solve imposes the boundary data as is
+    assert not hasattr(data, "g_m")
 
 
 @pytest.mark.parametrize("start", [0, 1, 63, 128, 1000])

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.linalg import spsolve
 
 from mafem import (assembly, convexity, get_problem, regular_polygon,
@@ -12,6 +13,7 @@ from mafem.assembly import (gradient_jump_matrix, jacobian, load_vector,
                             residual, stiffness_matrix)
 from mafem.errors import NonConvergenceError, SingularJacobianError
 from mafem.fespace import FeFunction, FeSpace, Quadrature, interpolate
+from mafem.geometry import ConvexPolygon
 from mafem.solver import (
     SolveReport,
     SolverConfig,
@@ -20,6 +22,16 @@ from mafem.solver import (
     default_initial_guess,
     newton_solve,
 )
+from strategies import convex_polygons
+
+
+# a regular pentagon, listed from its vertex at angle 2 pi / 5
+PENTAGON = ConvexPolygon(np.array(
+    [[0.30901699437494745, 0.9510565162951535],
+     [-0.8090169943749473, 0.5877852522924732],
+     [-0.8090169943749476, -0.587785252292473],
+     [0.30901699437494723, -0.9510565162951536],
+     [1.0, -2.4492935982947064e-16]]))
 
 
 def paraboloid(p):
@@ -154,6 +166,65 @@ class TestNewtonSolve:
         with pytest.raises(ValueError):
             newton_solve(space, bad, paraboloid)
 
+    def test_start_on_an_equal_mesh_is_moved_onto_the_space(
+            self, coarse_space):
+        twin = FeSpace(triangulate(unit_square(), refinements=2), 2)
+        u0 = default_initial_guess(twin, smooth_f, smooth_exact)
+        before = u0.coeffs.copy()
+        u, _ = newton_solve(coarse_space, smooth_f, smooth_exact, u0=u0)
+        ref, _ = newton_solve(coarse_space, smooth_f, smooth_exact,
+                              u0=FeFunction(coarse_space, before))
+        assert u.space is coarse_space
+        assert np.array_equal(u.coeffs, ref.coeffs)
+        assert u0.space is twin and np.array_equal(u0.coeffs, before)
+
+    def test_start_on_another_mesh_raises(self, coarse_space):
+        # [0, 2] x [0, 1] at level 2 has as many P2 dofs as the unit square
+        wide = FeSpace(triangulate(ConvexPolygon(
+            [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]]),
+            refinements=2), 2)
+        assert wide.num_dofs == coarse_space.num_dofs
+        with pytest.raises(ValueError, match="u0 lives on"):
+            newton_solve(coarse_space, one, paraboloid,
+                         u0=interpolate(wide, paraboloid))
+
+    def test_start_of_another_degree_raises(self, coarse_space):
+        cubic = FeSpace(coarse_space.mesh, 3)
+        with pytest.raises(ValueError, match="u0 lives on"):
+            newton_solve(coarse_space, one, paraboloid,
+                         u0=interpolate(cubic, paraboloid))
+
+    @settings(max_examples=12, deadline=None)
+    @given(convex_polygons(), st.sampled_from([1, 2]), st.sampled_from([2, 3]),
+           st.integers(0, 2 ** 31))
+    @example(PENTAGON, 1, 2, 42054)
+    def test_recovers_random_convex_quadratic(self, polygon, level, k, seed):
+        # u = x.Ax/2 + b.x + c with A symmetric positive definite solves
+        # det D2u = det A exactly in every space of degree >= 2.  The bound
+        # is 1e-9, not 1e-10: on the pentagon example the rounding of the
+        # objective's jump term c.Qc (about 1e-16) hides the decrease of a
+        # full step once the residual is below about 1e-8, the line search
+        # takes half steps, and the solve stops at a residual below
+        # TOL_RESIDUAL with a coefficient error of 5e-10 relative.
+        rng = np.random.default_rng(seed)
+        lam = rng.uniform(0.5, 2.0, 2)
+        t = rng.uniform(0.0, np.pi)
+        R = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        A = R @ np.diag(lam) @ R.T
+        b, c = rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0)
+
+        def quadratic(p):
+            p = np.atleast_2d(p)
+            return 0.5 * np.einsum("pi,ij,pj->p", p, A, p) + p @ b + c
+
+        space = FeSpace(triangulate(polygon, refinements=level), k)
+        f = lambda p: np.full(len(np.atleast_2d(p)), np.linalg.det(A))
+        u, report = newton_solve(space, f, quadratic)
+        exact = interpolate(space, quadratic).coeffs
+        assert report.converged
+        assert (np.max(np.abs(u.coeffs - exact))
+                <= 1e-9 * np.max(np.abs(exact)))
+
     def test_report_serializable(self, coarse_space, tmp_path):
         u, report = newton_solve(coarse_space, one, paraboloid)
         path = os.path.join(tmp_path, "report.json")
@@ -258,8 +329,8 @@ def objective_gradient(u, f):
     """Gradient of the Gauss-Newton objective at u, over interior dofs."""
     space = u.space
     I = space.interior_dofs
-    J = jacobian(u).matrix
-    grad = (J.T @ residual(u, f).values
+    J = jacobian(u)
+    grad = (J.T @ residual(u, f)
             + solver.JUMP_PENALTY * (gradient_jump_matrix(space) @ u.coeffs)[I])
     hinge = solver._ConvexityHinge(space)
     s, S = hinge.residual_and_jacobian(u)
@@ -403,7 +474,7 @@ class TestFactorSpd:
         u = default_initial_guess(coarse_space, smooth_f, smooth_exact)
         I = coarse_space.interior_dofs
         u.coeffs[I] += 1e-2 * rng.standard_normal(len(I))
-        J = jacobian(u).matrix
+        J = jacobian(u)
         Q = gradient_jump_matrix(coarse_space)
         H = (J.T @ J + 1e-2 * Q[I][:, I]).tocsc()
         b = rng.standard_normal(len(I))

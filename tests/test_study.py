@@ -78,6 +78,18 @@ class TestSolveProblem:
         u, out, _ = solve_problem(paraboloid, space=space)
         assert out is space and u.space is space and built == []
 
+    def test_prolonged_start_solves_on_the_built_space(self):
+        # a start prolonged onto a space of its own, over the same mesh
+        prob = get_problem("smooth")
+        u1, _, _ = solve_problem(prob, refinements=1)
+        s2 = FeSpace(triangulate(prob.polygon, refinements=2), 2)
+        u0 = study._prolong(u1, s2, prob)
+        u, space, _ = solve_problem(prob, refinements=2, u0=u0)
+        ref, _, _ = solve_problem(prob, space=s2,
+                                  u0=study._prolong(u1, s2, prob))
+        assert u.space is space and space is not s2
+        assert np.array_equal(u.coeffs, ref.coeffs)
+
     def test_space_and_resolution_rejected(self, paraboloid):
         space = FeSpace(triangulate(paraboloid.polygon, refinements=1), 2)
         with pytest.raises(ValueError, match="not both"):
