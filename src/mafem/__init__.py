@@ -5,6 +5,7 @@ from .assembly import (
     linearized_operator_check,
     load_vector,
     residual,
+    second_order_term,
     stiffness_matrix,
 )
 from .convexity import ConvexityReport, analyze, strictify
@@ -111,6 +112,7 @@ __all__ = [
     "residual",
     "run_convergence_study",
     "run_measure_verification",
+    "second_order_term",
     "shape_metrics",
     "shift",
     "solve_problem",

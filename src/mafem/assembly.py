@@ -1,7 +1,8 @@
 """Global assembly for the discrete determinant equation.
 
 The residual of the problem det D2u = f tested against interior basis
-functions, its exact Jacobian through the cofactor linearization, Dirichlet
+functions, its exact Jacobian through the cofactor linearization, the
+second-order term sum_i r_i D2r_i of the least-squares objective, Dirichlet
 data by Lagrange-node interpolation, and the Poisson stiffness/load objects
 shared with the solvers.  Boundary dofs are eliminated: the residual is
 a plain (ni,) array and the Jacobian an (ni, ni) csr matrix over the
@@ -11,8 +12,8 @@ Everything that depends only on the space is computed once and cached on
 it: the default quadrature rule, the packed Hessian push-forward of every
 cell, the integration weights |K| w_q phi_i(x_q) and the interior sparsity
 (element_layer), and the gradient-jump matrix (gradient_jump_matrix).  A
-residual or Jacobian is then a few numpy kernels (see kernels) and one
-np.bincount.
+residual, Jacobian or second-order term is then a few numpy kernels (see
+kernels) and one np.bincount.
 """
 
 import numpy as np
@@ -31,11 +32,17 @@ def export_triplets(matrix, path):
             fh.write(f"{r} {c} {v:.17g}\n")
 
 
+# cof A : B = a . _COFACTOR b for packed symmetric 2x2 matrices a and b
+_COFACTOR = np.array([[0.0, 0.0, 1.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])
+
+
 class _ElementLayer:
     """Cell tables of a space at its default quadrature, built once.
 
     ref_hess (nq, nloc, 3) and push (nc, 3, 3) give the physical Hessians,
-    wphi (nc, nq, nloc) = |K| w_q phi_i(x_q) the integration weights.  The
+    wphi (nc, nq, nloc) = |K| w_q phi_i(x_q) the integration weights, and
+    cof_push (nc, 3, 3) and hess_pairs (nq, nloc, nloc, 9) the cofactor
+    pairings of basis Hessians (see kernels.second_order_cells).  The
     interior rows of the cell vectors are summed by np.bincount over
     res_index, the space's interior_index of each cell dof (boundary rows
     go to a last bin that is dropped), and the interior-by-interior
@@ -50,11 +57,14 @@ class _ElementLayer:
         self.shape = (space.mesh.num_cells, quad.num_points)
         self.ref_hess = tab["hess"]
         self.push = space.cell_hess_push
+        self.cof_push = self.push.transpose(0, 2, 1) @ _COFACTOR @ self.push
+        nq, nloc, _ = self.ref_hess.shape
+        self.hess_pairs = np.einsum("qja,qlb->qjlab", self.ref_hess,
+                                    self.ref_hess).reshape(nq, nloc, nloc, 9)
         self.wphi = (space.cell_areas[:, None, None]
                      * quad.weights[None, :, None] * tab["val"][None])
         ni = len(space.interior_dofs)
         local = space.interior_index[space.cell_dofs]
-        nloc = local.shape[1]
         rows = np.repeat(local, nloc, axis=1).ravel()
         cols = np.tile(local, (1, nloc)).ravel()
         keep = (rows < ni) & (cols < ni)
@@ -72,8 +82,8 @@ class _ElementLayer:
              np.r_[0, np.cumsum(np.bincount(keys // ni, minlength=ni))]),
             shape=(ni, ni))
         self.indices, self.indptr = pattern.indices, pattern.indptr
-        for arr in (self.wphi, self.res_index, self.jac_index, self.indices,
-                    self.indptr):
+        for arr in (self.wphi, self.cof_push, self.hess_pairs, self.res_index,
+                    self.jac_index, self.indices, self.indptr):
             arr.flags.writeable = False
 
 
@@ -137,10 +147,30 @@ def jacobian(u_h):
     Entry (i, j) = sum_K int (cof D2u_h : D2phi_j) phi_i over interior
     dofs i, j, in the order of space.interior_dofs.
     """
-    space = u_h.space
+    el = element_layer(u_h.space)
+    return _interior_matrix(el, kernels.jacobian_cells(
+        _hessians(u_h, el), el.ref_hess, el.push, el.wphi))
+
+
+def second_order_term(space, r):
+    """The term sum_i r_i D2r_i of the objective's Hessian, (ni, ni) csr.
+
+    r is a residual over the interior dofs.  Entry (j, l) =
+    int rho cof(D2phi_l) : D2phi_j with rho = sum_i r_i phi_i over interior
+    dofs i.  det D2u is quadratic in the coefficients, so D2r_i does not
+    depend on u: with J the Jacobian at the u where r was evaluated,
+    J^T J + T is the exact Hessian of |r|^2 / 2 there.  T is symmetric bit
+    for bit and has the Jacobian's sparsity pattern.
+    """
     el = element_layer(space)
-    blocks = kernels.jacobian_cells(_hessians(u_h, el), el.ref_hess, el.push,
-                                    el.wphi)
+    local = np.append(r, 0.0)[el.res_index].reshape(el.shape[0], -1)
+    rho_w = np.einsum("cqi,ci->cq", el.wphi, local)
+    return _interior_matrix(el, kernels.second_order_cells(
+        rho_w, el.cof_push, el.hess_pairs))
+
+
+def _interior_matrix(el, blocks):
+    """Sum cell blocks (nc, nloc, nloc) into the layer's interior pattern."""
     data = np.bincount(el.jac_index, weights=blocks.ravel(),
                        minlength=el.nnz + 1)[:el.nnz]
     return sparse.csr_matrix((data, el.indices, el.indptr),

@@ -3,9 +3,10 @@
 Two drivers share one problem setup (boundary data pinned at Lagrange
 nodes, unknowns numbered by FeSpace.interior_index on one given space):
 
-* newton_solve: damped Gauss-Newton on the penalized least-squares
-  objective Phi(c) = 1/2 ||r(c)||^2 + eta/2 * |u|_J^2 + hinge(c), where
-  |u|_J is the gradient-jump seminorm across interior edges and hinge is a
+* newton_solve: damped Gauss-Newton, switching to Newton (see below), on
+  the penalized least-squares objective
+  Phi(c) = 1/2 ||r(c)||^2 + eta/2 * |u|_J^2 + hinge(c), where |u|_J is
+  the gradient-jump seminorm across interior edges and hinge is a
   quadratic penalty on negative Hessian eigenvalues over interior cells.
   The cofactor Jacobian is structurally rank deficient (its null directions
   are fields whose cellwise Hessian contraction vanishes while
@@ -35,11 +36,29 @@ a test can monkeypatch it:
   step tried: below it the predicted decrease is under the evaluation
   noise of the objective, so polish decides the outcome.
 
-Every linear system solved here is symmetric positive definite: the
-Gauss-Newton normal matrix J^T J + eta Q_II (+ S^T S), definite through
-the jump penalty, and the interior Poisson stiffness matrix.  All of them
-go through one factorization, _factor_spd: SuperLU in symmetric mode, with
-a minimum-degree ordering of A + A^T and diagonal pivots.  Diagonal pivots
+Gauss-Newton leaves out the second-order term T = sum_i r_i D2r_i of the
+Hessian of 1/2 ||r||^2.  Where no exact discrete solution exists the
+residual does not vanish at the minimizer, T does not either, and
+Gauss-Newton converges only linearly (hundreds of iterations on
+non-smooth Aleksandrov solutions).  det D2u is quadratic in the
+coefficients, so T is exact and cheap (assembly.second_order_term).  The
+switch follows Fletcher & Xu (IMA J. Numer. Anal. 7, 1987; Dennis &
+Schnabel, Numerical Methods for Unconstrained Optimization, ch. 10): the
+first direction of a solve, and every direction after a damped step, is
+Gauss-Newton.  After an accepted full step the iteration tries the Newton
+matrix J^T J + T + eta Q_II (+ S^T S).  It keeps that direction only if
+the factorization succeeds, the step is finite and it descends
+(grad . d < 0); otherwise, in the same iteration, it counts a Newton
+rejection and takes the Gauss-Newton direction.  The hinge enters through
+S^T S only.  The report counts newton_directions,
+gauss_newton_directions (they sum to iterations) and newton_rejections.
+
+The Gauss-Newton normal matrix J^T J + eta Q_II (+ S^T S), definite
+through the jump penalty, and the interior Poisson stiffness matrix are
+symmetric positive definite; the Newton matrix is symmetric but can be
+indefinite away from a minimizer.  All of them go through one
+factorization, _factor_spd: SuperLU in symmetric mode, with a
+minimum-degree ordering of A + A^T and diagonal pivots.  Diagonal pivots
 are stable for SPD matrices, and the symmetric ordering gives less fill
 than SuperLU's default column ordering with partial pivoting (3.2M instead
 of 4.3M factor nonzeros on a normal matrix of 8,065 interior dofs).
@@ -47,18 +66,19 @@ of 4.3M factor nonzeros on a normal matrix of 8,065 interior dofs).
 newton_solve samples f at the quadrature points once, for the positivity
 check, the Poisson start and every residual of the solve; the residual,
 the Jacobian and the hinge run on cell tables built once per space (see
-assembly.element_layer).  It factors the normal matrix once per
-Gauss-Newton iteration and nowhere else.  Its terminal polish takes
-chord steps on the factor of the last Gauss-Newton iteration: each step
-recomputes the exact gradient J^T r + eta (Q u)_I (+ S^T s) at the
-current iterate and back-solves with the old factor.  Polish moves the
-iterate by less than 1e-5, so the old normal matrix still contracts the
-steps, and with the exact gradient the stationary point is the same
-(Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
-sec. 5.4).  The previous factor is released before the next one is
-computed, so at most one factor is alive at a time.  Every Gauss-Newton
-direction counts in report.iterations, so a solve factors the normal
-matrix exactly report.iterations times (plus once for the Poisson start).
+assembly.element_layer).  It factors only to take a direction.  Its
+terminal polish takes chord steps on the factor of the last iteration,
+Newton or Gauss-Newton: each step recomputes the exact gradient
+J^T r + eta (Q u)_I (+ S^T s) at the current iterate and back-solves with
+the old factor.  Polish moves the iterate by less than 1e-5, so the old
+matrix still contracts the steps, and with the exact gradient the
+stationary point is the same (Kelley, Iterative Methods for Linear and
+Nonlinear Equations, SIAM 1995, sec. 5.4).  The previous factor is
+released before the next one is computed, so at most one factor is alive
+at a time.  Every direction counts in report.iterations, and a rejected
+Newton matrix was factored too, so a solve factors exactly
+report.iterations + report.newton_rejections times (plus once for a
+Poisson start).
 """
 
 import json
@@ -71,7 +91,8 @@ from scipy.sparse.linalg import splu
 from . import convexity
 from . import kernels
 from .assembly import (apply_boundary, f_at_qpts, gradient_jump_matrix,
-                       jacobian, load_vector, residual, stiffness_matrix)
+                       jacobian, load_vector, residual, second_order_term,
+                       stiffness_matrix)
 from .errors import NonConvergenceError, SingularJacobianError
 from .fespace import FeFunction
 
@@ -85,7 +106,7 @@ MIN_STEP = 2.0 ** -20
 
 
 class SolverConfig:
-    """The Gauss-Newton iteration cap of each newton_solve (at least 1) and
+    """The iteration cap of each newton_solve (at least 1) and
     the decreasing shifts eps of continuation_solve."""
 
     def __init__(self, max_iters=120, continuation_schedule=()):
@@ -115,6 +136,9 @@ class SolveReport:
         self.converged = False
         self.status = "running"
         self.iterations = 0
+        self.newton_directions = 0
+        self.gauss_newton_directions = 0
+        self.newton_rejections = 0
         self.min_lambda1 = None
         self.wall_time = 0.0
         self.stages = []
@@ -137,6 +161,9 @@ class SolveReport:
         return {
             "method": self.method,
             "iterations": self.iterations,
+            "newton_directions": self.newton_directions,
+            "gauss_newton_directions": self.gauss_newton_directions,
+            "newton_rejections": self.newton_rejections,
             "converged": self.converged,
             "status": self.status,
             "residual_history": list(self.residual_history),
@@ -180,11 +207,16 @@ def _check_positive_data(space, f):
 
 
 def _factor_spd(A):
-    """SuperLU factorization of a symmetric positive definite matrix.
+    """SuperLU factorization of a symmetric matrix, with diagonal pivots.
 
-    A csr matrix is handed over as its transpose, which is the same matrix
-    in csc form without a copy.  An exactly singular factor raises
-    SingularJacobianError.
+    The matrices are symmetric positive definite except the Newton matrix
+    of newton_solve, which can be indefinite.  Diagonal pivots do not
+    reliably detect that, so newton_solve checks the Newton step for
+    descent itself, and catches the SingularJacobianError of a failed
+    Newton factorization: that is a rejected Newton direction, not an
+    error.  A csr matrix is handed over as its transpose, which is the
+    same matrix in csc form without a copy.  An exactly singular factor
+    raises SingularJacobianError.
     """
     A = A.T if A.format == "csr" else A.tocsc()
     try:
@@ -192,9 +224,11 @@ def _factor_spd(A):
                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SingularJacobianError(
-            "factorization of a symmetric positive definite matrix failed "
-            "({}); for the Gauss-Newton normal matrix, strictify the "
-            "iterate or solve by continuation over f + eps".format(exc)
+            "factorization of a symmetric matrix failed ({}); a failed "
+            "Newton matrix falls back to Gauss-Newton and does not raise, "
+            "so this is the Poisson matrix or the Gauss-Newton normal "
+            "matrix: strictify the iterate or solve by continuation over "
+            "f + eps".format(exc)
         ) from exc
 
 
@@ -294,15 +328,16 @@ def _start_on(space, u0):
 
 
 def newton_solve(space, f, g, u0=None, config=None):
-    """Damped Gauss-Newton with gradient-jump penalty; returns (u_h, report).
+    """Damped Gauss-Newton/Newton iteration; returns (u_h, report).
 
     Stops when the sup norm of the residual falls below TOL_RESIDUAL
     (status "residual") or the accepted update falls below TOL_STEP
     (status "stationary"; the iterate is then a penalized least-squares
     critical point, the meaningful notion of discrete solution when no
     exact one exists).  Raises NonConvergenceError on line-search
-    stagnation and SingularJacobianError if the normal matrix cannot be
-    factorized.
+    stagnation and SingularJacobianError if the Gauss-Newton normal matrix
+    cannot be factorized (see the module docstring for when a Newton
+    direction is tried instead).
     The iterate lives on `space`: u0 is copied onto it, or raises
     ValueError unless it has the same degree, mesh vertices and cells.
     """
@@ -347,24 +382,41 @@ def newton_solve(space, f, g, u0=None, config=None):
                 "strictify the iterate or solve by continuation over f + eps")
         return d
 
-    def gn_direction(u_h, r):
+    def direction(u_h, r, try_newton):
         # r is the residual at u_h, already computed by objective.  Returns
-        # the step, the gradient and the factor of the normal matrix.
+        # the step, the gradient and the factor it was solved with: the
+        # Newton matrix H + T when try_newton and it gives a finite descent
+        # direction, the Gauss-Newton matrix H otherwise.
         grad, J, S = gradient(u_h, r)
         H = J.T @ J + eta * QII
         if S is not None:
             H = H + S.T @ S
+        if try_newton:
+            try:
+                lu = _factor_spd(H + second_order_term(space, r))
+                d = lu.solve(-grad)
+                if np.all(np.isfinite(d)) and float(grad @ d) < 0.0:
+                    report.newton_directions += 1
+                    return d, grad, lu
+            except SingularJacobianError:
+                pass
+            # no factor, no finite step or no descent: H + T is indefinite
+            # or nearly singular here
+            lu = None
+            report.newton_rejections += 1
+        report.gauss_newton_directions += 1
         lu = _factor_spd(H)
         return solve_normal(lu, grad), grad, lu
 
     def polish(u_h, lu, d=None, cap=1e-5):
         # Below the objective's evaluation noise the line search cannot
         # certify decrease, but the step equation is still accurate; take
-        # undamped chord steps, on the last Gauss-Newton factor lu and the
-        # exact gradient at each iterate, while they strictly contract to
-        # pin down the stationary point.  d is the step at u_h when already
-        # known.  Returns the refined iterate and the last accepted step
-        # size (inf when no step contracted).
+        # undamped chord steps, on the factor lu of the last direction
+        # (Newton or Gauss-Newton) and the exact gradient at each iterate,
+        # while they strictly contract to pin down the stationary point.  d
+        # is the step at u_h when already known.  Returns the refined
+        # iterate and the last accepted step size (inf when no step
+        # contracted).
         prev = np.inf
         for _ in range(50):
             if d is None:
@@ -381,12 +433,13 @@ def newton_solve(space, f, g, u0=None, config=None):
 
     phi, r = objective(u)
     report.record(r)
+    full_step = False  # the first direction is Gauss-Newton
     for it in range(config.max_iters):
         if _sup(r) <= TOL_RESIDUAL:
             report.iterations = it
             return u, report.finish("residual", True, u, t0)
         lu = None  # release the last factor before computing the next
-        d, grad, lu = gn_direction(u, r)
+        d, grad, lu = direction(u, r, try_newton=full_step)
         gd = float(grad @ d)
         d_sup = _sup(d)
         step = 1.0
@@ -415,6 +468,7 @@ def newton_solve(space, f, g, u0=None, config=None):
                     "line search stagnated below MIN_STEP", last_iterate=u,
                     report=report)
         u, phi, r = trial, phi_t, r_t
+        full_step = step == 1.0
         step_sup = step * d_sup
         report.record(r, step_sup)
         if step_sup <= TOL_STEP:
@@ -460,6 +514,9 @@ def continuation_solve(space, f, g, config=None, u0=None):
         report.residual_history_sup.extend(stage.residual_history_sup)
         report.step_history.extend(stage.step_history)
         report.iterations += stage.iterations
+        report.newton_directions += stage.newton_directions
+        report.gauss_newton_directions += stage.gauss_newton_directions
+        report.newton_rejections += stage.newton_rejections
         if failed and j == 0:
             report.finish("stage_failed", False, u_next, t0)
             raise NonConvergenceError(

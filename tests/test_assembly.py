@@ -17,6 +17,7 @@ from mafem.assembly import (
     linearized_operator_check,
     load_vector,
     residual,
+    second_order_term,
     stiffness_matrix,
 )
 from mafem.assembly import _assemble_jump_matrix, element_layer, f_at_qpts
@@ -413,6 +414,58 @@ class TestJacobian:
                 dense[int(r), int(c)] = float(v)
         assert np.max(np.abs(dense - J.toarray())) <= 1e-15 * np.max(
             np.abs(J.toarray()))
+
+
+def fd_objective_hessian(u_h, f):
+    """Central differences of the gradient J^T r of |r|^2 / 2, dense.
+
+    J^T r is cubic in the coefficients, so the truncation error is the
+    step squared times a constant; a step of 1e-5 (1 + |coeffs|_inf) keeps
+    it and the rounding error near 1e-10 relative.
+    """
+    step = 1e-5 * (1.0 + float(np.max(np.abs(u_h.coeffs))))
+    dofs = u_h.space.interior_dofs
+    out = np.empty((len(dofs), len(dofs)))
+    work = u_h.copy()
+    for col, dof in enumerate(dofs):
+        grads = []
+        for sign in (1.0, -1.0):
+            work.coeffs[dof] = u_h.coeffs[dof] + sign * step
+            grads.append(jacobian(work).T @ residual(work, f))
+        work.coeffs[dof] = u_h.coeffs[dof]
+        out[:, col] = (grads[0] - grads[1]) / (2.0 * step)
+    return out
+
+
+class TestSecondOrderTerm:
+    @settings(max_examples=6, deadline=None)
+    @given(convex_polygons(), st.sampled_from([2, 3]),
+           st.integers(0, 2 ** 31))
+    def test_completes_the_hessian_on_random_polygons(self, polygon, k,
+                                                      seed):
+        # J^T J + T is the exact Hessian of |r|^2 / 2, so it matches
+        # differences of the gradient; T is symmetric bit for bit and
+        # vanishes with the residual.
+        space = FeSpace(triangulate(polygon, refinements=1), k)
+        rng = np.random.default_rng(seed)
+        u = FeFunction(space, rng.standard_normal(space.num_dofs))
+        f = lambda p: 1.0 + np.atleast_2d(p)[:, 0] ** 2
+        r = residual(u, f)
+        T = second_order_term(space, r)
+        J = jacobian(u)
+        H = (J.T @ J + T).toarray()
+        Hfd = fd_objective_hessian(u, f)
+        assert np.max(np.abs(H - Hfd)) <= 1e-8 * np.max(np.abs(Hfd))
+        assert (T != T.T).nnz == 0
+        assert second_order_term(space, np.zeros_like(r)).count_nonzero() == 0
+
+    def test_shares_the_jacobian_pattern(self, space):
+        rng = np.random.default_rng(5)
+        u = FeFunction(space, rng.standard_normal(space.num_dofs))
+        J = jacobian(u)
+        T = second_order_term(space, residual(u, paraboloid))
+        assert np.array_equal(T.indptr, J.indptr)
+        assert np.array_equal(T.indices, J.indices)
 
 
 class TestApplyBoundary:

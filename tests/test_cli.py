@@ -209,7 +209,7 @@ def test_unconverged_solve_exits_1(tmp_path, monkeypatch, capsys):
     # Solver settings under which the degenerate problem's final shift
     # stage stops at max_iters; nothing is written as a solution.
     monkeypatch.setattr(study, "SolverConfig", lambda **kw: SolverConfig(
-        max_iters=8, continuation_schedule=(1.0, 1e-6)))
+        max_iters=5, continuation_schedule=(1.0, 1e-6)))
     out = str(tmp_path / "run")
     rc = cli.main(["solve", "--problem", "degenerate", "--refinements", "3",
                    "--out", out])

@@ -22,6 +22,7 @@ from mafem.solver import (
     default_initial_guess,
     newton_solve,
 )
+from mafem.study import solve_problem
 from strategies import convex_polygons
 
 
@@ -413,6 +414,92 @@ class TestPolish:
         u, report = newton_solve(space, smooth_f, smooth_exact)
         assert report.status == "stationary"
         assert np.abs(objective_gradient(u, smooth_f)).max() <= 5e-12
+
+
+class TestNewtonDirections:
+    @pytest.fixture
+    def events(self, monkeypatch):
+        # "S" per newton_solve, "F" per factorization, "T" per second-order
+        # term, in the order they happen
+        log = []
+
+        def logged(name, tag):
+            real = getattr(solver, name)
+
+            def wrapper(*args, **kwargs):
+                log.append(tag)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(solver, name, wrapper)
+
+        logged("newton_solve", "S")
+        logged("_factor_spd", "F")
+        logged("second_order_term", "T")
+        return log
+
+    @pytest.mark.parametrize("problem,refinements", [
+        ("smooth", 2), ("smooth", 3), ("envelope", 2), ("singular", 2)])
+    def test_factors_once_per_iteration_and_rejection(self, events, problem,
+                                                      refinements):
+        # A solve factors iterations + newton_rejections times, plus once
+        # for the Poisson start; every iteration takes one direction.
+        p = get_problem(problem)
+        _, _, reports = solve_problem(p, refinements=refinements)
+        for rep in reports:
+            assert (rep["newton_directions"] + rep["gauss_newton_directions"]
+                    == rep["iterations"])
+        poisson = 1  # only the first stage starts cold
+        assert events.count("F") == poisson + sum(
+            rep["iterations"] + rep["newton_rejections"] for rep in reports)
+        assert sum(rep["newton_directions"] for rep in reports) > 0
+
+    @pytest.mark.parametrize("term", ["indefinite", "non_finite"])
+    def test_rejected_newton_falls_back_to_gauss_newton(
+            self, monkeypatch, events, term):
+        # -1e8 I makes the Newton matrix negative definite, so its step
+        # climbs; nan I leaves no finite step or no factor.  Every Newton
+        # try is then rejected, and the solve runs on Gauss-Newton.
+        space = FeSpace(triangulate(unit_square(), refinements=3), 2)
+        ref, _ = newton_solve(space, smooth_f, smooth_exact)
+        events.clear()
+        scale = -1e8 if term == "indefinite" else np.nan
+
+        def broken_term(_space, r):
+            events.append("T")
+            return scale * sparse.identity(len(r), format="csr")
+
+        monkeypatch.setattr(solver, "second_order_term", broken_term)
+        u, report = newton_solve(space, smooth_f, smooth_exact)
+        assert report.converged and report.status == "stationary"
+        assert report.newton_directions == 0
+        assert report.gauss_newton_directions == report.iterations
+        tries = events.count("T")
+        assert report.newton_rejections == tries > 0
+        assert events.count("F") == 1 + report.iterations + tries
+        assert np.max(np.abs(u.coeffs - ref.coeffs)) <= 1e-8
+
+    def test_first_direction_is_gauss_newton(self, events, coarse_space):
+        # Cold and warm stages alike: the Poisson start and then the first
+        # direction are factored before any second-order term is built.
+        cfg = SolverConfig(continuation_schedule=(1.0, 0.25, 0.0))
+        continuation_solve(coarse_space, smooth_f, smooth_exact, cfg)
+        segments = "".join(events).split("S")[1:]
+        assert len(segments) == 3 and "T" in "".join(segments)
+        assert segments[0].startswith("FF")
+        assert all(seg.startswith("F") for seg in segments[1:])
+
+    def test_report_records_direction_counts(self, coarse_space):
+        cfg = SolverConfig(continuation_schedule=(1.0, 0.25, 0.0))
+        _, report = continuation_solve(coarse_space, smooth_f, smooth_exact,
+                                       cfg)
+        d = json.loads(report.to_json())
+        for key in ("newton_directions", "gauss_newton_directions",
+                    "newton_rejections"):
+            assert d[key] == sum(s[key] for s in d["stages"])
+            assert d[key] == getattr(report, key)
+        assert d["newton_directions"] > 0
+        assert (d["newton_directions"] + d["gauss_newton_directions"]
+                == d["iterations"])
 
 
 def basis_table_hinge(hinge, u):
