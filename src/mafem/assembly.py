@@ -41,7 +41,7 @@ class _ElementLayer:
 
     ref_hess (nq, nloc, 3) and push (nc, 3, 3) give the physical Hessians,
     wphi (nc, nq, nloc) = |K| w_q phi_i(x_q) the integration weights, and
-    cof_push (nc, 3, 3) and hess_pairs (nq, nloc, nloc, 9) the cofactor
+    cof_push (nc, 3, 3) and hess_pairs (nq, 3, 3, nloc, nloc) the cofactor
     pairings of basis Hessians (see kernels.second_order_cells).  The
     interior rows of the cell vectors are summed by np.bincount over
     res_index, the space's interior_index of each cell dof (boundary rows
@@ -58,13 +58,13 @@ class _ElementLayer:
         self.ref_hess = tab["hess"]
         self.push = space.cell_hess_push
         self.cof_push = self.push.transpose(0, 2, 1) @ _COFACTOR @ self.push
-        nq, nloc, _ = self.ref_hess.shape
-        self.hess_pairs = np.einsum("qja,qlb->qjlab", self.ref_hess,
-                                    self.ref_hess).reshape(nq, nloc, nloc, 9)
+        self.hess_pairs = np.einsum("qja,qlb->qabjl", self.ref_hess,
+                                    self.ref_hess)
         self.wphi = (space.cell_areas[:, None, None]
                      * quad.weights[None, :, None] * tab["val"][None])
         ni = len(space.interior_dofs)
         local = space.interior_index[space.cell_dofs]
+        nloc = local.shape[1]
         rows = np.repeat(local, nloc, axis=1).ravel()
         cols = np.tile(local, (1, nloc)).ravel()
         keep = (rows < ni) & (cols < ni)

@@ -46,16 +46,15 @@ def second_order_cells(rho_w, cof_push, hess_pairs):
     r_j, r_l of two basis functions, cof(D2 phi_l) : D2 phi_j =
     r_j . cof_push r_l with cof_push (nc, 3, 3) = push^T C push, where
     C = [[0, 0, 1], [0, -2, 0], [1, 0, 0]] is the packed cofactor form
-    (cof A : B = a . C b), and hess_pairs (nq, nloc, nloc, 9) holds the
+    (cof A : B = a . C b), and hess_pairs (nq, 3, 3, nloc, nloc) holds the
     products r_j[a] r_l[b] on the reference cell.
     So the blocks are one product of the (nc, 9 nq) weights with that
     per-rule table, and no per-cell basis table is stored.
     """
     nc, nq = rho_w.shape
-    nloc = hess_pairs.shape[1]
+    nloc = hess_pairs.shape[-1]
     w = rho_w[:, :, None] * cof_push.reshape(nc, 1, 9)
-    pairs = hess_pairs.reshape(nq, nloc * nloc, 9).transpose(0, 2, 1)
-    blocks = (w.reshape(nc, 9 * nq) @ pairs.reshape(9 * nq, nloc * nloc)
+    blocks = (w.reshape(nc, 9 * nq) @ hess_pairs.reshape(9 * nq, -1)
               ).reshape(nc, nloc, nloc)
     # the product sums the (a, b) and (b, a) terms of blocks[j, l] and
     # blocks[l, j] in different orders; averaging makes them bit-equal
