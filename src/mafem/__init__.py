@@ -32,7 +32,6 @@ from .ma_measure import (
     P1Function,
     aleksandrov_bound,
     convex_envelope_boundary,
-    hausdorff_distance,
     interpolate_p1,
     measure_pairing,
     partial_ma_measure,
@@ -94,7 +93,6 @@ __all__ = [
     "convex_envelope_boundary",
     "default_initial_guess",
     "get_problem",
-    "hausdorff_distance",
     "interior_subdomain",
     "interpolate",
     "interpolate_p1",

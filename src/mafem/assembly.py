@@ -24,14 +24,6 @@ from . import kernels
 from .fespace import eval_field
 
 
-def export_triplets(matrix, path):
-    """Write a sparse matrix as 'row col value' lines, 17 digits."""
-    coo = matrix.tocoo()
-    with open(path, "w") as fh:
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {v:.17g}\n")
-
-
 # cof A : B = a . _COFACTOR b for packed symmetric 2x2 matrices a and b
 _COFACTOR = np.array([[0.0, 0.0, 1.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])
 

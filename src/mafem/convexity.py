@@ -98,28 +98,3 @@ def strictify(u_h, eps, x0=None):
                                                + (p[:, 1] - x0[1]) ** 2))
     out = FeFunction(space, coeffs=u_h.coeffs + bump.coeffs)
     return out
-
-
-def bubble_integrals(u_h):
-    """Per-cell integrals int_K (det D2u_h) v_K with v_K the cubic bubble.
-
-    v_K = 60*l1*l2*l3 in barycentric coordinates: the cubic that vanishes
-    on all edges of K and has unit average.  For strictly positive cellwise
-    determinant every integral is positive.
-    """
-    space = u_h.space
-    quad = space.error_quadrature()
-    hess = u_h.cell_hessians(quad)
-    det = hess[:, :, 0] * hess[:, :, 2] - hess[:, :, 1] ** 2
-    xi = quad.points[:, 0]
-    eta = quad.points[:, 1]
-    bubble = 60.0 * (1.0 - xi - eta) * xi * eta
-    return space.cell_areas * (det @ (quad.weights * bubble))
-
-
-def bubble_positivity_check(u_h):
-    """Flag cells where int_K (det D2u_h) v_K <= 0 (potential degeneracy).
-
-    Returns a boolean array over cells; True marks a flagged cell.
-    """
-    return bubble_integrals(u_h) <= 0.0

@@ -306,20 +306,6 @@ class FeSpace:
         backward = self.mesh.cells[owners, local] != pairs[:, [0]]
         return tab[local, backward.astype(np.int64)]
 
-    def check_conformity(self, seed=0):
-        """Max mismatch of a random member across interior edges.
-
-        Samples 2(k+1) points on every edge shared by two cells and
-        evaluates the member from both sides.
-        """
-        rng = np.random.default_rng(seed)
-        coeffs = rng.standard_normal(self.num_dofs)
-        t = np.linspace(0.0, 1.0, 2 * (self.degree + 1))
-        _, owners, _, _ = self.mesh.interior_edges()
-        val = self.interior_edge_tables(t, "val")
-        vals = np.einsum("estl,esl->est", val, coeffs[self.cell_dofs[owners]])
-        return float(np.max(np.abs(vals[:, 0] - vals[:, 1]), initial=0.0))
-
 
 class FeFunction:
     """Member of an FeSpace, stored by its global coefficient vector."""
@@ -435,70 +421,6 @@ def interpolate(space, u):
         # already determined by its nodal values; exact projection
         return u.copy()
     return FeFunction(space, eval_field(u, space.dof_coords))
-
-
-def _sample_lattice(order):
-    lam, _ = bary_lattice(order)
-    return lam[:, 1:]
-
-
-def broken_seminorm(v, t, p=2):
-    """Cellwise Sobolev seminorm of order t (0, 1 or 2), p = 2 or inf.
-
-    p=2 integrates squared derivatives with the space's error rule (the
-    order-2 term is the Hessian Frobenius norm: dxx^2 + 2 dxy^2 + dyy^2).
-    p=inf takes the max over a per-cell barycentric lattice of order 10.
-    """
-    if t not in (0, 1, 2):
-        raise ValueError("derivative order t must be 0, 1 or 2")
-    space = v.space
-    key = ("val", "grad", "hess")[t]
-    if p == 2:
-        quad = space.error_quadrature()
-        d = v.cellwise(key, space.tables(quad))
-        if t == 0:
-            dens = d ** 2
-        elif t == 1:
-            dens = d[..., 0] ** 2 + d[..., 1] ** 2
-        else:
-            dens = d[..., 0] ** 2 + 2 * d[..., 1] ** 2 + d[..., 2] ** 2
-        return float(np.sqrt(space.integrate(dens, quad)))
-    if p == np.inf or p == "inf":
-        tab = space.ref.tabulate(_sample_lattice(10))
-        return float(np.abs(v.cellwise(key, tab)).max())
-    raise ValueError("p must be 2 or inf")
-
-
-def broken_norm(v, t, p=2):
-    """Cellwise Sobolev norm: combines seminorms of orders 0..t."""
-    semis = [broken_seminorm(v, s, p) for s in range(t + 1)]
-    if p == 2:
-        return float(np.sqrt(np.sum(np.square(semis))))
-    return float(np.max(semis))
-
-
-def verify_inverse_inequality(space, trials, seed=0, draws=None):
-    """Max over random members of |v|_{2,inf,h} * h^3 / |v|_{0,2,h}.
-
-    Measures the constant in the inverse estimate between the broken
-    W^{2,inf} and L2 norms; the h power is 2 + d/2 with d = 2.  Zero members
-    are skipped.  `draws` supplies explicit coefficient vectors instead of
-    random ones.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
-    if draws is None:
-        draws = (rng.standard_normal(space.num_dofs) for _ in range(trials))
-    h = space.mesh.mesh_size()
-    worst = 0.0
-    for coeffs in draws:
-        v = FeFunction(space, coeffs)
-        denom = broken_norm(v, 0, 2)
-        if denom == 0.0:
-            continue
-        worst = max(worst, broken_norm(v, 2, np.inf) * h ** 3 / denom)
-    return worst
 
 
 def phys_quad_points(space, quad):

@@ -5,18 +5,17 @@ functions (vertex atoms = areas of subdifferential polygons), the partial
 Monge-Ampere measure of piecewise-polynomial functions (cell-interior
 density integrals, mass on cell boundaries excluded by definition), weak
 convergence tests of the measures, the Aleksandrov maximum-principle bound,
-convex envelopes of boundary data by 3D lower hull, and Hausdorff distances
-of sampled upper graphs.
+and convex envelopes of boundary data by 3D lower hull.
 """
 
 import json
 
 import numpy as np
-from scipy.spatial import ConvexHull, cKDTree
+from scipy.spatial import ConvexHull
 
 from .errors import NonConvexInputError
 from . import kernels
-from .fespace import FeFunction, eval_field, phys_quad_points
+from .fespace import eval_field, phys_quad_points
 from .geometry import clip_convex, signed_area
 
 P1_JUMP_TOL = 1e-10
@@ -369,62 +368,3 @@ def convex_envelope_boundary(polygon, b, per_edge=32):
         -lower[:, 3] / lower[:, 2],
     ])
     return BoundaryEnvelope(planes, samples, values)
-
-
-def hausdorff_distance(A, B):
-    """Symmetric Hausdorff distance between two finite point sets."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if len(A) == 0 or len(B) == 0:
-        raise ValueError("point sets must be nonempty")
-    d_ab = cKDTree(B).query(A)[0].max()
-    d_ba = cKDTree(A).query(B)[0].max()
-    return float(max(d_ab, d_ba))
-
-
-class UpperGraph:
-    """Sampled upper graph of a field over a compact sample set.
-
-    Holds the lifted samples (x, t) with t running from the field value up
-    to a common ceiling in steps of the declared resolution, so Hausdorff
-    comparisons see the region above the graph, not just its surface.
-    """
-
-    def __init__(self, points, values, resolution, ceiling=None):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        values = np.asarray(values, dtype=float)
-        if resolution <= 0:
-            raise ValueError("resolution must be positive")
-        self.resolution = float(resolution)
-        if ceiling is None:
-            ceiling = float(values.max())
-        rows = []
-        for x, v in zip(points, values):
-            levels = np.arange(v, ceiling + self.resolution, self.resolution)
-            if len(levels) == 0:
-                levels = np.array([v])
-            rows.append(np.column_stack([np.tile(x, (len(levels), 1)),
-                                         levels]))
-        self.samples = np.vstack(rows)
-
-
-def graph_convergence_check(b_sequence, b, points, resolution):
-    """Sup-distance and upper-graph Hausdorff distance per sequence member.
-
-    Returns a list of (sup_difference, hausdorff, ok) with ok true when
-    the Hausdorff distance is below the sup difference plus the sampling
-    resolution, the discrete form of the graph-convergence statement for
-    uniformly convergent data.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    ref_vals = eval_field(b, points)
-    out = []
-    for bs in b_sequence:
-        vals = eval_field(bs, points)
-        sup = float(np.max(np.abs(vals - ref_vals)))
-        ceiling = float(max(vals.max(), ref_vals.max()))
-        G1 = UpperGraph(points, vals, resolution, ceiling=ceiling)
-        G2 = UpperGraph(points, ref_vals, resolution, ceiling=ceiling)
-        hd = hausdorff_distance(G1.samples, G2.samples)
-        out.append((sup, hd, bool(hd <= sup + resolution + 1e-12)))
-    return out

@@ -13,10 +13,10 @@ import os
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .fespace import eval_field
 from .geometry import ConvexPolygon
 from .mesh import interior_subdomain, unit_square
-from .regularize import RegularizedData, interior_samples
+from .regularize import RegularizedData
+from .solver import SolverConfig
 
 
 class Problem:
@@ -46,6 +46,8 @@ class Problem:
             raise ValueError("degree must be at least 2")
         if not self.levels or min(self.levels) < 0:
             raise ValueError("need at least one mesh level, none negative")
+        # rejects a negative shift when the problem is read, before any solve
+        SolverConfig(continuation_schedule=self.epsilon_schedule)
 
     def interior_compact(self, fraction=0.2):
         """Fixed compact for interior sup-norm errors, set by the inradius."""
@@ -53,20 +55,12 @@ class Problem:
                                   fraction * self.polygon.inradius())
 
     def regularized(self, truncate_M=None):
-        """Truncation/mollification applied to f (shift is the solver's
-        job via the epsilon schedule)."""
+        """f truncated at M (when given) and mollified with the problem's
+        radius (when set); the shift is applied by the solver through the
+        epsilon schedule."""
         return RegularizedData(self.f, self.polygon,
                                radius=self.mollify_radius,
                                truncate_M=truncate_M)
-
-    def consistency_gap(self, n_points=100, seed=0):
-        """Max |det D2u - f| over random interior points of the exact data."""
-        if self.exact_hess is None:
-            raise ValueError("problem has no exact Hessian")
-        pts = interior_samples(self.polygon, n_points, seed=seed)
-        h = eval_field(self.exact_hess, pts)
-        det = h[:, 0] * h[:, 2] - h[:, 1] ** 2
-        return float(np.max(np.abs(det - eval_field(self.f, pts))))
 
     def to_dict(self):
         return {

@@ -1,43 +1,19 @@
-"""Data regularization: mollification, truncation, positive shift, bounds.
+"""Data regularization: mollification, truncation and positive shift.
 
 Fields are callables mapping (n, 2) point arrays to (n,) values, sampled
 through fespace.eval_field.  The mollifier is the standard compactly
 supported bump exp(-1/(1-|z/r|^2)), normalized to unit mass numerically,
 evaluated by a fixed polar quadrature over its support; near the boundary
-the field is extended by its nearest-boundary value so bounds are
-preserved by construction.
+the field is extended by its nearest-boundary value so the mollified
+values stay inside [inf f, sup f] by construction.  RegularizedData chains
+the three and records what was applied; the shift schedule of a solve is
+applied by the solver, which also rejects negative data.
 """
-
-import json
 
 import numpy as np
 from scipy.special import roots_legendre
 
-from .fespace import eval_field
 from .geometry import nearest_boundary_point
-
-
-class DataBounds:
-    """Empirical bounds of the data f (and optionally its mollification)."""
-
-    def __init__(self, c0, c1, c2=None, c3=None, degenerate=False):
-        if not (0.0 <= c0 <= c1):
-            raise ValueError("bounds must satisfy 0 <= c0 <= c1")
-        if c2 is not None and not (0.0 < c2 <= c3):
-            raise ValueError("mollified bounds must satisfy 0 < c2 <= c3")
-        self.c0 = float(c0)
-        self.c1 = float(c1)
-        self.c2 = None if c2 is None else float(c2)
-        self.c3 = None if c3 is None else float(c3)
-        self.degenerate = bool(degenerate)
-
-    def to_dict(self):
-        return {"c0": self.c0, "c1": self.c1, "c2": self.c2, "c3": self.c3,
-                "degenerate": self.degenerate}
-
-    def __repr__(self):
-        return "DataBounds(c0={:.3e}, c1={:.3e}, degenerate={})".format(
-            self.c0, self.c1, self.degenerate)
 
 
 def _bump_quadrature(radius, n_radial=10, n_angular=20):
@@ -117,61 +93,13 @@ def shift(f, eps):
     return shifted
 
 
-def _radical_inverse(index, base):
-    """Van der Corput points of the integers index in the given base.
-
-    Digits are added from the least significant one, in the order of
-    scipy.stats.qmc's unscrambled sequence, so the points are the same.
-    """
-    out = np.zeros(len(index))
-    q = np.array(index, dtype=np.int64)
-    b2r = 1.0 / base
-    while np.any(q > 0):
-        out += (q % base) * b2r
-        b2r /= base
-        q //= base
-    return out
-
-
-def interior_samples(polygon, n_samples, seed=0):
-    """Quasi-random (Halton, bases 2 and 3) interior sample points.
-
-    The unscrambled sequence does not depend on seed.
-    """
-    lo = polygon.vertices.min(axis=0)
-    hi = polygon.vertices.max(axis=0)
-    pts = np.empty((0, 2))
-    n_draw, start = max(64, 2 * n_samples), 0
-    while len(pts) < n_samples:
-        index = np.arange(start, start + n_draw)
-        start += n_draw
-        unit = np.column_stack([_radical_inverse(index, 2),
-                                _radical_inverse(index, 3)])
-        draw = lo + (hi - lo) * unit
-        keep = draw[polygon.contains(draw)]
-        pts = np.vstack([pts, keep])
-    return pts[:n_samples]
-
-
-def validate_bounds(f, polygon, n_samples=400):
-    """Empirical data bounds over quasi-random interior samples."""
-    if n_samples < 100:
-        raise ValueError("n_samples must be at least 100")
-    vals = eval_field(f, interior_samples(polygon, n_samples))
-    c0 = float(max(vals.min(), 0.0))
-    c1 = float(vals.max())
-    return DataBounds(c0, c1, degenerate=vals.min() < 1e-12)
-
-
 class RegularizedData:
     """Pipeline record: truncation, mollification and shift applied to f.
 
     A solve imposes the boundary data as given, so the record holds no g."""
 
     def __init__(self, f, polygon, radius=None, truncate_M=None,
-                 shift_eps=None, n_samples=400):
-        self.polygon = polygon
-        self.radius = radius
+                 shift_eps=None):
         self.operations = []
         fm = f
         if truncate_M is not None:
@@ -184,21 +112,3 @@ class RegularizedData:
             fm = shift(fm, shift_eps)
             self.operations.append({"op": "shift", "eps": float(shift_eps)})
         self.f_m = fm
-        raw = validate_bounds(f, polygon, n_samples)
-        reg = validate_bounds(fm, polygon, n_samples)
-        self.bounds = DataBounds(raw.c0, raw.c1,
-                                 c2=max(reg.c0, np.finfo(float).tiny),
-                                 c3=max(reg.c1, np.finfo(float).tiny),
-                                 degenerate=raw.degenerate)
-
-    def check(self, n_samples=400):
-        """Invariant: sampled min of f_m >= c2 - 1e-12."""
-        vals = eval_field(self.f_m, interior_samples(self.polygon, n_samples))
-        return float(vals.min()) >= self.bounds.c2 - 1e-12
-
-    def to_dict(self):
-        return {"radius": self.radius, "operations": self.operations,
-                "bounds": self.bounds.to_dict()}
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2)

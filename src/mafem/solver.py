@@ -107,7 +107,7 @@ MIN_STEP = 2.0 ** -20
 
 class SolverConfig:
     """The iteration cap of each newton_solve (at least 1) and
-    the decreasing shifts eps of continuation_solve."""
+    the decreasing shifts eps >= 0 of continuation_solve."""
 
     def __init__(self, max_iters=120, continuation_schedule=()):
         if (isinstance(max_iters, bool)
@@ -117,6 +117,9 @@ class SolverConfig:
                              "got {!r}".format(max_iters))
         self.max_iters = int(max_iters)
         self.continuation_schedule = tuple(continuation_schedule)
+        if not all(eps >= 0 for eps in self.continuation_schedule):
+            raise ValueError("continuation shifts must be >= 0, got {}".format(
+                list(self.continuation_schedule)))
 
     def to_dict(self):
         return {
@@ -494,6 +497,7 @@ def continuation_solve(space, f, g, config=None, u0=None):
     holds the failed stage; a later stage that fails is recorded and the
     next one continues from its last iterate.  f (a field or its samples)
     is sampled once; each stage solves with the samples plus its shift.
+    Raises ValueError when a sample of f is negative.
     """
     if config is None:
         config = SolverConfig(continuation_schedule=(0.0,))
@@ -501,6 +505,9 @@ def continuation_solve(space, f, g, config=None, u0=None):
     t0 = time.perf_counter()
     report = SolveReport("continuation")
     fq = f_at_qpts(space, f)
+    if fq.min() < 0.0:
+        raise ValueError("f is negative at a quadrature point (min {:.3e}); "
+                         "det D2u = f needs f >= 0".format(fq.min()))
     u = u0
     for j, eps in enumerate(schedule):
         failed = False

@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -9,7 +7,6 @@ from scipy.special import roots_legendre
 from mafem import regular_polygon, triangulate, unit_square
 from mafem.assembly import (
     apply_boundary,
-    export_triplets,
     fd_jacobian,
     gradient_jump_matrix,
     gradient_jump_seminorm,
@@ -400,20 +397,6 @@ class TestJacobian:
         H = (J.T @ J + 1e-2 * Q).toarray()
         eigs = np.linalg.eigvalsh(0.5 * (H + H.T))
         assert eigs[0] > 0
-
-    def test_export_triplets_roundtrip(self, space, tmp_path):
-        rng = np.random.default_rng(9)
-        u = FeFunction(space, rng.standard_normal(space.num_dofs))
-        J = jacobian(u)
-        path = os.path.join(tmp_path, "jac.txt")
-        export_triplets(J, path)
-        dense = np.zeros(J.shape)
-        with open(path) as fh:
-            for line in fh:
-                r, c, v = line.split()
-                dense[int(r), int(c)] = float(v)
-        assert np.max(np.abs(dense - J.toarray())) <= 1e-15 * np.max(
-            np.abs(J.toarray()))
 
 
 def fd_objective_hessian(u_h, f):

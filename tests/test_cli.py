@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mafem import cli, study
 from mafem.errors import NonConvergenceError
-from mafem.problems import CATALOGUE
+from mafem.problems import CATALOGUE, problem_from_json
 from mafem.solver import SolverConfig
 
 PARABOLOID = {
@@ -322,5 +322,32 @@ def test_broken_problem_file_exits_2_without_solving(command, text, tmp_path,
                                                      monkeypatch, capsys):
     path = tmp_path / "problem.json"
     path.write_text(text)
+    _exits_2_without_solving([command, "--problem", str(path)], tmp_path,
+                             monkeypatch, capsys)
+
+
+def test_negative_data_rejected(tmp_path, capsys):
+    # f = 2x^2 - 0.5 is negative on part of the square; the shifts would
+    # make every stage solvable, so the data itself must be rejected
+    path = tmp_path / "negative_f.json"
+    path.write_text(json.dumps({
+        **PARABOLOID, "f": {"poly": [[-0.5, 0, 0], [0, 0, 0], [2.0, 0, 0]]},
+        "regularization": {"epsilon_schedule": [1.0, 0.6]}}))
+    with pytest.raises(ValueError, match="f is negative"):
+        study.solve_problem(problem_from_json(str(path)), refinements=1)
+    rc = cli.main(["solve", "--problem", str(path),
+                   "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "f is negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "study", "measure"])
+def test_negative_shift_exits_2_without_solving(command, tmp_path,
+                                                 monkeypatch, capsys):
+    path = tmp_path / "negative_shift.json"
+    path.write_text(json.dumps({
+        "polygon": [[0, 0], [1, 0], [1, 1], [0, 1]],
+        "f": {"name": "smooth_f"}, "g": {"name": "smooth_g"},
+        "levels": [2], "regularization": {"epsilon_schedule": [-0.5]}}))
     _exits_2_without_solving([command, "--problem", str(path)], tmp_path,
                              monkeypatch, capsys)

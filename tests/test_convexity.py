@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mafem import triangulate, unit_square
-from mafem.convexity import (analyze, bubble_integrals,
-                             bubble_positivity_check, eigmin_2x2, strictify)
+from mafem.convexity import analyze, eigmin_2x2, strictify
 from mafem.fespace import FeFunction, FeSpace, interpolate
 from strategies import convex_polygons
 
@@ -107,27 +106,6 @@ def test_strictify_rejects_negative(space):
     u = interpolate(space, lambda p: p[:, 0])
     with pytest.raises(ValueError):
         strictify(u, -1e-3, x0=(0.5, 0.5))
-
-
-def test_bubble_unit_determinant(space):
-    u = interpolate(space, lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2))
-    vals = bubble_integrals(u)
-    assert np.allclose(vals, space.cell_areas, atol=1e-12)
-    assert not bubble_positivity_check(u).any()
-
-
-def test_bubble_affine_flagged(space):
-    u = interpolate(space, lambda p: 1.0 + 2.0 * p[:, 0] - p[:, 1])
-    vals = bubble_integrals(u)
-    assert np.max(np.abs(vals)) <= 1e-12
-    assert bubble_positivity_check(u).all()
-
-
-def test_bubble_saddle_flagged(space):
-    u = interpolate(space, lambda p: p[:, 0] * p[:, 1])
-    vals = bubble_integrals(u)
-    assert np.allclose(vals, -space.cell_areas, atol=1e-12)
-    assert bubble_positivity_check(u).all()
 
 
 def test_report_json_roundtrip(space):

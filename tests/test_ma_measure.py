@@ -423,49 +423,3 @@ class TestBoundaryEnvelope:
             mm.convex_envelope_boundary(unit_square_polygon, lambda p: p[..., 0],
                                         per_edge=2)
 
-
-class TestHausdorff:
-    def test_identical_sets(self):
-        pts = np.random.default_rng(0).uniform(size=(40, 2))
-        assert mm.hausdorff_distance(pts, pts) == 0.0
-
-    def test_singletons(self):
-        assert mm.hausdorff_distance([[0.0, 0.0]], [[3.0, 4.0]]) == 5.0
-
-    def test_shifted_grid(self):
-        g = np.stack(np.meshgrid(np.linspace(0, 1, 11),
-                                 np.linspace(0, 1, 11)),
-                     axis=-1).reshape(-1, 2)
-        d = mm.hausdorff_distance(g, g + np.array([0.1, 0.0]))
-        assert abs(d - 0.1) <= 1e-12
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            mm.hausdorff_distance(np.empty((0, 2)), [[0.0, 0.0]])
-
-
-class TestUpperGraphs:
-    def test_sample_spacing_bounded_by_resolution(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        graph = mm.UpperGraph(pts, np.array([0.0, 0.35, 0.8]), 0.25)
-        for x in pts:
-            levels = np.sort(graph.samples[
-                np.all(graph.samples[:, :2] == x, axis=1), 2])
-            assert len(levels) >= 1
-            assert np.all(np.diff(levels) <= 0.25 + 1e-12)
-
-    def test_resolution_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            mm.UpperGraph(np.zeros((1, 2)), np.zeros(1), 0.0)
-
-    def test_uniform_convergence_controls_hausdorff(self):
-        pts = np.stack(np.meshgrid(np.linspace(0, 1, 15),
-                                   np.linspace(0, 1, 15)),
-                       axis=-1).reshape(-1, 2)
-        b = lambda p: (p[..., 0] - 0.5) ** 2 + (p[..., 1] - 0.5) ** 2
-        seq = [lambda p, d=d: b(p) + d * np.sin(7.0 * p[..., 0])
-               for d in (0.1, 0.01, 0.001)]
-        out = mm.graph_convergence_check(seq, b, pts, resolution=0.05)
-        sups = [sup for sup, _, _ in out]
-        assert sups[0] > sups[1] > sups[2]
-        assert all(ok for _, _, ok in out)

@@ -80,6 +80,13 @@ class TestSolverConfig:
             with pytest.raises(ValueError, match="max_iters"):
                 SolverConfig(max_iters=max_iters)
 
+    def test_negative_shift_rejected(self):
+        for schedule in ([-0.5], (1.0, 0.5, -1e-12), [float("nan")]):
+            with pytest.raises(ValueError, match="shifts must be >= 0"):
+                SolverConfig(continuation_schedule=schedule)
+        assert SolverConfig(continuation_schedule=[1.0, 0.0]) \
+            .continuation_schedule == (1.0, 0.0)
+
     def test_numpy_integer_accepted(self):
         cfg = SolverConfig(max_iters=np.int32(7))
         assert cfg.max_iters == 7 and type(cfg.max_iters) is int
