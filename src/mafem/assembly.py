@@ -11,9 +11,9 @@ space's numbering of its ni interior dofs (FeSpace.interior_index).
 Everything that depends only on the space is computed once and cached on
 it: the default quadrature rule, the packed Hessian push-forward of every
 cell, the integration weights |K| w_q phi_i(x_q) and the interior sparsity
-(element_layer), and the gradient-jump matrix (gradient_jump_matrix).  A
-residual, Jacobian or second-order term is then a few numpy kernels (see
-kernels) and one np.bincount.
+(element_layer), and the edge jump operator with its Gram matrix
+(gradient_jump_matrix).  A residual, Jacobian or second-order term is
+then a few numpy kernels (see kernels) and one np.bincount.
 """
 
 import numpy as np
@@ -253,8 +253,18 @@ def _edge_jump_blocks(space):
     cells of each interior edge, wt (nq,) holds the Gauss weights on [0, 1]
     and B (ni, nq, 2 nloc) maps the stacked local coefficients to the
     normal-derivative jump at the edge Gauss points, scaled so that
-    sum(wt * (B c)^2) = (1/|e|) int_e [dn u]^2 ds.
+    sum(wt * (B c)^2) = (1/|e|) int_e [dn u]^2 ds.  Built once per space
+    and cached there, with read-only arrays.
     """
+    if space._jump_blocks is None:
+        blocks = _assemble_edge_jump_blocks(space)
+        for arr in blocks:
+            arr.flags.writeable = False
+        space._jump_blocks = blocks
+    return space._jump_blocks
+
+
+def _assemble_edge_jump_blocks(space):
     _, owners, _, nrm = space.mesh.interior_edges()
     xg, wg = roots_legendre(space.degree + 1)
     gtab = space.interior_edge_tables(0.5 * (xg + 1.0), "grad")
@@ -301,7 +311,8 @@ def gradient_jump_seminorm(u_h):
 
     Evaluated from the jump values themselves (not through the Gram
     matrix, whose quadratic form loses the small-jump regime to
-    cancellation), so C1 fields come out at machine zero.
+    cancellation), so C1 fields come out at machine zero.  Its square is
+    the jump term of newton_solve's objective.
     """
     idx, wt, B = _edge_jump_blocks(u_h.space)
     jump = np.einsum("eql,el->eq", B, u_h.coeffs[idx])

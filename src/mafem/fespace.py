@@ -238,6 +238,7 @@ class FeSpace:
         self._rules = {}
         self._tab_cache = {}
         self._elements = None  # built by assembly.element_layer
+        self._jump_blocks = None  # built by assembly._edge_jump_blocks
         self._jump_matrix = None  # built by assembly.gradient_jump_matrix
 
     def __repr__(self):

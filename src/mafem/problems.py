@@ -46,8 +46,12 @@ class Problem:
             raise ValueError("degree must be at least 2")
         if not self.levels or min(self.levels) < 0:
             raise ValueError("need at least one mesh level, none negative")
-        # rejects a negative shift when the problem is read, before any solve
+        # rejects a negative shift or a truncation level M <= 0 when the
+        # problem is read, before any solve
         SolverConfig(continuation_schedule=self.epsilon_schedule)
+        if not all(m > 0 for m in self.truncate_schedule):
+            raise ValueError("truncation level M must be positive, got {}"
+                             .format(list(self.truncate_schedule)))
 
     def interior_compact(self, fraction=0.2):
         """Fixed compact for interior sup-norm errors, set by the inradius."""

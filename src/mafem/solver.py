@@ -29,12 +29,14 @@ a test can monkeypatch it:
   sets the error floor of the convergence studies.
 * CONVEX_PENALTY = 1, which weighs a hinge deficit like a residual of the
   same size, and CONVEX_ALLOWANCE = 1e-2 (see _ConvexityHinge).
-* TOL_RESIDUAL = 1e-10 and TOL_STEP = 1e-10, the sup norms of residual
-  and accepted update that end a solve (see newton_solve).
+* TOL_STEP = 1e-10, the sup norm of a direction, and TOL_DECREASE =
+  1e-10, the decrease -grad . d it predicts relative to Phi (the Newton
+  decrement test of Dennis & Schnabel, Numerical Methods for
+  Unconstrained Optimization, sec. 7.2): a direction below either ends a
+  solve (see newton_solve).
 * ARMIJO = 1e-4, the usual sufficient-decrease constant (Nocedal & Wright,
   Numerical Optimization, sec. 3.1), and MIN_STEP = 2^-20, the shortest
-  step tried: below it the predicted decrease is under the evaluation
-  noise of the objective, so polish decides the outcome.
+  step tried.
 
 Gauss-Newton leaves out the second-order term T = sum_i r_i D2r_i of the
 Hessian of 1/2 ||r||^2.  Where no exact discrete solution exists the
@@ -43,14 +45,13 @@ Gauss-Newton converges only linearly (hundreds of iterations on
 non-smooth Aleksandrov solutions).  det D2u is quadratic in the
 coefficients, so T is exact and cheap (assembly.second_order_term).  The
 switch follows Fletcher & Xu (IMA J. Numer. Anal. 7, 1987; Dennis &
-Schnabel, Numerical Methods for Unconstrained Optimization, ch. 10): the
-first direction of a solve, and every direction after a damped step, is
-Gauss-Newton.  After an accepted full step the iteration tries the Newton
-matrix J^T J + T + eta Q_II (+ S^T S).  It keeps that direction only if
-the factorization succeeds, the step is finite and it descends
-(grad . d < 0); otherwise, in the same iteration, it counts a Newton
-rejection and takes the Gauss-Newton direction.  The hinge enters through
-S^T S only.  The report counts newton_directions,
+Schnabel, ch. 10): the first direction of a solve, and every direction
+after a damped step, is Gauss-Newton.  After an accepted full step the
+iteration tries the Newton matrix J^T J + T + eta Q_II (+ S^T S).  It
+keeps that direction only if the factorization succeeds, the step is
+finite and it descends (grad . d < 0); otherwise, in the same iteration,
+it counts a Newton rejection and takes the Gauss-Newton direction.  The
+hinge enters through S^T S only.  The report counts newton_directions,
 gauss_newton_directions (they sum to iterations) and newton_rejections.
 
 The Gauss-Newton normal matrix J^T J + eta Q_II (+ S^T S), definite
@@ -65,20 +66,14 @@ of 4.3M factor nonzeros on a normal matrix of 8,065 interior dofs).
 
 newton_solve samples f at the quadrature points once, for the positivity
 check, the Poisson start and every residual of the solve; the residual,
-the Jacobian and the hinge run on cell tables built once per space (see
-assembly.element_layer).  It factors only to take a direction.  Its
-terminal polish takes chord steps on the factor of the last iteration,
-Newton or Gauss-Newton: each step recomputes the exact gradient
-J^T r + eta (Q u)_I (+ S^T s) at the current iterate and back-solves with
-the old factor.  Polish moves the iterate by less than 1e-5, so the old
-matrix still contracts the steps, and with the exact gradient the
-stationary point is the same (Kelley, Iterative Methods for Linear and
-Nonlinear Equations, SIAM 1995, sec. 5.4).  The previous factor is
-released before the next one is computed, so at most one factor is alive
-at a time.  Every direction counts in report.iterations, and a rejected
-Newton matrix was factored too, so a solve factors exactly
-report.iterations + report.newton_rejections times (plus once for a
-Poisson start).
+the Jacobian, the hinge and the jump values run on tables built once per
+space (see assembly.element_layer and assembly.gradient_jump_seminorm).
+Phi's jump term is evaluated from the jump values, not as c.Qc: the
+quadratic form cancels to about 1e-16 absolute, which would hide the
+decrease of a full step once the residual is below about 1e-8.  A solve
+factors only to take a direction and keeps no factor, so a solve
+factors exactly report.iterations + report.newton_rejections times (plus
+once for a Poisson start).
 """
 
 import json
@@ -91,16 +86,16 @@ from scipy.sparse.linalg import splu
 from . import convexity
 from . import kernels
 from .assembly import (apply_boundary, f_at_qpts, gradient_jump_matrix,
-                       jacobian, load_vector, residual, second_order_term,
-                       stiffness_matrix)
+                       gradient_jump_seminorm, jacobian, load_vector,
+                       residual, second_order_term, stiffness_matrix)
 from .errors import NonConvergenceError, SingularJacobianError
 from .fespace import FeFunction
 
 JUMP_PENALTY = 1e-2
 CONVEX_PENALTY = 1.0
 CONVEX_ALLOWANCE = 1e-2
-TOL_RESIDUAL = 1e-10
 TOL_STEP = 1e-10
+TOL_DECREASE = 1e-10
 ARMIJO = 1e-4
 MIN_STEP = 2.0 ** -20
 
@@ -333,14 +328,21 @@ def _start_on(space, u0):
 def newton_solve(space, f, g, u0=None, config=None):
     """Damped Gauss-Newton/Newton iteration; returns (u_h, report).
 
-    Stops when the sup norm of the residual falls below TOL_RESIDUAL
-    (status "residual") or the accepted update falls below TOL_STEP
-    (status "stationary"; the iterate is then a penalized least-squares
-    critical point, the meaningful notion of discrete solution when no
-    exact one exists).  Raises NonConvergenceError on line-search
-    stagnation and SingularJacobianError if the Gauss-Newton normal matrix
-    cannot be factorized (see the module docstring for when a Newton
-    direction is tried instead).
+    A solve ends in one place, on each new direction d with gradient grad
+    at the iterate, before the line search:
+    * when |d|_inf <= TOL_STEP or -grad . d <= TOL_DECREASE * Phi, it takes
+      the whole step and returns with status "stationary": the iterate is
+      a penalized least-squares critical point, the meaningful notion of
+      discrete solution when no exact one exists;
+    * when Armijo halves the step below MIN_STEP, the predicted decrease
+      is below the evaluation noise of Phi.  With |d|_inf <= 1e-6 the
+      iterate is terminal and the solve takes the whole step and returns
+      "stationary"; otherwise it raises NonConvergenceError with status
+      "stagnation".
+    After max_iters directions it raises NonConvergenceError with status
+    "max_iters".  Raises SingularJacobianError if the Gauss-Newton normal
+    matrix cannot be factorized (see the module docstring for when a
+    Newton direction is tried instead).
     The iterate lives on `space`: u0 is copied onto it, or raises
     ValueError unless it has the same degree, mesh vertices and cells.
     """
@@ -362,125 +364,77 @@ def newton_solve(space, f, g, u0=None, config=None):
 
     def objective(u_h):
         r = residual(u_h, fq)
-        pen = 0.5 * eta * float(u_h.coeffs @ (Q @ u_h.coeffs))
+        pen = 0.5 * eta * gradient_jump_seminorm(u_h) ** 2
         pen += hinge.value(u_h)
         return 0.5 * float(r @ r) + pen, r
 
-    def gradient(u_h, r):
-        # Gradient of Phi at u_h from the residual r there, with the
-        # Jacobians of the residual and of the hinge values (S is None
-        # when no hinge entry is active).
-        J = jacobian(u_h)
-        grad = J.T @ r + eta * (Q @ u_h.coeffs)[I]
-        s, S = hinge.residual_and_jacobian(u_h)
-        if not s.size:
-            return grad, J, None
-        return grad + S.T @ s, J, S
-
-    def solve_normal(lu, grad):
-        d = lu.solve(-grad)
-        if not np.all(np.isfinite(d)):
-            raise SingularJacobianError(
-                "singular normal matrix produced a non-finite step; "
-                "strictify the iterate or solve by continuation over f + eps")
-        return d
-
     def direction(u_h, r, try_newton):
         # r is the residual at u_h, already computed by objective.  Returns
-        # the step, the gradient and the factor it was solved with: the
-        # Newton matrix H + T when try_newton and it gives a finite descent
-        # direction, the Gauss-Newton matrix H otherwise.
-        grad, J, S = gradient(u_h, r)
+        # the step and the gradient J^T r + eta (Q u)_I (+ S^T s) of Phi:
+        # the Newton step when try_newton and the Newton matrix H + T gives
+        # a finite descent direction, the Gauss-Newton step on H otherwise.
+        J = jacobian(u_h)
+        grad = J.T @ r + eta * (Q @ u_h.coeffs)[I]
         H = J.T @ J + eta * QII
-        if S is not None:
+        s, S = hinge.residual_and_jacobian(u_h)
+        if s.size:
+            grad = grad + S.T @ s
             H = H + S.T @ S
         if try_newton:
             try:
-                lu = _factor_spd(H + second_order_term(space, r))
-                d = lu.solve(-grad)
+                d = _factor_spd(H + second_order_term(space, r)).solve(-grad)
                 if np.all(np.isfinite(d)) and float(grad @ d) < 0.0:
                     report.newton_directions += 1
-                    return d, grad, lu
+                    return d, grad
             except SingularJacobianError:
                 pass
             # no factor, no finite step or no descent: H + T is indefinite
             # or nearly singular here
-            lu = None
             report.newton_rejections += 1
         report.gauss_newton_directions += 1
-        lu = _factor_spd(H)
-        return solve_normal(lu, grad), grad, lu
+        d = _factor_spd(H).solve(-grad)
+        if not np.all(np.isfinite(d)):
+            raise SingularJacobianError(
+                "singular normal matrix produced a non-finite step; "
+                "strictify the iterate or solve by continuation over f + eps")
+        return d, grad
 
-    def polish(u_h, lu, d=None, cap=1e-5):
-        # Below the objective's evaluation noise the line search cannot
-        # certify decrease, but the step equation is still accurate; take
-        # undamped chord steps, on the factor lu of the last direction
-        # (Newton or Gauss-Newton) and the exact gradient at each iterate,
-        # while they strictly contract to pin down the stationary point.  d
-        # is the step at u_h when already known.  Returns the refined
-        # iterate and the last accepted step size (inf when no step
-        # contracted).
-        prev = np.inf
-        for _ in range(50):
-            if d is None:
-                d = solve_normal(lu, gradient(u_h, residual(u_h, fq))[0])
-            d_sup = _sup(d)
-            if d_sup > cap or d_sup >= prev:
-                break
-            u_h.coeffs[I] += d
-            prev = d_sup
-            if d_sup <= 1e-14 * (1.0 + _sup(u_h.coeffs)):
-                break
-            d = None
-        return u_h, prev
+    def line_search(u_h, phi, d, gd):
+        # Armijo backtracking by halving; None once the step falls below
+        # MIN_STEP
+        step = 1.0
+        trial = u_h.copy()
+        while step >= MIN_STEP:
+            trial.coeffs[I] = u_h.coeffs[I] + step * d
+            phi_t, r_t = objective(trial)
+            if phi_t <= phi + ARMIJO * step * gd:
+                return step, trial, phi_t, r_t
+            step *= 0.5
+        return None
 
     phi, r = objective(u)
     report.record(r)
     full_step = False  # the first direction is Gauss-Newton
     for it in range(config.max_iters):
-        if _sup(r) <= TOL_RESIDUAL:
-            report.iterations = it
-            return u, report.finish("residual", True, u, t0)
-        lu = None  # release the last factor before computing the next
-        d, grad, lu = direction(u, r, try_newton=full_step)
+        d, grad = direction(u, r, try_newton=full_step)
+        report.iterations = it + 1
         gd = float(grad @ d)
         d_sup = _sup(d)
-        step = 1.0
-        trial = u.copy()
-        while True:
-            trial.coeffs[I] = u.coeffs[I] + step * d
-            phi_t, r_t = objective(trial)
-            if phi_t <= phi + ARMIJO * step * gd:
-                break
-            step *= 0.5
-            if step < MIN_STEP:
-                # The predicted decrease is below the noise floor of the
-                # objective, so Armijo is blind here.  The iterate is
-                # terminal, not stuck, if it is already nearly fixed or if
-                # undamped steps contract from it.  Iteration it computed
-                # and factored a direction, so it counts.
-                report.iterations = it + 1
-                if d_sup <= 1e-6 or abs(gd) <= 16 * np.finfo(float).eps * phi:
-                    u, _ = polish(u, lu, d)
-                    return u, report.finish("stationary", True, u, t0)
-                u, last_step = polish(u, lu, d, cap=1e-4)
-                if last_step <= 1e-6:
-                    return u, report.finish("stationary", True, u, t0)
+        small = d_sup <= TOL_STEP or -gd <= TOL_DECREASE * phi
+        accepted = None if small else line_search(u, phi, d, gd)
+        if accepted is None:
+            if not small and d_sup > 1e-6:
                 report.finish("stagnation", False, u, t0)
                 raise NonConvergenceError(
                     "line search stagnated below MIN_STEP", last_iterate=u,
                     report=report)
-        u, phi, r = trial, phi_t, r_t
-        full_step = step == 1.0
-        step_sup = step * d_sup
-        report.record(r, step_sup)
-        if step_sup <= TOL_STEP:
-            u, _ = polish(u, lu)
-            report.iterations = it + 1
+            u.coeffs[I] += d
+            phi, r = objective(u)
+            report.record(r, d_sup)
             return u, report.finish("stationary", True, u, t0)
-    report.iterations = config.max_iters
-    if _sup(r) <= TOL_RESIDUAL:
-        return u, report.finish("residual", True, u, t0)
+        step, u, phi, r = accepted
+        full_step = step == 1.0
+        report.record(r, step * d_sup)
     report.finish("max_iters", False, u, t0)
     raise NonConvergenceError("newton_solve hit max_iters", last_iterate=u,
                               report=report)

@@ -605,6 +605,19 @@ class TestGradientJump:
             assert gradient_jump_seminorm(u) ** 2 == pytest.approx(
                 u.coeffs @ (Q @ u.coeffs), rel=1e-12)
 
+    @settings(max_examples=8, deadline=None)
+    @given(convex_polygons(), st.sampled_from([1, 2]), st.sampled_from([2, 3]),
+           st.integers(0, 2 ** 31))
+    def test_seminorm_squared_is_gram_form_on_random_polygons(
+            self, polygon, level, k, seed):
+        # the two forms of the jump term share one set of edge blocks
+        space = FeSpace(triangulate(polygon, refinements=level), k)
+        u = FeFunction(space, np.random.default_rng(seed).standard_normal(
+            space.num_dofs))
+        Q = gradient_jump_matrix(space)
+        assert gradient_jump_seminorm(u) ** 2 == pytest.approx(
+            u.coeffs @ (Q @ u.coeffs), rel=1e-12)
+
     def test_no_interior_edge(self):
         tri = Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]],
                    [[0, 1], [1, 2], [2, 0]], [0, 1, 2])

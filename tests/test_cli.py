@@ -344,10 +344,12 @@ def test_negative_data_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["solve", "study", "measure"])
 def test_negative_shift_exits_2_without_solving(command, tmp_path,
                                                  monkeypatch, capsys):
-    path = tmp_path / "negative_shift.json"
-    path.write_text(json.dumps({
-        "polygon": [[0, 0], [1, 0], [1, 1], [0, 1]],
-        "f": {"name": "smooth_f"}, "g": {"name": "smooth_g"},
-        "levels": [2], "regularization": {"epsilon_schedule": [-0.5]}}))
-    _exits_2_without_solving([command, "--problem", str(path)], tmp_path,
-                             monkeypatch, capsys)
+    # a negative shift, or a truncation level M <= 0 in a later stage
+    for reg in ({"epsilon_schedule": [-0.5]}, {"truncate_schedule": [10, 0]}):
+        path = tmp_path / "bad_regularization.json"
+        path.write_text(json.dumps({
+            "polygon": [[0, 0], [1, 0], [1, 1], [0, 1]],
+            "f": {"name": "smooth_f"}, "g": {"name": "smooth_g"},
+            "levels": [2], "regularization": reg}))
+        _exits_2_without_solving([command, "--problem", str(path)], tmp_path,
+                                 monkeypatch, capsys)
