@@ -11,9 +11,10 @@ space's numbering of its ni interior dofs (FeSpace.interior_index).
 Everything that depends only on the space is computed once and cached on
 it: the default quadrature rule, the packed Hessian push-forward of every
 cell, the integration weights |K| w_q phi_i(x_q) and the interior sparsity
-(element_layer), and the edge jump operator with its Gram matrix
-(gradient_jump_matrix).  A residual, Jacobian or second-order term is
-then a few numpy kernels (see kernels) and one np.bincount.
+(element_layer, which the convexity hinge reads too), and the edge jump
+operator with its Gram matrix (gradient_jump_matrix).  A residual,
+Jacobian or second-order term is then a few numpy kernels and one
+np.bincount, on the Hessians of FeFunction.cell_hessians.
 """
 
 import numpy as np
@@ -32,28 +33,27 @@ class _ElementLayer:
     """Cell tables of a space at its default quadrature, built once.
 
     ref_hess (nq, nloc, 3) and push (nc, 3, 3) give the physical Hessians,
-    wphi (nc, nq, nloc) = |K| w_q phi_i(x_q) the integration weights, and
-    cof_push (nc, 3, 3) and hess_pairs (nq, 3, 3, nloc, nloc) the cofactor
-    pairings of basis Hessians (see kernels.second_order_cells).  The
-    interior rows of the cell vectors are summed by np.bincount over
-    res_index, the space's interior_index of each cell dof (boundary rows
-    go to a last bin that is dropped), and the interior-by-interior
-    entries of the cell blocks over jac_index into the data of one fixed
-    CSR pattern (indptr, indices), so assembly needs no COO matrix, sort
-    or fancy slicing.
+    weights (nc, nq) = |K| w_q and wphi (nc, nq, nloc) = |K| w_q phi_i(x_q)
+    the integration weights, and cof_push (nc, 3, 3) and hess_pairs
+    (nq, 3, 3, nloc, nloc) the cofactor pairings of basis Hessians (see
+    kernels.second_order_cells).  The interior rows of the cell vectors
+    are summed by np.bincount over res_index, the space's interior_index
+    of each cell dof (boundary rows go to a last bin that is dropped), and
+    the interior-by-interior entries of the cell blocks over jac_index
+    into the data of one fixed CSR pattern (indptr, indices), so assembly
+    needs no COO matrix, sort or fancy slicing.
     """
 
     def __init__(self, space):
         quad = space.default_quadrature()
         tab = space.tables(quad)
-        self.shape = (space.mesh.num_cells, quad.num_points)
         self.ref_hess = tab["hess"]
         self.push = space.cell_hess_push
         self.cof_push = self.push.transpose(0, 2, 1) @ _COFACTOR @ self.push
         self.hess_pairs = np.einsum("qja,qlb->qabjl", self.ref_hess,
                                     self.ref_hess)
-        self.wphi = (space.cell_areas[:, None, None]
-                     * quad.weights[None, :, None] * tab["val"][None])
+        self.weights = tab["weights"]
+        self.wphi = self.weights[:, :, None] * tab["val"][None]
         ni = len(space.interior_dofs)
         local = space.interior_index[space.cell_dofs]
         nloc = local.shape[1]
@@ -94,16 +94,11 @@ def f_at_qpts(space, f):
     """
     fq = (space.sample(f, space.default_quadrature()) if callable(f)
           else np.asarray(f, dtype=float))
-    shape = element_layer(space).shape
+    shape = element_layer(space).weights.shape
     if fq.shape != shape:
         raise ValueError("samples of f have shape {}, expected {}".format(
             fq.shape, shape))
     return fq
-
-
-def _hessians(u_h, el):
-    return kernels.hessians_at_qpts(u_h.coeffs[u_h.space.cell_dofs],
-                                    el.ref_hess, el.push)
 
 
 def residual(u_h, f):
@@ -115,8 +110,8 @@ def residual(u_h, f):
     """
     space = u_h.space
     el = element_layer(space)
-    cell_r = kernels.residual_cells(_hessians(u_h, el), f_at_qpts(space, f),
-                                    el.wphi)
+    hess = u_h.cell_hessians(space.default_quadrature())
+    cell_r = kernels.residual_cells(hess, f_at_qpts(space, f), el.wphi)
     vals = np.bincount(el.res_index, weights=cell_r.ravel(),
                        minlength=el.n + 1)[:el.n]
     if not np.all(np.isfinite(vals)):
@@ -140,8 +135,9 @@ def jacobian(u_h):
     dofs i, j, in the order of space.interior_dofs.
     """
     el = element_layer(u_h.space)
+    hess = u_h.cell_hessians(u_h.space.default_quadrature())
     return _interior_matrix(el, kernels.jacobian_cells(
-        _hessians(u_h, el), el.ref_hess, el.push, el.wphi))
+        hess, el.ref_hess, el.push, el.wphi))
 
 
 def second_order_term(space, r):
@@ -155,7 +151,7 @@ def second_order_term(space, r):
     for bit and has the Jacobian's sparsity pattern.
     """
     el = element_layer(space)
-    local = np.append(r, 0.0)[el.res_index].reshape(el.shape[0], -1)
+    local = np.append(r, 0.0)[el.res_index].reshape(len(el.weights), -1)
     rho_w = np.einsum("cqi,ci->cq", el.wphi, local)
     return _interior_matrix(el, kernels.second_order_cells(
         rho_w, el.cof_push, el.hess_pairs))

@@ -82,7 +82,8 @@ def _cmd_solve(args):
     except NonConvergenceError as exc:
         _write_json(os.path.join(out, "report.json"),
                     {"problem": problem.name, "error": str(exc),
-                     "report": exc.report.to_dict() if exc.report else None})
+                     "report": exc.report.to_dict() if exc.report else None,
+                     "solves": exc.solves})
         print("solver failed: {}".format(exc), file=sys.stderr)
         return 1
     space.mesh.save(os.path.join(out, "mesh.txt"))

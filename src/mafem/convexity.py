@@ -1,11 +1,12 @@
 """Cellwise convexity diagnostics and strict-convexity repair.
 
 Convexity of a piecewise polynomial is certified by sampling the cellwise
-Hessian at the points of the space's Hessian rule: for degree 2 the Hessian
-is constant per cell and the check is exact; for degree 3 it is sampled on
-a dense point set, and a function counts as convex when no sampled
-eigenvalue is below -CONVEX_TOL.  Strictification adds the interpolant of
-eps*|x - x0|^2, shifting every Hessian eigenvalue up by exactly 2*eps.
+Hessian at the points of the space's assembly rule, as the residual and
+the solver's hinge do: for degree 2 the Hessian is constant per cell and
+the check is exact; for higher degrees it is sampled, and a function
+counts as convex when no sampled eigenvalue is below -CONVEX_TOL.
+Strictification adds the interpolant of eps*|x - x0|^2, shifting every
+Hessian eigenvalue up by exactly 2*eps.
 """
 
 import json
@@ -65,11 +66,11 @@ class ConvexityReport:
 def analyze(u_h):
     """Sample cellwise Hessian eigenvalues and determinants of u_h.
 
-    The samples are taken at the points of the space's Hessian rule
-    (FeSpace.hessian_quadrature); u_h counts as convex when no sampled
+    The samples are taken at the points of the space's assembly rule
+    (FeSpace.default_quadrature); u_h counts as convex when no sampled
     eigenvalue is below -CONVEX_TOL.
     """
-    quad = u_h.space.hessian_quadrature()
+    quad = u_h.space.default_quadrature()
     hess = u_h.cell_hessians(quad)
     lam1 = eigmin_2x2(hess[:, :, 0], hess[:, :, 1], hess[:, :, 2])
     det = hess[:, :, 0] * hess[:, :, 2] - hess[:, :, 1] ** 2

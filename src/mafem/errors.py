@@ -28,3 +28,4 @@ class NonConvergenceError(MafemError, RuntimeError):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.report = report
+        self.solves = []  # every attempt's report dict, see solve_problem

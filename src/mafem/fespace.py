@@ -133,15 +133,14 @@ class Quadrature:
     def points_ref(self):
         return self.points[:, 1:]
 
-    def monomial_defect(self, max_order=None):
+    def monomial_defect(self):
         """Max error against exact reference-triangle monomial integrals.
 
         integral over the reference triangle of x^a y^b = a! b! / (a+b+2)!.
         """
-        q = self.order if max_order is None else max_order
         worst = 0.0
-        for a in range(q + 1):
-            for b in range(q + 1 - a):
+        for a in range(self.order + 1):
+            for b in range(self.order + 1 - a):
                 exact = (math.factorial(a) * math.factorial(b)
                          / math.factorial(a + b + 2))
                 approx = 0.5 * np.sum(
@@ -259,11 +258,6 @@ class FeSpace:
         """The rule of order 2k+2 used for norms, errors and pairings."""
         return self.quadrature(2 * self.degree + 2)
 
-    def hessian_quadrature(self):
-        """The rule of order max(2k-4, 2), exact for squared Hessians, used
-        for the convexity samples and the solver's convexity hinge."""
-        return self.quadrature(max(2 * self.degree - 4, 2))
-
     def sample(self, f, quad):
         """Samples (nc, nq, ...) of a field at the physical points of a rule.
 
@@ -271,7 +265,7 @@ class FeSpace:
         or (n, m) rows, m >= 2; eval_field raises ValueError for any other
         shape and for a sample that is not finite.
         """
-        pts = phys_quad_points(self, quad)
+        pts = self.tables(quad)["points"]
         vals = eval_field(f, pts.reshape(-1, 2))
         return vals.reshape(pts.shape[:2] + vals.shape[1:])
 
@@ -280,10 +274,17 @@ class FeSpace:
         return float(np.sum(self.cell_areas * (dens @ quad.weights)))
 
     def tables(self, quad):
-        """Cached reference tabulation at a quadrature rule's points."""
+        """Cached read-only reference tabulation at a rule's points, with
+        their physical 'points' (nc, nq, 2) and 'weights' |K| w_q (nc, nq)."""
         key = quad.order
         if key not in self._tab_cache:
-            self._tab_cache[key] = self.ref.tabulate(quad.points_ref)
+            tab = self.ref.tabulate(quad.points_ref)
+            tab["points"] = np.einsum("qj,cjd->cqd", quad.points,
+                                      self.mesh.cell_coords())
+            tab["weights"] = self.cell_areas[:, None] * quad.weights[None, :]
+            for arr in tab.values():
+                arr.flags.writeable = False
+            self._tab_cache[key] = tab
         return self._tab_cache[key]
 
     def interior_edge_tables(self, t, key):
@@ -425,8 +426,8 @@ def interpolate(space, u):
 
 
 def phys_quad_points(space, quad):
-    """(nc, nq, 2) physical coordinates of quadrature points."""
-    return np.einsum("qj,cjd->cqd", quad.points, space.mesh.cell_coords())
+    """(nc, nq, 2) physical coordinates of quadrature points (read-only)."""
+    return space.tables(quad)["points"]
 
 
 def l2_error(v, exact):

@@ -114,11 +114,10 @@ class ConvexPolygon:
         n = np.stack([-t[:, 1], t[:, 0]], axis=1)  # left of edge = inward for CCW
         return n / np.linalg.norm(n, axis=1)[:, None]
 
-    def contains(self, points, tol=None):
-        """Boolean mask: point inside or on the boundary (within tol)."""
+    def contains(self, points):
+        """Boolean mask: inside or on the boundary, within GEOM_RTOL * diam."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if tol is None:
-            tol = GEOM_RTOL * self.diameter
+        tol = GEOM_RTOL * self.diameter
         v = self.vertices
         n = self.edge_normals()
         inside = np.ones(len(pts), dtype=bool)

@@ -18,6 +18,8 @@ from .mesh import interior_subdomain, unit_square
 from .regularize import RegularizedData
 from .solver import SolverConfig
 
+COMPACT_FRACTION = 0.2  # share of the inradius, see Problem.interior_compact
+
 
 class Problem:
     """A Dirichlet problem instance plus its solve/measure plan."""
@@ -53,10 +55,10 @@ class Problem:
             raise ValueError("truncation level M must be positive, got {}"
                              .format(list(self.truncate_schedule)))
 
-    def interior_compact(self, fraction=0.2):
+    def interior_compact(self):
         """Fixed compact for interior sup-norm errors, set by the inradius."""
         return interior_subdomain(self.polygon,
-                                  fraction * self.polygon.inradius())
+                                  COMPACT_FRACTION * self.polygon.inradius())
 
     def regularized(self, truncate_M=None):
         """f truncated at M (when given) and mollified with the problem's

@@ -15,14 +15,16 @@ from scipy.special import roots_legendre
 
 from .geometry import nearest_boundary_point
 
+BUMP_RADIAL, BUMP_ANGULAR = 10, 20  # nodes of the mollifier's polar rule
 
-def _bump_quadrature(radius, n_radial=10, n_angular=20):
+
+def _bump_quadrature(radius):
     """Nodes and unit-mass weights for the bump kernel on |z| < radius."""
-    x, w = roots_legendre(n_radial)
+    x, w = roots_legendre(BUMP_RADIAL)
     rho = 0.5 * (x + 1.0)
     w_rho = 0.5 * w
-    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    w_theta = 2.0 * np.pi / n_angular
+    theta = 2.0 * np.pi * np.arange(BUMP_ANGULAR) / BUMP_ANGULAR
+    w_theta = 2.0 * np.pi / BUMP_ANGULAR
     R, T = np.meshgrid(rho, theta, indexing="ij")
     kern = np.exp(-1.0 / (1.0 - R ** 2))
     wts = (kern * R * w_rho[:, None] * w_theta).ravel()

@@ -84,10 +84,10 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
 from . import convexity
-from . import kernels
-from .assembly import (apply_boundary, f_at_qpts, gradient_jump_matrix,
-                       gradient_jump_seminorm, jacobian, load_vector,
-                       residual, second_order_term, stiffness_matrix)
+from .assembly import (apply_boundary, element_layer, f_at_qpts,
+                       gradient_jump_matrix, gradient_jump_seminorm,
+                       jacobian, load_vector, residual, second_order_term,
+                       stiffness_matrix)
 from .errors import NonConvergenceError, SingularJacobianError
 from .fespace import FeFunction
 
@@ -255,34 +255,27 @@ class _ConvexityHinge:
     degenerate or envelope-type data the unpenalized objective admits
     mixed-signature minimizers.  This term adds
     CONVEX_PENALTY/2 * sum_{K, q} w_q |K| max(0, -(lambda1 + allowance))^2,
-    with allowance = CONVEX_ALLOWANCE, at the points of the space's Hessian
-    rule over cells none of whose vertices lie on the boundary.  Cells
-    touching the boundary are exempt because pinned data without a convex
-    extension genuinely forces a concave layer there; the allowance keeps
-    the hinge inactive near weakly convex iterates (lambda1 >= -allowance).
+    with allowance = CONVEX_ALLOWANCE, on the element layer at the points of
+    the assembly rule over cells with no boundary dof.  Cells touching the
+    boundary are exempt because pinned data without a convex extension
+    genuinely forces a concave layer there; the allowance keeps the hinge
+    inactive near weakly convex iterates (lambda1 >= -allowance).
     """
 
     def __init__(self, space):
         self.space = space
-        self.allowance = CONVEX_ALLOWANCE
-        mesh = space.mesh
-        self.cells = np.flatnonzero(
-            ~mesh.boundary_vertex_mask[mesh.cells].any(axis=1))
-        quad = space.hessian_quadrature()
-        self.ref_hess = space.tables(quad)["hess"]
-        self.push = space.cell_hess_push[self.cells]
-        self.gdofs = space.cell_dofs[self.cells]
-        self.weights = (CONVEX_PENALTY * space.cell_areas[self.cells][:, None]
-                        * quad.weights[None, :])
-        self.cols = space.interior_index[self.gdofs]
-        self.n_interior = len(space.interior_dofs)
+        el = element_layer(space)
+        exempt = (el.res_index.reshape(len(el.weights), -1) == el.n).any(1)
+        self.weights = CONVEX_PENALTY * np.where(exempt[:, None], 0.0,
+                                                 el.weights)
 
     def deficits(self, u_h):
-        """Hinge activations max(0, -(lambda1 + allowance)) per (cell, q)."""
-        h = kernels.hessians_at_qpts(u_h.coeffs[self.gdofs], self.ref_hess,
-                                     self.push)
+        """Hinge activations per (cell, q), 0 on exempt cells, and Hessians."""
+        h = u_h.cell_hessians(self.space.default_quadrature())
         lam1 = convexity.eigmin_2x2(h[..., 0], h[..., 1], h[..., 2])
-        return np.maximum(0.0, -(lam1 + self.allowance)), h
+        t = np.where(self.weights > 0.0,
+                     np.maximum(0.0, -(lam1 + CONVEX_ALLOWANCE)), 0.0)
+        return t, h
 
     def value(self, u_h):
         t, _ = self.deficits(u_h)
@@ -290,6 +283,7 @@ class _ConvexityHinge:
 
     def residual_and_jacobian(self, u_h):
         """Weighted hinge values s and sparse ds/dc over interior dofs."""
+        el = element_layer(self.space)
         t, h = self.deficits(u_h)
         ci, qi = np.nonzero(t)
         sw = np.sqrt(self.weights[ci, qi])
@@ -302,14 +296,13 @@ class _ConvexityHinge:
                                 0.5 + (hxx - hyy) / (4.0 * rad)])
         # d lambda1 . (push @ r) = (d lambda1 @ push) . r for the packed
         # reference Hessian r of each basis function
-        dref = np.einsum("am,amb->ab", dlam, self.push[ci])
+        dref = np.einsum("am,amb->ab", dlam, el.push[ci])
         vals = -sw[:, None] * np.einsum("ab,alb->al", dref,
-                                        self.ref_hess[qi])
-        cols = self.cols[ci]
-        keep = cols < self.n_interior
-        indptr = np.r_[0, np.cumsum(keep.sum(axis=1))]
-        S = sparse.csr_matrix((vals[keep], cols[keep], indptr),
-                              shape=(len(ci), self.n_interior))
+                                        el.ref_hess[qi])
+        cols = el.res_index.reshape(len(el.weights), -1)[ci]  # all interior
+        S = sparse.csr_matrix((vals.ravel(), cols.ravel(),
+                               np.arange(0, vals.size + 1, vals.shape[1])),
+                              shape=(len(ci), el.n))
         return s, S
 
 

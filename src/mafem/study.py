@@ -56,8 +56,9 @@ class StudyReport:
     def add_level(self, record):
         self.levels.append(record)
 
-    def add_failure(self, level, message):
-        self.failures.append({"level": int(level), "message": str(message)})
+    def add_failure(self, level, exc):
+        self.failures.append({"level": int(level), "message": str(exc),
+                              "solves": exc.solves})
 
     def rates(self, key="err_h2_broken"):
         """log error ratios between consecutive successful levels."""
@@ -117,10 +118,10 @@ def solve_problem(problem, refinements=None, h_target=None, u0=None,
     (of the problem's degree; then give neither).  Runs the truncation
     schedule (for unbounded data) as an outer warm-started loop around the
     shift-continuation solve.  Returns (solution, space, list of solve
-    report dicts); the solution lives on the returned space.  Raises
-    NonConvergenceError, carrying the last iterate and that stage's
-    report, when a truncation stage did not converge, also after a cold
-    retry.
+    report dicts, each with its truncate_M); the solution lives on the
+    returned space.  Raises NonConvergenceError, carrying the last iterate,
+    that attempt's report and, as `solves`, the report dicts of every
+    attempt so far, when a stage did not converge, also after a retry.
     """
     if space is None:
         mesh = triangulate(problem.polygon, refinements=refinements,
@@ -137,24 +138,22 @@ def solve_problem(problem, refinements=None, h_target=None, u0=None,
     reports = []
     u = u0
     for M in problem.truncate_schedule or (None,):
-        u, rep = _solve_stage(problem, space, config, M, u)
-        rec = rep.to_dict()
-        rec["truncate_M"] = M
-        reports.append(rec)
+        u = _solve_stage(problem, space, config, M, u, reports)
     return u, space, reports
 
 
-def _solve_stage(problem, space, config, M, u0):
+def _solve_stage(problem, space, config, M, u0, reports):
     """Continuation solve of one truncation stage, warm then cold.
 
     A warm start from an earlier stage can sit too far from the
     large-shift solution at the head of the schedule, so a warm solve that
-    failed or did not converge is retried cold.  Raises
-    NonConvergenceError naming the stage when the last attempt did not
-    converge.
+    failed or did not converge is retried cold.  Appends the converged
+    attempt's report dict to `reports`.  Raises NonConvergenceError naming
+    the stage when the last attempt did not converge.
     """
     reg = problem.regularized(truncate_M=M)
     starts = (u0, None) if u0 is not None else (None,)
+    tried = []
     for start in starts:
         try:
             u, rep = continuation_solve(space, reg.f_m,
@@ -163,13 +162,17 @@ def _solve_stage(problem, space, config, M, u0):
         except NonConvergenceError as exc:
             u, rep, status = exc.last_iterate, exc.report, str(exc)
         else:
-            if rep.converged:
-                return u, rep
             status = "status {!r} at eps={}".format(rep.status,
                                                     rep.stages[-1]["eps"])
-    raise NonConvergenceError(
+        tried.append({**rep.to_dict(), "truncate_M": M})
+        if rep.converged:
+            reports.append(tried[-1])
+            return u
+    err = NonConvergenceError(
         "truncation stage truncate_M={} did not converge: {}".format(
             M, status), last_iterate=u, report=rep)
+    err.solves = reports + tried
+    raise err
 
 
 def _prolong(u_coarse, space, problem):

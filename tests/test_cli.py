@@ -200,7 +200,8 @@ def test_solver_failure_exits_1(tmp_path, paraboloid_file, monkeypatch,
     assert rc == 1
     assert "stalled" in capsys.readouterr().err
     with open(os.path.join(out, "report.json")) as fh:
-        assert json.load(fh)["report"] is None
+        rec = json.load(fh)
+    assert rec["report"] is None and rec["solves"] == []
     rc = cli.main(["measure", "--problem", paraboloid_file, "--out", out])
     assert rc == 1
 
@@ -219,6 +220,9 @@ def test_unconverged_solve_exits_1(tmp_path, monkeypatch, capsys):
         rec = json.load(fh)
     assert rec["report"]["status"] == "max_iters"
     assert rec["report"]["converged"] is False
+    assert [(r["truncate_M"], r["converged"]) for r in rec["solves"]] == [
+        (None, False)]
+    assert rec["solves"][0]["stages"] == rec["report"]["stages"]
     assert not os.path.exists(os.path.join(out, "solution.txt"))
     rc = cli.main(["measure", "--problem", "degenerate", "--refinements", "3",
                    "--out", out])
@@ -231,7 +235,7 @@ def test_study_failure_exits_1(paraboloid_file, tmp_path, monkeypatch):
 
     def all_fail(problem, **kw):
         rep = StudyReport(problem.name, problem.degree)
-        rep.add_failure(2, "stalled")
+        rep.add_failure(2, NonConvergenceError("stalled"))
         return rep
 
     monkeypatch.setattr(cli, "run_convergence_study", all_fail)

@@ -42,10 +42,10 @@ def test_analyze_cylinder_convex_not_strict(space):
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
-def test_analyze_samples_at_the_hessian_rule(k):
+def test_analyze_samples_at_the_assembly_rule(k):
     sp = FeSpace(triangulate(unit_square(), refinements=1), k)
     rep = analyze(interpolate(sp, lambda p: p[:, 0] ** 2))
-    assert rep.sample_order == sp.hessian_quadrature().order
+    assert rep.sample_order == sp.default_quadrature().order == 2 * k
     assert rep.global_min_lambda1 == pytest.approx(0.0, abs=1e-9)
 
 

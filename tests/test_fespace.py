@@ -12,6 +12,7 @@ from mafem.fespace import (
     eval_field,
     interpolate,
     l2_error,
+    phys_quad_points,
     sup_error,
 )
 
@@ -180,10 +181,21 @@ class TestEvaluationLayer:
         assert space.default_quadrature() is space.quadrature(2 * k)
         assert space.error_quadrature() is space.quadrature(2 * k + 2)
 
-    @pytest.mark.parametrize("k,order", [(2, 2), (3, 2), (4, 4)])
-    def test_hessian_rule(self, mesh, k, order):
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_tables_cache_points_and_weights(self, mesh, k):
         space = FeSpace(mesh, k)
-        assert space.hessian_quadrature() is space.quadrature(order)
+        quad = space.error_quadrature()
+        tab = space.tables(quad)
+        assert space.tables(quad) is tab
+        xy = mesh.cell_coords()
+        for c in (0, mesh.num_cells - 1):
+            assert np.allclose(tab["points"][c], quad.points @ xy[c],
+                               rtol=0, atol=1e-15)
+            assert np.array_equal(tab["weights"][c],
+                                  space.cell_areas[c] * quad.weights)
+        assert phys_quad_points(space, quad) is tab["points"]
+        for arr in tab.values():
+            assert not arr.flags.writeable
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_integrate_one_is_area(self, k):

@@ -270,6 +270,10 @@ class TestNonConvergence:
         assert rep.levels == []
         assert [f["level"] for f in rep.failures] == [3]
         assert "max_iters" in rep.failures[0]["message"]
+        solves = rep.failures[0]["solves"]
+        assert [(r["truncate_M"], r["converged"]) for r in solves] == [
+            (None, False)]
+        assert [st["eps"] for st in solves[0]["stages"]] == [1.0, 1e-6]
 
 
     def test_unconverged_intermediate_stage_raises(self, monkeypatch):
@@ -316,6 +320,37 @@ class TestNonConvergence:
         assert starts == [False, True, False]
         assert [r["truncate_M"] for r in reports] == [10.0, 40.0]
         assert all(r["converged"] for r in reports)
+
+
+    def test_failed_stage_keeps_every_record(self, monkeypatch):
+        # The M = 40 stage comes back unconverged warm and cold: the error
+        # keeps the converged M = 10 record and both M = 40 attempts, in
+        # the layout of a successful solve.
+        real = study.continuation_solve
+        starts = []
+
+        def later_unconverged(space, f, g, config=None, u0=None):
+            u, rep = real(space, f, g, config=config, u0=u0)
+            starts.append(u0 is not None)
+            if len(starts) > 1:
+                rep.converged = False
+                rep.status = "max_iters"
+            return u, rep
+
+        monkeypatch.setattr(study, "continuation_solve", later_unconverged)
+        prob = get_problem("singular")
+        prob.truncate_schedule = (10.0, 40.0)
+        with pytest.raises(NonConvergenceError,
+                           match="truncate_M=40.0") as err:
+            solve_problem(prob, refinements=1)
+        assert starts == [False, True, False]
+        solves = err.value.solves
+        assert [(r["truncate_M"], r["converged"]) for r in solves] == [
+            (10.0, True), (40.0, False), (40.0, False)]
+        assert all(len(r["stages"]) == len(prob.epsilon_schedule)
+                   for r in solves)
+        assert solves[-1] == {**err.value.report.to_dict(),
+                              "truncate_M": 40.0}
 
 
 class TestMeasureVerification:
