@@ -48,21 +48,25 @@ switch follows Fletcher & Xu (IMA J. Numer. Anal. 7, 1987; Dennis &
 Schnabel, ch. 10): the first direction of a solve, and every direction
 after a damped step, is Gauss-Newton.  After an accepted full step the
 iteration tries the Newton matrix J^T J + T + eta Q_II (+ S^T S).  It
-keeps that direction only if the factorization succeeds, the step is
-finite and it descends (grad . d < 0); otherwise, in the same iteration,
-it counts a Newton rejection and takes the Gauss-Newton direction.  The
-hinge enters through S^T S only.  The report counts newton_directions,
-gauss_newton_directions (they sum to iterations) and newton_rejections.
+keeps that direction only if the factorization succeeds (the matrix is
+positive definite), the step is finite and it descends (grad . d < 0);
+otherwise, in the same iteration, it counts a Newton rejection and takes
+the Gauss-Newton direction.  The hinge enters through S^T S only.  The
+report counts newton_directions, gauss_newton_directions (they sum to
+iterations) and newton_rejections.
 
 The Gauss-Newton normal matrix J^T J + eta Q_II (+ S^T S), definite
 through the jump penalty, and the interior Poisson stiffness matrix are
 symmetric positive definite; the Newton matrix is symmetric but can be
 indefinite away from a minimizer.  All of them go through one
-factorization, _factor_spd: SuperLU in symmetric mode, with a
-minimum-degree ordering of A + A^T and diagonal pivots.  Diagonal pivots
-are stable for SPD matrices, and the symmetric ordering gives less fill
-than SuperLU's default column ordering with partial pivoting (3.2M instead
-of 4.3M factor nonzeros on a normal matrix of 8,065 interior dofs).
+factorization, _factor_spd: LAPACK's banded Cholesky (dpbtrf) on a
+reverse Cuthill-McKee order, the envelope method of George & Liu
+(Computer Solution of Large Sparse Positive Definite Systems, 1981).  On
+these 2D meshes the ordered matrix is a narrow band (bandwidth 129, 257
+and 513 at 481, 1,985 and 8,065 interior dofs), and the blocked band
+factorization is faster than a general sparse LU with a fill-reducing
+order.  A matrix that is not positive definite has a non-positive pivot
+and is rejected by the factorization itself.
 
 newton_solve samples f at the quadrature points once, for the positivity
 check, the Poisson start and every residual of the solve; the residual,
@@ -81,7 +85,8 @@ import time
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from . import convexity
 from .assembly import (apply_boundary, element_layer, f_at_qpts,
@@ -204,30 +209,65 @@ def _check_positive_data(space, f):
     return fq
 
 
-def _factor_spd(A):
-    """SuperLU factorization of a symmetric matrix, with diagonal pivots.
+class _BandCholesky:
+    """Cholesky factor of a symmetric matrix A on the order perm, in LAPACK
+    lower band storage: cb[i - j, j] = L[i, j] of A[perm][:, perm] = L L^T."""
 
-    The matrices are symmetric positive definite except the Newton matrix
-    of newton_solve, which can be indefinite.  Diagonal pivots do not
-    reliably detect that, so newton_solve checks the Newton step for
-    descent itself, and catches the SingularJacobianError of a failed
-    Newton factorization: that is a rejected Newton direction, not an
-    error.  A csr matrix is handed over as its transpose, which is the
-    same matrix in csc form without a copy.  An exactly singular factor
-    raises SingularJacobianError.
+    def __init__(self, cb, perm):
+        self.cb = cb
+        self.perm = perm
+
+    def solve(self, b):
+        x = np.empty_like(b, dtype=float)
+        x[self.perm] = cho_solve_banded((self.cb, True), b[self.perm],
+                                        overwrite_b=True, check_finite=False)
+        return x
+
+
+def _factor_spd(A):
+    """Banded Cholesky factorization of a symmetric positive definite matrix.
+
+    A (symmetric, any sparse format) is ordered by reverse Cuthill-McKee,
+    which makes it a narrow band, and its lower triangle is scattered into
+    a Fortran-ordered band that LAPACK factors in place.  The order is
+    computed on every call: scipy drops exact zeros, so the pattern drifts
+    between iterations, and the first normal matrix's order widens the
+    band of later ones (369 instead of 257 on a 1,985-dof solve).
+    Returns an object whose solve(b) solves A x = b.
+
+    A matrix that is not positive definite, singular or indefinite, has a
+    non-positive pivot and raises SingularJacobianError.  newton_solve
+    catches it for the Newton matrix, which can be indefinite: that is a
+    rejected Newton direction, not an error.
     """
-    A = A.T if A.format == "csr" else A.tocsc()
+    if A.format not in ("csr", "csc"):
+        A = A.tocsr()
+    # scipy's ordering fails on an empty graph (a space with no interior dof)
+    perm = (reverse_cuthill_mckee(A, symmetric_mode=True) if A.shape[0]
+            else np.arange(0, dtype=np.int32))
+    # the inverse order, in perm's int32: int64 indices cost 6 MB of peak
+    # memory on a level-5 study
+    rank = np.empty_like(perm)
+    rank[perm] = np.arange(len(perm), dtype=perm.dtype)
+    C = A.tocoo()
+    i, j = rank[C.row], rank[C.col]
+    lower = i >= j
+    i, j = i[lower], j[lower]
+    width = int(np.max(i - j, initial=0))
+    ab = sparse.coo_matrix((C.data[lower], (i - j, j)),
+                           shape=(width + 1, A.shape[0])).toarray(order="F")
     try:
-        return splu(A, permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    except RuntimeError as exc:
+        cb = cholesky_banded(ab, overwrite_ab=True, lower=True,
+                             check_finite=False)
+    except LinAlgError as exc:
         raise SingularJacobianError(
-            "factorization of a symmetric matrix failed ({}); a failed "
-            "Newton matrix falls back to Gauss-Newton and does not raise, "
-            "so this is the Poisson matrix or the Gauss-Newton normal "
+            "symmetric matrix is singular or not positive definite ({}); a "
+            "failed Newton matrix falls back to Gauss-Newton and does not "
+            "raise, so this is the Poisson matrix or the Gauss-Newton normal "
             "matrix: strictify the iterate or solve by continuation over "
             "f + eps".format(exc)
         ) from exc
+    return _BandCholesky(cb, perm)
 
 
 def default_initial_guess(space, f, g):
@@ -381,8 +421,8 @@ def newton_solve(space, f, g, u0=None, config=None):
                     return d, grad
             except SingularJacobianError:
                 pass
-            # no factor, no finite step or no descent: H + T is indefinite
-            # or nearly singular here
+            # no factor, no finite step or no descent: H + T is not
+            # positive definite, or nearly singular, here
             report.newton_rejections += 1
         report.gauss_newton_directions += 1
         d = _factor_spd(H).solve(-grad)

@@ -626,19 +626,36 @@ class TestConvexityHinge:
 
 
 class TestFactorSpd:
-    def test_normal_matrix_solve_matches_spsolve(self, coarse_space):
-        # The Gauss-Newton normal matrix at a rough iterate of a real solve.
+    @pytest.mark.parametrize("matrix,fmt", [("normal", "csr"),
+                                            ("normal", "csc"),
+                                            ("poisson", "csr")])
+    def test_normal_matrix_solve_matches_spsolve(self, coarse_space, matrix,
+                                                 fmt):
+        # The Gauss-Newton normal matrix at a rough iterate of a real solve,
+        # and the interior Poisson matrix of the initial guess.
         rng = np.random.default_rng(7)
-        u = default_initial_guess(coarse_space, smooth_f, smooth_exact)
         I = coarse_space.interior_dofs
-        u.coeffs[I] += 1e-2 * rng.standard_normal(len(I))
-        J = jacobian(u)
-        Q = gradient_jump_matrix(coarse_space)
-        H = (J.T @ J + 1e-2 * Q[I][:, I]).tocsc()
+        if matrix == "normal":
+            u = default_initial_guess(coarse_space, smooth_f, smooth_exact)
+            u.coeffs[I] += 1e-2 * rng.standard_normal(len(I))
+            J = jacobian(u)
+            Q = gradient_jump_matrix(coarse_space)
+            H = J.T @ J + 1e-2 * Q[I][:, I]
+        else:
+            H = stiffness_matrix(coarse_space)[I][:, I]
+        H = H.asformat(fmt)
         b = rng.standard_normal(len(I))
         x = _factor_spd(H).solve(b)
-        ref = spsolve(H, b)
+        ref = spsolve(H.tocsc(), b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_space_without_interior_dofs(self):
+        # One P2 triangle: every dof is on the boundary, so the Poisson
+        # start and the normal matrix are 0 x 0.
+        space = FeSpace(triangulate(regular_polygon(3), refinements=0), 2)
+        assert len(space.interior_dofs) == 0
+        _, report = newton_solve(space, one, paraboloid)
+        assert report.status == "stationary"
 
     def test_exactly_singular_raises_singular_jacobian_error(self):
         # Path-graph Laplacian: symmetric positive semidefinite, constants
@@ -649,6 +666,19 @@ class TestFactorSpd:
                          [-1, 0, 1])
         with pytest.raises(SingularJacobianError, match="singular"):
             _factor_spd(L)
+
+    def test_indefinite_raises_singular_jacobian_error(self):
+        # The path-graph Laplacian minus I/2 is nonsingular (its eigenvalues
+        # 2 - 2 cos(k pi / n) are never 1/2 for n = 6) but indefinite, so it
+        # has no Cholesky factor.
+        n = 6
+        L = sparse.diags([-np.ones(n - 1), np.r_[1.0, 2.0 * np.ones(n - 2),
+                                                 1.0], -np.ones(n - 1)],
+                         [-1, 0, 1])
+        A = (L - 0.5 * sparse.identity(n)).tocsr()
+        assert np.abs(np.linalg.eigvalsh(A.toarray())).min() > 0.1
+        with pytest.raises(SingularJacobianError, match="singular"):
+            _factor_spd(A)
 
 
 class TestJumpMatrixCache:
