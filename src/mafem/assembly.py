@@ -101,16 +101,19 @@ def f_at_qpts(space, f):
     return fq
 
 
-def residual(u_h, f):
+def residual(u_h, f, hess=None):
     """Entries sum_K int_K (det D2u_h - f) phi_i over interior dofs i.
 
     Returns an (ni,) array in the order of space.interior_dofs.  f is a
     callable or its samples from f_at_qpts; a solver that evaluates many
-    residuals samples f once.  Raises ValueError for a non-finite entry.
+    residuals samples f once.  hess, when given, is
+    u_h.cell_hessians(space.default_quadrature()), already evaluated.
+    Raises ValueError for a non-finite entry.
     """
     space = u_h.space
     el = element_layer(space)
-    hess = u_h.cell_hessians(space.default_quadrature())
+    if hess is None:
+        hess = u_h.cell_hessians(space.default_quadrature())
     cell_r = kernels.residual_cells(hess, f_at_qpts(space, f), el.wphi)
     vals = np.bincount(el.res_index, weights=cell_r.ravel(),
                        minlength=el.n + 1)[:el.n]
@@ -128,14 +131,15 @@ def _scatter_matrix(n, idx, blocks):
                              shape=(n, n)).tocsr()
 
 
-def jacobian(u_h):
+def jacobian(u_h, hess=None):
     """Exact derivative of the residual, an (ni, ni) csr matrix.
 
     Entry (i, j) = sum_K int (cof D2u_h : D2phi_j) phi_i over interior
-    dofs i, j, in the order of space.interior_dofs.
+    dofs i, j, in the order of space.interior_dofs.  hess as for residual.
     """
     el = element_layer(u_h.space)
-    hess = u_h.cell_hessians(u_h.space.default_quadrature())
+    if hess is None:
+        hess = u_h.cell_hessians(u_h.space.default_quadrature())
     return _interior_matrix(el, kernels.jacobian_cells(
         hess, el.ref_hess, el.push, el.wphi))
 

@@ -239,6 +239,7 @@ class FeSpace:
         self._elements = None  # built by assembly.element_layer
         self._jump_blocks = None  # built by assembly._edge_jump_blocks
         self._jump_matrix = None  # built by assembly.gradient_jump_matrix
+        self._band = None  # built by solver._space_band
 
     def __repr__(self):
         return (f"FeSpace(degree={self.degree}, dofs={self.num_dofs}, "

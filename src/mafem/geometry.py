@@ -5,8 +5,9 @@ Predicates use a tolerance scaled by the polygon diameter; vertex counts are
 small, so no exact arithmetic is attempted.
 """
 
+from itertools import combinations
+
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DegeneratePolygonError
 
@@ -134,19 +135,30 @@ class ConvexPolygon:
         return d if np.asarray(points).ndim == 2 else float(d[0])
 
     def inradius(self):
-        """Radius of the largest inscribed circle (Chebyshev LP)."""
+        """Radius of the largest inscribed circle.
+
+        It is the optimum of the Chebyshev-centre LP: maximize r over
+        (x, r) subject to n_i . x - r >= n_i . v_i for the inward unit
+        normals n_i.  The LP is bounded and its feasible set has a vertex,
+        so a vertex attains the optimum, where the constraints of three
+        edges are active: x is equidistant from their three lines (three
+        distinct unit normals make that 3 x 3 system nonsingular).  The
+        radius of the largest circle centred at such an x inside the
+        polygon is min_i (n_i . x - n_i . v_i), negative outside it, and
+        the inradius is the largest of these over all triples of edges.
+        """
         n = self.edge_normals()
-        v = self.vertices
-        # maximize r subject to n_i . x - r >= n_i . v_i
-        a_ub = np.column_stack([-n, np.ones(len(v))])
-        b_ub = -np.sum(n * v, axis=1)
-        res = linprog(
-            [0.0, 0.0, -1.0], A_ub=a_ub, b_ub=b_ub,
-            bounds=[(None, None)] * 3, method="highs",
-        )
-        if not res.success:
-            raise DegeneratePolygonError("inradius LP failed")
-        return float(res.x[2])
+        c = np.sum(n * self.vertices, axis=1)
+        best = 0.0
+        # one batch per first edge keeps the memory at O(len(self)^3)
+        for i in range(len(n) - 2):
+            jk = np.array(list(combinations(range(i + 1, len(n)), 2)))
+            tri = np.column_stack([np.full(len(jk), i), jk])
+            a = np.concatenate([n[tri], -np.ones(tri.shape + (1,))], axis=2)
+            xr = np.linalg.solve(a, c[tri][..., None])[..., 0]
+            best = max(best, float(np.max(np.min(xr[:, :2] @ n.T - c,
+                                                 axis=1))))
+        return best
 
     def boundary_samples(self, per_edge):
         """Evenly spaced boundary points, per_edge per edge (no duplicates)."""

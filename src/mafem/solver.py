@@ -58,26 +58,35 @@ iterations) and newton_rejections.
 The Gauss-Newton normal matrix J^T J + eta Q_II (+ S^T S), definite
 through the jump penalty, and the interior Poisson stiffness matrix are
 symmetric positive definite; the Newton matrix is symmetric but can be
-indefinite away from a minimizer.  All of them go through one
-factorization, _factor_spd: LAPACK's banded Cholesky (dpbtrf) on a
-reverse Cuthill-McKee order, the envelope method of George & Liu
-(Computer Solution of Large Sparse Positive Definite Systems, 1981).  On
-these 2D meshes the ordered matrix is a narrow band (bandwidth 129, 257
-and 513 at 481, 1,985 and 8,065 interior dofs), and the blocked band
-factorization is faster than a general sparse LU with a fill-reducing
-order.  A matrix that is not positive definite has a non-positive pivot
-and is rejected by the factorization itself.
+indefinite away from a minimizer.  All of them are factored by one
+routine, _factor_spd: LAPACK's banded Cholesky (dpbtrf) on a reverse
+Cuthill-McKee order, the band method of George & Liu (Computer Solution
+of Large Sparse Positive Definite Systems, 1981, ch. 4).  The order is
+computed once per space, on the structural pattern P^T P + Q_II (P the
+interior Jacobian pattern of the element layer), which holds every one
+of these matrices whatever exact zeros scipy drops from them.  On these
+2D meshes it gives a band of width 129, 257 and 513 at 481, 1,985 and
+8,065 interior dofs, the widths an order computed per matrix gives, and
+the blocked band factorization is faster than a general sparse LU with a
+fill-reducing order.  Each space keeps one band workspace (_space_band):
+a matrix is loaded into it term by term (eta Q_II at places found once,
+J^T J, S^T S and T each at the places of its own pattern), without a
+sparse sum or a copy, and factored there in place.  A matrix that is not
+positive definite has a non-positive pivot and is rejected by the
+factorization itself.
 
 newton_solve samples f at the quadrature points once, for the positivity
 check, the Poisson start and every residual of the solve; the residual,
 the Jacobian, the hinge and the jump values run on tables built once per
 space (see assembly.element_layer and assembly.gradient_jump_seminorm).
+The cell Hessians of each iterate are evaluated once, by the objective,
+and shared by its residual and hinge and by the direction taken from it.
 Phi's jump term is evaluated from the jump values, not as c.Qc: the
 quadratic form cancels to about 1e-16 absolute, which would hide the
 decrease of a full step once the residual is below about 1e-8.  A solve
-factors only to take a direction and keeps no factor, so a solve
-factors exactly report.iterations + report.newton_rejections times (plus
-once for a Poisson start).
+factors only to take a direction, and a factor lives only until the next
+matrix is loaded, so a solve factors exactly report.iterations +
+report.newton_rejections times (plus once for a Poisson start).
 """
 
 import json
@@ -209,55 +218,135 @@ def _check_positive_data(space, f):
     return fq
 
 
-class _BandCholesky:
-    """Cholesky factor of a symmetric matrix A on the order perm, in LAPACK
-    lower band storage: cb[i - j, j] = L[i, j] of A[perm][:, perm] = L L^T."""
+class _Band:
+    """Lower band workspace for symmetric matrices on one fixed order.
 
-    def __init__(self, cb, perm):
+    Built once from a symmetric pattern that covers every matrix it will
+    hold: perm is the pattern's reverse Cuthill-McKee order, width the
+    largest distance of a pattern entry from the diagonal on that order,
+    and ab the Fortran-ordered (width + 1, n) workspace in LAPACK's lower
+    band storage, ab[i - j, j] = A[perm][:, perm][i, j] for i >= j.  load
+    zero-fills ab and adds its terms; _factor_spd factors ab in place, so
+    a factor lives only until the next load.
+    """
+
+    def __init__(self, pattern):
+        pattern = sparse.csr_matrix(pattern)
+        n = pattern.shape[0]
+        # scipy's ordering fails on an empty graph (a space with no interior
+        # dof)
+        self.perm = (reverse_cuthill_mckee(pattern, symmetric_mode=True)
+                     if n else np.arange(0, dtype=np.int32))
+        # the inverse order, in perm's int32: int64 indices cost 6 MB of
+        # peak memory on a level-5 study
+        self.rank = np.empty_like(self.perm)
+        self.rank[self.perm] = np.arange(n, dtype=self.perm.dtype)
+        rows = np.repeat(self.rank, np.diff(pattern.indptr))
+        self.width = int(np.max(rows - self.rank[pattern.indices],
+                                initial=0))
+        if (self.width + 1) * n > np.iinfo(self.rank.dtype).max:
+            self.rank = self.rank.astype(np.int64)  # so positions fit
+        self.ab = np.zeros((self.width + 1, n), order="F")
+        self.loads = 0
+
+    def place(self, A):
+        """Positions in ab.T.ravel() and values of A's lower entries.
+
+        A is a symmetric sparse matrix.  Each stored entry is placed by its
+        own row and column, so the terms of one load may have different
+        patterns (scipy drops exact zeros from sums and products), each
+        within the band.  Raises ValueError for an entry outside the band,
+        in either triangle: it is never dropped.
+        """
+        if A.format not in ("csr", "csc"):
+            A = A.tocsr()
+        major = np.repeat(self.rank, np.diff(A.indptr))
+        minor = self.rank[A.indices]
+        i, j = (major, minor) if A.format == "csr" else (minor, major)
+        d = i - j
+        reach = max(d.max(), -d.min()) if d.size else 0
+        if reach > self.width:
+            raise ValueError("matrix has an entry {} places off the "
+                             "diagonal, outside the band of width {}".format(
+                                 reach, self.width))
+        lower = d >= 0
+        return (d + j * (self.width + 1))[lower], A.data[lower]
+
+    def load(self, *terms):
+        """Zero-fill the workspace and add the terms; returns self.
+
+        A term is a symmetric sparse matrix or a (positions, values) pair
+        from place.  Every factor of the previous load goes stale.
+        """
+        self.ab.fill(0.0)
+        self.loads += 1
+        flat = self.ab.T.reshape(-1)  # a view: ab is Fortran-ordered
+        for term in terms:
+            pos, vals = self.place(term) if sparse.issparse(term) else term
+            np.add.at(flat, pos, vals)
+        return self
+
+
+def _space_band(space):
+    """The space's cached (_Band, jump); built on first use.
+
+    Its order is that of the structural pattern P^T P + Q_II, P the element
+    layer's interior Jacobian pattern and Q_II the interior block of the
+    gradient-jump matrix: that pattern covers the Gauss-Newton and Newton
+    matrices (S^T S and the second-order term lie in P's pattern, which
+    P^T P contains) and the interior Poisson matrix (P's pattern).
+    jump is the place of Q_II's lower entries in the band (see place).
+    """
+    if space._band is None:
+        el = element_layer(space)
+        P = sparse.csr_matrix((np.ones(el.nnz), el.indices, el.indptr),
+                              shape=(el.n, el.n))
+        I = space.interior_dofs
+        QII = gradient_jump_matrix(space)[I][:, I]
+        # ones on Q_II's pattern, so that no entry of the union cancels
+        ones = sparse.csr_matrix((np.ones(QII.nnz), QII.indices, QII.indptr),
+                                 shape=QII.shape)
+        band = _Band(P.T @ P + ones)
+        space._band = band, band.place(QII)
+    return space._band
+
+
+class _BandCholesky:
+    """Cholesky factor of a loaded _Band, in its workspace: cb[i - j, j] =
+    L[i, j] of A[perm][:, perm] = L L^T.  It solves only until the band is
+    loaded again."""
+
+    def __init__(self, band, cb):
+        self.band = band
         self.cb = cb
-        self.perm = perm
+        self.loaded = band.loads
 
     def solve(self, b):
+        if self.band.loads != self.loaded:
+            raise RuntimeError("the band workspace was loaded again after "
+                               "this factorization")
+        perm = self.band.perm
         x = np.empty_like(b, dtype=float)
-        x[self.perm] = cho_solve_banded((self.cb, True), b[self.perm],
-                                        overwrite_b=True, check_finite=False)
+        x[perm] = cho_solve_banded((self.cb, True), b[perm],
+                                   overwrite_b=True, check_finite=False)
         return x
 
 
-def _factor_spd(A):
-    """Banded Cholesky factorization of a symmetric positive definite matrix.
+def _factor_spd(band):
+    """Banded Cholesky factorization of a loaded _Band, in place.
 
-    A (symmetric, any sparse format) is ordered by reverse Cuthill-McKee,
-    which makes it a narrow band, and its lower triangle is scattered into
-    a Fortran-ordered band that LAPACK factors in place.  The order is
-    computed on every call: scipy drops exact zeros, so the pattern drifts
-    between iterations, and the first normal matrix's order widens the
-    band of later ones (369 instead of 257 on a 1,985-dof solve).
-    Returns an object whose solve(b) solves A x = b.
+    The matrix, loaded on the band's order (reverse Cuthill-McKee, computed
+    once per space or pattern), is factored by LAPACK's dpbtrf in its
+    workspace.  Returns an object whose solve(b) solves A x = b until the
+    band is loaded again.
 
     A matrix that is not positive definite, singular or indefinite, has a
     non-positive pivot and raises SingularJacobianError.  newton_solve
     catches it for the Newton matrix, which can be indefinite: that is a
     rejected Newton direction, not an error.
     """
-    if A.format not in ("csr", "csc"):
-        A = A.tocsr()
-    # scipy's ordering fails on an empty graph (a space with no interior dof)
-    perm = (reverse_cuthill_mckee(A, symmetric_mode=True) if A.shape[0]
-            else np.arange(0, dtype=np.int32))
-    # the inverse order, in perm's int32: int64 indices cost 6 MB of peak
-    # memory on a level-5 study
-    rank = np.empty_like(perm)
-    rank[perm] = np.arange(len(perm), dtype=perm.dtype)
-    C = A.tocoo()
-    i, j = rank[C.row], rank[C.col]
-    lower = i >= j
-    i, j = i[lower], j[lower]
-    width = int(np.max(i - j, initial=0))
-    ab = sparse.coo_matrix((C.data[lower], (i - j, j)),
-                           shape=(width + 1, A.shape[0])).toarray(order="F")
     try:
-        cb = cholesky_banded(ab, overwrite_ab=True, lower=True,
+        cb = cholesky_banded(band.ab, overwrite_ab=True, lower=True,
                              check_finite=False)
     except LinAlgError as exc:
         raise SingularJacobianError(
@@ -267,7 +356,7 @@ def _factor_spd(A):
             "matrix: strictify the iterate or solve by continuation over "
             "f + eps".format(exc)
         ) from exc
-    return _BandCholesky(cb, perm)
+    return _BandCholesky(band, cb)
 
 
 def default_initial_guess(space, f, g):
@@ -283,7 +372,9 @@ def default_initial_guess(space, f, g):
     u = FeFunction(space)
     u.coeffs[space.boundary_dofs] = apply_boundary(space, g)
     I = space.interior_dofs
-    u.coeffs[I] = _factor_spd(A[I][:, I]).solve((b - A @ u.coeffs)[I])
+    band, _ = _space_band(space)
+    u.coeffs[I] = _factor_spd(band.load(A[I][:, I])).solve(
+        (b - A @ u.coeffs)[I])
     return u
 
 
@@ -309,22 +400,27 @@ class _ConvexityHinge:
         self.weights = CONVEX_PENALTY * np.where(exempt[:, None], 0.0,
                                                  el.weights)
 
-    def deficits(self, u_h):
-        """Hinge activations per (cell, q), 0 on exempt cells, and Hessians."""
-        h = u_h.cell_hessians(self.space.default_quadrature())
+    def deficits(self, u_h, hess=None):
+        """Hinge activations per (cell, q), 0 on exempt cells, and Hessians.
+
+        hess, when given, is u_h.cell_hessians at the assembly rule, already
+        evaluated; so for value and residual_and_jacobian.
+        """
+        h = (u_h.cell_hessians(self.space.default_quadrature())
+             if hess is None else hess)
         lam1 = convexity.eigmin_2x2(h[..., 0], h[..., 1], h[..., 2])
         t = np.where(self.weights > 0.0,
                      np.maximum(0.0, -(lam1 + CONVEX_ALLOWANCE)), 0.0)
         return t, h
 
-    def value(self, u_h):
-        t, _ = self.deficits(u_h)
+    def value(self, u_h, hess=None):
+        t, _ = self.deficits(u_h, hess)
         return 0.5 * float(np.sum(self.weights * t * t))
 
-    def residual_and_jacobian(self, u_h):
+    def residual_and_jacobian(self, u_h, hess=None):
         """Weighted hinge values s and sparse ds/dc over interior dofs."""
         el = element_layer(self.space)
-        t, h = self.deficits(u_h)
+        t, h = self.deficits(u_h, hess)
         ci, qi = np.nonzero(t)
         sw = np.sqrt(self.weights[ci, qi])
         s = sw * t[ci, qi]
@@ -391,31 +487,39 @@ def newton_solve(space, f, g, u0=None, config=None):
 
     I = space.interior_dofs
     eta = JUMP_PENALTY
+    quad = space.default_quadrature()
     Q = gradient_jump_matrix(space)
-    QII = Q[I][:, I].tocsc()
+    band, (jump_pos, jump_vals) = _space_band(space)
+    jump = (jump_pos, eta * jump_vals)
     hinge = _ConvexityHinge(space)
 
     def objective(u_h):
-        r = residual(u_h, fq)
+        # Phi at u_h, with the residual and the cell Hessians it was built
+        # from, which the next direction reuses
+        h = u_h.cell_hessians(quad)
+        r = residual(u_h, fq, hess=h)
         pen = 0.5 * eta * gradient_jump_seminorm(u_h) ** 2
-        pen += hinge.value(u_h)
-        return 0.5 * float(r @ r) + pen, r
+        pen += hinge.value(u_h, hess=h)
+        return 0.5 * float(r @ r) + pen, r, h
 
-    def direction(u_h, r, try_newton):
-        # r is the residual at u_h, already computed by objective.  Returns
-        # the step and the gradient J^T r + eta (Q u)_I (+ S^T s) of Phi:
-        # the Newton step when try_newton and the Newton matrix H + T gives
-        # a finite descent direction, the Gauss-Newton step on H otherwise.
-        J = jacobian(u_h)
+    def direction(u_h, r, h, try_newton):
+        # r and h are the residual and cell Hessians at u_h, from
+        # objective.  Returns the step and the gradient J^T r + eta (Q u)_I
+        # (+ S^T s) of Phi: the Newton step when try_newton and the Newton
+        # matrix H + T gives a finite descent direction, the Gauss-Newton
+        # step on H = eta Q_II + J^T J (+ S^T S) otherwise.  Each matrix is
+        # loaded into the space's band workspace and factored there.
+        J = jacobian(u_h, hess=h)
         grad = J.T @ r + eta * (Q @ u_h.coeffs)[I]
-        H = J.T @ J + eta * QII
-        s, S = hinge.residual_and_jacobian(u_h)
+        terms = [jump, J.T @ J]
+        s, S = hinge.residual_and_jacobian(u_h, hess=h)
         if s.size:
             grad = grad + S.T @ s
-            H = H + S.T @ S
+            terms.append(S.T @ S)
         if try_newton:
             try:
-                d = _factor_spd(H + second_order_term(space, r)).solve(-grad)
+                band.load(*terms, second_order_term(space, r))
+                d = _factor_spd(band).solve(-grad)
                 if np.all(np.isfinite(d)) and float(grad @ d) < 0.0:
                     report.newton_directions += 1
                     return d, grad
@@ -425,7 +529,7 @@ def newton_solve(space, f, g, u0=None, config=None):
             # positive definite, or nearly singular, here
             report.newton_rejections += 1
         report.gauss_newton_directions += 1
-        d = _factor_spd(H).solve(-grad)
+        d = _factor_spd(band.load(*terms)).solve(-grad)
         if not np.all(np.isfinite(d)):
             raise SingularJacobianError(
                 "singular normal matrix produced a non-finite step; "
@@ -439,17 +543,17 @@ def newton_solve(space, f, g, u0=None, config=None):
         trial = u_h.copy()
         while step >= MIN_STEP:
             trial.coeffs[I] = u_h.coeffs[I] + step * d
-            phi_t, r_t = objective(trial)
+            phi_t, r_t, h_t = objective(trial)
             if phi_t <= phi + ARMIJO * step * gd:
-                return step, trial, phi_t, r_t
+                return step, trial, phi_t, r_t, h_t
             step *= 0.5
         return None
 
-    phi, r = objective(u)
+    phi, r, h = objective(u)
     report.record(r)
     full_step = False  # the first direction is Gauss-Newton
     for it in range(config.max_iters):
-        d, grad = direction(u, r, try_newton=full_step)
+        d, grad = direction(u, r, h, try_newton=full_step)
         report.iterations = it + 1
         gd = float(grad @ d)
         d_sup = _sup(d)
@@ -462,10 +566,10 @@ def newton_solve(space, f, g, u0=None, config=None):
                     "line search stagnated below MIN_STEP", last_iterate=u,
                     report=report)
             u.coeffs[I] += d
-            phi, r = objective(u)
+            phi, r, h = objective(u)
             report.record(r, d_sup)
             return u, report.finish("stationary", True, u, t0)
-        step, u, phi, r = accepted
+        step, u, phi, r, h = accepted
         full_step = step == 1.0
         report.record(r, step * d_sup)
     report.finish("max_iters", False, u, t0)

@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from mafem import (
     ConvexPolygon,
@@ -22,6 +26,17 @@ from mafem.fespace import FeFunction, FeSpace, interpolate
 from mafem.geometry import clip_convex, nearest_boundary_point
 from mafem.ma_measure import interpolate_p1
 from strategies import convex_polygons
+
+
+def linprog_inradius(polygon):
+    """The inradius as the optimum of its Chebyshev-centre LP, by HiGHS."""
+    n, v = polygon.edge_normals(), polygon.vertices
+    res = linprog([0.0, 0.0, -1.0],
+                  A_ub=np.column_stack([-n, np.ones(len(v))]),
+                  b_ub=-np.sum(n * v, axis=1), bounds=[(None, None)] * 3,
+                  method="highs")
+    assert res.success
+    return float(res.x[2])
 
 
 def tri_mesh(verts):
@@ -74,6 +89,32 @@ class TestConvexPolygon:
         # right isoceles, legs 1: r = (a + b - c)/2
         t = ConvexPolygon([[0, 0], [1, 0], [0, 1]])
         assert t.inradius() == pytest.approx((2 - np.sqrt(2)) / 2, abs=1e-9)
+
+    def test_inradius_rectangle(self):
+        # two pairs of parallel edges: the LP optimum is a whole segment of
+        # centres, and every vertex of it gives half the short side
+        rect = ConvexPolygon([[-1.0, 0.5], [2.0, 0.5], [2.0, 1.5], [-1.0, 1.5]])
+        assert rect.inradius() == 0.5
+        assert rect.inradius() == pytest.approx(linprog_inradius(rect),
+                                                rel=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(convex_polygons())
+    def test_inradius_matches_the_lp(self, polygon):
+        assert polygon.inradius() == pytest.approx(linprog_inradius(polygon),
+                                                   rel=1e-13)
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + ([env["PYTHONPATH"]]
+                                   if env.get("PYTHONPATH") else []))
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, mafem; "
+             "print('scipy.optimize' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=300, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_clip_convex_squares(self):
         a = unit_square().vertices

@@ -10,7 +10,7 @@ from scipy.sparse.linalg import spsolve
 from mafem import (assembly, convexity, get_problem, regular_polygon,
                    solver, triangulate, unit_square)
 from mafem.assembly import (gradient_jump_matrix, jacobian, load_vector,
-                            residual, stiffness_matrix)
+                            residual, second_order_term, stiffness_matrix)
 from mafem.errors import NonConvergenceError, SingularJacobianError
 from mafem.fespace import FeFunction, FeSpace, Quadrature, interpolate
 from mafem.geometry import ConvexPolygon
@@ -18,7 +18,9 @@ from mafem.mesh import Mesh
 from mafem.solver import (
     SolveReport,
     SolverConfig,
+    _Band,
     _factor_spd,
+    _space_band,
     continuation_solve,
     default_initial_guess,
     newton_solve,
@@ -407,9 +409,9 @@ class TestPolish:
         real = solver._factor_spd
         calls = []
 
-        def counting(A):
-            calls.append(A.shape)
-            return real(A)
+        def counting(band):
+            calls.append(band.ab.shape)
+            return real(band)
 
         monkeypatch.setattr(solver, "_factor_spd", counting)
         return calls
@@ -454,6 +456,29 @@ class TestPolish:
         assert report.iterations == 1
         poisson = 1 if u0 is None else 0
         assert len(factor_count) == report.iterations + poisson
+
+    def test_one_hessian_evaluation_per_iterate(self, coarse_space,
+                                                monkeypatch):
+        # The residual, the hinge and the direction taken from an iterate
+        # share its cell Hessians; the report's convexity analysis of the
+        # final iterate evaluates them once more.
+        counts = {"hessians": 0, "residuals": 0}
+        real_hessians = FeFunction.cell_hessians
+        real_residual = solver.residual
+
+        def hessians(u_h, quad):
+            counts["hessians"] += 1
+            return real_hessians(u_h, quad)
+
+        def counted_residual(*args, **kwargs):
+            counts["residuals"] += 1
+            return real_residual(*args, **kwargs)
+
+        monkeypatch.setattr(FeFunction, "cell_hessians", hessians)
+        monkeypatch.setattr(solver, "residual", counted_residual)
+        _, report = newton_solve(coarse_space, smooth_f, smooth_exact)
+        assert report.iterations > 1
+        assert counts["hessians"] == counts["residuals"] + 1
 
     def test_f_sampled_once_per_solve(self, coarse_space):
         calls = []
@@ -625,6 +650,28 @@ class TestConvexityHinge:
                                                rel=1e-13)
 
 
+def factor_on_own_band(A):
+    """_factor_spd of A loaded into a _Band built from A's own pattern."""
+    return _factor_spd(_Band(A).load(A))
+
+
+def path_laplacian(n):
+    return sparse.diags([-np.ones(n - 1), np.r_[1.0, 2.0 * np.ones(n - 2),
+                                                1.0], -np.ones(n - 1)],
+                        [-1, 0, 1])
+
+
+def band_to_dense(band):
+    """The symmetric matrix loaded into band, on the original order."""
+    w1, n = band.ab.shape
+    L = np.zeros((n, n))
+    for d in range(w1):
+        L[np.arange(d, n), np.arange(n - d)] = band.ab[d, :n - d]
+    A = np.empty((n, n))
+    A[np.ix_(band.perm, band.perm)] = L + np.tril(L, -1).T
+    return A
+
+
 class TestFactorSpd:
     @pytest.mark.parametrize("matrix,fmt", [("normal", "csr"),
                                             ("normal", "csc"),
@@ -645,7 +692,7 @@ class TestFactorSpd:
             H = stiffness_matrix(coarse_space)[I][:, I]
         H = H.asformat(fmt)
         b = rng.standard_normal(len(I))
-        x = _factor_spd(H).solve(b)
+        x = factor_on_own_band(H).solve(b)
         ref = spsolve(H.tocsc(), b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -660,25 +707,101 @@ class TestFactorSpd:
     def test_exactly_singular_raises_singular_jacobian_error(self):
         # Path-graph Laplacian: symmetric positive semidefinite, constants
         # in its kernel, and its elimination is exact in binary arithmetic.
-        n = 6
-        L = sparse.diags([-np.ones(n - 1), np.r_[1.0, 2.0 * np.ones(n - 2),
-                                                 1.0], -np.ones(n - 1)],
-                         [-1, 0, 1])
         with pytest.raises(SingularJacobianError, match="singular"):
-            _factor_spd(L)
+            factor_on_own_band(path_laplacian(6))
 
     def test_indefinite_raises_singular_jacobian_error(self):
         # The path-graph Laplacian minus I/2 is nonsingular (its eigenvalues
         # 2 - 2 cos(k pi / n) are never 1/2 for n = 6) but indefinite, so it
         # has no Cholesky factor.
         n = 6
-        L = sparse.diags([-np.ones(n - 1), np.r_[1.0, 2.0 * np.ones(n - 2),
-                                                 1.0], -np.ones(n - 1)],
-                         [-1, 0, 1])
-        A = (L - 0.5 * sparse.identity(n)).tocsr()
+        A = (path_laplacian(n) - 0.5 * sparse.identity(n)).tocsr()
         assert np.abs(np.linalg.eigvalsh(A.toarray())).min() > 0.1
         with pytest.raises(SingularJacobianError, match="singular"):
-            _factor_spd(A)
+            factor_on_own_band(A)
+
+
+class TestBand:
+    @settings(max_examples=10, deadline=None)
+    @given(convex_polygons(), st.sampled_from([2, 3]), st.booleans(),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_loads_the_normal_and_newton_matrices(self, polygon, k, hinged,
+                                                  newton, seed):
+        # The space's band, loaded with eta Q_II, J^T J and optionally
+        # S^T S and T as newton_solve loads them, holds their dense sum.
+        # A concave iterate, made rough by random coefficients, activates
+        # the hinge on every cell with no boundary vertex (a level-2 mesh
+        # has some).
+        space = FeSpace(triangulate(polygon, refinements=2), k)
+        u = interpolate(space, lambda p: -np.sum(np.atleast_2d(p) ** 2, 1))
+        u.coeffs += 0.1 * np.random.default_rng(seed).standard_normal(
+            space.num_dofs)
+        I = space.interior_dofs
+        eta = solver.JUMP_PENALTY
+        J = jacobian(u)
+        QII = gradient_jump_matrix(space)[I][:, I]
+        band, (pos, vals) = _space_band(space)
+        terms = [(pos, eta * vals), J.T @ J]
+        ref = (J.T @ J).toarray() + eta * QII.toarray()
+        if hinged:
+            _, S = solver._ConvexityHinge(space).residual_and_jacobian(u)
+            assert S.shape[0] > 0
+            terms.append(S.T @ S)
+            ref += (S.T @ S).toarray()
+        if newton:
+            T = second_order_term(space, residual(u, smooth_f))
+            terms.append(T)
+            ref += T.toarray()
+        band.load(*terms)
+        assert np.abs(band_to_dense(band) - ref).max() <= \
+            1e-13 * np.abs(ref).max()
+
+    def test_order_built_once_per_space(self, monkeypatch):
+        # The Poisson start and every matrix of a three-stage continuation
+        # share one order and one workspace.
+        real = solver.reverse_cuthill_mckee
+        orders = []
+
+        def counting(*args, **kwargs):
+            orders.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "reverse_cuthill_mckee", counting)
+        space = FeSpace(triangulate(unit_square(), refinements=2), 2)
+        band, _ = _space_band(space)
+        ab = band.ab
+        cfg = SolverConfig(continuation_schedule=(1.0, 0.5, 0.0))
+        _, report = continuation_solve(space, smooth_f, smooth_exact, cfg)
+        assert report.newton_directions > 0
+        assert len(orders) == 1
+        assert _space_band(space)[0] is band and band.ab is ab
+        finer = FeSpace(triangulate(unit_square(), refinements=3), 2)
+        newton_solve(finer, smooth_f, smooth_exact)
+        assert len(orders) == 2
+
+    def test_entry_outside_the_band_raises(self):
+        # A path graph orders to a tridiagonal band of width 1; an entry
+        # joining its two ends, in either triangle, is never dropped.
+        band = _Band(path_laplacian(6))
+        assert band.width == 1
+        for rows, cols in [([0, 5], [5, 0]), ([0], [5]), ([5], [0])]:
+            A = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)),
+                                  shape=(6, 6))
+            with pytest.raises(ValueError, match="outside the band"):
+                band.load(A)
+
+    def test_reloaded_factor_refuses_to_solve(self):
+        A = (path_laplacian(6) + sparse.identity(6)).tocsr()
+        band = _Band(A)
+        factor = _factor_spd(band.load(A))
+        assert np.shares_memory(factor.cb, band.ab)  # factored in place
+        b = np.arange(6.0)
+        assert np.allclose(A @ factor.solve(b), b, rtol=0, atol=1e-13)
+        band.load(A)
+        with pytest.raises(RuntimeError, match="loaded again"):
+            factor.solve(b)
+        assert np.allclose(A @ _factor_spd(band).solve(b), b, rtol=0,
+                           atol=1e-13)
 
 
 class TestJumpMatrixCache:
