@@ -18,7 +18,8 @@ nodes, unknowns numbered by FeSpace.interior_index on one given space):
   exact discrete solution whose gradient is continuous (e.g. quadratic
   patches) the penalized minimizer is that exact solution.
 * continuation_solve: warm-started sweep over a decreasing schedule of
-  positive shifts f + eps, for degenerate or unbounded data.
+  positive shifts f + eps, for degenerate or unbounded data.  The first
+  stage that does not converge ends the sweep.
 
 A caller sets only the iteration cap and the shift schedule (SolverConfig).
 Every other setting is a module constant, read when a solve runs, so that
@@ -581,18 +582,18 @@ def continuation_solve(space, f, g, config=None, u0=None):
     """Warm-started Newton sweep over the shift schedule f + eps_j.
 
     Solves the problems with right-hand side f + eps_j for the configured
-    decreasing schedule, starting each stage from the previous solution
-    (the first from u0 when given), and returns the final iterate with a
-    report whose stages record the per-stage outcomes.  A failure of the
-    first stage is a failure of the whole solve, raised with a report that
-    holds the failed stage; a later stage that fails is recorded and the
-    next one continues from its last iterate.  f (a field or its samples)
-    is sampled once; each stage solves with the samples plus its shift.
-    Raises ValueError when a sample of f is negative.
+    decreasing schedule (eps = 0 alone when it is empty), starting each
+    stage from the previous solution (the first from u0 when given), and
+    returns the final iterate with a report whose stages record the
+    per-stage outcomes.  The first stage that does not converge ends the
+    solve: it raises NonConvergenceError naming its eps and status, with
+    its last iterate and a report of every stage so far whose status is
+    that stage's ("max_iters" or "stagnation").  f (a field or its
+    samples) is sampled once; each stage solves with the samples plus its
+    shift.  Raises ValueError when a sample of f is negative.
     """
     if config is None:
-        config = SolverConfig(continuation_schedule=(0.0,))
-    schedule = config.continuation_schedule or (0.0,)
+        config = SolverConfig()
     t0 = time.perf_counter()
     report = SolveReport("continuation")
     fq = f_at_qpts(space, f)
@@ -600,13 +601,11 @@ def continuation_solve(space, f, g, config=None, u0=None):
         raise ValueError("f is negative at a quadrature point (min {:.3e}); "
                          "det D2u = f needs f >= 0".format(fq.min()))
     u = u0
-    for j, eps in enumerate(schedule):
-        failed = False
+    for eps in config.continuation_schedule or (0.0,):
         try:
-            u_next, stage = newton_solve(space, fq + eps, g, u0=u,
-                                         config=config)
+            u, stage = newton_solve(space, fq + eps, g, u0=u, config=config)
         except NonConvergenceError as exc:
-            u_next, stage, failed = exc.last_iterate, exc.report, True
+            u, stage = exc.last_iterate, exc.report
         report.stages.append({"eps": float(eps), **stage.to_dict()})
         report.residual_history.extend(stage.residual_history)
         report.residual_history_sup.extend(stage.residual_history_sup)
@@ -615,11 +614,9 @@ def continuation_solve(space, f, g, config=None, u0=None):
         report.newton_directions += stage.newton_directions
         report.gauss_newton_directions += stage.gauss_newton_directions
         report.newton_rejections += stage.newton_rejections
-        if failed and j == 0:
-            report.finish("stage_failed", False, u_next, t0)
+        if not stage.converged:
+            report.finish(stage.status, False, u, t0)
             raise NonConvergenceError(
-                "continuation stage eps={} failed".format(eps),
-                last_iterate=u_next, report=report)
-        u = u_next
-    last = report.stages[-1]
-    return u, report.finish(last["status"], last["converged"], u, t0)
+                "continuation stage eps={} ended with status {!r}".format(
+                    eps, stage.status), last_iterate=u, report=report)
+    return u, report.finish(stage.status, True, u, t0)

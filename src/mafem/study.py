@@ -115,13 +115,15 @@ def solve_problem(problem, refinements=None, h_target=None, u0=None,
     """One solve of a catalogue problem at a given mesh resolution.
 
     The space is built from refinements or h_target, or given as `space`
-    (of the problem's degree; then give neither).  Runs the truncation
-    schedule (for unbounded data) as an outer warm-started loop around the
-    shift-continuation solve.  Returns (solution, space, list of solve
+    (of the problem's degree; then give neither).  Runs one warm-started
+    continuation_solve per truncation level M of the schedule (one with no
+    truncation for bounded data).  Returns (solution, space, list of solve
     report dicts, each with its truncate_M); the solution lives on the
-    returned space.  Raises NonConvergenceError, carrying the last iterate,
-    that attempt's report and, as `solves`, the report dicts of every
-    attempt so far, when a stage did not converge, also after a retry.
+    returned space, and every stage of every record converged.  The first
+    stage that does not converge ends the solve: it raises
+    NonConvergenceError naming M, the stage's eps and its status, carrying
+    the last iterate, that continuation's report and, as `solves`, the
+    report dicts of every continuation run so far.
     """
     if space is None:
         mesh = triangulate(problem.polygon, refinements=refinements,
@@ -138,41 +140,20 @@ def solve_problem(problem, refinements=None, h_target=None, u0=None,
     reports = []
     u = u0
     for M in problem.truncate_schedule or (None,):
-        u = _solve_stage(problem, space, config, M, u, reports)
-    return u, space, reports
-
-
-def _solve_stage(problem, space, config, M, u0, reports):
-    """Continuation solve of one truncation stage, warm then cold.
-
-    A warm start from an earlier stage can sit too far from the
-    large-shift solution at the head of the schedule, so a warm solve that
-    failed or did not converge is retried cold.  Appends the converged
-    attempt's report dict to `reports`.  Raises NonConvergenceError naming
-    the stage when the last attempt did not converge.
-    """
-    reg = problem.regularized(truncate_M=M)
-    starts = (u0, None) if u0 is not None else (None,)
-    tried = []
-    for start in starts:
+        reg = problem.regularized(truncate_M=M)
         try:
             u, rep = continuation_solve(space, reg.f_m,
                                         problem.solve_boundary,
-                                        config=config, u0=start)
+                                        config=config, u0=u)
         except NonConvergenceError as exc:
-            u, rep, status = exc.last_iterate, exc.report, str(exc)
-        else:
-            status = "status {!r} at eps={}".format(rep.status,
-                                                    rep.stages[-1]["eps"])
-        tried.append({**rep.to_dict(), "truncate_M": M})
-        if rep.converged:
-            reports.append(tried[-1])
-            return u
-    err = NonConvergenceError(
-        "truncation stage truncate_M={} did not converge: {}".format(
-            M, status), last_iterate=u, report=rep)
-    err.solves = reports + tried
-    raise err
+            reports.append({**exc.report.to_dict(), "truncate_M": M})
+            err = NonConvergenceError(
+                "truncation stage truncate_M={}: {}".format(M, exc),
+                last_iterate=exc.last_iterate, report=exc.report)
+            err.solves = reports
+            raise err from exc
+        reports.append({**rep.to_dict(), "truncate_M": M})
+    return u, space, reports
 
 
 def _prolong(u_coarse, space, problem):
@@ -201,9 +182,9 @@ def run_convergence_study(problem, levels=None, grid_n=33,
                           with_measure=False):
     """Solve across mesh levels and report errors and observed rates.
 
-    A failing level is recorded in the report and the study continues
-    cold-started on the remaining levels.  Raises ValueError when there
-    is no level to solve.
+    A failing level is recorded in the report and the study continues on
+    the remaining levels, the next one from the Poisson start.  Raises
+    ValueError when there is no level to solve.
     """
     levels = problem.levels if levels is None else tuple(levels)
     if not levels:

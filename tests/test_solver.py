@@ -350,6 +350,14 @@ class TestContinuationSolve:
         assert len(report.stages) == 2
         assert [s["eps"] for s in report.stages] == [1.0, 0.0]
         assert report.converged
+        # the record-level counts and histories are the stages' sums and
+        # concatenations, which the benchmark's iteration counts read
+        d = report.to_dict()
+        for key in ("iterations", "newton_directions",
+                    "gauss_newton_directions", "newton_rejections"):
+            assert d[key] == sum(s[key] for s in d["stages"])
+        for key in ("step_history", "residual_history"):
+            assert d[key] == [x for s in d["stages"] for x in s[key]]
 
     def test_first_stage_failure_raises(self, coarse_space):
         bad = lambda p: np.full(len(np.atleast_2d(p)), -2.0)
@@ -366,7 +374,7 @@ class TestContinuationSolve:
         with pytest.raises(NonConvergenceError) as err:
             continuation_solve(space, problem.f, problem.solve_boundary, cfg)
         rep = err.value.report
-        assert rep.status == "stage_failed" and not rep.converged
+        assert rep.status == "max_iters" and not rep.converged
         assert rep.iterations == 2
         assert len(rep.stages) == 1
         stage = rep.stages[0]

@@ -10,7 +10,7 @@ from mafem.fespace import FeSpace
 from mafem.mesh import triangulate
 from mafem.problems import get_problem, problem_from_json
 from mafem import study
-from mafem.solver import SolverConfig
+from mafem.solver import SolverConfig, continuation_solve
 from mafem.study import (StudyReport, default_bumps, interior_grid,
                          run_convergence_study, run_measure_verification,
                          solve_problem)
@@ -276,10 +276,36 @@ class TestNonConvergence:
         assert [st["eps"] for st in solves[0]["stages"]] == [1.0, 1e-6]
 
 
+    def test_unconverged_middle_stage_ends_the_solve(self):
+        # The second of three shift stages runs out of iterations; the
+        # solve must stop there rather than go on to the third stage from
+        # its unconverged iterate and return.
+        prob = get_problem("degenerate")
+        cfg = SolverConfig(max_iters=5,
+                           continuation_schedule=(1.0, 1e-6, 1e-6))
+        with pytest.raises(NonConvergenceError) as err:
+            solve_problem(prob, refinements=3, config=cfg)
+        msg = str(err.value)
+        assert "truncate_M=None" in msg and "eps=1e-06" in msg
+        assert "max_iters" in msg
+        [record] = err.value.solves
+        assert record["truncate_M"] is None and not record["converged"]
+        assert [s["converged"] for s in record["stages"]] == [True, False]
+        assert record == {**err.value.report.to_dict(), "truncate_M": None}
+
+        space = FeSpace(triangulate(prob.polygon, refinements=3),
+                        prob.degree)
+        with pytest.raises(NonConvergenceError) as direct:
+            continuation_solve(space, prob.regularized().f_m,
+                               prob.solve_boundary, config=cfg)
+        rep = direct.value.report
+        assert rep.status == "max_iters" and not rep.converged
+        assert [(s["eps"], s["converged"]) for s in rep.stages] == [
+            (1.0, True), (1e-6, False)]
+
     def test_unconverged_intermediate_stage_raises(self, monkeypatch):
-        # The first of two truncation stages comes back converged=False
-        # (from a cold start, so there is no retry); the solve must not go
-        # on to the second stage.
+        # The first of two truncation stages does not converge; the solve
+        # must not go on to the second stage.
         real = study.continuation_solve
         calls = []
 
@@ -289,6 +315,8 @@ class TestNonConvergence:
             if len(calls) == 1:
                 rep.converged = False
                 rep.status = "max_iters"
+                raise NonConvergenceError("forced", last_iterate=u,
+                                          report=rep)
             return u, rep
 
         monkeypatch.setattr(study, "continuation_solve", first_unconverged)
@@ -301,31 +329,10 @@ class TestNonConvergence:
         assert err.value.last_iterate is not None
         assert not err.value.report.converged
 
-    def test_unconverged_warm_stage_retried_cold(self, monkeypatch):
-        real = study.continuation_solve
-        starts = []
-
-        def second_warm_unconverged(space, f, g, config=None, u0=None):
-            u, rep = real(space, f, g, config=config, u0=u0)
-            starts.append(u0 is not None)
-            if len(starts) == 2:
-                rep.converged = False
-            return u, rep
-
-        monkeypatch.setattr(study, "continuation_solve",
-                            second_warm_unconverged)
-        prob = get_problem("singular")
-        prob.truncate_schedule = (10.0, 40.0)
-        _, _, reports = solve_problem(prob, refinements=1)
-        assert starts == [False, True, False]
-        assert [r["truncate_M"] for r in reports] == [10.0, 40.0]
-        assert all(r["converged"] for r in reports)
-
-
     def test_failed_stage_keeps_every_record(self, monkeypatch):
-        # The M = 40 stage comes back unconverged warm and cold: the error
-        # keeps the converged M = 10 record and both M = 40 attempts, in
-        # the layout of a successful solve.
+        # The warm M = 40 stage does not converge: the error keeps the
+        # converged M = 10 record and the M = 40 one, in the layout of a
+        # successful solve, and the stage is not retried.
         real = study.continuation_solve
         starts = []
 
@@ -335,6 +342,8 @@ class TestNonConvergence:
             if len(starts) > 1:
                 rep.converged = False
                 rep.status = "max_iters"
+                raise NonConvergenceError("forced", last_iterate=u,
+                                          report=rep)
             return u, rep
 
         monkeypatch.setattr(study, "continuation_solve", later_unconverged)
@@ -343,10 +352,10 @@ class TestNonConvergence:
         with pytest.raises(NonConvergenceError,
                            match="truncate_M=40.0") as err:
             solve_problem(prob, refinements=1)
-        assert starts == [False, True, False]
+        assert starts == [False, True]
         solves = err.value.solves
         assert [(r["truncate_M"], r["converged"]) for r in solves] == [
-            (10.0, True), (40.0, False), (40.0, False)]
+            (10.0, True), (40.0, False)]
         assert all(len(r["stages"]) == len(prob.epsilon_schedule)
                    for r in solves)
         assert solves[-1] == {**err.value.report.to_dict(),
