@@ -18,8 +18,8 @@ np.bincount, on the Hessians of FeFunction.cell_hessians.
 """
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 import scipy.sparse as sparse
-from scipy.special import roots_legendre
 
 from . import kernels
 from .fespace import eval_field
@@ -266,7 +266,7 @@ def _edge_jump_blocks(space):
 
 def _assemble_edge_jump_blocks(space):
     _, owners, _, nrm = space.mesh.interior_edges()
-    xg, wg = roots_legendre(space.degree + 1)
+    xg, wg = leggauss(space.degree + 1)
     gtab = space.interior_edge_tables(0.5 * (xg + 1.0), "grad")
     # n . grad = (Jinv n) . grad_ref, taken + on the first owner and - on
     # the second

@@ -12,7 +12,7 @@ import math
 import os
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from . import kernels
 from .mesh import Mesh  # noqa: F401  (re-exported for space serialization users)
@@ -100,17 +100,36 @@ class ReferenceElement:
         return {"val": val, "grad": grad, "hess": hess}
 
 
+def gauss_jacobi_1_0(n):
+    """n-point Gauss rule for the weight (1 - x) on [-1, 1], by Golub-Welsch.
+
+    The nodes are the eigenvalues of the symmetric tridiagonal Jacobi
+    matrix of the Jacobi(1, 0) recurrence; the weights are mu0 v0^2, with
+    v0 the first component of each unit eigenvector and mu0 = 2 the mass
+    of (1 - x).  Returns (nodes ascending, weights).
+    """
+    k = np.arange(n, dtype=float)
+    diag = -1.0 / ((2.0 * k + 1.0) * (2.0 * k + 3.0))
+    k = k[1:]
+    off = np.sqrt(k * (k + 1.0)) / (2.0 * k + 1.0)
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return x, 2.0 * v[0] ** 2
+
+
 class Quadrature:
     """Conical-product rule on the reference triangle, exact to a set order.
 
     points are barycentric; weights are positive and sum to 1, so that
-    integral over a cell K = |K| * sum(w * f(points)).
+    integral over a cell K = |K| * sum(w * f(points)).  The rule is the
+    tensor product of an n-point Gauss-Jacobi(1, 0) rule (gauss_jacobi_1_0,
+    Golub-Welsch) in the collapsed direction and n-point Gauss-Legendre
+    (numpy's leggauss) along it.
     """
 
     def __init__(self, order):
         n = (order + 2) // 2  # Gauss with n points is exact to degree 2n-1
-        xj, wj = roots_jacobi(n, 1.0, 0.0)
-        xl, wl = roots_legendre(n)
+        xj, wj = gauss_jacobi_1_0(n)
+        xl, wl = leggauss(n)
         u = 0.5 * (xj + 1.0)   # absorbs the (1-u) cone factor
         v = 0.5 * (xl + 1.0)
         wu = wj / 4.0

@@ -11,7 +11,6 @@ and convex envelopes of boundary data by 3D lower hull.
 import json
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .errors import NonConvexInputError
 from . import kernels
@@ -136,7 +135,7 @@ def normal_mapping_hull_area(v):
     Brute-force value of the normal-mapping image area, for cross-checking
     the total interior atom mass of a convex input.
     """
-    from scipy.spatial import QhullError
+    from scipy.spatial import ConvexHull, QhullError
     grads = v.cell_gradients()
     try:
         return float(ConvexHull(grads).volume)
@@ -359,6 +358,7 @@ def convex_envelope_boundary(polygon, b, per_edge=32):
     if flat_gap <= 1e-12 * scale:
         return BoundaryEnvelope(coef[None, :], samples, values)
 
+    from scipy.spatial import ConvexHull
     hull = ConvexHull(pts3)
     eq = hull.equations
     lower = eq[eq[:, 2] < -1e-10]

@@ -8,12 +8,12 @@ by connecting edge midpoints, so the mesh size halves exactly per level.
 The mesh alone works out the affine cell maps x = v0 + J xi from the
 reference triangle, J = [v1 - v0, v2 - v0]: J^-1 and the areas det(J)/2
 when it is built, then on first use the edge tables (with interior-edge
-normals), the cells around each vertex and the point locator.  It copies
-its input and all its arrays are read-only, so none of these go stale.
+normals), the cells around each vertex and the bucket grid of the point
+locator.  It copies its input and all its arrays are read-only, so none of
+these go stale.
 """
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegeneratePolygonError, EmptySubdomainError
 from .geometry import ConvexPolygon, clip_halfplane
@@ -89,7 +89,7 @@ class Mesh:
         self._edges = None  # (edges, cell_edges), see edge_midpoint_index
         self._interior_edges = None
         self._vertex_cells = None
-        self._tree = None
+        self._grid = None  # _BucketGrid, see locate
 
     @property
     def num_vertices(self):
@@ -205,24 +205,30 @@ class Mesh:
     def locate(self, points):
         """Cell index (n,) and reference coordinates (n, 2) of each point.
 
-        Of the 16 cells with the nearest centroids, takes the one whose least
-        barycentric coordinate is largest; raises ValueError when that is
-        below -1e-6 max(h, 1), a point outside the mesh.
+        The candidates of a point are the cells listed in its bucket of a
+        grid built once per mesh (_BucketGrid); of these, takes the one whose
+        least barycentric coordinate is largest.  Raises ValueError for a
+        point that is not finite, or whose best least barycentric coordinate
+        is below -1e-6 max(h, 1): a point outside the mesh.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self._tree is None:
-            self._tree = cKDTree(self.cell_coords().mean(axis=1))
-        _, cand = self._tree.query(pts, k=min(self.num_cells, 16))
-        cand = cand.reshape(len(pts), -1)
-        d = pts[:, None, :] - self.vertices[self.cells[cand, 0]]
-        ref = np.einsum("pcij,pcj->pci", self.cell_jinv[cand], d)
-        bary_min = np.minimum(np.minimum(ref[..., 0], ref[..., 1]),
-                              1.0 - ref[..., 0] - ref[..., 1])
-        best = np.argmax(bary_min, axis=1)
-        rows = np.arange(len(pts))
-        if np.any(bary_min[rows, best] < -1e-6 * max(self.mesh_size(), 1.0)):
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("points must be finite")
+        if self._grid is None:
+            self._grid = _BucketGrid(self)
+        pid, cand, starts = self._grid.candidates(pts)
+        d = pts[pid] - self.vertices[self.cells[cand, 0]]
+        ref = np.einsum("pij,pj->pi", self.cell_jinv[cand], d)
+        bary_min = np.minimum(np.minimum(ref[:, 0], ref[:, 1]),
+                              1.0 - ref[:, 0] - ref[:, 1])
+        top = np.maximum.reduceat(bary_min, starts)
+        if np.any(top < -self._grid.tol):
             raise ValueError("point outside the meshed domain")
-        return cand[rows, best], ref[rows, best]
+        # the first candidate attaining its point's maximum: candidates are
+        # grouped by point, so pid is ascending
+        hit = np.flatnonzero(bary_min == top[pid])
+        best = hit[np.searchsorted(pid[hit], np.arange(len(pts)))]
+        return cand[best], ref[best]
 
     def save(self, path):
         """Plain-text save.
@@ -258,6 +264,69 @@ class Mesh:
             raise ValueError("malformed boundary edge block")
         bdata = rest.reshape(-1, 3)
         return cls(verts, cells, bdata[:, :2], bdata[:, 2])
+
+
+class _BucketGrid:
+    """Uniform grid of about two buckets per cell, over a mesh's bounding box.
+
+    Each cell is listed, in ascending order, in every bucket that its
+    bounding box widened by pad overlaps.  A point that a cell accepts
+    (least barycentric coordinate at least -tol) is within 2 tol h of the
+    cell's box along each axis, since at most two of its barycentric
+    coordinates are negative and each weighs a vertex offset of at most h;
+    pad = 4 tol h leaves room for rounding.  So the cells of a point's
+    bucket include every cell that can accept it.
+    """
+
+    def __init__(self, mesh):
+        h = mesh.mesh_size()
+        self.tol = 1e-6 * max(h, 1.0)
+        pad = 4.0 * self.tol * h
+        xy = mesh.cell_coords()
+        lo_corner = xy.min(axis=1) - pad
+        hi_corner = xy.max(axis=1) + pad
+        self.lo = lo_corner.min(axis=0)
+        # 0.7 rather than 1: a point then has about 3-5 candidates, and
+        # bucket edges stay off the dyadic lines of a refined square
+        self.size = 0.7 * np.sqrt(np.prod(hi_corner.max(axis=0) - self.lo)
+                                  / mesh.num_cells)
+        # the same rounding for the box corners as for the points, so a
+        # point in a widened box lands in one of the box's buckets
+        self.shape = self._index(hi_corner.max(axis=0)).astype(np.int64) + 1
+        first = self._index(lo_corner).astype(np.int64)
+        span = self._index(hi_corner).astype(np.int64) - first + 1
+        count = span.prod(axis=1)
+        cell = np.repeat(np.arange(mesh.num_cells), count)
+        k = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)
+        bucket = ((first[cell, 1] + k // span[cell, 0]) * self.shape[0]
+                  + first[cell, 0] + k % span[cell, 0])
+        self.members = cell[np.argsort(bucket, kind="stable")]
+        self.starts = np.concatenate([[0], np.cumsum(
+            np.bincount(bucket, minlength=self.shape.prod()))])
+
+    def _index(self, pts):
+        return np.floor((pts - self.lo) / self.size)
+
+    def candidates(self, pts):
+        """(pid, cand, starts): point index and cell of every candidate pair,
+        grouped by point, and the offset of each point's first pair.
+
+        Raises ValueError for a point outside the grid or in an empty bucket.
+        """
+        ij = self._index(pts)
+        if np.any((ij < 0) | (ij >= self.shape)):
+            raise ValueError("point outside the meshed domain")
+        ij = ij.astype(np.int64)
+        bucket = ij[:, 1] * self.shape[0] + ij[:, 0]
+        first = self.starts[bucket]
+        count = self.starts[bucket + 1] - first
+        if np.any(count == 0):
+            raise ValueError("point outside the meshed domain")
+        starts = np.cumsum(count) - count
+        pid = np.repeat(np.arange(len(pts)), count)
+        cand = self.members[np.repeat(first - starts, count)
+                            + np.arange(count.sum())]
+        return pid, cand, starts
 
 
 def _fan_mesh(polygon):

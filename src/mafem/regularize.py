@@ -11,7 +11,7 @@ applied by the solver, which also rejects negative data.
 """
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .geometry import nearest_boundary_point
 
@@ -20,7 +20,7 @@ BUMP_RADIAL, BUMP_ANGULAR = 10, 20  # nodes of the mollifier's polar rule
 
 def _bump_quadrature(radius):
     """Nodes and unit-mass weights for the bump kernel on |z| < radius."""
-    x, w = roots_legendre(BUMP_RADIAL)
+    x, w = leggauss(BUMP_RADIAL)
     rho = 0.5 * (x + 1.0)
     w_rho = 0.5 * w
     theta = 2.0 * np.pi * np.arange(BUMP_ANGULAR) / BUMP_ANGULAR

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from mafem import (get_problem, ma_measure, refine_uniform, regular_polygon,
                    study, triangulate, unit_square)
@@ -10,6 +11,7 @@ from mafem.fespace import (
     bary_lattice,
     broken_error_h2,
     eval_field,
+    gauss_jacobi_1_0,
     interpolate,
     l2_error,
     phys_quad_points,
@@ -35,6 +37,15 @@ class TestQuadrature:
     def test_points_inside(self):
         q = Quadrature(8)
         assert np.all(q.points > 0) and np.all(q.points < 1)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_gauss_rules_match_scipy(self, n):
+        # scipy.special is the oracle here only; mafem does not import it
+        from scipy.special import roots_jacobi, roots_legendre
+        for got, want in ((leggauss(n), roots_legendre(n)),
+                          (gauss_jacobi_1_0(n), roots_jacobi(n, 1.0, 0.0))):
+            assert np.abs(got[0] - want[0]).max() <= 1e-14
+            assert np.abs(got[1] - want[1]).max() <= 1e-14
 
 
 class TestFeSpace:

@@ -104,7 +104,9 @@ class TestConvexPolygon:
         assert polygon.inradius() == pytest.approx(linprog_inradius(polygon),
                                                    rel=1e-13)
 
-    def test_import_leaves_scipy_optimize_unloaded(self):
+    def test_import_leaves_scipy_optimize_spatial_special_unloaded(self):
+        # the Gauss rules and the point locator are numpy; scipy.spatial is
+        # imported only by the two convex-hull functions of ma_measure
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -112,9 +114,11 @@ class TestConvexPolygon:
                                    if env.get("PYTHONPATH") else []))
         out = subprocess.run(
             [sys.executable, "-c", "import sys, mafem; "
-             "print('scipy.optimize' in sys.modules)"],
+             "mafem.get_problem('envelope'); "
+             "print(sorted(m for m in ('scipy.optimize', 'scipy.spatial', "
+             "'scipy.special') if m in sys.modules))"],
             env=env, capture_output=True, text=True, timeout=300, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
     def test_clip_convex_squares(self):
         a = unit_square().vertices
@@ -458,6 +462,70 @@ class TestAffineCellMap:
         space = FeSpace(mesh, 2)
         assert space.cell_jinv is mesh.cell_jinv
         assert space.cell_areas is mesh.cell_areas
+
+
+def _least_barycentric(mesh, pts, cells, ref=None):
+    """Least barycentric coordinate of each point in each of its cells."""
+    if ref is None:
+        d = pts[:, None, :] - mesh.vertices[mesh.cells[cells, 0]]
+        ref = np.einsum("pcij,pcj->pci", mesh.cell_jinv[cells], d)
+    return np.minimum(np.minimum(ref[..., 0], ref[..., 1]),
+                      1.0 - ref[..., 0] - ref[..., 1])
+
+
+class TestLocate:
+    @settings(max_examples=15, deadline=None)
+    @given(convex_polygons(), st.integers(0, 4), st.integers(0, 2 ** 31))
+    def test_matches_the_all_cells_oracle(self, polygon, level, seed):
+        mesh = triangulate(polygon, refinements=level)
+        rng = np.random.default_rng(seed)
+        edges, _ = mesh.edge_midpoint_index()
+        mids = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
+        pts = np.vstack([
+            mesh.vertices[rng.permutation(mesh.num_vertices)[:100]],
+            mids[rng.permutation(len(mids))[:100]],
+            _interior_points(mesh, rng),
+        ])
+        cells, ref = mesh.locate(pts)
+        # brute force: the largest least barycentric coordinate over all
+        # cells, which every accepted point reaches
+        every = np.broadcast_to(np.arange(mesh.num_cells),
+                                (len(pts), mesh.num_cells))
+        best = _least_barycentric(mesh, pts, every).max(axis=1)
+        assert np.all(best >= -1e-12)
+        got = _least_barycentric(mesh, pts, cells[:, None], ref[:, None])[:, 0]
+        assert np.abs(got - best).max() <= 1e-13
+        xy = mesh.cell_coords()[cells]
+        jac = np.stack([xy[:, 1] - xy[:, 0], xy[:, 2] - xy[:, 0]], axis=-1)
+        back = xy[:, 0] + np.einsum("pij,pj->pi", jac, ref)
+        assert np.abs(back - pts).max() <= 1e-12 * (1.0 + np.abs(pts).max())
+
+        # just outside an edge of the polygon, yet inside its bounding box
+        nb = len(mesh.boundary_edges)
+        b = mesh.boundary_edges[rng.permutation(nb)[:10]]
+        p, q = mesh.vertices[b[:, 0]], mesh.vertices[b[:, 1]]
+        outward = np.column_stack([q[:, 1] - p[:, 1], p[:, 0] - q[:, 0]])
+        outward /= np.linalg.norm(outward, axis=1, keepdims=True)
+        near = 0.5 * (p + q) + 1e-3 * mesh.mesh_size() * outward
+        lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+        beyond = lo - 1e-3 * (hi - lo), hi + [1e-3, 0.0], [1e6, 0.0]
+        for point in [*near[np.all((near > lo) & (near < hi), axis=1)],
+                      *beyond]:
+            assert _least_barycentric(mesh, np.atleast_2d(point),
+                                      every[:1]).max() < -1e-6 * max(
+                                          mesh.mesh_size(), 1.0)
+            with pytest.raises(ValueError, match="outside"):
+                mesh.locate(point)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_point_rejected(self, bad):
+        mesh = triangulate(unit_square(), refinements=2)
+        pts = np.array([[0.5, 0.5], [0.25, bad]])
+        fe = interpolate(FeSpace(mesh, 2), lambda p: p[:, 0])
+        p1 = interpolate_p1(mesh, lambda p: p[:, 0])
+        for evaluate in (mesh.locate, fe, p1):
+            with pytest.raises(ValueError, match="finite"):
+                evaluate(pts)
 
 
 class TestTopologyTables:
