@@ -63,18 +63,17 @@ indefinite away from a minimizer.  All of them are factored by one
 routine, _factor_spd: LAPACK's banded Cholesky (dpbtrf) on a reverse
 Cuthill-McKee order, the band method of George & Liu (Computer Solution
 of Large Sparse Positive Definite Systems, 1981, ch. 4).  The order is
-computed once per space, on the structural pattern P^T P + Q_II (P the
-interior Jacobian pattern of the element layer), which holds every one
-of these matrices whatever exact zeros scipy drops from them.  On these
-2D meshes it gives a band of width 129, 257 and 513 at 481, 1,985 and
-8,065 interior dofs, the widths an order computed per matrix gives, and
-the blocked band factorization is faster than a general sparse LU with a
-fill-reducing order.  Each space keeps one band workspace (_space_band):
-a matrix is loaded into it term by term (eta Q_II at places found once,
-J^T J, S^T S and T each at the places of its own pattern), without a
-sparse sum or a copy, and factored there in place.  A matrix that is not
-positive definite has a non-positive pivot and is rejected by the
-factorization itself.
+computed once per space, on the structural pattern U = P^T P (P the
+interior Jacobian pattern of the element layer), which holds all of these
+matrices: J, T, S^T S and the Poisson matrix lie on P, and Q_II on P^T P
+(the two cells of an interior edge share an interior dof on that edge).
+Each space keeps one band workspace (_space_band), loaded by np.bincount
+into a compact accumulator, one slot per lower entry of U, through int32
+maps computed once: the slots of Q_II's lower entries, of P's entries,
+and of every pair s >= t of stored entries of a row k of P, whose
+products J[k, s] J[k, t] sum to J^T J.  A term off its map's pattern
+raises ValueError.  The matrix is factored in place; one that is not
+positive definite has a non-positive pivot and is rejected there.
 
 newton_solve samples f at the quadrature points once, for the positivity
 check, the Poisson start and every residual of the solve; the residual,
@@ -142,16 +141,17 @@ class SolveReport:
     """Iteration history and outcome of one solve."""
 
     def __init__(self, method):
+        # in the order of to_dict's keys
         self.method = method
-        self.residual_history = []
-        self.residual_history_sup = []
-        self.step_history = []
-        self.converged = False
-        self.status = "running"
         self.iterations = 0
         self.newton_directions = 0
         self.gauss_newton_directions = 0
         self.newton_rejections = 0
+        self.converged = False
+        self.status = "running"
+        self.residual_history = []
+        self.residual_history_sup = []
+        self.step_history = []
         self.min_lambda1 = None
         self.wall_time = 0.0
         self.stages = []
@@ -171,21 +171,9 @@ class SolveReport:
         return self
 
     def to_dict(self):
-        return {
-            "method": self.method,
-            "iterations": self.iterations,
-            "newton_directions": self.newton_directions,
-            "gauss_newton_directions": self.gauss_newton_directions,
-            "newton_rejections": self.newton_rejections,
-            "converged": self.converged,
-            "status": self.status,
-            "residual_history": list(self.residual_history),
-            "residual_history_sup": list(self.residual_history_sup),
-            "step_history": list(self.step_history),
-            "min_lambda1": self.min_lambda1,
-            "wall_time": self.wall_time,
-            "stages": self.stages,
-        }
+        """Every attribute, each list copied."""
+        return {key: list(value) if isinstance(value, list) else value
+                for key, value in vars(self).items()}
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2)
@@ -225,10 +213,11 @@ class _Band:
     Built once from a symmetric pattern that covers every matrix it will
     hold: perm is the pattern's reverse Cuthill-McKee order, width the
     largest distance of a pattern entry from the diagonal on that order,
-    and ab the Fortran-ordered (width + 1, n) workspace in LAPACK's lower
-    band storage, ab[i - j, j] = A[perm][:, perm][i, j] for i >= j.  load
-    zero-fills ab and adds its terms; _factor_spd factors ab in place, so
-    a factor lives only until the next load.
+    ab the Fortran-ordered (width + 1, n) workspace in LAPACK's lower band
+    storage, ab[i - j, j] = A[perm][:, perm][i, j] for i >= j, and upos the
+    places of the pattern's lower entries in ab.T.ravel().  A load (or
+    _SpaceBand.load_maps) zero-fills ab and adds its terms; _factor_spd
+    factors ab in place, so a factor lives only until the next load.
     """
 
     def __init__(self, pattern):
@@ -249,23 +238,18 @@ class _Band:
             self.rank = self.rank.astype(np.int64)  # so positions fit
         self.ab = np.zeros((self.width + 1, n), order="F")
         self.loads = 0
+        self.upos = self.place(pattern)[0]
 
     def place(self, A):
-        """Positions in ab.T.ravel() and values of A's lower entries.
-
-        A is a symmetric sparse matrix.  Each stored entry is placed by its
-        own row and column, so the terms of one load may have different
-        patterns (scipy drops exact zeros from sums and products), each
-        within the band.  Raises ValueError for an entry outside the band,
-        in either triangle: it is never dropped.
-        """
-        if A.format not in ("csr", "csc"):
-            A = A.tocsr()
-        major = np.repeat(self.rank, np.diff(A.indptr))
-        minor = self.rank[A.indices]
-        i, j = (major, minor) if A.format == "csr" else (minor, major)
+        """Positions in ab.T.ravel() and values of the lower entries of a
+        symmetric sparse matrix A, each by its own row and column.  Raises
+        ValueError for an entry outside the band, in either triangle: it is
+        never dropped."""
+        A = A.tocsr()
+        i = np.repeat(self.rank, np.diff(A.indptr))
+        j = self.rank[A.indices]
         d = i - j
-        reach = max(d.max(), -d.min()) if d.size else 0
+        reach = np.abs(d).max(initial=0)
         if reach > self.width:
             raise ValueError("matrix has an entry {} places off the "
                              "diagonal, outside the band of width {}".format(
@@ -274,11 +258,8 @@ class _Band:
         return (d + j * (self.width + 1))[lower], A.data[lower]
 
     def load(self, *terms):
-        """Zero-fill the workspace and add the terms; returns self.
-
-        A term is a symmetric sparse matrix or a (positions, values) pair
-        from place.  Every factor of the previous load goes stale.
-        """
+        """Zero-fill ab and add the terms, each a symmetric sparse matrix or
+        a (positions, values) pair from place; returns self."""
         self.ab.fill(0.0)
         self.loads += 1
         flat = self.ab.T.reshape(-1)  # a view: ab is Fortran-ordered
@@ -288,28 +269,81 @@ class _Band:
         return self
 
 
-def _space_band(space):
-    """The space's cached (_Band, jump); built on first use.
+class _SpaceBand(_Band):
+    """The band of a space's pattern U, loaded by maps (module docstring).
 
-    Its order is that of the structural pattern P^T P + Q_II, P the element
-    layer's interior Jacobian pattern and Q_II the interior block of the
-    gradient-jump matrix: that pattern covers the Gauss-Newton and Newton
-    matrices (S^T S and the second-order term lie in P's pattern, which
-    P^T P contains) and the interior Poisson matrix (P's pattern).
-    jump is the place of Q_II's lower entries in the band (see place).
+    A slot indexes upos.  jump_slot holds the slots of Q_II's lower entries,
+    p_slot those of P's entries (len(upos), a dump, for an upper one), and
+    groups, per chunk of at most 2^17 pairs, the data indices of rows of P
+    of one length L (each by rank), tril_indices(L) and the pairs' slots.
     """
-    if space._band is None:
+
+    def __init__(self, space):
         el = element_layer(space)
         P = sparse.csr_matrix((np.ones(el.nnz), el.indices, el.indptr),
                               shape=(el.n, el.n))
+        super().__init__(P @ P)  # P is symmetric
         I = space.interior_dofs
-        QII = gradient_jump_matrix(space)[I][:, I]
-        # ones on Q_II's pattern, so that no entry of the union cancels
-        ones = sparse.csr_matrix((np.ones(QII.nnz), QII.indices, QII.indptr),
-                                 shape=QII.shape)
-        band = _Band(P.T @ P + ones)
-        space._band = band, band.place(QII)
+        self.jump = self.place(gradient_jump_matrix(space)[I][:, I])
+        look = self.ab.T.reshape(-1).view(np.int32)  # ab is free until loaded
+        look[self.upos] = np.arange(1, len(self.upos) + 1)
+
+        def slots(pos):
+            found = look[pos]
+            if found.min(initial=1) < 1:
+                raise ValueError("a map entry is not on the band pattern")
+            return np.subtract(found, 1, dtype=np.int32)
+
+        self.jump_slot = slots(self.jump[0])
+        lengths = np.diff(el.indptr)
+        cols = self.rank[el.indices]
+        self.p_slot = np.full(el.nnz, len(self.upos), dtype=np.int32)
+        self.p_slot[np.repeat(self.rank, lengths) >= cols] = slots(
+            self.place(P)[0])
+        self.groups = []
+        for L in np.unique(lengths):
+            idx = el.indptr[:-1][lengths == L, None] + np.arange(L)
+            # each row by rank, so that a pair s >= t is a lower entry
+            idx = np.take_along_axis(idx, np.argsort(cols[idx]), 1)
+            s, t = np.tril_indices(L)
+            step = max(1, 2 ** 17 // len(s))
+            for k in range(0, len(idx), step):
+                c = cols[idx[k:k + step]]
+                self.groups.append((idx[k:k + step].astype(np.int32), s, t,
+                                    slots(c[:, s] + c[:, t] * self.width)))
+
+    def load_maps(self, eta=0.0, jac=None, on_p=None):
+        """Zero-fill ab and load eta Q_II + J^T J + A, jac and on_p the data
+        on P of J and of the symmetric A, or None; returns self."""
+        acc = np.zeros(len(self.upos) + 1)
+        acc[self.jump_slot] = eta * self.jump[1]  # one entry per slot
+        for idx, s, t, slot in self.groups if jac is not None else ():
+            prod = jac[idx][:, s]
+            prod *= jac[idx][:, t]
+            acc += np.bincount(slot.ravel(), prod.ravel(), minlength=acc.size)
+        if on_p is not None:
+            acc += np.bincount(self.p_slot, on_p, minlength=acc.size)
+        self.ab.fill(0.0)
+        self.loads += 1
+        self.ab.T.reshape(-1)[self.upos] = acc[:-1]
+        return self
+
+
+def _space_band(space):
+    """The space's cached (_SpaceBand, its jump place); built on first use."""
+    if space._band is None:
+        band = _SpaceBand(space)
+        space._band = band, band.jump
     return space._band
+
+
+def _data_on_p(space, A):
+    """A's data on P, the element interior pattern; ValueError off P."""
+    el = element_layer(space)
+    if not (A.format == "csr" and np.array_equal(A.indptr, el.indptr)
+            and np.array_equal(A.indices, el.indices)):
+        raise ValueError("matrix is not on the element interior pattern P")
+    return A.data
 
 
 class _BandCholesky:
@@ -334,17 +368,12 @@ class _BandCholesky:
 
 
 def _factor_spd(band):
-    """Banded Cholesky factorization of a loaded _Band, in place.
+    """LAPACK's banded Cholesky (dpbtrf) of a loaded _Band, in place.
 
-    The matrix, loaded on the band's order (reverse Cuthill-McKee, computed
-    once per space or pattern), is factored by LAPACK's dpbtrf in its
-    workspace.  Returns an object whose solve(b) solves A x = b until the
-    band is loaded again.
-
-    A matrix that is not positive definite, singular or indefinite, has a
-    non-positive pivot and raises SingularJacobianError.  newton_solve
-    catches it for the Newton matrix, which can be indefinite: that is a
-    rejected Newton direction, not an error.
+    Returns an object whose solve(b) solves A x = b until the band is
+    loaded again.  A matrix that is not positive definite has a
+    non-positive pivot and raises SingularJacobianError; newton_solve
+    catches it for the Newton matrix, as a rejected Newton direction.
     """
     try:
         cb = cholesky_banded(band.ab, overwrite_ab=True, lower=True,
@@ -373,9 +402,8 @@ def default_initial_guess(space, f, g):
     u = FeFunction(space)
     u.coeffs[space.boundary_dofs] = apply_boundary(space, g)
     I = space.interior_dofs
-    band, _ = _space_band(space)
-    u.coeffs[I] = _factor_spd(band.load(A[I][:, I])).solve(
-        (b - A @ u.coeffs)[I])
+    band = _space_band(space)[0].load_maps(on_p=_data_on_p(space, A[I][:, I]))
+    u.coeffs[I] = _factor_spd(band).solve((b - A @ u.coeffs)[I])
     return u
 
 
@@ -440,7 +468,16 @@ class _ConvexityHinge:
         S = sparse.csr_matrix((vals.ravel(), cols.ravel(),
                                np.arange(0, vals.size + 1, vals.shape[1])),
                               shape=(len(ci), el.n))
+        self.cells = ci
         return s, S
+
+    def normal_data(self, S):
+        """S^T S on P, S of the last residual_and_jacobian (self.cells)."""
+        el = element_layer(self.space)
+        v = S.data.reshape(-1, el.ref_hess.shape[1])
+        idx = el.jac_index.reshape(len(el.weights), -1)[self.cells]
+        return np.bincount(idx.ravel(), (v[:, :, None] * v[:, None]).ravel(),
+                           minlength=el.nnz + 1)[:el.nnz]
 
 
 def _start_on(space, u0):
@@ -490,8 +527,7 @@ def newton_solve(space, f, g, u0=None, config=None):
     eta = JUMP_PENALTY
     quad = space.default_quadrature()
     Q = gradient_jump_matrix(space)
-    band, (jump_pos, jump_vals) = _space_band(space)
-    jump = (jump_pos, eta * jump_vals)
+    band, _ = _space_band(space)
     hinge = _ConvexityHinge(space)
 
     def objective(u_h):
@@ -506,20 +542,17 @@ def newton_solve(space, f, g, u0=None, config=None):
     def direction(u_h, r, h, try_newton):
         # r and h are the residual and cell Hessians at u_h, from
         # objective.  Returns the step and the gradient J^T r + eta (Q u)_I
-        # (+ S^T s) of Phi: the Newton step when try_newton and the Newton
+        # + S^T s of Phi: the Newton step when try_newton and the Newton
         # matrix H + T gives a finite descent direction, the Gauss-Newton
-        # step on H = eta Q_II + J^T J (+ S^T S) otherwise.  Each matrix is
-        # loaded into the space's band workspace and factored there.
+        # step on H = eta Q_II + J^T J + S^T S otherwise.
         J = jacobian(u_h, hess=h)
-        grad = J.T @ r + eta * (Q @ u_h.coeffs)[I]
-        terms = [jump, J.T @ J]
         s, S = hinge.residual_and_jacobian(u_h, hess=h)
-        if s.size:
-            grad = grad + S.T @ s
-            terms.append(S.T @ S)
+        grad = J.T @ r + eta * (Q @ u_h.coeffs)[I] + S.T @ s
+        jac, normal = _data_on_p(space, J), hinge.normal_data(S)
         if try_newton:
+            T = _data_on_p(space, second_order_term(space, r))
             try:
-                band.load(*terms, second_order_term(space, r))
+                band.load_maps(eta, jac, normal + T)
                 d = _factor_spd(band).solve(-grad)
                 if np.all(np.isfinite(d)) and float(grad @ d) < 0.0:
                     report.newton_directions += 1
@@ -530,7 +563,7 @@ def newton_solve(space, f, g, u0=None, config=None):
             # positive definite, or nearly singular, here
             report.newton_rejections += 1
         report.gauss_newton_directions += 1
-        d = _factor_spd(band.load(*terms)).solve(-grad)
+        d = _factor_spd(band.load_maps(eta, jac, normal)).solve(-grad)
         if not np.all(np.isfinite(d)):
             raise SingularJacobianError(
                 "singular normal matrix produced a non-finite step; "
@@ -607,13 +640,10 @@ def continuation_solve(space, f, g, config=None, u0=None):
         except NonConvergenceError as exc:
             u, stage = exc.last_iterate, exc.report
         report.stages.append({"eps": float(eps), **stage.to_dict()})
-        report.residual_history.extend(stage.residual_history)
-        report.residual_history_sup.extend(stage.residual_history_sup)
-        report.step_history.extend(stage.step_history)
-        report.iterations += stage.iterations
-        report.newton_directions += stage.newton_directions
-        report.gauss_newton_directions += stage.gauss_newton_directions
-        report.newton_rejections += stage.newton_rejections
+        for key in ("residual_history", "residual_history_sup",
+                    "step_history", "iterations", "newton_directions",
+                    "gauss_newton_directions", "newton_rejections"):
+            setattr(report, key, getattr(report, key) + getattr(stage, key))
         if not stage.converged:
             report.finish(stage.status, False, u, t0)
             raise NonConvergenceError(

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 import scipy.sparse as sparse
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.sparse.linalg import spsolve
 
 from mafem import (assembly, convexity, get_problem, regular_polygon,
@@ -555,15 +555,21 @@ class TestNewtonDirections:
             self, monkeypatch, events, term):
         # -1e8 I makes the Newton matrix negative definite, so its step
         # climbs; nan I leaves no finite step or no factor.  Every Newton
-        # try is then rejected, and the solve runs on Gauss-Newton.
+        # try is then rejected, and the solve runs on Gauss-Newton.  The
+        # broken term is stored on the element layer's interior pattern,
+        # as the second-order term is.
         space = FeSpace(triangulate(unit_square(), refinements=3), 2)
         ref, _ = newton_solve(space, smooth_f, smooth_exact)
         events.clear()
         scale = -1e8 if term == "indefinite" else np.nan
+        el = assembly.element_layer(space)
+        rows = np.repeat(np.arange(el.n), np.diff(el.indptr))
+        diagonal = np.where(el.indices == rows, scale, 0.0)
 
         def broken_term(_space, r):
             events.append("T")
-            return scale * sparse.identity(len(r), format="csr")
+            return sparse.csr_matrix((diagonal, el.indices, el.indptr),
+                                     shape=(el.n, el.n))
 
         monkeypatch.setattr(solver, "second_order_term", broken_term)
         u, report = newton_solve(space, smooth_f, smooth_exact)
@@ -574,6 +580,16 @@ class TestNewtonDirections:
         assert report.newton_rejections == tries > 0
         assert events.count("F") == 1 + report.iterations + tries
         assert np.max(np.abs(u.coeffs - ref.coeffs)) <= 1e-8
+
+    def test_second_order_term_off_the_element_pattern_raises(
+            self, monkeypatch, coarse_space):
+        # A term is loaded by the map of its pattern; the identity is
+        # stored off the element layer's pattern and is never placed.
+        monkeypatch.setattr(solver, "second_order_term",
+                            lambda _space, r: sparse.identity(
+                                len(r), format="csr"))
+        with pytest.raises(ValueError, match="interior pattern"):
+            newton_solve(coarse_space, smooth_f, smooth_exact)
 
     def test_first_direction_is_gauss_newton(self, events, coarse_space):
         # Cold and warm stages alike: the Poisson start and then the first
@@ -763,6 +779,109 @@ class TestBand:
         band.load(*terms)
         assert np.abs(band_to_dense(band) - ref).max() <= \
             1e-13 * np.abs(ref).max()
+
+    @settings(max_examples=10, deadline=None)
+    @given(convex_polygons(), st.sampled_from([2, 3]), st.booleans(),
+           st.booleans(), st.integers(0, 2 ** 32 - 1))
+    def test_map_load_matches_dense(self, polygon, k, hinged, newton, seed):
+        # load_maps, by the maps of the space's band, holds the dense
+        # eta Q_II + J^T J (+ S^T S) (+ T) of a direction and the interior
+        # Poisson matrix of the start.  The iterate is made as in
+        # test_loads_the_normal_and_newton_matrices.
+        space = FeSpace(triangulate(polygon, refinements=2), k)
+        u = interpolate(space, lambda p: -np.sum(np.atleast_2d(p) ** 2, 1))
+        u.coeffs += 0.1 * np.random.default_rng(seed).standard_normal(
+            space.num_dofs)
+        I = space.interior_dofs
+        eta = solver.JUMP_PENALTY
+        J = jacobian(u)
+        ref = (J.T @ J).toarray() + eta * (
+            gradient_jump_matrix(space)[I][:, I].toarray())
+        on_p = np.zeros_like(J.data)
+        if hinged:
+            hinge = solver._ConvexityHinge(space)
+            _, S = hinge.residual_and_jacobian(u)
+            assume(S.shape[0] > 0)  # a level-2 triangle may have no cell
+            on_p += hinge.normal_data(S)
+            ref += (S.T @ S).toarray()
+        if newton:
+            T = second_order_term(space, residual(u, smooth_f))
+            on_p += solver._data_on_p(space, T)
+            ref += T.toarray()
+        band, _ = _space_band(space)
+        band.load_maps(eta, solver._data_on_p(space, J), on_p)
+        assert np.abs(band_to_dense(band) - ref).max() <= \
+            1e-13 * np.abs(ref).max()
+        A = stiffness_matrix(space)[I][:, I]
+        band.load_maps(on_p=solver._data_on_p(space, A))
+        assert np.abs(band_to_dense(band) - A.toarray()).max() <= \
+            1e-13 * np.abs(A).max()
+
+    def test_solve_loads_by_maps_only(self, monkeypatch):
+        # Once a space's band is built, a continuation with Newton
+        # directions and an active hinge places no term, forms no sparse
+        # matrix product and calls no np.add.at: every load is a few
+        # np.bincount calls on the maps.  It factors once per direction
+        # and rejection, plus once for the Poisson start.
+        counts = {"place": 0, "product": 0, "add.at": 0, "hinge": 0,
+                  "factor": 0}
+        building = []
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                if not building:
+                    counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        def build(band, space):
+            building.append(space)
+            real_build(band, space)
+            building.pop()
+
+        real_build = solver._SpaceBand.__init__
+        monkeypatch.setattr(solver._SpaceBand, "__init__", build)
+        monkeypatch.setattr(solver._Band, "place",
+                            counted("place", solver._Band.place))
+        monkeypatch.setattr(sparse._compressed._cs_matrix, "_matmul_sparse",
+                            counted("product",
+                                    sparse._compressed._cs_matrix
+                                    ._matmul_sparse))
+        real_hinge = solver._ConvexityHinge.residual_and_jacobian
+
+        def hinge(self, *args, **kwargs):
+            s, S = real_hinge(self, *args, **kwargs)
+            counts["hinge"] += s.size > 0  # directions with active rows
+            return s, S
+
+        monkeypatch.setattr(solver._ConvexityHinge, "residual_and_jacobian",
+                            hinge)
+        monkeypatch.setattr(solver, "_factor_spd",
+                            counted("factor", solver._factor_spd))
+
+        class CountingAdd:
+            def __call__(self, *args, **kwargs):
+                return np.add(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(np.add, name)
+
+            at = staticmethod(counted("add.at", np.add.at))
+
+        class CountingNumpy:
+            add = CountingAdd()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(solver, "np", CountingNumpy())
+        _, _, reports = solve_problem(get_problem("singular"), refinements=2)
+        assert counts["hinge"] > 0
+        assert sum(rep["newton_directions"] for rep in reports) > 0
+        assert counts["factor"] == 1 + sum(
+            rep["iterations"] + rep["newton_rejections"] for rep in reports)
+        assert (counts["place"], counts["product"], counts["add.at"]) == \
+            (0, 0, 0)
 
     def test_order_built_once_per_space(self, monkeypatch):
         # The Poisson start and every matrix of a three-stage continuation
