@@ -6,8 +6,9 @@ supported bump exp(-1/(1-|z/r|^2)), normalized to unit mass numerically,
 evaluated by a fixed polar quadrature over its support; near the boundary
 the field is extended by its nearest-boundary value so the mollified
 values stay inside [inf f, sup f] by construction.  RegularizedData chains
-the three and records what was applied; the shift schedule of a solve is
-applied by the solver, which also rejects negative data.
+truncation and mollification and records what was applied; the positive
+shift is applied by the solver, through the shift schedule of a solve,
+and the solver also rejects negative data.
 """
 
 import numpy as np
@@ -96,12 +97,11 @@ def shift(f, eps):
 
 
 class RegularizedData:
-    """Pipeline record: truncation, mollification and shift applied to f.
+    """Pipeline record: truncation and mollification applied to f.
 
     A solve imposes the boundary data as given, so the record holds no g."""
 
-    def __init__(self, f, polygon, radius=None, truncate_M=None,
-                 shift_eps=None):
+    def __init__(self, f, polygon, radius=None, truncate_M=None):
         self.operations = []
         fm = f
         if truncate_M is not None:
@@ -110,7 +110,4 @@ class RegularizedData:
         if radius is not None:
             fm = mollify(fm, radius, polygon)
             self.operations.append({"op": "mollify", "radius": float(radius)})
-        if shift_eps is not None:
-            fm = shift(fm, shift_eps)
-            self.operations.append({"op": "shift", "eps": float(shift_eps)})
         self.f_m = fm

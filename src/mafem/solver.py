@@ -67,20 +67,22 @@ computed once per space, on the structural pattern U = P^T P (P the
 interior Jacobian pattern of the element layer), which holds all of these
 matrices: J, T, S^T S and the Poisson matrix lie on P, and Q_II on P^T P
 (the two cells of an interior edge share an interior dof on that edge).
-Each space keeps one band workspace (_space_band), loaded by np.bincount
-into a compact accumulator, one slot per lower entry of U, through int32
-maps computed once: the slots of Q_II's lower entries, of P's entries,
-and of every pair s >= t of stored entries of a row k of P, whose
-products J[k, s] J[k, t] sum to J^T J.  A term off its map's pattern
-raises ValueError.  The matrix is factored in place; one that is not
-positive definite has a non-positive pivot and is rejected there.
+Each space keeps one band workspace, a _SpaceBand cached by _space_band,
+loaded by np.bincount into a compact accumulator, one slot per lower
+entry of U, through int32 maps computed once: the slots of Q_II's lower
+entries, of P's entries, and of every pair s >= t of stored entries of a
+row k of P, whose products J[k, s] J[k, t] sum to J^T J.  The hinge
+returns S^T S as data on P, with S.  A term off its map's pattern raises
+ValueError.  The matrix is factored in place; one that is not positive
+definite has a non-positive pivot and is rejected there.
 
 newton_solve samples f at the quadrature points once, for the positivity
 check, the Poisson start and every residual of the solve; the residual,
 the Jacobian, the hinge and the jump values run on tables built once per
 space (see assembly.element_layer and assembly.gradient_jump_seminorm).
 The cell Hessians of each iterate are evaluated once, by the objective,
-and shared by its residual and hinge and by the direction taken from it.
+and shared by its residual and hinge, by the direction taken from it and,
+for the final iterate, by the report's min_lambda1.
 Phi's jump term is evaluated from the jump values, not as c.Qc: the
 quadratic form cancels to about 1e-16 absolute, which would hide the
 decrease of a full step once the residual is below about 1e-8.  A solve
@@ -163,11 +165,11 @@ class SolveReport:
         if step_sup is not None:
             self.step_history.append(float(step_sup))
 
-    def finish(self, status, converged, u_h, t0):
+    def finish(self, status, converged, min_lambda1, t0):
         self.status = status
         self.converged = bool(converged)
         self.wall_time = time.perf_counter() - t0
-        self.min_lambda1 = convexity.analyze(u_h).global_min_lambda1
+        self.min_lambda1 = min_lambda1
         return self
 
     def to_dict(self):
@@ -207,84 +209,45 @@ def _check_positive_data(space, f):
     return fq
 
 
-class _Band:
-    """Lower band workspace for symmetric matrices on one fixed order.
+class _SpaceBand:
+    """The band workspace of a space, loaded by maps (module docstring).
 
-    Built once from a symmetric pattern that covers every matrix it will
-    hold: perm is the pattern's reverse Cuthill-McKee order, width the
-    largest distance of a pattern entry from the diagonal on that order,
+    Built once from the space's pattern U = P^T P, which holds every matrix
+    it will be loaded with: perm is U's reverse Cuthill-McKee order, width
+    the largest distance of an entry of U from the diagonal on that order,
     ab the Fortran-ordered (width + 1, n) workspace in LAPACK's lower band
     storage, ab[i - j, j] = A[perm][:, perm][i, j] for i >= j, and upos the
-    places of the pattern's lower entries in ab.T.ravel().  A load (or
-    _SpaceBand.load_maps) zero-fills ab and adds its terms; _factor_spd
-    factors ab in place, so a factor lives only until the next load.
-    """
-
-    def __init__(self, pattern):
-        pattern = sparse.csr_matrix(pattern)
-        n = pattern.shape[0]
-        # scipy's ordering fails on an empty graph (a space with no interior
-        # dof)
-        self.perm = (reverse_cuthill_mckee(pattern, symmetric_mode=True)
-                     if n else np.arange(0, dtype=np.int32))
-        # the inverse order, in perm's int32: int64 indices cost 6 MB of
-        # peak memory on a level-5 study
-        self.rank = np.empty_like(self.perm)
-        self.rank[self.perm] = np.arange(n, dtype=self.perm.dtype)
-        rows = np.repeat(self.rank, np.diff(pattern.indptr))
-        self.width = int(np.max(rows - self.rank[pattern.indices],
-                                initial=0))
-        if (self.width + 1) * n > np.iinfo(self.rank.dtype).max:
-            self.rank = self.rank.astype(np.int64)  # so positions fit
-        self.ab = np.zeros((self.width + 1, n), order="F")
-        self.loads = 0
-        self.upos = self.place(pattern)[0]
-
-    def place(self, A):
-        """Positions in ab.T.ravel() and values of the lower entries of a
-        symmetric sparse matrix A, each by its own row and column.  Raises
-        ValueError for an entry outside the band, in either triangle: it is
-        never dropped."""
-        A = A.tocsr()
-        i = np.repeat(self.rank, np.diff(A.indptr))
-        j = self.rank[A.indices]
-        d = i - j
-        reach = np.abs(d).max(initial=0)
-        if reach > self.width:
-            raise ValueError("matrix has an entry {} places off the "
-                             "diagonal, outside the band of width {}".format(
-                                 reach, self.width))
-        lower = d >= 0
-        return (d + j * (self.width + 1))[lower], A.data[lower]
-
-    def load(self, *terms):
-        """Zero-fill ab and add the terms, each a symmetric sparse matrix or
-        a (positions, values) pair from place; returns self."""
-        self.ab.fill(0.0)
-        self.loads += 1
-        flat = self.ab.T.reshape(-1)  # a view: ab is Fortran-ordered
-        for term in terms:
-            pos, vals = self.place(term) if sparse.issparse(term) else term
-            np.add.at(flat, pos, vals)
-        return self
-
-
-class _SpaceBand(_Band):
-    """The band of a space's pattern U, loaded by maps (module docstring).
-
-    A slot indexes upos.  jump_slot holds the slots of Q_II's lower entries,
-    p_slot those of P's entries (len(upos), a dump, for an upper one), and
-    groups, per chunk of at most 2^17 pairs, the data indices of rows of P
-    of one length L (each by rank), tril_indices(L) and the pairs' slots.
+    places of U's lower entries in ab.T.ravel().  A slot indexes upos.
+    jump holds Q_II's lower values and jump_slot their slots, p_slot the
+    slots of P's entries (len(upos), a dump, for an upper one), and groups,
+    per chunk of at most 2^17 pairs, the data indices of rows of P of one
+    length L (each by rank), tril_indices(L) and the pairs' slots.
+    load_maps zero-fills ab and adds its terms; _factor_spd factors ab in
+    place, so a factor lives only until the next load.
     """
 
     def __init__(self, space):
         el = element_layer(space)
         P = sparse.csr_matrix((np.ones(el.nnz), el.indices, el.indptr),
                               shape=(el.n, el.n))
-        super().__init__(P @ P)  # P is symmetric
+        U = P @ P  # P is symmetric
+        # scipy's ordering fails on an empty graph (a space with no interior
+        # dof)
+        self.perm = (reverse_cuthill_mckee(U, symmetric_mode=True)
+                     if el.n else np.arange(0, dtype=np.int32))
+        # the inverse order, in perm's int32: int64 indices cost 6 MB of
+        # peak memory on a level-5 study
+        self.rank = np.empty_like(self.perm)
+        self.rank[self.perm] = np.arange(el.n, dtype=self.perm.dtype)
+        rows = np.repeat(self.rank, np.diff(U.indptr))
+        self.width = int(np.max(rows - self.rank[U.indices], initial=0))
+        if (self.width + 1) * el.n > np.iinfo(self.rank.dtype).max:
+            self.rank = self.rank.astype(np.int64)  # so positions fit
+        self.ab = np.zeros((self.width + 1, el.n), order="F")
+        self.loads = 0
+        self.upos = self.place(U)[0]
         I = space.interior_dofs
-        self.jump = self.place(gradient_jump_matrix(space)[I][:, I])
+        jump_pos, self.jump = self.place(gradient_jump_matrix(space)[I][:, I])
         look = self.ab.T.reshape(-1).view(np.int32)  # ab is free until loaded
         look[self.upos] = np.arange(1, len(self.upos) + 1)
 
@@ -294,7 +257,7 @@ class _SpaceBand(_Band):
                 raise ValueError("a map entry is not on the band pattern")
             return np.subtract(found, 1, dtype=np.int32)
 
-        self.jump_slot = slots(self.jump[0])
+        self.jump_slot = slots(jump_pos)
         lengths = np.diff(el.indptr)
         cols = self.rank[el.indices]
         self.p_slot = np.full(el.nnz, len(self.upos), dtype=np.int32)
@@ -312,11 +275,27 @@ class _SpaceBand(_Band):
                 self.groups.append((idx[k:k + step].astype(np.int32), s, t,
                                     slots(c[:, s] + c[:, t] * self.width)))
 
+    def place(self, A):
+        """Positions in ab.T.ravel() and values of the lower entries of a
+        symmetric csr matrix A, each by its own row and column.  Raises
+        ValueError for an entry outside the band, in either triangle: it is
+        never dropped."""
+        i = np.repeat(self.rank, np.diff(A.indptr))
+        j = self.rank[A.indices]
+        d = i - j
+        reach = np.abs(d).max(initial=0)
+        if reach > self.width:
+            raise ValueError("matrix has an entry {} places off the "
+                             "diagonal, outside the band of width {}".format(
+                                 reach, self.width))
+        lower = d >= 0
+        return (d + j * (self.width + 1))[lower], A.data[lower]
+
     def load_maps(self, eta=0.0, jac=None, on_p=None):
         """Zero-fill ab and load eta Q_II + J^T J + A, jac and on_p the data
         on P of J and of the symmetric A, or None; returns self."""
         acc = np.zeros(len(self.upos) + 1)
-        acc[self.jump_slot] = eta * self.jump[1]  # one entry per slot
+        acc[self.jump_slot] = eta * self.jump  # one entry per slot
         for idx, s, t, slot in self.groups if jac is not None else ():
             prod = jac[idx][:, s]
             prod *= jac[idx][:, t]
@@ -330,10 +309,9 @@ class _SpaceBand(_Band):
 
 
 def _space_band(space):
-    """The space's cached (_SpaceBand, its jump place); built on first use."""
+    """The space's cached _SpaceBand; built on first use."""
     if space._band is None:
-        band = _SpaceBand(space)
-        space._band = band, band.jump
+        space._band = _SpaceBand(space)
     return space._band
 
 
@@ -347,7 +325,7 @@ def _data_on_p(space, A):
 
 
 class _BandCholesky:
-    """Cholesky factor of a loaded _Band, in its workspace: cb[i - j, j] =
+    """Cholesky factor of a loaded band, in its workspace: cb[i - j, j] =
     L[i, j] of A[perm][:, perm] = L L^T.  It solves only until the band is
     loaded again."""
 
@@ -368,7 +346,7 @@ class _BandCholesky:
 
 
 def _factor_spd(band):
-    """LAPACK's banded Cholesky (dpbtrf) of a loaded _Band, in place.
+    """LAPACK's banded Cholesky (dpbtrf) of a loaded _SpaceBand, in place.
 
     Returns an object whose solve(b) solves A x = b until the band is
     loaded again.  A matrix that is not positive definite has a
@@ -402,7 +380,7 @@ def default_initial_guess(space, f, g):
     u = FeFunction(space)
     u.coeffs[space.boundary_dofs] = apply_boundary(space, g)
     I = space.interior_dofs
-    band = _space_band(space)[0].load_maps(on_p=_data_on_p(space, A[I][:, I]))
+    band = _space_band(space).load_maps(on_p=_data_on_p(space, A[I][:, I]))
     u.coeffs[I] = _factor_spd(band).solve((b - A @ u.coeffs)[I])
     return u
 
@@ -447,7 +425,8 @@ class _ConvexityHinge:
         return 0.5 * float(np.sum(self.weights * t * t))
 
     def residual_and_jacobian(self, u_h, hess=None):
-        """Weighted hinge values s and sparse ds/dc over interior dofs."""
+        """Weighted hinge values s, sparse S = ds/dc over interior dofs and
+        S^T S as data on P (each row's outer product, summed by jac_index)."""
         el = element_layer(self.space)
         t, h = self.deficits(u_h, hess)
         ci, qi = np.nonzero(t)
@@ -468,16 +447,11 @@ class _ConvexityHinge:
         S = sparse.csr_matrix((vals.ravel(), cols.ravel(),
                                np.arange(0, vals.size + 1, vals.shape[1])),
                               shape=(len(ci), el.n))
-        self.cells = ci
-        return s, S
-
-    def normal_data(self, S):
-        """S^T S on P, S of the last residual_and_jacobian (self.cells)."""
-        el = element_layer(self.space)
-        v = S.data.reshape(-1, el.ref_hess.shape[1])
-        idx = el.jac_index.reshape(len(el.weights), -1)[self.cells]
-        return np.bincount(idx.ravel(), (v[:, :, None] * v[:, None]).ravel(),
-                           minlength=el.nnz + 1)[:el.nnz]
+        idx = el.jac_index.reshape(len(el.weights), -1)[ci]
+        normal = np.bincount(idx.ravel(),
+                             (vals[:, :, None] * vals[:, None]).ravel(),
+                             minlength=el.nnz + 1)[:el.nnz]
+        return s, S, normal
 
 
 def _start_on(space, u0):
@@ -527,7 +501,7 @@ def newton_solve(space, f, g, u0=None, config=None):
     eta = JUMP_PENALTY
     quad = space.default_quadrature()
     Q = gradient_jump_matrix(space)
-    band, _ = _space_band(space)
+    band = _space_band(space)
     hinge = _ConvexityHinge(space)
 
     def objective(u_h):
@@ -546,9 +520,9 @@ def newton_solve(space, f, g, u0=None, config=None):
         # matrix H + T gives a finite descent direction, the Gauss-Newton
         # step on H = eta Q_II + J^T J + S^T S otherwise.
         J = jacobian(u_h, hess=h)
-        s, S = hinge.residual_and_jacobian(u_h, hess=h)
+        s, S, normal = hinge.residual_and_jacobian(u_h, hess=h)
         grad = J.T @ r + eta * (Q @ u_h.coeffs)[I] + S.T @ s
-        jac, normal = _data_on_p(space, J), hinge.normal_data(S)
+        jac = _data_on_p(space, J)
         if try_newton:
             T = _data_on_p(space, second_order_term(space, r))
             try:
@@ -569,6 +543,11 @@ def newton_solve(space, f, g, u0=None, config=None):
                 "singular normal matrix produced a non-finite step; "
                 "strictify the iterate or solve by continuation over f + eps")
         return d, grad
+
+    def finish(status, converged):
+        # min_lambda1 from the cell Hessians h the objective took at u
+        lam1 = convexity.eigmin_2x2(h[..., 0], h[..., 1], h[..., 2])
+        return report.finish(status, converged, float(lam1.min()), t0)
 
     def line_search(u_h, phi, d, gd):
         # Armijo backtracking by halving; None once the step falls below
@@ -595,18 +574,18 @@ def newton_solve(space, f, g, u0=None, config=None):
         accepted = None if small else line_search(u, phi, d, gd)
         if accepted is None:
             if not small and d_sup > 1e-6:
-                report.finish("stagnation", False, u, t0)
+                finish("stagnation", False)
                 raise NonConvergenceError(
                     "line search stagnated below MIN_STEP", last_iterate=u,
                     report=report)
             u.coeffs[I] += d
             phi, r, h = objective(u)
             report.record(r, d_sup)
-            return u, report.finish("stationary", True, u, t0)
+            return u, finish("stationary", True)
         step, u, phi, r, h = accepted
         full_step = step == 1.0
         report.record(r, step * d_sup)
-    report.finish("max_iters", False, u, t0)
+    finish("max_iters", False)
     raise NonConvergenceError("newton_solve hit max_iters", last_iterate=u,
                               report=report)
 
@@ -645,8 +624,8 @@ def continuation_solve(space, f, g, config=None, u0=None):
                     "gauss_newton_directions", "newton_rejections"):
             setattr(report, key, getattr(report, key) + getattr(stage, key))
         if not stage.converged:
-            report.finish(stage.status, False, u, t0)
+            report.finish(stage.status, False, stage.min_lambda1, t0)
             raise NonConvergenceError(
                 "continuation stage eps={} ended with status {!r}".format(
                     eps, stage.status), last_iterate=u, report=report)
-    return u, report.finish(stage.status, True, u, t0)
+    return u, report.finish(stage.status, True, stage.min_lambda1, t0)

@@ -91,12 +91,11 @@ def test_shift_composes(grid):
 
 def test_regularized_data_pipeline(square, grid):
     f = lambda p: 2.0 / (2.0 - p[:, 0] ** 2 - p[:, 1] ** 2) ** 2
-    data = RegularizedData(f, square, radius=0.05, truncate_M=10.0,
-                           shift_eps=1e-3)
+    data = RegularizedData(f, square, radius=0.05, truncate_M=10.0)
     ops = [o["op"] for o in data.operations]
-    assert ops == ["truncate", "mollify", "shift"]
-    # truncation and mollification keep f in [0, M], so f_m is in [eps, M + eps]
+    assert ops == ["truncate", "mollify"]
+    # truncation and mollification keep f in [0, M]
     vals = eval_field(data.f_m, grid)
-    assert 1e-3 <= vals.min() and vals.max() <= 10.0 + 1e-3
+    assert 0.0 <= vals.min() and vals.max() <= 10.0
     # the record describes f only: a solve imposes the boundary data as is
     assert not hasattr(data, "g_m")

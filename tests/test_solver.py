@@ -18,7 +18,7 @@ from mafem.mesh import Mesh
 from mafem.solver import (
     SolveReport,
     SolverConfig,
-    _Band,
+    _data_on_p,
     _factor_spd,
     _space_band,
     continuation_solve,
@@ -405,7 +405,7 @@ def objective_gradient(u, f):
     grad = (J.T @ residual(u, f)
             + solver.JUMP_PENALTY * (gradient_jump_matrix(space) @ u.coeffs)[I])
     hinge = solver._ConvexityHinge(space)
-    s, S = hinge.residual_and_jacobian(u)
+    s, S, _ = hinge.residual_and_jacobian(u)
     return grad + S.T @ s if s.size else grad
 
 
@@ -468,8 +468,8 @@ class TestPolish:
     def test_one_hessian_evaluation_per_iterate(self, coarse_space,
                                                 monkeypatch):
         # The residual, the hinge and the direction taken from an iterate
-        # share its cell Hessians; the report's convexity analysis of the
-        # final iterate evaluates them once more.
+        # share its cell Hessians, and the report's min_lambda1 reads those
+        # of the final iterate.
         counts = {"hessians": 0, "residuals": 0}
         real_hessians = FeFunction.cell_hessians
         real_residual = solver.residual
@@ -486,7 +486,27 @@ class TestPolish:
         monkeypatch.setattr(solver, "residual", counted_residual)
         _, report = newton_solve(coarse_space, smooth_f, smooth_exact)
         assert report.iterations > 1
-        assert counts["hessians"] == counts["residuals"] + 1
+        assert counts["hessians"] == counts["residuals"]
+
+    @pytest.mark.parametrize("driver", ["newton", "continuation",
+                                        "failed_continuation"])
+    def test_report_min_lambda1_is_the_final_iterates(self, coarse_space,
+                                                      driver):
+        # min_lambda1 is read off the Hessians the solve already holds; it
+        # equals the convexity analysis of the returned (or last) iterate.
+        if driver == "newton":
+            u, report = newton_solve(coarse_space, smooth_f, smooth_exact)
+        elif driver == "continuation":
+            cfg = SolverConfig(continuation_schedule=(1.0, 0.25, 0.0))
+            u, report = continuation_solve(coarse_space, smooth_f,
+                                           smooth_exact, cfg)
+        else:
+            cfg = SolverConfig(continuation_schedule=(1.0, 0.0), max_iters=1)
+            with pytest.raises(NonConvergenceError) as err:
+                continuation_solve(coarse_space, smooth_f, smooth_exact, cfg)
+            u, report = err.value.last_iterate, err.value.report
+        assert report.min_lambda1 == \
+            convexity.analyze(u).global_min_lambda1
 
     def test_f_sampled_once_per_solve(self, coarse_space):
         calls = []
@@ -664,25 +684,20 @@ class TestConvexityHinge:
         u = FeFunction(space, np.random.default_rng(1).standard_normal(
             space.num_dofs))
         hinge = solver._ConvexityHinge(space)
-        s, S = hinge.residual_and_jacobian(u)
+        s, S, normal = hinge.residual_and_jacobian(u)
         s_ref, S_ref = basis_table_hinge(space, u)
         assert len(s) == len(s_ref) > 100
         assert np.abs(s - s_ref).max() <= 1e-13 * np.abs(s_ref).max()
         assert np.abs(S.toarray() - S_ref).max() <= \
             1e-13 * np.abs(S_ref).max()
+        # S^T S, returned as data on the element interior pattern P
+        el = assembly.element_layer(space)
+        N = sparse.csr_matrix((normal, el.indices, el.indptr),
+                              shape=(el.n, el.n)).toarray()
+        N_ref = S_ref.T @ S_ref
+        assert np.abs(N - N_ref).max() <= 1e-13 * np.abs(N_ref).max()
         assert hinge.value(u) == pytest.approx(0.5 * s_ref @ s_ref,
                                                rel=1e-13)
-
-
-def factor_on_own_band(A):
-    """_factor_spd of A loaded into a _Band built from A's own pattern."""
-    return _factor_spd(_Band(A).load(A))
-
-
-def path_laplacian(n):
-    return sparse.diags([-np.ones(n - 1), np.r_[1.0, 2.0 * np.ones(n - 2),
-                                                1.0], -np.ones(n - 1)],
-                        [-1, 0, 1])
 
 
 def band_to_dense(band):
@@ -697,26 +712,27 @@ def band_to_dense(band):
 
 
 class TestFactorSpd:
-    @pytest.mark.parametrize("matrix,fmt", [("normal", "csr"),
-                                            ("normal", "csc"),
-                                            ("poisson", "csr")])
-    def test_normal_matrix_solve_matches_spsolve(self, coarse_space, matrix,
-                                                 fmt):
-        # The Gauss-Newton normal matrix at a rough iterate of a real solve,
-        # and the interior Poisson matrix of the initial guess.
+    @pytest.mark.parametrize("matrix", ["normal", "poisson"],
+                             ids=["normal-csr", "poisson-csr"])
+    def test_normal_matrix_solve_matches_spsolve(self, coarse_space, matrix):
+        # The Gauss-Newton normal matrix at a rough iterate of a real solve
+        # and the interior Poisson matrix of the initial guess, each loaded
+        # into the space's band as a solve loads it.
         rng = np.random.default_rng(7)
         I = coarse_space.interior_dofs
+        band = _space_band(coarse_space)
         if matrix == "normal":
             u = default_initial_guess(coarse_space, smooth_f, smooth_exact)
             u.coeffs[I] += 1e-2 * rng.standard_normal(len(I))
             J = jacobian(u)
             Q = gradient_jump_matrix(coarse_space)
             H = J.T @ J + 1e-2 * Q[I][:, I]
+            band.load_maps(1e-2, _data_on_p(coarse_space, J))
         else:
             H = stiffness_matrix(coarse_space)[I][:, I]
-        H = H.asformat(fmt)
+            band.load_maps(on_p=_data_on_p(coarse_space, H))
         b = rng.standard_normal(len(I))
-        x = factor_on_own_band(H).solve(b)
+        x = _factor_spd(band).solve(b)
         ref = spsolve(H.tocsc(), b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -728,66 +744,39 @@ class TestFactorSpd:
         _, report = newton_solve(space, one, paraboloid)
         assert report.status == "stationary"
 
-    def test_exactly_singular_raises_singular_jacobian_error(self):
-        # Path-graph Laplacian: symmetric positive semidefinite, constants
-        # in its kernel, and its elimination is exact in binary arithmetic.
+    def test_exactly_singular_raises_singular_jacobian_error(
+            self, coarse_space):
+        # The zero load has a zero first pivot.
         with pytest.raises(SingularJacobianError, match="singular"):
-            factor_on_own_band(path_laplacian(6))
+            _factor_spd(_space_band(coarse_space).load_maps())
 
-    def test_indefinite_raises_singular_jacobian_error(self):
-        # The path-graph Laplacian minus I/2 is nonsingular (its eigenvalues
-        # 2 - 2 cos(k pi / n) are never 1/2 for n = 6) but indefinite, so it
-        # has no Cholesky factor.
-        n = 6
-        A = (path_laplacian(n) - 0.5 * sparse.identity(n)).tocsr()
-        assert np.abs(np.linalg.eigvalsh(A.toarray())).min() > 0.1
+    def test_indefinite_raises_singular_jacobian_error(self, coarse_space):
+        # The interior Poisson matrix minus c I, c halfway between its two
+        # smallest eigenvalues, is nonsingular but has one negative
+        # eigenvalue, so it has no Cholesky factor.  P holds the diagonal.
+        I = coarse_space.interior_dofs
+        A = stiffness_matrix(coarse_space)[I][:, I]
+        low = np.linalg.eigvalsh(A.toarray())[:2]
+        assert low[1] - low[0] > 1e-3 * low[1]
+        el = assembly.element_layer(coarse_space)
+        rows = np.repeat(np.arange(el.n), np.diff(el.indptr))
+        on_p = _data_on_p(coarse_space, A) - np.where(
+            el.indices == rows, low.mean(), 0.0)
+        band = _space_band(coarse_space).load_maps(on_p=on_p)
         with pytest.raises(SingularJacobianError, match="singular"):
-            factor_on_own_band(A)
+            _factor_spd(band)
 
 
 class TestBand:
     @settings(max_examples=10, deadline=None)
     @given(convex_polygons(), st.sampled_from([2, 3]), st.booleans(),
            st.booleans(), st.integers(0, 2 ** 32 - 1))
-    def test_loads_the_normal_and_newton_matrices(self, polygon, k, hinged,
-                                                  newton, seed):
-        # The space's band, loaded with eta Q_II, J^T J and optionally
-        # S^T S and T as newton_solve loads them, holds their dense sum.
-        # A concave iterate, made rough by random coefficients, activates
-        # the hinge on every cell with no boundary vertex (a level-2 mesh
-        # has some).
-        space = FeSpace(triangulate(polygon, refinements=2), k)
-        u = interpolate(space, lambda p: -np.sum(np.atleast_2d(p) ** 2, 1))
-        u.coeffs += 0.1 * np.random.default_rng(seed).standard_normal(
-            space.num_dofs)
-        I = space.interior_dofs
-        eta = solver.JUMP_PENALTY
-        J = jacobian(u)
-        QII = gradient_jump_matrix(space)[I][:, I]
-        band, (pos, vals) = _space_band(space)
-        terms = [(pos, eta * vals), J.T @ J]
-        ref = (J.T @ J).toarray() + eta * QII.toarray()
-        if hinged:
-            _, S = solver._ConvexityHinge(space).residual_and_jacobian(u)
-            assert S.shape[0] > 0
-            terms.append(S.T @ S)
-            ref += (S.T @ S).toarray()
-        if newton:
-            T = second_order_term(space, residual(u, smooth_f))
-            terms.append(T)
-            ref += T.toarray()
-        band.load(*terms)
-        assert np.abs(band_to_dense(band) - ref).max() <= \
-            1e-13 * np.abs(ref).max()
-
-    @settings(max_examples=10, deadline=None)
-    @given(convex_polygons(), st.sampled_from([2, 3]), st.booleans(),
-           st.booleans(), st.integers(0, 2 ** 32 - 1))
     def test_map_load_matches_dense(self, polygon, k, hinged, newton, seed):
         # load_maps, by the maps of the space's band, holds the dense
         # eta Q_II + J^T J (+ S^T S) (+ T) of a direction and the interior
-        # Poisson matrix of the start.  The iterate is made as in
-        # test_loads_the_normal_and_newton_matrices.
+        # Poisson matrix of the start.  A concave iterate, made rough by
+        # random coefficients, activates the hinge on the cells with no
+        # boundary vertex.
         space = FeSpace(triangulate(polygon, refinements=2), k)
         u = interpolate(space, lambda p: -np.sum(np.atleast_2d(p) ** 2, 1))
         u.coeffs += 0.1 * np.random.default_rng(seed).standard_normal(
@@ -800,20 +789,20 @@ class TestBand:
         on_p = np.zeros_like(J.data)
         if hinged:
             hinge = solver._ConvexityHinge(space)
-            _, S = hinge.residual_and_jacobian(u)
+            _, S, normal = hinge.residual_and_jacobian(u)
             assume(S.shape[0] > 0)  # a level-2 triangle may have no cell
-            on_p += hinge.normal_data(S)
+            on_p += normal
             ref += (S.T @ S).toarray()
         if newton:
             T = second_order_term(space, residual(u, smooth_f))
-            on_p += solver._data_on_p(space, T)
+            on_p += _data_on_p(space, T)
             ref += T.toarray()
-        band, _ = _space_band(space)
-        band.load_maps(eta, solver._data_on_p(space, J), on_p)
+        band = _space_band(space)
+        band.load_maps(eta, _data_on_p(space, J), on_p)
         assert np.abs(band_to_dense(band) - ref).max() <= \
             1e-13 * np.abs(ref).max()
         A = stiffness_matrix(space)[I][:, I]
-        band.load_maps(on_p=solver._data_on_p(space, A))
+        band.load_maps(on_p=_data_on_p(space, A))
         assert np.abs(band_to_dense(band) - A.toarray()).max() <= \
             1e-13 * np.abs(A).max()
 
@@ -841,8 +830,8 @@ class TestBand:
 
         real_build = solver._SpaceBand.__init__
         monkeypatch.setattr(solver._SpaceBand, "__init__", build)
-        monkeypatch.setattr(solver._Band, "place",
-                            counted("place", solver._Band.place))
+        monkeypatch.setattr(solver._SpaceBand, "place",
+                            counted("place", solver._SpaceBand.place))
         monkeypatch.setattr(sparse._compressed._cs_matrix, "_matmul_sparse",
                             counted("product",
                                     sparse._compressed._cs_matrix
@@ -850,9 +839,9 @@ class TestBand:
         real_hinge = solver._ConvexityHinge.residual_and_jacobian
 
         def hinge(self, *args, **kwargs):
-            s, S = real_hinge(self, *args, **kwargs)
+            s, S, normal = real_hinge(self, *args, **kwargs)
             counts["hinge"] += s.size > 0  # directions with active rows
-            return s, S
+            return s, S, normal
 
         monkeypatch.setattr(solver._ConvexityHinge, "residual_and_jacobian",
                             hinge)
@@ -895,40 +884,44 @@ class TestBand:
 
         monkeypatch.setattr(solver, "reverse_cuthill_mckee", counting)
         space = FeSpace(triangulate(unit_square(), refinements=2), 2)
-        band, _ = _space_band(space)
+        band = _space_band(space)
         ab = band.ab
         cfg = SolverConfig(continuation_schedule=(1.0, 0.5, 0.0))
         _, report = continuation_solve(space, smooth_f, smooth_exact, cfg)
         assert report.newton_directions > 0
         assert len(orders) == 1
-        assert _space_band(space)[0] is band and band.ab is ab
+        assert _space_band(space) is band and band.ab is ab
         finer = FeSpace(triangulate(unit_square(), refinements=3), 2)
         newton_solve(finer, smooth_f, smooth_exact)
         assert len(orders) == 2
 
-    def test_entry_outside_the_band_raises(self):
-        # A path graph orders to a tridiagonal band of width 1; an entry
-        # joining its two ends, in either triangle, is never dropped.
-        band = _Band(path_laplacian(6))
-        assert band.width == 1
-        for rows, cols in [([0, 5], [5, 0]), ([0], [5]), ([5], [0])]:
+    def test_entry_outside_the_band_raises(self, coarse_space):
+        # An entry joining the two ends of the order, in either triangle,
+        # is outside the band and is never dropped.
+        band = _space_band(coarse_space)
+        n = len(band.perm)
+        assert band.width < n - 1
+        first, last = band.perm[0], band.perm[-1]
+        for rows, cols in [([first, last], [last, first]), ([first], [last]),
+                           ([last], [first])]:
             A = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)),
-                                  shape=(6, 6))
+                                  shape=(n, n))
             with pytest.raises(ValueError, match="outside the band"):
-                band.load(A)
+                band.place(A)
 
-    def test_reloaded_factor_refuses_to_solve(self):
-        A = (path_laplacian(6) + sparse.identity(6)).tocsr()
-        band = _Band(A)
-        factor = _factor_spd(band.load(A))
+    def test_reloaded_factor_refuses_to_solve(self, coarse_space):
+        I = coarse_space.interior_dofs
+        A = stiffness_matrix(coarse_space)[I][:, I]
+        band = _space_band(coarse_space)
+        factor = _factor_spd(band.load_maps(on_p=_data_on_p(coarse_space, A)))
         assert np.shares_memory(factor.cb, band.ab)  # factored in place
-        b = np.arange(6.0)
-        assert np.allclose(A @ factor.solve(b), b, rtol=0, atol=1e-13)
-        band.load(A)
+        b = np.arange(float(len(I)))
+        tol = 1e-12 * np.abs(b).max()
+        assert np.abs(A @ factor.solve(b) - b).max() <= tol
+        band.load_maps(on_p=_data_on_p(coarse_space, A))
         with pytest.raises(RuntimeError, match="loaded again"):
             factor.solve(b)
-        assert np.allclose(A @ _factor_spd(band).solve(b), b, rtol=0,
-                           atol=1e-13)
+        assert np.abs(A @ _factor_spd(band).solve(b) - b).max() <= tol
 
 
 class TestJumpMatrixCache:
