@@ -5,8 +5,10 @@ functions, its exact Jacobian through the cofactor linearization, the
 second-order term sum_i r_i D2r_i of the least-squares objective, Dirichlet
 data by Lagrange-node interpolation, and the Poisson stiffness/load objects
 shared with the solvers.  Boundary dofs are eliminated: the residual is
-a plain (ni,) array and the Jacobian an (ni, ni) csr matrix over the
-space's numbering of its ni interior dofs (FeSpace.interior_index).
+a plain (ni,) array and the Jacobian (ni, ni) data on P, the interior
+pattern, over the space's numbering of its ni interior dofs
+(FeSpace.interior_index); jacobian and second_order_term wrap the data
+of jacobian_data and second_order_data in csr.
 
 Everything that depends only on the space is computed once and cached on
 it: the default quadrature rule, the packed Hessian push-forward of every
@@ -67,16 +69,28 @@ class _ElementLayer:
         self.res_index = local.ravel()
         self.jac_index = np.full(len(rows), self.nnz, dtype=np.int64)
         self.jac_index[keep] = pos
-        # built through scipy once so that the index arrays have the dtype
-        # it picks; every jacobian then wraps them without a copy
-        pattern = sparse.csr_matrix(
-            (np.zeros(self.nnz), keys % ni,
-             np.r_[0, np.cumsum(np.bincount(keys // ni, minlength=ni))]),
-            shape=(ni, ni))
-        self.indices, self.indptr = pattern.indices, pattern.indptr
+        # int32, as scipy picks for these sizes: csr wraps them uncopied
+        self.indices = (keys % ni).astype(np.int32)
+        self.indptr = np.searchsorted(keys, np.arange(ni + 1) * ni).astype(
+            np.int32)
         for arr in (self.wphi, self.cof_push, self.hess_pairs, self.res_index,
                     self.jac_index, self.indices, self.indptr):
             arr.flags.writeable = False
+
+    def sum_rows(self, vectors):
+        """Sum cell vectors (nc, nloc) into an (n,) interior vector."""
+        return np.bincount(self.res_index, weights=vectors.ravel(),
+                           minlength=self.n + 1)[:self.n]
+
+    def sum_blocks(self, blocks):
+        """Sum cell blocks (nc, nloc, nloc) into (nnz,) data on P."""
+        return np.bincount(self.jac_index, weights=blocks.ravel(),
+                           minlength=self.nnz + 1)[:self.nnz]
+
+    def csr(self, data):
+        """The (n, n) csr matrix with the (nnz,) data on P."""
+        return sparse.csr_matrix((data, self.indices, self.indptr),
+                                 shape=(self.n, self.n))
 
 
 def element_layer(space):
@@ -114,9 +128,8 @@ def residual(u_h, f, hess=None):
     el = element_layer(space)
     if hess is None:
         hess = u_h.cell_hessians(space.default_quadrature())
-    cell_r = kernels.residual_cells(hess, f_at_qpts(space, f), el.wphi)
-    vals = np.bincount(el.res_index, weights=cell_r.ravel(),
-                       minlength=el.n + 1)[:el.n]
+    vals = el.sum_rows(kernels.residual_cells(hess, f_at_qpts(space, f),
+                                              el.wphi))
     if not np.all(np.isfinite(vals)):
         raise ValueError("residual has non-finite entries")
     return vals
@@ -131,8 +144,8 @@ def _scatter_matrix(n, idx, blocks):
                              shape=(n, n)).tocsr()
 
 
-def jacobian(u_h, hess=None):
-    """Exact derivative of the residual, an (ni, ni) csr matrix.
+def jacobian_data(u_h, hess=None):
+    """Exact derivative of the residual, as (nnz,) data on P.
 
     Entry (i, j) = sum_K int (cof D2u_h : D2phi_j) phi_i over interior
     dofs i, j, in the order of space.interior_dofs.  hess as for residual.
@@ -140,33 +153,35 @@ def jacobian(u_h, hess=None):
     el = element_layer(u_h.space)
     if hess is None:
         hess = u_h.cell_hessians(u_h.space.default_quadrature())
-    return _interior_matrix(el, kernels.jacobian_cells(
-        hess, el.ref_hess, el.push, el.wphi))
+    return el.sum_blocks(kernels.jacobian_cells(hess, el.ref_hess, el.push,
+                                                el.wphi))
 
 
-def second_order_term(space, r):
-    """The term sum_i r_i D2r_i of the objective's Hessian, (ni, ni) csr.
+def jacobian(u_h, hess=None):
+    """jacobian_data as an (ni, ni) csr matrix."""
+    return element_layer(u_h.space).csr(jacobian_data(u_h, hess))
+
+
+def second_order_data(space, r):
+    """The term sum_i r_i D2r_i of the objective's Hessian, data on P.
 
     r is a residual over the interior dofs.  Entry (j, l) =
     int rho cof(D2phi_l) : D2phi_j with rho = sum_i r_i phi_i over interior
     dofs i.  det D2u is quadratic in the coefficients, so D2r_i does not
     depend on u: with J the Jacobian at the u where r was evaluated,
     J^T J + T is the exact Hessian of |r|^2 / 2 there.  T is symmetric bit
-    for bit and has the Jacobian's sparsity pattern.
+    for bit and has the Jacobian's sparsity pattern P.
     """
     el = element_layer(space)
     local = np.append(r, 0.0)[el.res_index].reshape(len(el.weights), -1)
     rho_w = np.einsum("cqi,ci->cq", el.wphi, local)
-    return _interior_matrix(el, kernels.second_order_cells(
-        rho_w, el.cof_push, el.hess_pairs))
+    return el.sum_blocks(kernels.second_order_cells(rho_w, el.cof_push,
+                                                    el.hess_pairs))
 
 
-def _interior_matrix(el, blocks):
-    """Sum cell blocks (nc, nloc, nloc) into the layer's interior pattern."""
-    data = np.bincount(el.jac_index, weights=blocks.ravel(),
-                       minlength=el.nnz + 1)[:el.nnz]
-    return sparse.csr_matrix((data, el.indices, el.indptr),
-                             shape=(el.n, el.n))
+def second_order_term(space, r):
+    """second_order_data as an (ni, ni) csr matrix."""
+    return element_layer(space).csr(second_order_data(space, r))
 
 
 def fd_jacobian(u_h, f):
@@ -229,13 +244,18 @@ def linearized_operator_check(u_h, w):
     return float(np.max(np.abs(via_matrix - expanded)))
 
 
+def stiffness_blocks(space):
+    """Poisson stiffness blocks (nc, nloc, nloc) of the cells."""
+    quad = space.default_quadrature()
+    return kernels.stiffness_cells(space.tables(quad)["grad"],
+                                   space.cell_jinv, quad.weights,
+                                   space.cell_areas)
+
+
 def stiffness_matrix(space):
     """Full Poisson stiffness matrix (all dofs), csr."""
-    quad = space.default_quadrature()
-    blocks = kernels.stiffness_cells(space.tables(quad)["grad"],
-                                     space.cell_jinv, quad.weights,
-                                     space.cell_areas)
-    return _scatter_matrix(space.num_dofs, space.cell_dofs, blocks)
+    return _scatter_matrix(space.num_dofs, space.cell_dofs,
+                           stiffness_blocks(space))
 
 
 def load_vector(space, f):

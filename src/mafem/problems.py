@@ -48,12 +48,17 @@ class Problem:
             raise ValueError("degree must be at least 2")
         if not self.levels or min(self.levels) < 0:
             raise ValueError("need at least one mesh level, none negative")
-        # rejects a negative shift or a truncation level M <= 0 when the
-        # problem is read, before any solve
+        # rejects a negative or increasing shift and a truncation level
+        # M <= 0 or below the one before it when the problem is read,
+        # before any solve
         SolverConfig(continuation_schedule=self.epsilon_schedule)
-        if not all(m > 0 for m in self.truncate_schedule):
+        M = list(self.truncate_schedule)
+        if not all(m > 0 for m in M):
             raise ValueError("truncation level M must be positive, got {}"
-                             .format(list(self.truncate_schedule)))
+                             .format(M))
+        if any(b < a for a, b in zip(M, M[1:])):
+            raise ValueError("truncation levels M must not decrease, got {}"
+                             .format(M))
 
     def interior_compact(self):
         """Fixed compact for interior sup-norm errors, set by the inradius."""

@@ -44,7 +44,7 @@ Hessian of 1/2 ||r||^2.  Where no exact discrete solution exists the
 residual does not vanish at the minimizer, T does not either, and
 Gauss-Newton converges only linearly (hundreds of iterations on
 non-smooth Aleksandrov solutions).  det D2u is quadratic in the
-coefficients, so T is exact and cheap (assembly.second_order_term).  The
+coefficients, so T is exact and cheap (assembly.second_order_data).  The
 switch follows Fletcher & Xu (IMA J. Numer. Anal. 7, 1987; Dennis &
 Schnabel, ch. 10): the first direction of a solve, and every direction
 after a damped step, is Gauss-Newton.  After an accepted full step the
@@ -62,27 +62,23 @@ symmetric positive definite; the Newton matrix is symmetric but can be
 indefinite away from a minimizer.  All of them are factored by one
 routine, _factor_spd: LAPACK's banded Cholesky (dpbtrf) on a reverse
 Cuthill-McKee order, the band method of George & Liu (Computer Solution
-of Large Sparse Positive Definite Systems, 1981, ch. 4).  The order is
-computed once per space, on the structural pattern U = P^T P (P the
-interior Jacobian pattern of the element layer), which holds all of these
-matrices: J, T, S^T S and the Poisson matrix lie on P, and Q_II on P^T P
-(the two cells of an interior edge share an interior dof on that edge).
-Each space keeps one band workspace, a _SpaceBand cached by _space_band,
-loaded by np.bincount into a compact accumulator, one slot per lower
-entry of U, through int32 maps computed once: the slots of Q_II's lower
-entries, of P's entries, and of every pair s >= t of stored entries of a
-row k of P, whose products J[k, s] J[k, t] sum to J^T J.  The hinge
-returns S^T S as data on P, with S.  A term off its map's pattern raises
-ValueError.  The matrix is factored in place; one that is not positive
-definite has a non-positive pivot and is rejected there.
+of Large Sparse Positive Definite Systems, 1981, ch. 4), in the space's
+one band workspace (_SpaceBand), loaded through maps computed once.  Every
+term reaches it as (nnz,) data on P, the element layer's interior pattern
+(assembly.jacobian_data, second_order_data, the hinge's S^T S, the
+Poisson stiffness); other data raises ValueError.  The hinge returns its
+rows of S as (cell dofs, values), so the gradient J^T r + eta (Q u)_I +
+S^T s is two np.bincounts and the csr product Q u: after its setup a
+solve, its Poisson start included, builds no sparse matrix.  A matrix
+that is not positive definite has a non-positive pivot and is rejected.
 
 newton_solve samples f at the quadrature points once, for the positivity
 check, the Poisson start and every residual of the solve; the residual,
 the Jacobian, the hinge and the jump values run on tables built once per
 space (see assembly.element_layer and assembly.gradient_jump_seminorm).
-The cell Hessians of each iterate are evaluated once, by the objective,
-and shared by its residual and hinge, by the direction taken from it and,
-for the final iterate, by the report's min_lambda1.
+The cell Hessians of each iterate and their lambda1 are evaluated once,
+by the objective, and shared by its residual and hinge, by the direction
+taken from it and, for the final iterate, by the report's min_lambda1.
 Phi's jump term is evaluated from the jump values, not as c.Qc: the
 quadratic form cancels to about 1e-16 absolute, which would hide the
 decrease of a full step once the residual is below about 1e-8.  A solve
@@ -95,15 +91,14 @@ import json
 import time
 
 import numpy as np
-import scipy.sparse as sparse
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from . import convexity
 from .assembly import (apply_boundary, element_layer, f_at_qpts,
                        gradient_jump_matrix, gradient_jump_seminorm,
-                       jacobian, load_vector, residual, second_order_term,
-                       stiffness_matrix)
+                       jacobian_data, load_vector, residual,
+                       second_order_data, stiffness_blocks)
 from .errors import NonConvergenceError, SingularJacobianError
 from .fespace import FeFunction
 
@@ -117,8 +112,8 @@ MIN_STEP = 2.0 ** -20
 
 
 class SolverConfig:
-    """The iteration cap of each newton_solve (at least 1) and
-    the decreasing shifts eps >= 0 of continuation_solve."""
+    """The iteration cap of each newton_solve (at least 1) and the
+    non-increasing shifts eps >= 0 of continuation_solve."""
 
     def __init__(self, max_iters=120, continuation_schedule=()):
         if (isinstance(max_iters, bool)
@@ -128,9 +123,11 @@ class SolverConfig:
                              "got {!r}".format(max_iters))
         self.max_iters = int(max_iters)
         self.continuation_schedule = tuple(continuation_schedule)
-        if not all(eps >= 0 for eps in self.continuation_schedule):
-            raise ValueError("continuation shifts must be >= 0, got {}".format(
-                list(self.continuation_schedule)))
+        eps = self.continuation_schedule
+        if not all(e >= 0 for e in eps) or any(
+                b > a for a, b in zip(eps, eps[1:])):
+            raise ValueError("continuation shifts must be >= 0 and must not "
+                             "increase, got {}".format(list(eps)))
 
     def to_dict(self):
         return {
@@ -195,25 +192,13 @@ def _sup(v):
     return float(np.max(np.abs(v), initial=0.0))
 
 
-def _check_positive_data(space, f):
-    """Sample f at quadrature points; reject negative or vanishing data.
-
-    Returns the samples (see assembly.f_at_qpts).
-    """
-    fq = f_at_qpts(space, f)
-    fmin = float(fq.min())
-    if fmin <= 0.0:
-        raise ValueError(
-            "sampled min of f is {:.3e} <= 0; use continuation_solve with a "
-            "positive shift schedule for degenerate data".format(fmin))
-    return fq
-
-
 class _SpaceBand:
-    """The band workspace of a space, loaded by maps (module docstring).
+    """The band workspace of a space, loaded by np.bincount through maps.
 
     Built once from the space's pattern U = P^T P, which holds every matrix
-    it will be loaded with: perm is U's reverse Cuthill-McKee order, width
+    it will be loaded with (J, T, S^T S and the Poisson matrix lie on P;
+    Q_II on P^T P, as the two cells of an interior edge share an interior
+    dof on that edge): perm is U's reverse Cuthill-McKee order, width
     the largest distance of an entry of U from the diagonal on that order,
     ab the Fortran-ordered (width + 1, n) workspace in LAPACK's lower band
     storage, ab[i - j, j] = A[perm][:, perm][i, j] for i >= j, and upos the
@@ -228,8 +213,7 @@ class _SpaceBand:
 
     def __init__(self, space):
         el = element_layer(space)
-        P = sparse.csr_matrix((np.ones(el.nnz), el.indices, el.indptr),
-                              shape=(el.n, el.n))
+        P = el.csr(np.ones(el.nnz))
         U = P @ P  # P is symmetric
         # scipy's ordering fails on an empty graph (a space with no interior
         # dof)
@@ -291,17 +275,23 @@ class _SpaceBand:
         lower = d >= 0
         return (d + j * (self.width + 1))[lower], A.data[lower]
 
-    def load_maps(self, eta=0.0, jac=None, on_p=None):
-        """Zero-fill ab and load eta Q_II + J^T J + A, jac and on_p the data
-        on P of J and of the symmetric A, or None; returns self."""
+    def load_maps(self, eta=0.0, jac=None, *on_p):
+        """Zero-fill ab and load eta Q_II + J^T J + A_1 + A_2 + ..., jac
+        (or None) and on_p the data on P of J and of the symmetric A_k;
+        returns self.  ValueError, naming the term, for data of any other
+        shape than P's (nnz,): it is never broadcast."""
+        for name, data in [("jac", jac)] + [("on_p", a) for a in on_p]:
+            if data is not None and np.shape(data) != self.p_slot.shape:
+                raise ValueError("{} has shape {}, not that of the interior "
+                                 "pattern P".format(name, np.shape(data)))
         acc = np.zeros(len(self.upos) + 1)
         acc[self.jump_slot] = eta * self.jump  # one entry per slot
         for idx, s, t, slot in self.groups if jac is not None else ():
             prod = jac[idx][:, s]
             prod *= jac[idx][:, t]
             acc += np.bincount(slot.ravel(), prod.ravel(), minlength=acc.size)
-        if on_p is not None:
-            acc += np.bincount(self.p_slot, on_p, minlength=acc.size)
+        if on_p:
+            acc += np.bincount(self.p_slot, sum(on_p), minlength=acc.size)
         self.ab.fill(0.0)
         self.loads += 1
         self.ab.T.reshape(-1)[self.upos] = acc[:-1]
@@ -313,15 +303,6 @@ def _space_band(space):
     if space._band is None:
         space._band = _SpaceBand(space)
     return space._band
-
-
-def _data_on_p(space, A):
-    """A's data on P, the element interior pattern; ValueError off P."""
-    el = element_layer(space)
-    if not (A.format == "csr" and np.array_equal(A.indptr, el.indptr)
-            and np.array_equal(A.indices, el.indices)):
-        raise ValueError("matrix is not on the element interior pattern P")
-    return A.data
 
 
 class _BandCholesky:
@@ -374,14 +355,16 @@ def default_initial_guess(space, f, g):
     D2u = sqrt(f)*I, which makes this the natural data-driven convex start.
     f is a callable or its samples from assembly.f_at_qpts.
     """
-    A = stiffness_matrix(space)
+    el = element_layer(space)
+    A = stiffness_blocks(space)
     b = load_vector(space, -2.0 * np.sqrt(np.maximum(f_at_qpts(space, f),
                                                      0.0)))
     u = FeFunction(space)
     u.coeffs[space.boundary_dofs] = apply_boundary(space, g)
     I = space.interior_dofs
-    band = _space_band(space).load_maps(on_p=_data_on_p(space, A[I][:, I]))
-    u.coeffs[I] = _factor_spd(band).solve((b - A @ u.coeffs)[I])
+    band = _space_band(space).load_maps(0.0, None, el.sum_blocks(A))
+    Au = el.sum_rows(np.einsum("cij,cj->ci", A, u.coeffs[space.cell_dofs]))
+    u.coeffs[I] = _factor_spd(band).solve(b[I] - Au)
     return u
 
 
@@ -401,34 +384,27 @@ class _ConvexityHinge:
     """
 
     def __init__(self, space):
-        self.space = space
-        el = element_layer(space)
+        self.el = el = element_layer(space)
         exempt = (el.res_index.reshape(len(el.weights), -1) == el.n).any(1)
         self.weights = CONVEX_PENALTY * np.where(exempt[:, None], 0.0,
                                                  el.weights)
 
-    def deficits(self, u_h, hess=None):
-        """Hinge activations per (cell, q), 0 on exempt cells, and Hessians.
-
-        hess, when given, is u_h.cell_hessians at the assembly rule, already
-        evaluated; so for value and residual_and_jacobian.
-        """
-        h = (u_h.cell_hessians(self.space.default_quadrature())
-             if hess is None else hess)
+    def deficits(self, h):
+        """lambda1 of the cell Hessians h (nc, nq, 3) at the assembly rule,
+        and the hinge activations, 0 on exempt cells."""
         lam1 = convexity.eigmin_2x2(h[..., 0], h[..., 1], h[..., 2])
-        t = np.where(self.weights > 0.0,
-                     np.maximum(0.0, -(lam1 + CONVEX_ALLOWANCE)), 0.0)
-        return t, h
+        return lam1, np.where(self.weights > 0.0,
+                              np.maximum(0.0, -(lam1 + CONVEX_ALLOWANCE)), 0.0)
 
-    def value(self, u_h, hess=None):
-        t, _ = self.deficits(u_h, hess)
+    def value(self, t):
+        """The penalty at the activations t from deficits."""
         return 0.5 * float(np.sum(self.weights * t * t))
 
-    def residual_and_jacobian(self, u_h, hess=None):
-        """Weighted hinge values s, sparse S = ds/dc over interior dofs and
-        S^T S as data on P (each row's outer product, summed by jac_index)."""
-        el = element_layer(self.space)
-        t, h = self.deficits(u_h, hess)
+    def residual_and_jacobian(self, h, t):
+        """Weighted hinge values s, the rows of S = ds/dc as (cell dofs,
+        values), each (len(s), nloc), and S^T S as data on P (each row's
+        outer product, summed by jac_index), at h and its activations t."""
+        el = self.el
         ci, qi = np.nonzero(t)
         sw = np.sqrt(self.weights[ci, qi])
         s = sw * t[ci, qi]
@@ -443,15 +419,12 @@ class _ConvexityHinge:
         dref = np.einsum("am,amb->ab", dlam, el.push[ci])
         vals = -sw[:, None] * np.einsum("ab,alb->al", dref,
                                         el.ref_hess[qi])
-        cols = el.res_index.reshape(len(el.weights), -1)[ci]  # all interior
-        S = sparse.csr_matrix((vals.ravel(), cols.ravel(),
-                               np.arange(0, vals.size + 1, vals.shape[1])),
-                              shape=(len(ci), el.n))
+        dofs = el.res_index.reshape(len(el.weights), -1)[ci]  # all interior
         idx = el.jac_index.reshape(len(el.weights), -1)[ci]
         normal = np.bincount(idx.ravel(),
                              (vals[:, :, None] * vals[:, None]).ravel(),
                              minlength=el.nnz + 1)[:el.nnz]
-        return s, S, normal
+        return s, (dofs, vals), normal
 
 
 def _start_on(space, u0):
@@ -491,7 +464,11 @@ def newton_solve(space, f, g, u0=None, config=None):
         config = SolverConfig()
     t0 = time.perf_counter()
     report = SolveReport("newton")
-    fq = _check_positive_data(space, f)
+    fq = f_at_qpts(space, f)
+    if fq.min() <= 0.0:
+        raise ValueError(
+            "sampled min of f is {:.3e} <= 0; use continuation_solve with a "
+            "positive shift schedule for degenerate data".format(fq.min()))
 
     u = (_start_on(space, u0) if u0 is not None
          else default_initial_guess(space, fq, g))
@@ -503,30 +480,33 @@ def newton_solve(space, f, g, u0=None, config=None):
     Q = gradient_jump_matrix(space)
     band = _space_band(space)
     hinge = _ConvexityHinge(space)
+    el = element_layer(space)
 
     def objective(u_h):
-        # Phi at u_h, with the residual and the cell Hessians it was built
-        # from, which the next direction reuses
+        # Phi at u_h, with the residual and the cell Hessians, lambda1 and
+        # hinge activations it was built from, for the next direction
         h = u_h.cell_hessians(quad)
+        lam1, t = hinge.deficits(h)
         r = residual(u_h, fq, hess=h)
-        pen = 0.5 * eta * gradient_jump_seminorm(u_h) ** 2
-        pen += hinge.value(u_h, hess=h)
-        return 0.5 * float(r @ r) + pen, r, h
+        pen = 0.5 * eta * gradient_jump_seminorm(u_h) ** 2 + hinge.value(t)
+        return 0.5 * float(r @ r) + pen, r, (h, lam1, t)
 
-    def direction(u_h, r, h, try_newton):
-        # r and h are the residual and cell Hessians at u_h, from
+    def direction(u_h, r, cells, try_newton):
+        # r and cells are the residual and (h, lam1, t) at u_h, from
         # objective.  Returns the step and the gradient J^T r + eta (Q u)_I
         # + S^T s of Phi: the Newton step when try_newton and the Newton
         # matrix H + T gives a finite descent direction, the Gauss-Newton
         # step on H = eta Q_II + J^T J + S^T S otherwise.
-        J = jacobian(u_h, hess=h)
-        s, S, normal = hinge.residual_and_jacobian(u_h, hess=h)
-        grad = J.T @ r + eta * (Q @ u_h.coeffs)[I] + S.T @ s
-        jac = _data_on_p(space, J)
+        h, _, t = cells
+        jac = jacobian_data(u_h, hess=h)
+        s, (dofs, vals), normal = hinge.residual_and_jacobian(h, t)
+        grad = np.bincount(el.indices, jac * np.repeat(r, np.diff(el.indptr)),
+                           minlength=el.n) + eta * (Q @ u_h.coeffs)[I]
+        grad += np.bincount(dofs.ravel(), (s[:, None] * vals).ravel(),
+                            minlength=el.n)
         if try_newton:
-            T = _data_on_p(space, second_order_term(space, r))
             try:
-                band.load_maps(eta, jac, normal + T)
+                band.load_maps(eta, jac, normal, second_order_data(space, r))
                 d = _factor_spd(band).solve(-grad)
                 if np.all(np.isfinite(d)) and float(grad @ d) < 0.0:
                     report.newton_directions += 1
@@ -545,9 +525,8 @@ def newton_solve(space, f, g, u0=None, config=None):
         return d, grad
 
     def finish(status, converged):
-        # min_lambda1 from the cell Hessians h the objective took at u
-        lam1 = convexity.eigmin_2x2(h[..., 0], h[..., 1], h[..., 2])
-        return report.finish(status, converged, float(lam1.min()), t0)
+        # min_lambda1 from the lambda1 the objective took at u
+        return report.finish(status, converged, float(cells[1].min()), t0)
 
     def line_search(u_h, phi, d, gd):
         # Armijo backtracking by halving; None once the step falls below
@@ -556,17 +535,17 @@ def newton_solve(space, f, g, u0=None, config=None):
         trial = u_h.copy()
         while step >= MIN_STEP:
             trial.coeffs[I] = u_h.coeffs[I] + step * d
-            phi_t, r_t, h_t = objective(trial)
+            phi_t, r_t, cells_t = objective(trial)
             if phi_t <= phi + ARMIJO * step * gd:
-                return step, trial, phi_t, r_t, h_t
+                return step, trial, phi_t, r_t, cells_t
             step *= 0.5
         return None
 
-    phi, r, h = objective(u)
+    phi, r, cells = objective(u)
     report.record(r)
     full_step = False  # the first direction is Gauss-Newton
     for it in range(config.max_iters):
-        d, grad = direction(u, r, h, try_newton=full_step)
+        d, grad = direction(u, r, cells, try_newton=full_step)
         report.iterations = it + 1
         gd = float(grad @ d)
         d_sup = _sup(d)
@@ -579,10 +558,10 @@ def newton_solve(space, f, g, u0=None, config=None):
                     "line search stagnated below MIN_STEP", last_iterate=u,
                     report=report)
             u.coeffs[I] += d
-            phi, r, h = objective(u)
+            phi, r, cells = objective(u)
             report.record(r, d_sup)
             return u, finish("stationary", True)
-        step, u, phi, r, h = accepted
+        step, u, phi, r, cells = accepted
         full_step = step == 1.0
         report.record(r, step * d_sup)
     finish("max_iters", False)

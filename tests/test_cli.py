@@ -348,8 +348,11 @@ def test_negative_data_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["solve", "study", "measure"])
 def test_negative_shift_exits_2_without_solving(command, tmp_path,
                                                  monkeypatch, capsys):
-    # a negative shift, or a truncation level M <= 0 in a later stage
-    for reg in ({"epsilon_schedule": [-0.5]}, {"truncate_schedule": [10, 0]}):
+    # a negative shift, a truncation level M <= 0 in a later stage, an
+    # increasing shift or a decreasing M
+    for reg in ({"epsilon_schedule": [-0.5]}, {"truncate_schedule": [10, 0]},
+                {"epsilon_schedule": [0.0, 1.0]},
+                {"truncate_schedule": [40, 10]}):
         path = tmp_path / "bad_regularization.json"
         path.write_text(json.dumps({
             "polygon": [[0, 0], [1, 0], [1, 1], [0, 1]],

@@ -142,6 +142,21 @@ class TestCatalogue:
         with pytest.raises(ValueError, match="level"):
             Problem("bad", prob.polygon, prob.f, prob.g, levels=())
 
+    def test_schedules_in_the_wrong_order_rejected(self):
+        # shifts decrease and truncation levels M increase stage by stage;
+        # a repeated value is allowed
+        prob = get_problem("smooth")
+        with pytest.raises(ValueError, match="must not increase"):
+            Problem("bad", prob.polygon, prob.f, prob.g,
+                    epsilon_schedule=(0.0, 1.0))
+        with pytest.raises(ValueError, match="M must not decrease"):
+            Problem("bad", prob.polygon, prob.f, prob.g,
+                    truncate_schedule=(40.0, 10.0))
+        ok = Problem("ok", prob.polygon, prob.f, prob.g,
+                     epsilon_schedule=(1.0, 1e-6, 1e-6),
+                     truncate_schedule=(10.0, 10.0, 40.0))
+        assert ok.truncate_schedule == (10.0, 10.0, 40.0)
+
     def test_to_dict_serializable(self):
         rec = get_problem("singular").to_dict()
         text = json.dumps(rec)

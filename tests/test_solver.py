@@ -9,8 +9,9 @@ from scipy.sparse.linalg import spsolve
 
 from mafem import (assembly, convexity, get_problem, regular_polygon,
                    solver, triangulate, unit_square)
-from mafem.assembly import (gradient_jump_matrix, jacobian, load_vector,
-                            residual, second_order_term, stiffness_matrix)
+from mafem.assembly import (apply_boundary, gradient_jump_matrix, jacobian,
+                            load_vector, residual, second_order_term,
+                            stiffness_matrix)
 from mafem.errors import NonConvergenceError, SingularJacobianError
 from mafem.fespace import FeFunction, FeSpace, Quadrature, interpolate
 from mafem.geometry import ConvexPolygon
@@ -18,7 +19,6 @@ from mafem.mesh import Mesh
 from mafem.solver import (
     SolveReport,
     SolverConfig,
-    _data_on_p,
     _factor_spd,
     _space_band,
     continuation_solve,
@@ -74,6 +74,27 @@ def smooth_f(p):
     return (1.0 + r2) * np.exp(r2)
 
 
+def data_on_p(space, A):
+    """The data of a csr matrix A stored on P, the element layer's interior
+    pattern, as _SpaceBand.load_maps takes it."""
+    el = assembly.element_layer(space)
+    assert np.array_equal(A.indptr, el.indptr)
+    assert np.array_equal(A.indices, el.indices)
+    return A.data
+
+
+def hinge_terms(space, u):
+    """The hinge's value, s, dense S over interior dofs and S^T S on P at u,
+    S built from the rows the hinge returns."""
+    hinge = solver._ConvexityHinge(space)
+    h = u.cell_hessians(space.default_quadrature())
+    _, t = hinge.deficits(h)
+    s, (dofs, vals), normal = hinge.residual_and_jacobian(h, t)
+    S = np.zeros((len(s), len(space.interior_dofs)))
+    np.add.at(S, (np.arange(len(s))[:, None], dofs), vals)
+    return hinge.value(t), s, S, normal
+
+
 @pytest.fixture(scope="module")
 def space():
     return FeSpace(triangulate(unit_square(), refinements=3), 2)
@@ -101,6 +122,14 @@ class TestSolverConfig:
                 SolverConfig(continuation_schedule=schedule)
         assert SolverConfig(continuation_schedule=[1.0, 0.0]) \
             .continuation_schedule == (1.0, 0.0)
+
+    def test_increasing_shift_rejected(self):
+        # [0.0, 1.0] would solve f + 1 last and report it converged
+        for schedule in ([0.0, 1.0], (1.0, 0.25, 0.5)):
+            with pytest.raises(ValueError, match="must not increase"):
+                SolverConfig(continuation_schedule=schedule)
+        assert SolverConfig(continuation_schedule=(1.0, 1e-6, 1e-6)) \
+            .continuation_schedule == (1.0, 1e-6, 1e-6)
 
     def test_numpy_integer_accepted(self):
         cfg = SolverConfig(max_iters=np.int32(7))
@@ -284,10 +313,9 @@ class TestNewtonSolve:
         expect = u.coeffs + a + moved_space.dof_coords @ b
         assert np.max(np.abs(v.coeffs - expect)) <= 1e-9 * max(
             1.0, np.max(np.abs(expect)))
-        hinge = solver._ConvexityHinge(space).value(FeFunction(space,
-                                                               -u.coeffs))
-        assert solver._ConvexityHinge(moved_space).value(FeFunction(
-            moved_space, -v.coeffs)) == pytest.approx(hinge, rel=1e-9)
+        hinge = hinge_terms(space, FeFunction(space, -u.coeffs))[0]
+        assert hinge_terms(moved_space, FeFunction(
+            moved_space, -v.coeffs))[0] == pytest.approx(hinge, rel=1e-9)
 
     def test_report_serializable(self, coarse_space, tmp_path):
         u, report = newton_solve(coarse_space, one, paraboloid)
@@ -402,11 +430,9 @@ def objective_gradient(u, f):
     space = u.space
     I = space.interior_dofs
     J = jacobian(u)
-    grad = (J.T @ residual(u, f)
+    _, s, S, _ = hinge_terms(space, u)
+    return (J.T @ residual(u, f) + S.T @ s
             + solver.JUMP_PENALTY * (gradient_jump_matrix(space) @ u.coeffs)[I])
-    hinge = solver._ConvexityHinge(space)
-    s, S, _ = hinge.residual_and_jacobian(u)
-    return grad + S.T @ s if s.size else grad
 
 
 class TestPolish:
@@ -468,11 +494,12 @@ class TestPolish:
     def test_one_hessian_evaluation_per_iterate(self, coarse_space,
                                                 monkeypatch):
         # The residual, the hinge and the direction taken from an iterate
-        # share its cell Hessians, and the report's min_lambda1 reads those
-        # of the final iterate.
-        counts = {"hessians": 0, "residuals": 0}
+        # share its cell Hessians and their smallest eigenvalues, and the
+        # report's min_lambda1 reads those of the final iterate.
+        counts = {"hessians": 0, "residuals": 0, "eigmin": 0}
         real_hessians = FeFunction.cell_hessians
         real_residual = solver.residual
+        real_eigmin = convexity.eigmin_2x2
 
         def hessians(u_h, quad):
             counts["hessians"] += 1
@@ -482,11 +509,16 @@ class TestPolish:
             counts["residuals"] += 1
             return real_residual(*args, **kwargs)
 
+        def eigmin(*args):
+            counts["eigmin"] += 1
+            return real_eigmin(*args)
+
         monkeypatch.setattr(FeFunction, "cell_hessians", hessians)
         monkeypatch.setattr(solver, "residual", counted_residual)
+        monkeypatch.setattr(convexity, "eigmin_2x2", eigmin)
         _, report = newton_solve(coarse_space, smooth_f, smooth_exact)
         assert report.iterations > 1
-        assert counts["hessians"] == counts["residuals"]
+        assert counts["hessians"] == counts["residuals"] == counts["eigmin"]
 
     @pytest.mark.parametrize("driver", ["newton", "continuation",
                                         "failed_continuation"])
@@ -520,6 +552,43 @@ class TestPolish:
         newton_solve(coarse_space, counted, smooth_exact, u0=u)
         assert len(calls) == 2
 
+    @settings(max_examples=10, deadline=None)
+    @given(convex_polygons(), st.sampled_from([2, 3]), st.booleans(),
+           st.integers(0, 2 ** 32 - 1))
+    def test_gradient_matches_sparse_products(self, polygon, k, hinged,
+                                              seed):
+        # The gradient a solve forms on the element arrays (np.bincount
+        # over P's columns and the hinge's cell dofs) against
+        # J^T r + eta (Q u)_I + S^T s from csr J and a dense S.  It is read
+        # off the first direction's right-hand side -grad.  A rough concave
+        # start activates the hinge; a convex one barely perturbed does
+        # not.
+        space = FeSpace(triangulate(polygon, refinements=2), k)
+        sign, noise = (-1.0, 0.1) if hinged else (1.0, 1e-3)
+        u = interpolate(space,
+                        lambda p: sign * np.sum(np.atleast_2d(p) ** 2, 1))
+        u.coeffs += noise * np.random.default_rng(seed).standard_normal(
+            space.num_dofs)
+        u.coeffs[space.boundary_dofs] = apply_boundary(space, smooth_exact)
+        s = hinge_terms(space, u)[1]
+        assume(len(s) > 0 if hinged else len(s) == 0)
+        ref = objective_gradient(u, smooth_f)
+        rhs = []
+        real_solve = solver._BandCholesky.solve
+
+        def solve(factor, b):
+            rhs.append(b.copy())
+            return real_solve(factor, b)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver._BandCholesky, "solve", solve)
+            try:
+                newton_solve(space, smooth_f, smooth_exact, u0=u,
+                             config=SolverConfig(max_iters=1))
+            except NonConvergenceError:
+                pass
+        assert np.abs(-rhs[0] - ref).max() <= 1e-13 * np.abs(ref).max()
+
     @pytest.mark.parametrize("refinements,k", [(2, 2), (3, 2), (2, 3)])
     def test_stationary_point_is_critical(self, refinements, k):
         # A solve ends on a direction whose predicted decrease is below
@@ -551,7 +620,7 @@ class TestNewtonDirections:
 
         logged("newton_solve", "S")
         logged("_factor_spd", "F")
-        logged("second_order_term", "T")
+        logged("second_order_data", "T")
         return log
 
     @pytest.mark.parametrize("problem,refinements", [
@@ -576,8 +645,8 @@ class TestNewtonDirections:
         # -1e8 I makes the Newton matrix negative definite, so its step
         # climbs; nan I leaves no finite step or no factor.  Every Newton
         # try is then rejected, and the solve runs on Gauss-Newton.  The
-        # broken term is stored on the element layer's interior pattern,
-        # as the second-order term is.
+        # broken term is data on the element layer's interior pattern, as
+        # the second-order term is.
         space = FeSpace(triangulate(unit_square(), refinements=3), 2)
         ref, _ = newton_solve(space, smooth_f, smooth_exact)
         events.clear()
@@ -588,10 +657,9 @@ class TestNewtonDirections:
 
         def broken_term(_space, r):
             events.append("T")
-            return sparse.csr_matrix((diagonal, el.indices, el.indptr),
-                                     shape=(el.n, el.n))
+            return diagonal
 
-        monkeypatch.setattr(solver, "second_order_term", broken_term)
+        monkeypatch.setattr(solver, "second_order_data", broken_term)
         u, report = newton_solve(space, smooth_f, smooth_exact)
         assert report.converged and report.status == "stationary"
         assert report.newton_directions == 0
@@ -603,12 +671,12 @@ class TestNewtonDirections:
 
     def test_second_order_term_off_the_element_pattern_raises(
             self, monkeypatch, coarse_space):
-        # A term is loaded by the map of its pattern; the identity is
-        # stored off the element layer's pattern and is never placed.
-        monkeypatch.setattr(solver, "second_order_term",
-                            lambda _space, r: sparse.identity(
-                                len(r), format="csr"))
-        with pytest.raises(ValueError, match="interior pattern"):
+        # A term is loaded as data on the element layer's pattern P; the
+        # identity's data has one entry per interior dof, not one per entry
+        # of P, and is never loaded.
+        monkeypatch.setattr(solver, "second_order_data",
+                            lambda _space, r: np.ones(len(r)))
+        with pytest.raises(ValueError, match="interior pattern P"):
             newton_solve(coarse_space, smooth_f, smooth_exact)
 
     def test_first_direction_is_gauss_newton(self, events, coarse_space):
@@ -683,21 +751,18 @@ class TestConvexityHinge:
         space = FeSpace(triangulate(regular_polygon(6), refinements=2), k)
         u = FeFunction(space, np.random.default_rng(1).standard_normal(
             space.num_dofs))
-        hinge = solver._ConvexityHinge(space)
-        s, S, normal = hinge.residual_and_jacobian(u)
+        value, s, S, normal = hinge_terms(space, u)
         s_ref, S_ref = basis_table_hinge(space, u)
         assert len(s) == len(s_ref) > 100
         assert np.abs(s - s_ref).max() <= 1e-13 * np.abs(s_ref).max()
-        assert np.abs(S.toarray() - S_ref).max() <= \
-            1e-13 * np.abs(S_ref).max()
+        assert np.abs(S - S_ref).max() <= 1e-13 * np.abs(S_ref).max()
         # S^T S, returned as data on the element interior pattern P
         el = assembly.element_layer(space)
         N = sparse.csr_matrix((normal, el.indices, el.indptr),
                               shape=(el.n, el.n)).toarray()
         N_ref = S_ref.T @ S_ref
         assert np.abs(N - N_ref).max() <= 1e-13 * np.abs(N_ref).max()
-        assert hinge.value(u) == pytest.approx(0.5 * s_ref @ s_ref,
-                                               rel=1e-13)
+        assert value == pytest.approx(0.5 * s_ref @ s_ref, rel=1e-13)
 
 
 def band_to_dense(band):
@@ -727,10 +792,10 @@ class TestFactorSpd:
             J = jacobian(u)
             Q = gradient_jump_matrix(coarse_space)
             H = J.T @ J + 1e-2 * Q[I][:, I]
-            band.load_maps(1e-2, _data_on_p(coarse_space, J))
+            band.load_maps(1e-2, data_on_p(coarse_space, J))
         else:
             H = stiffness_matrix(coarse_space)[I][:, I]
-            band.load_maps(on_p=_data_on_p(coarse_space, H))
+            band.load_maps(0.0, None, data_on_p(coarse_space, H))
         b = rng.standard_normal(len(I))
         x = _factor_spd(band).solve(b)
         ref = spsolve(H.tocsc(), b)
@@ -760,9 +825,9 @@ class TestFactorSpd:
         assert low[1] - low[0] > 1e-3 * low[1]
         el = assembly.element_layer(coarse_space)
         rows = np.repeat(np.arange(el.n), np.diff(el.indptr))
-        on_p = _data_on_p(coarse_space, A) - np.where(
+        shifted = data_on_p(coarse_space, A) - np.where(
             el.indices == rows, low.mean(), 0.0)
-        band = _space_band(coarse_space).load_maps(on_p=on_p)
+        band = _space_band(coarse_space).load_maps(0.0, None, shifted)
         with pytest.raises(SingularJacobianError, match="singular"):
             _factor_spd(band)
 
@@ -786,23 +851,22 @@ class TestBand:
         J = jacobian(u)
         ref = (J.T @ J).toarray() + eta * (
             gradient_jump_matrix(space)[I][:, I].toarray())
-        on_p = np.zeros_like(J.data)
+        terms = np.zeros_like(J.data)
         if hinged:
-            hinge = solver._ConvexityHinge(space)
-            _, S, normal = hinge.residual_and_jacobian(u)
-            assume(S.shape[0] > 0)  # a level-2 triangle may have no cell
-            on_p += normal
-            ref += (S.T @ S).toarray()
+            _, _, S, normal = hinge_terms(space, u)
+            assume(len(S) > 0)  # a level-2 triangle may have no cell
+            terms += normal
+            ref += S.T @ S
         if newton:
             T = second_order_term(space, residual(u, smooth_f))
-            on_p += _data_on_p(space, T)
+            terms += data_on_p(space, T)
             ref += T.toarray()
         band = _space_band(space)
-        band.load_maps(eta, _data_on_p(space, J), on_p)
+        band.load_maps(eta, data_on_p(space, J), terms)
         assert np.abs(band_to_dense(band) - ref).max() <= \
             1e-13 * np.abs(ref).max()
         A = stiffness_matrix(space)[I][:, I]
-        band.load_maps(on_p=_data_on_p(space, A))
+        band.load_maps(0.0, None, data_on_p(space, A))
         assert np.abs(band_to_dense(band) - A.toarray()).max() <= \
             1e-13 * np.abs(A).max()
 
@@ -839,9 +903,9 @@ class TestBand:
         real_hinge = solver._ConvexityHinge.residual_and_jacobian
 
         def hinge(self, *args, **kwargs):
-            s, S, normal = real_hinge(self, *args, **kwargs)
+            s, rows, normal = real_hinge(self, *args, **kwargs)
             counts["hinge"] += s.size > 0  # directions with active rows
-            return s, S, normal
+            return s, rows, normal
 
         monkeypatch.setattr(solver._ConvexityHinge, "residual_and_jacobian",
                             hinge)
@@ -871,6 +935,47 @@ class TestBand:
             rep["iterations"] + rep["newton_rejections"] for rep in reports)
         assert (counts["place"], counts["product"], counts["add.at"]) == \
             (0, 0, 0)
+
+    def test_solve_builds_no_sparse_matrix(self, monkeypatch):
+        # Once a space has its element layer, band and Q, a continuation
+        # with a Poisson start, Newton directions and active hinge rows
+        # (the singular data at its first truncation, level 2) constructs
+        # no scipy sparse matrix: every term stays on the element arrays.
+        p = get_problem("singular")
+        space = FeSpace(triangulate(p.polygon, refinements=2), p.degree)
+        assembly.element_layer(space)
+        _space_band(space)
+        gradient_jump_matrix(space)
+        built, rows = [], []
+        real_init = sparse._compressed._cs_matrix.__init__
+        real_hinge = solver._ConvexityHinge.residual_and_jacobian
+
+        def init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            real_init(self, *args, **kwargs)
+
+        def hinge(self, *args):
+            out = real_hinge(self, *args)
+            rows.append(len(out[0]))
+            return out
+
+        monkeypatch.setattr(sparse._compressed._cs_matrix, "__init__", init)
+        monkeypatch.setattr(solver._ConvexityHinge, "residual_and_jacobian",
+                            hinge)
+        f = p.regularized(truncate_M=p.truncate_schedule[0]).f_m
+        cfg = SolverConfig(continuation_schedule=p.epsilon_schedule)
+        _, report = continuation_solve(space, f, p.solve_boundary, cfg)
+        assert report.newton_directions > 0 and max(rows) > 0
+        assert built == []
+
+    def test_data_off_p_raises_naming_the_term(self, coarse_space):
+        # Data with other than P's nnz entries is never broadcast or loaded.
+        band = _space_band(coarse_space)
+        data = np.ones(assembly.element_layer(coarse_space).nnz)
+        with pytest.raises(ValueError, match="jac has shape"):
+            band.load_maps(1.0, data[1:])
+        with pytest.raises(ValueError, match="on_p has shape"):
+            band.load_maps(1.0, data, data, data[:, None])
 
     def test_order_built_once_per_space(self, monkeypatch):
         # The Poisson start and every matrix of a three-stage continuation
@@ -913,12 +1018,13 @@ class TestBand:
         I = coarse_space.interior_dofs
         A = stiffness_matrix(coarse_space)[I][:, I]
         band = _space_band(coarse_space)
-        factor = _factor_spd(band.load_maps(on_p=_data_on_p(coarse_space, A)))
+        factor = _factor_spd(band.load_maps(0.0, None,
+                                            data_on_p(coarse_space, A)))
         assert np.shares_memory(factor.cb, band.ab)  # factored in place
         b = np.arange(float(len(I)))
         tol = 1e-12 * np.abs(b).max()
         assert np.abs(A @ factor.solve(b) - b).max() <= tol
-        band.load_maps(on_p=_data_on_p(coarse_space, A))
+        band.load_maps(0.0, None, data_on_p(coarse_space, A))
         with pytest.raises(RuntimeError, match="loaded again"):
             factor.solve(b)
         assert np.abs(A @ _factor_spd(band).solve(b) - b).max() <= tol
