@@ -269,12 +269,13 @@ def load_vector(space, f):
 def _edge_jump_blocks(space):
     """Normal-derivative jump operator of every interior edge, batched.
 
-    Returns (idx, wt, B): idx (ni, 2 nloc) stacks the dofs of the two owner
-    cells of each interior edge, wt (nq,) holds the Gauss weights on [0, 1]
-    and B (ni, nq, 2 nloc) maps the stacked local coefficients to the
-    normal-derivative jump at the edge Gauss points, scaled so that
-    sum(wt * (B c)^2) = (1/|e|) int_e [dn u]^2 ds.  Built once per space
-    and cached there, with read-only arrays.
+    Returns (idx, wt, B): idx (ni, m) lists the distinct dofs of the two
+    owner cells of each interior edge in ascending order, m = 2 nloc -
+    (k + 1) since the k + 1 dofs of the shared edge belong to both cells;
+    wt (nq,) holds the Gauss weights on [0, 1] and B (ni, nq, m) maps the
+    patch coefficients to the normal-derivative jump at the edge Gauss
+    points, scaled so that sum(wt * (B c)^2) = (1/|e|) int_e [dn u]^2 ds.
+    Built once per space and cached there, with read-only arrays.
     """
     if space._jump_blocks is None:
         blocks = _assemble_edge_jump_blocks(space)
@@ -292,11 +293,24 @@ def _assemble_edge_jump_blocks(space):
     # the second
     nref = np.einsum("esji,ei->esj", space.cell_jinv[owners], nrm)
     nref[:, 1] *= -1.0
-    dn = np.einsum("estlj,esj->estl", gtab, nref)
-    ni, _, nq, nloc = dn.shape
-    B = dn.transpose(0, 2, 1, 3).reshape(ni, nq, 2 * nloc)
-    idx = space.cell_dofs[owners].reshape(ni, 2 * nloc)
-    return idx, 0.5 * wg, B
+    ni, _, nq, nloc, _ = gtab.shape
+    # one row of dn per stacked dof: (ni * 2 nloc, nq)
+    dn = np.einsum("estlj,esj->eslt", gtab, nref).reshape(-1, nq)
+    # the k + 1 dofs of the shared edge are stacked twice: sort each
+    # edge's dofs, add each repeated dof's row to its twin's and keep the
+    # first of each run
+    stacked = space.cell_dofs[owners].reshape(ni, 2 * nloc)
+    order = np.argsort(stacked, axis=1) + 2 * nloc * np.arange(ni)[:, None]
+    ranked = np.take(stacked, order)
+    rows = np.take(dn, order, axis=0)
+    repeat = ranked[:, 1:] == ranked[:, :-1]
+    rows[:, :-1][repeat] += rows[:, 1:][repeat]
+    first = np.ones(ranked.shape, dtype=bool)
+    first[:, 1:] = ~repeat
+    m = 2 * nloc - (space.degree + 1)
+    idx = ranked[first].reshape(ni, m)
+    Bt = rows[first].reshape(ni, m, nq)
+    return idx, 0.5 * wg, np.ascontiguousarray(Bt.transpose(0, 2, 1))
 
 
 def gradient_jump_matrix(space):
@@ -322,7 +336,7 @@ def gradient_jump_matrix(space):
 
 def _assemble_jump_matrix(space):
     idx, wt, B = _edge_jump_blocks(space)
-    Qe = np.einsum("q,eql,eqm->elm", wt, B, B)
+    Qe = np.matmul(B.transpose(0, 2, 1) * wt, B)
     return _scatter_matrix(space.num_dofs, idx, Qe)
 
 

@@ -221,7 +221,7 @@ class FeSpace:
                         if e[0] == "cell"]
             lam = self.ref.nodes_bary[interior]  # (n_cell, 3)
             xy = mesh.cell_coords()  # (nc, 3, 2)
-            pts = np.einsum("rj,cjd->crd", lam, xy)
+            pts = np.matmul(lam, xy)
             base = nv + ne * n_edge
             coords[base:] = pts.reshape(-1, 2)
         self.dof_coords = coords
@@ -299,8 +299,7 @@ class FeSpace:
         key = quad.order
         if key not in self._tab_cache:
             tab = self.ref.tabulate(quad.points_ref)
-            tab["points"] = np.einsum("qj,cjd->cqd", quad.points,
-                                      self.mesh.cell_coords())
+            tab["points"] = np.matmul(quad.points, self.mesh.cell_coords())
             tab["weights"] = self.cell_areas[:, None] * quad.weights[None, :]
             for arr in tab.values():
                 arr.flags.writeable = False
@@ -379,8 +378,10 @@ class FeFunction:
         if key == "val":
             return local @ tab["val"].T
         if key == "grad":
-            g_ref = np.einsum("cj,qjd->cqd", local, tab["grad"])
-            return np.einsum("cji,cqj->cqi", space.cell_jinv, g_ref)
+            grad = tab["grad"]
+            nq, nloc, _ = grad.shape
+            g_ref = local @ grad.transpose(1, 0, 2).reshape(nloc, 2 * nq)
+            return np.matmul(g_ref.reshape(-1, nq, 2), space.cell_jinv)
         return kernels.hessians_at_qpts(local, tab["hess"],
                                         space.cell_hess_push)
 

@@ -62,9 +62,20 @@ def second_order_cells(rho_w, cof_push, hess_pairs):
 
 
 def stiffness_cells(ref_grad, jinv, w, areas):
-    """Local Laplacian stiffness blocks."""
-    g = np.einsum("cji,qlj->cqli", jinv, ref_grad)
-    return np.einsum("c,q,cqid,cqjd->cij", areas, w, g, g)
+    """Local Laplacian stiffness blocks int_K grad phi_i . grad phi_j.
+
+    grad phi_i = jinv^T g_i for the reference gradient g_i, so block (i, j)
+    is |K| sum_q w_q g_i . M g_j with the metric M = jinv jinv^T: the
+    (nc, 4) scaled metrics times one (4, nloc^2) table of weighted
+    reference gradient pairs, in one product.
+    """
+    nq, nloc, _ = ref_grad.shape
+    nc = len(jinv)
+    metric = np.matmul(jinv, jinv.transpose(0, 2, 1)) * areas[:, None, None]
+    g = ref_grad.transpose(2, 1, 0).reshape(2 * nloc, nq)
+    pairs = ((g * w) @ g.T).reshape(2, nloc, 2, nloc).transpose(0, 2, 1, 3)
+    return (metric.reshape(nc, 4) @ pairs.reshape(4, nloc * nloc)).reshape(
+        nc, nloc, nloc)
 
 
 def load_cells(fq, wphi):

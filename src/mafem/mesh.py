@@ -128,12 +128,15 @@ class Mesh:
         arrays are read-only: a mesh is not modified once built.
         """
         if self._edges is None:
-            pairs = np.vstack([
-                self.cells[:, [0, 1]], self.cells[:, [1, 2]],
-                self.cells[:, [2, 0]],
-            ])
-            pairs = np.sort(pairs, axis=1)
-            uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
+            # local edge e runs from cell vertex e to vertex e + 1; the key
+            # a nv + b of its sorted pair (a, b) sorts as the pair does
+            first = self.cells.T.ravel()
+            second = self.cells[:, [1, 2, 0]].T.ravel()
+            nv = self.num_vertices
+            keys = (np.minimum(first, second) * nv
+                    + np.maximum(first, second))
+            keys, inverse = np.unique(keys, return_inverse=True)
+            uniq = np.column_stack([keys // nv, keys % nv])
             cell_edges = inverse.reshape(3, self.num_cells).T
             _read_only(uniq, cell_edges)
             self._edges = (uniq, cell_edges)

@@ -48,6 +48,9 @@ class Problem:
             raise ValueError("degree must be at least 2")
         if not self.levels or min(self.levels) < 0:
             raise ValueError("need at least one mesh level, none negative")
+        if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
+            raise ValueError("mesh levels must strictly increase, got {}"
+                             .format(list(self.levels)))
         # rejects a negative or increasing shift and a truncation level
         # M <= 0 or below the one before it when the problem is read,
         # before any solve
@@ -355,7 +358,8 @@ def problem_from_json(source):
     "g": {...}, "exact": optional {...}, "k": int, "levels": int or list,
     "regularization": {"epsilon_schedule": [...], "truncate_schedule":
     [...], "mollify_radius": ...}}.  An integer "levels" n means the n
-    uniform refinement levels 2, 3, ..., n+1.  Any other key, at the top
+    uniform refinement levels 2, 3, ..., n+1; a list must strictly
+    increase.  Any other key, at the top
     level or in "regularization", raises ValueError naming it.
     """
     obj, name = source, "custom"

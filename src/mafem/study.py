@@ -184,11 +184,15 @@ def run_convergence_study(problem, levels=None, grid_n=33,
 
     A failing level is recorded in the report and the study continues on
     the remaining levels, the next one from the Poisson start.  Raises
-    ValueError when there is no level to solve.
+    ValueError when there is no level to solve or the levels do not
+    strictly increase: a repeated level has no rate.
     """
     levels = problem.levels if levels is None else tuple(levels)
     if not levels:
         raise ValueError("a convergence study needs at least one level")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError("mesh levels must strictly increase, got {}"
+                         .format(list(levels)))
     compact = problem.interior_compact()
     grid = interior_grid(compact, n=grid_n)
     report = StudyReport(problem.name, problem.degree)

@@ -17,7 +17,12 @@ from mafem.assembly import (
     second_order_term,
     stiffness_matrix,
 )
-from mafem.assembly import _assemble_jump_matrix, element_layer, f_at_qpts
+from mafem.assembly import (
+    _assemble_edge_jump_blocks,
+    _assemble_jump_matrix,
+    element_layer,
+    f_at_qpts,
+)
 from mafem.fespace import FeFunction, FeSpace, Quadrature, interpolate
 from mafem.mesh import Mesh
 from strategies import convex_polygons
@@ -605,9 +610,9 @@ class TestGradientJump:
             assert gradient_jump_seminorm(u) ** 2 == pytest.approx(
                 u.coeffs @ (Q @ u.coeffs), rel=1e-12)
 
-    @settings(max_examples=8, deadline=None)
-    @given(convex_polygons(), st.sampled_from([1, 2]), st.sampled_from([2, 3]),
-           st.integers(0, 2 ** 31))
+    @settings(max_examples=10, deadline=None)
+    @given(convex_polygons(), st.sampled_from([1, 2]),
+           st.sampled_from([2, 3, 4]), st.integers(0, 2 ** 31))
     def test_seminorm_squared_is_gram_form_on_random_polygons(
             self, polygon, level, k, seed):
         # the two forms of the jump term share one set of edge blocks
@@ -634,3 +639,56 @@ class TestGradientJump:
         for _ in range(5):
             c = rng.standard_normal(space.num_dofs)
             assert c @ (Q @ c) >= -1e-12 * scale
+
+
+def stacked_jump_matrix(space):
+    """Q from the 2 nloc stacked dofs of each interior edge's two cells.
+
+    The form the edge blocks had before they were reduced to the patch's
+    distinct dofs: each shared dof keeps both of its columns, and the
+    scatter adds their four products.
+    """
+    _, owners, _, nrm = space.mesh.interior_edges()
+    xg, wg = roots_legendre(space.degree + 1)
+    gtab = space.interior_edge_tables(0.5 * (xg + 1.0), "grad")
+    nref = np.einsum("esji,ei->esj", space.cell_jinv[owners], nrm)
+    nref[:, 1] *= -1.0
+    dn = np.einsum("estlj,esj->estl", gtab, nref)
+    ne, _, nq, nloc = dn.shape
+    B = dn.transpose(0, 2, 1, 3).reshape(ne, nq, 2 * nloc)
+    idx = space.cell_dofs[owners].reshape(ne, 2 * nloc)
+    Qe = np.einsum("q,eql,eqm->elm", 0.5 * wg, B, B)
+    rows = np.repeat(idx, 2 * nloc, axis=1).ravel()
+    cols = np.tile(idx, (1, 2 * nloc)).ravel()
+    return sparse.coo_matrix((Qe.ravel(), (rows, cols)),
+                             shape=(space.num_dofs, space.num_dofs)).tocsr()
+
+
+class TestEdgePatchBlocks:
+    @settings(max_examples=10, deadline=None)
+    @given(convex_polygons(), st.sampled_from([1, 2]),
+           st.sampled_from([2, 3, 4]))
+    def test_lists_each_patch_dof_once(self, polygon, level, k):
+        space = FeSpace(triangulate(polygon, refinements=level), k)
+        idx, wt, B = _assemble_edge_jump_blocks(space)
+        _, owners, _, _ = space.mesh.interior_edges()
+        nloc = space.cell_dofs.shape[1]
+        m = 2 * nloc - (k + 1)
+        assert idx.shape == (len(owners), m)
+        assert B.shape == (len(owners), k + 1, m) and wt.shape == (k + 1,)
+        assert np.all(np.diff(idx, axis=1) > 0)
+        for e, (a, b) in enumerate(owners):
+            assert np.array_equal(idx[e], np.union1d(space.cell_dofs[a],
+                                                     space.cell_dofs[b]))
+
+    @settings(max_examples=10, deadline=None)
+    @given(convex_polygons(), st.sampled_from([1, 2]),
+           st.sampled_from([2, 3, 4]))
+    def test_matrix_matches_stacked_scatter(self, polygon, level, k):
+        space = FeSpace(triangulate(polygon, refinements=level), k)
+        ref = stacked_jump_matrix(space)
+        Q = _assemble_jump_matrix(space)
+        assert np.array_equal(Q.indptr, ref.indptr)
+        assert np.array_equal(Q.indices, ref.indices)
+        assert np.abs(Q.data - ref.data).max() <= 1e-13 * np.abs(
+            ref.data).max()

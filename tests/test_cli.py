@@ -179,6 +179,17 @@ def test_wrong_type_in_problem_file_exits_2(tmp_path, capsys):
     assert "'levels'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("levels", [[2, 2], [3, 2]])
+def test_study_levels_not_increasing_exit_2(tmp_path, capsys, levels):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**PARABOLOID, "levels": levels}))
+    out = tmp_path / "run"
+    assert cli.main(["study", "--problem", str(bad), "--out", str(out)]) == 2
+    assert "strictly increase" in capsys.readouterr().err
+    assert not (out / "study.json").exists()
+    assert not (out / "study.csv").exists()
+
+
 def test_bad_usage_exits_2(capsys):
     assert cli.main(["solve"]) == 2
     assert cli.main([]) == 2

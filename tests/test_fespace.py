@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from mafem import (get_problem, ma_measure, refine_uniform, regular_polygon,
@@ -17,6 +18,7 @@ from mafem.fespace import (
     phys_quad_points,
     sup_error,
 )
+from strategies import convex_polygons
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +258,24 @@ class TestEvaluationLayer:
             got = v.cell_hessians(quad)
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @settings(max_examples=10, deadline=None)
+    @given(convex_polygons(), st.sampled_from([0, 1, 2]),
+           st.sampled_from([2, 3, 4]), st.integers(0, 2 ** 31))
+    def test_cell_gradients_match_pointwise_gradient(self, polygon, level, k,
+                                                     seed):
+        space = FeSpace(triangulate(polygon, refinements=level), k)
+        v = FeFunction(space, np.random.default_rng(seed).standard_normal(
+            space.num_dofs))
+        quad = space.error_quadrature()
+        pts = space.tables(quad)["points"]
+        got = v.cellwise("grad", space.tables(quad))
+        ref = v.gradient(pts.reshape(-1, 2)).reshape(got.shape)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        # the physical points are the affine images of the rule's points
+        xy = space.mesh.cell_coords()
+        assert np.abs(pts - np.einsum("qj,cjd->cqd", quad.points, xy)
+                      ).max() <= 2e-15 * np.abs(xy).max()
 
 
 class TestNonFiniteFields:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mafem import triangulate, regular_polygon
 from mafem.assembly import element_layer
 from mafem.fespace import FeSpace, interpolate
 from mafem import kernels
+from strategies import convex_polygons
 
 
 @pytest.fixture(scope="module")
@@ -32,3 +34,17 @@ class TestNumpyPath:
         b = kernels.load_cells(ones, element_layer(space).wphi)
         # partition of unity: row sums integrate 1 over each cell
         assert np.allclose(b.sum(axis=1), space.cell_areas, atol=1e-13)
+
+    @settings(max_examples=10, deadline=None)
+    @given(convex_polygons(), st.sampled_from([0, 1, 2]),
+           st.sampled_from([2, 3, 4]))
+    def test_stiffness_matches_gradient_contraction(self, polygon, level, k):
+        space = FeSpace(triangulate(polygon, refinements=level), k)
+        quad = space.default_quadrature()
+        ref_grad = space.tables(quad)["grad"]
+        jinv, areas = space.cell_jinv, space.cell_areas
+        got = kernels.stiffness_cells(ref_grad, jinv, quad.weights, areas)
+        g = np.einsum("cji,qlj->cqli", jinv, ref_grad)
+        ref = np.einsum("c,q,cqid,cqjd->cij", areas, quad.weights, g, g)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()

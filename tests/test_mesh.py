@@ -245,6 +245,19 @@ class TestEdgeTables:
         with pytest.raises(ValueError, match="not an edge"):
             mesh.edge_index([[0, mesh.num_vertices]])
 
+    @settings(max_examples=15, deadline=None)
+    @given(convex_polygons(), st.integers(0, 3))
+    def test_edge_table_matches_unique_pairs(self, polygon, level):
+        mesh = triangulate(polygon, refinements=level)
+        edges, cell_edges = mesh.edge_midpoint_index()
+        pairs = np.sort(np.vstack([mesh.cells[:, [0, 1]],
+                                   mesh.cells[:, [1, 2]],
+                                   mesh.cells[:, [2, 0]]]), axis=1)
+        uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
+        assert np.array_equal(edges, uniq)
+        assert np.array_equal(cell_edges,
+                              inverse.reshape(3, mesh.num_cells).T)
+
     def test_single_cell_has_none(self):
         mesh = tri_mesh([[0, 0], [1, 0], [0, 1]])
         pairs, owners, local, normals = mesh.interior_edges()

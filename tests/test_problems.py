@@ -142,6 +142,12 @@ class TestCatalogue:
         with pytest.raises(ValueError, match="level"):
             Problem("bad", prob.polygon, prob.f, prob.g, levels=())
 
+    @pytest.mark.parametrize("levels", [(2, 2), (3, 2), (2, 4, 3)])
+    def test_levels_must_strictly_increase(self, levels):
+        prob = get_problem("smooth")
+        with pytest.raises(ValueError, match="strictly increase"):
+            Problem("bad", prob.polygon, prob.f, prob.g, levels=levels)
+
     def test_schedules_in_the_wrong_order_rejected(self):
         # shifts decrease and truncation levels M increase stage by stage;
         # a repeated value is allowed

@@ -183,6 +183,12 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="at least one level"):
             run_convergence_study(paraboloid, levels=())
 
+    @pytest.mark.parametrize("levels", [(1, 1), (2, 1)])
+    def test_levels_must_strictly_increase(self, paraboloid, levels):
+        # a repeated level would give a log ratio over log(h / h) = 0
+        with pytest.raises(ValueError, match="strictly increase"):
+            run_convergence_study(paraboloid, levels=levels)
+
     def test_exact_in_space_saturates(self, paraboloid):
         rep = run_convergence_study(paraboloid, levels=(1, 2), grid_n=9,
                                     with_measure=True)
