@@ -43,7 +43,8 @@ class _ElementLayer:
     of each cell dof (boundary rows go to a last bin that is dropped), and
     the interior-by-interior entries of the cell blocks over jac_index
     into the data of one fixed CSR pattern (indptr, indices), so assembly
-    needs no COO matrix, sort or fancy slicing.
+    needs no COO matrix, sort or fancy slicing.  rows (nnz,) is the row of
+    each entry of that pattern, for products with its data.
     """
 
     def __init__(self, space):
@@ -73,8 +74,10 @@ class _ElementLayer:
         self.indices = (keys % ni).astype(np.int32)
         self.indptr = np.searchsorted(keys, np.arange(ni + 1) * ni).astype(
             np.int32)
+        self.rows = np.repeat(np.arange(ni, dtype=np.int32),
+                              np.diff(self.indptr))
         for arr in (self.wphi, self.cof_push, self.hess_pairs, self.res_index,
-                    self.jac_index, self.indices, self.indptr):
+                    self.jac_index, self.indices, self.indptr, self.rows):
             arr.flags.writeable = False
 
     def sum_rows(self, vectors):

@@ -250,11 +250,20 @@ class MaMeasure:
         return json.dumps(self.to_dict(regions), indent=2)
 
 
-def measure_pairing(v, p):
+def cell_density(v):
+    """The cellwise density det D2v of a finite element function, (nc, nq)
+    at the points of its space's error rule."""
+    h = v.cell_hessians(v.space.error_quadrature())
+    return h[..., 0] * h[..., 2] - h[..., 1] ** 2
+
+
+def measure_pairing(v, p, density=None):
     """Integral of the test field p against the Monge-Ampere measure of v.
 
     P1 inputs pair through their vertex atoms, finite element inputs
-    through the cellwise density det D2v with the space's error rule.
+    through the cellwise density det D2v with the space's error rule;
+    density, when given, is cell_density(v), so that pairings of one v
+    with many test fields evaluate its Hessians once.
     """
     if isinstance(v, P1Function):
         atoms = MaMeasure(v).atoms
@@ -262,9 +271,9 @@ def measure_pairing(v, p):
         return float(sum(m * pv for m, pv in zip(atoms.values(), vals)))
     space = v.space
     quad = space.error_quadrature()
-    h = v.cell_hessians(quad)
-    det = h[..., 0] * h[..., 2] - h[..., 1] ** 2
-    return space.integrate(det * space.sample(p, quad), quad)
+    if density is None:
+        density = cell_density(v)
+    return space.integrate(density * space.sample(p, quad), quad)
 
 
 def check_interior_support(v, p):

@@ -54,7 +54,20 @@ positive definite), the step is finite and it descends (grad . d < 0);
 otherwise, in the same iteration, it counts a Newton rejection and takes
 the Gauss-Newton direction.  The hinge enters through S^T S only.  The
 report counts newton_directions, gauss_newton_directions (they sum to
-iterations) and newton_rejections.
+iterations), newton_rejections and refined_exits.
+
+A Newton direction that ends the solve needs no factorization of its own.
+After a full step the last direction's factor still stands, since nothing
+was loaded after it: its solve of the Newton system is the first try
+(_refined_exit).  When that lagged direction passes the exit test, it is
+refined against the Newton matrix on the same factor and, if the
+refinement converges and the result is finite, descends and still passes
+the test, ends the solve as a refined exit, a Newton direction counted in
+refined_exits.  Otherwise, after one back-solve or a failed refinement,
+the direction is loaded and factored as above.  Every direction that does
+not end the solve is thus a fresh factor's: refining every Newton
+direction on a lagged factor saved factorizations but was slower on two
+of the three benchmark workloads.
 
 The Gauss-Newton normal matrix J^T J + eta Q_II (+ S^T S), definite
 through the jump penalty, and the interior Poisson stiffness matrix are
@@ -84,14 +97,16 @@ quadratic form cancels to about 1e-16 absolute, which would hide the
 decrease of a full step once the residual is below about 1e-8.  A solve
 factors only to take a direction, and a factor lives only until the next
 matrix is loaded, so a solve factors exactly report.iterations +
-report.newton_rejections times (plus once for a Poisson start).
+report.newton_rejections - report.refined_exits times (plus once for a
+Poisson start).
 """
 
 import json
 import time
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import LinAlgError, cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from . import convexity
@@ -113,7 +128,7 @@ MIN_STEP = 2.0 ** -20
 
 class SolverConfig:
     """The iteration cap of each newton_solve (at least 1) and the
-    non-increasing shifts eps >= 0 of continuation_solve."""
+    non-increasing finite shifts eps >= 0 of continuation_solve."""
 
     def __init__(self, max_iters=120, continuation_schedule=()):
         if (isinstance(max_iters, bool)
@@ -124,10 +139,10 @@ class SolverConfig:
         self.max_iters = int(max_iters)
         self.continuation_schedule = tuple(continuation_schedule)
         eps = self.continuation_schedule
-        if not all(e >= 0 for e in eps) or any(
+        if not all(0 <= e < np.inf for e in eps) or any(
                 b > a for a, b in zip(eps, eps[1:])):
-            raise ValueError("continuation shifts must be >= 0 and must not "
-                             "increase, got {}".format(list(eps)))
+            raise ValueError("continuation shifts must be >= 0 and finite "
+                             "and must not increase, got {}".format(list(eps)))
 
     def to_dict(self):
         return {
@@ -146,6 +161,7 @@ class SolveReport:
         self.newton_directions = 0
         self.gauss_newton_directions = 0
         self.newton_rejections = 0
+        self.refined_exits = 0
         self.converged = False
         self.status = "running"
         self.residual_history = []
@@ -224,12 +240,14 @@ class _SpaceBand:
         self.rank = np.empty_like(self.perm)
         self.rank[self.perm] = np.arange(el.n, dtype=self.perm.dtype)
         rows = np.repeat(self.rank, np.diff(U.indptr))
-        self.width = int(np.max(rows - self.rank[U.indices], initial=0))
+        cols = self.rank[U.indices]
+        self.width = int(np.max(rows - cols, initial=0))
         if (self.width + 1) * el.n > np.iinfo(self.rank.dtype).max:
             self.rank = self.rank.astype(np.int64)  # so positions fit
+            rows, cols = rows.astype(np.int64), cols.astype(np.int64)
         self.ab = np.zeros((self.width + 1, el.n), order="F")
         self.loads = 0
-        self.upos = self.place(U)[0]
+        self.upos = self._lower(rows, cols, U.data)[0]
         I = space.interior_dofs
         jump_pos, self.jump = self.place(gradient_jump_matrix(space)[I][:, I])
         look = self.ab.T.reshape(-1).view(np.int32)  # ab is free until loaded
@@ -242,11 +260,10 @@ class _SpaceBand:
             return np.subtract(found, 1, dtype=np.int32)
 
         self.jump_slot = slots(jump_pos)
-        lengths = np.diff(el.indptr)
-        cols = self.rank[el.indices]
+        rows, cols = self.rank[el.rows], self.rank[el.indices]
         self.p_slot = np.full(el.nnz, len(self.upos), dtype=np.int32)
-        self.p_slot[np.repeat(self.rank, lengths) >= cols] = slots(
-            self.place(P)[0])
+        self.p_slot[rows >= cols] = slots(self._lower(rows, cols, P.data)[0])
+        lengths = np.diff(el.indptr)
         self.groups = []
         for L in np.unique(lengths):
             idx = el.indptr[:-1][lengths == L, None] + np.arange(L)
@@ -264,8 +281,11 @@ class _SpaceBand:
         symmetric csr matrix A, each by its own row and column.  Raises
         ValueError for an entry outside the band, in either triangle: it is
         never dropped."""
-        i = np.repeat(self.rank, np.diff(A.indptr))
-        j = self.rank[A.indices]
+        return self._lower(np.repeat(self.rank, np.diff(A.indptr)),
+                           self.rank[A.indices], A.data)
+
+    def _lower(self, i, j, data):
+        # place on the ranks i, j of each entry's row and column
         d = i - j
         reach = np.abs(d).max(initial=0)
         if reach > self.width:
@@ -273,17 +293,14 @@ class _SpaceBand:
                              "diagonal, outside the band of width {}".format(
                                  reach, self.width))
         lower = d >= 0
-        return (d + j * (self.width + 1))[lower], A.data[lower]
+        return (d + j * (self.width + 1))[lower], data[lower]
 
     def load_maps(self, eta=0.0, jac=None, *on_p):
         """Zero-fill ab and load eta Q_II + J^T J + A_1 + A_2 + ..., jac
         (or None) and on_p the data on P of J and of the symmetric A_k;
         returns self.  ValueError, naming the term, for data of any other
         shape than P's (nnz,): it is never broadcast."""
-        for name, data in [("jac", jac)] + [("on_p", a) for a in on_p]:
-            if data is not None and np.shape(data) != self.p_slot.shape:
-                raise ValueError("{} has shape {}, not that of the interior "
-                                 "pattern P".format(name, np.shape(data)))
+        _require_on_p(self.p_slot.shape, jac, on_p)
         acc = np.zeros(len(self.upos) + 1)
         acc[self.jump_slot] = eta * self.jump  # one entry per slot
         for idx, s, t, slot in self.groups if jac is not None else ():
@@ -296,6 +313,15 @@ class _SpaceBand:
         self.loads += 1
         self.ab.T.reshape(-1)[self.upos] = acc[:-1]
         return self
+
+
+def _require_on_p(shape, jac, on_p):
+    """ValueError, naming the term, unless jac (or None) and each of on_p
+    have P's shape (nnz,): such data is never broadcast."""
+    for name, data in [("jac", jac)] + [("on_p", a) for a in on_p]:
+        if data is not None and np.shape(data) != shape:
+            raise ValueError("{} has shape {}, not that of the interior "
+                             "pattern P".format(name, np.shape(data)))
 
 
 def _space_band(space):
@@ -321,8 +347,12 @@ class _BandCholesky:
                                "this factorization")
         perm = self.band.perm
         x = np.empty_like(b, dtype=float)
-        x[perm] = cho_solve_banded((self.cb, True), b[perm],
-                                   overwrite_b=True, check_finite=False)
+        # LAPACK's dpbtrs, as cho_solve_banded calls it: that wrapper's
+        # checks cost half as much again as a level-3 back-solve (55 against
+        # 37 us on one x86-64 core), and an exit refinement takes several
+        x[perm], info = dpbtrs(self.cb, b[perm], lower=1, overwrite_b=1)
+        if info:
+            raise ValueError("dpbtrs argument {} is illegal".format(-info))
         return x
 
 
@@ -427,6 +457,75 @@ class _ConvexityHinge:
         return s, (dofs, vals), normal
 
 
+def _ends_solve(d_sup, gd, phi):
+    """newton_solve's exit test on a direction with sup norm d_sup and
+    grad . d = gd at an iterate of objective value phi."""
+    return d_sup <= TOL_STEP or -gd <= TOL_DECREASE * phi
+
+
+# Iterative refinement of an exit direction on a standing factor: with the
+# solve in working precision, it converges to the exact solve's accuracy
+# whenever it contracts (Skeel, Math. Comp. 35, 1980).  The stopping rule
+# is that of LAPACK's dporfs: at most ITMAX = 5 corrections, each at most
+# half the one before, and converged once a correction is below sqrt(eps)
+# of the direction, a backward error at rounding level for a direction
+# that is itself below the exit tolerances.
+_REFINE_STEPS = 5
+_REFINE_RTOL = float(np.sqrt(np.finfo(float).eps))
+
+
+def _newton_product(el, Q, I, eta, jac, *on_p):
+    """d -> K d for K = eta Q_II + J^T J + A_1 + A_2 + ..., the matrix
+    _SpaceBand.load_maps loads from the same arguments, by the cached csr Q
+    over all dofs (I the interior ones) and the data on P."""
+    _require_on_p((el.nnz,), jac, on_p)
+    on_p = sum(on_p)
+    full = np.zeros(Q.shape[0])
+    starts = el.indptr[:-1]  # no row of P is empty: it holds its diagonal
+
+    def product(d):
+        full[I] = d
+        dc = np.take(d, el.indices)
+        Kd = np.add.reduceat(on_p * dc, starts)
+        Jd = np.add.reduceat(jac * dc, starts)
+        Kd += np.bincount(el.indices, jac * np.take(Jd, el.rows),
+                          minlength=el.n)
+        Kd += eta * (Q @ full)[I]
+        return Kd
+
+    return product
+
+
+def _refined_exit(factor, grad, phi, product):
+    """The Newton direction K d = -grad that ends a solve, by iterative
+    refinement on a standing factor of a nearby matrix, or None.
+
+    The factor's solve of -grad is the first correction.  None, after
+    that one back-solve, when it fails newton_solve's exit test; None too
+    when a correction is not at most half the one before, after
+    _REFINE_STEPS corrections, or when the refined d is not finite, does
+    not descend or fails the exit test.  product is d -> K d.
+    """
+    d = factor.solve(-grad)
+    last = _sup(d)
+    if not _ends_solve(last, float(grad @ d), phi):
+        return None
+    for _ in range(_REFINE_STEPS):
+        c = factor.solve(-grad - product(d))
+        d += c
+        size = _sup(c)
+        if size <= _REFINE_RTOL * _sup(d):
+            gd = float(grad @ d)
+            if np.all(np.isfinite(d)) and gd < 0.0 and _ends_solve(
+                    _sup(d), gd, phi):
+                return d
+            return None
+        if not size <= 0.5 * last:
+            return None
+        last = size
+    return None
+
+
 def _start_on(space, u0):
     """A copy of u0 as a member of space; ValueError when it cannot be."""
     other = u0.space
@@ -481,6 +580,7 @@ def newton_solve(space, f, g, u0=None, config=None):
     band = _space_band(space)
     hinge = _ConvexityHinge(space)
     el = element_layer(space)
+    factor = None  # of the last direction's matrix, while the band holds it
 
     def objective(u_h):
         # Phi at u_h, with the residual and the cell Hessians, lambda1 and
@@ -491,23 +591,35 @@ def newton_solve(space, f, g, u0=None, config=None):
         pen = 0.5 * eta * gradient_jump_seminorm(u_h) ** 2 + hinge.value(t)
         return 0.5 * float(r @ r) + pen, r, (h, lam1, t)
 
-    def direction(u_h, r, cells, try_newton):
-        # r and cells are the residual and (h, lam1, t) at u_h, from
+    def direction(u_h, phi, r, cells, try_newton):
+        # r and cells are Phi's residual and (h, lam1, t) at u_h, from
         # objective.  Returns the step and the gradient J^T r + eta (Q u)_I
         # + S^T s of Phi: the Newton step when try_newton and the Newton
         # matrix H + T gives a finite descent direction, the Gauss-Newton
-        # step on H = eta Q_II + J^T J + S^T S otherwise.
+        # step on H = eta Q_II + J^T J + S^T S otherwise.  A Newton step
+        # that ends the solve is first sought on the standing factor
+        # (_refined_exit), with no load or factorization.
+        nonlocal factor
         h, _, t = cells
         jac = jacobian_data(u_h, hess=h)
         s, (dofs, vals), normal = hinge.residual_and_jacobian(h, t)
-        grad = np.bincount(el.indices, jac * np.repeat(r, np.diff(el.indptr)),
-                           minlength=el.n) + eta * (Q @ u_h.coeffs)[I]
+        grad = eta * (Q @ u_h.coeffs)[I] + np.bincount(
+            el.indices, jac * np.take(r, el.rows), minlength=el.n)
         grad += np.bincount(dofs.ravel(), (s[:, None] * vals).ravel(),
                             minlength=el.n)
         if try_newton:
+            T = second_order_data(space, r)
+            if factor.loaded == band.loads:  # the first direction set it
+                d = _refined_exit(factor, grad, phi,
+                                  _newton_product(el, Q, I, eta, jac,
+                                                  normal, T))
+                if d is not None:
+                    report.newton_directions += 1
+                    report.refined_exits += 1
+                    return d, grad
             try:
-                band.load_maps(eta, jac, normal, second_order_data(space, r))
-                d = _factor_spd(band).solve(-grad)
+                factor = _factor_spd(band.load_maps(eta, jac, normal, T))
+                d = factor.solve(-grad)
                 if np.all(np.isfinite(d)) and float(grad @ d) < 0.0:
                     report.newton_directions += 1
                     return d, grad
@@ -517,7 +629,8 @@ def newton_solve(space, f, g, u0=None, config=None):
             # positive definite, or nearly singular, here
             report.newton_rejections += 1
         report.gauss_newton_directions += 1
-        d = _factor_spd(band.load_maps(eta, jac, normal)).solve(-grad)
+        factor = _factor_spd(band.load_maps(eta, jac, normal))
+        d = factor.solve(-grad)
         if not np.all(np.isfinite(d)):
             raise SingularJacobianError(
                 "singular normal matrix produced a non-finite step; "
@@ -545,11 +658,11 @@ def newton_solve(space, f, g, u0=None, config=None):
     report.record(r)
     full_step = False  # the first direction is Gauss-Newton
     for it in range(config.max_iters):
-        d, grad = direction(u, r, cells, try_newton=full_step)
+        d, grad = direction(u, phi, r, cells, try_newton=full_step)
         report.iterations = it + 1
         gd = float(grad @ d)
         d_sup = _sup(d)
-        small = d_sup <= TOL_STEP or -gd <= TOL_DECREASE * phi
+        small = _ends_solve(d_sup, gd, phi)
         accepted = None if small else line_search(u, phi, d, gd)
         if accepted is None:
             if not small and d_sup > 1e-6:
@@ -600,7 +713,8 @@ def continuation_solve(space, f, g, config=None, u0=None):
         report.stages.append({"eps": float(eps), **stage.to_dict()})
         for key in ("residual_history", "residual_history_sup",
                     "step_history", "iterations", "newton_directions",
-                    "gauss_newton_directions", "newton_rejections"):
+                    "gauss_newton_directions", "newton_rejections",
+                    "refined_exits"):
             setattr(report, key, getattr(report, key) + getattr(stage, key))
         if not stage.converged:
             report.finish(stage.status, False, stage.min_lambda1, t0)

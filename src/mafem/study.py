@@ -256,11 +256,12 @@ def run_measure_verification(problem, u, bumps=None):
         bumps = default_bumps(problem.interior_compact())
     quad = space.error_quadrature()
     fv = space.sample(problem.f, quad)
+    density = ma_measure.cell_density(u)
     residuals = []
     for p in bumps:
         ma_measure.check_interior_support(u, p)
         target = space.integrate(fv * space.sample(p, quad), quad)
-        pairing = ma_measure.measure_pairing(u, p)
+        pairing = ma_measure.measure_pairing(u, p, density)
         residuals.append(abs(pairing - target))
     return {"problem": problem.name, "dofs": int(space.num_dofs),
             "h": float(space.mesh.mesh_size()), "residuals": residuals}

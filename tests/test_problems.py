@@ -163,6 +163,15 @@ class TestCatalogue:
                      truncate_schedule=(10.0, 10.0, 40.0))
         assert ok.truncate_schedule == (10.0, 10.0, 40.0)
 
+    def test_nonfinite_shift_rejected(self):
+        # as the JSON loader rejects it; it used to construct, and the
+        # solve then failed on a non-finite residual
+        prob = get_problem("smooth")
+        for schedule in ((float("inf"),), (float("inf"), 0.0)):
+            with pytest.raises(ValueError, match="finite"):
+                Problem("bad", prob.polygon, prob.f, prob.g,
+                        epsilon_schedule=schedule)
+
     def test_to_dict_serializable(self):
         rec = get_problem("singular").to_dict()
         text = json.dumps(rec)

@@ -95,6 +95,29 @@ def hinge_terms(space, u):
     return hinge.value(t), s, S, normal
 
 
+@pytest.fixture
+def attempts(monkeypatch):
+    # per call of _refined_exit: (accepted, back-solves it took)
+    log = []
+    real_exit = solver._refined_exit
+    real_solve = solver._BandCholesky.solve
+    solves = []
+
+    def solve(factor, b):
+        solves.append(1)
+        return real_solve(factor, b)
+
+    def refined_exit(*args):
+        solves.clear()
+        d = real_exit(*args)
+        log.append((d is not None, len(solves)))
+        return d
+
+    monkeypatch.setattr(solver._BandCholesky, "solve", solve)
+    monkeypatch.setattr(solver, "_refined_exit", refined_exit)
+    return log
+
+
 @pytest.fixture(scope="module")
 def space():
     return FeSpace(triangulate(unit_square(), refinements=3), 2)
@@ -122,6 +145,13 @@ class TestSolverConfig:
                 SolverConfig(continuation_schedule=schedule)
         assert SolverConfig(continuation_schedule=[1.0, 0.0]) \
             .continuation_schedule == (1.0, 0.0)
+
+    def test_nonfinite_shift_rejected(self):
+        # an infinite shift used to pass, and the solve then overflowed
+        for schedule in ([float("inf")], (float("inf"), 1.0),
+                         (1.0, np.float64(-np.inf))):
+            with pytest.raises(ValueError, match="finite"):
+                SolverConfig(continuation_schedule=schedule)
 
     def test_increasing_shift_rejected(self):
         # [0.0, 1.0] would solve f + 1 last and report it converged
@@ -627,33 +657,42 @@ class TestNewtonDirections:
         ("smooth", 2), ("smooth", 3), ("envelope", 2), ("singular", 2)])
     def test_factors_once_per_iteration_and_rejection(self, events, problem,
                                                       refinements):
-        # A solve factors iterations + newton_rejections times, plus once
-        # for the Poisson start; every iteration takes one direction.
+        # A solve factors iterations + newton_rejections - refined_exits
+        # times, plus once for the Poisson start; every iteration takes one
+        # direction, and a refined exit is a Newton direction taken on the
+        # standing factor.
         p = get_problem(problem)
         _, _, reports = solve_problem(p, refinements=refinements)
         for rep in reports:
             assert (rep["newton_directions"] + rep["gauss_newton_directions"]
                     == rep["iterations"])
+            assert 0 <= rep["refined_exits"] <= rep["newton_directions"]
         poisson = 1  # only the first stage starts cold
         assert events.count("F") == poisson + sum(
-            rep["iterations"] + rep["newton_rejections"] for rep in reports)
+            rep["iterations"] + rep["newton_rejections"] - rep["refined_exits"]
+            for rep in reports)
         assert sum(rep["newton_directions"] for rep in reports) > 0
+        assert sum(rep["refined_exits"] for rep in reports) > 0
 
     @pytest.mark.parametrize("term", ["indefinite", "non_finite"])
     def test_rejected_newton_falls_back_to_gauss_newton(
-            self, monkeypatch, events, term):
+            self, monkeypatch, events, attempts, term):
         # -1e8 I makes the Newton matrix negative definite, so its step
         # climbs; nan I leaves no finite step or no factor.  Every Newton
         # try is then rejected, and the solve runs on Gauss-Newton.  The
         # broken term is data on the element layer's interior pattern, as
-        # the second-order term is.
+        # the second-order term is.  The last Gauss-Newton direction
+        # passes the exit test, but its refinement against the broken
+        # Newton matrix does not contract (its corrections grow, or are
+        # nan): that attempt declines after refining, and the solve
+        # factors as if there were no refinement.
         space = FeSpace(triangulate(unit_square(), refinements=3), 2)
         ref, _ = newton_solve(space, smooth_f, smooth_exact)
         events.clear()
+        attempts.clear()
         scale = -1e8 if term == "indefinite" else np.nan
         el = assembly.element_layer(space)
-        rows = np.repeat(np.arange(el.n), np.diff(el.indptr))
-        diagonal = np.where(el.indices == rows, scale, 0.0)
+        diagonal = np.where(el.indices == el.rows, scale, 0.0)
 
         def broken_term(_space, r):
             events.append("T")
@@ -666,6 +705,9 @@ class TestNewtonDirections:
         assert report.gauss_newton_directions == report.iterations
         tries = events.count("T")
         assert report.newton_rejections == tries > 0
+        assert report.refined_exits == 0
+        assert not any(ok for ok, _ in attempts)
+        assert any(n >= 2 for _, n in attempts)  # refined, then declined
         assert events.count("F") == 1 + report.iterations + tries
         assert np.max(np.abs(u.coeffs - ref.coeffs)) <= 1e-8
 
@@ -701,6 +743,88 @@ class TestNewtonDirections:
         assert d["newton_directions"] > 0
         assert (d["newton_directions"] + d["gauss_newton_directions"]
                 == d["iterations"])
+
+
+class TestRefinedExit:
+    """The exit direction refined on the standing factor (_refined_exit)."""
+
+    @pytest.mark.parametrize("refinements,k", [(2, 2), (3, 2), (2, 3),
+                                               (3, 3)])
+    def test_matches_the_factored_exit(self, monkeypatch, refinements, k):
+        # With the refinement declined, the exit direction is loaded and
+        # factored as before it existed.  Both paths take the same
+        # directions and return the same iterate, a critical point.
+        space = FeSpace(triangulate(unit_square(), refinements=refinements),
+                        k)
+        u, report = newton_solve(space, smooth_f, smooth_exact)
+        monkeypatch.setattr(solver, "_refined_exit", lambda *args: None)
+        v, old = newton_solve(space, smooth_f, smooth_exact)
+        assert (report.refined_exits, old.refined_exits) == (1, 0)
+        for key in ("iterations", "newton_directions",
+                    "gauss_newton_directions", "newton_rejections"):
+            assert getattr(report, key) == getattr(old, key)
+        assert np.abs(u.coeffs - v.coeffs).max() <= \
+            1e-12 * np.abs(v.coeffs).max()
+        for w in (u, v):
+            assert np.abs(objective_gradient(w, smooth_f)).max() <= 5e-12
+
+    def test_declined_attempt_costs_one_back_solve(self, attempts,
+                                                   monkeypatch):
+        # A lagged direction that does not end the solve is declined after
+        # the one back-solve that took it; an accepted one was refined.
+        # Each Newton try builds one second-order term, refined or not.
+        terms = []
+        real = solver.second_order_data
+
+        def counted(*args):
+            terms.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(solver, "second_order_data", counted)
+        space = FeSpace(triangulate(unit_square(), refinements=3), 2)
+        _, report = newton_solve(space, smooth_f, smooth_exact)
+        declined = [n for ok, n in attempts if not ok]
+        assert declined and declined == [1] * len(declined)
+        assert [ok for ok, _ in attempts] == [False] * len(declined) + [True]
+        assert attempts[-1][1] >= 2
+        assert len(terms) == report.newton_directions + \
+            report.newton_rejections
+
+    def test_report_counts_one_per_solve(self, coarse_space):
+        # refined_exits is 0 or 1 per newton_solve, summed over the stages
+        # of a continuation, and serialized with the other counts.
+        cfg = SolverConfig(continuation_schedule=(1.0, 0.25, 0.0))
+        _, report = continuation_solve(coarse_space, smooth_f, smooth_exact,
+                                       cfg)
+        d = json.loads(report.to_json())
+        assert all(s["refined_exits"] in (0, 1) for s in d["stages"])
+        assert d["refined_exits"] == report.refined_exits == sum(
+            s["refined_exits"] for s in d["stages"]) > 0
+        _, single = newton_solve(coarse_space, smooth_f, smooth_exact)
+        assert single.to_dict()["refined_exits"] == 1
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_product_matches_the_loaded_matrix(self, k):
+        # K d by the element arrays and the cached Q against the dense
+        # matrix load_maps puts in the band from the same terms, on a rough
+        # concave iterate whose hinge is active.
+        space = FeSpace(triangulate(PENTAGON, refinements=2), k)
+        u = interpolate(space, lambda p: -np.sum(np.atleast_2d(p) ** 2, 1))
+        u.coeffs += 0.1 * np.random.default_rng(k).standard_normal(
+            space.num_dofs)
+        el = assembly.element_layer(space)
+        jac = data_on_p(space, jacobian(u))
+        normal = hinge_terms(space, u)[3]
+        T = assembly.second_order_data(space, residual(u, smooth_f))
+        eta = solver.JUMP_PENALTY
+        band = _space_band(space).load_maps(eta, jac, normal, T)
+        K = band_to_dense(band)
+        product = solver._newton_product(el, gradient_jump_matrix(space),
+                                         space.interior_dofs, eta, jac,
+                                         normal, T)
+        d = np.random.default_rng(0).standard_normal(el.n)
+        assert np.abs(product(d) - K @ d).max() <= \
+            1e-13 * np.abs(K).max() * np.abs(d).sum()
 
 
 def basis_table_hinge(space, u):
@@ -875,7 +999,8 @@ class TestBand:
         # directions and an active hinge places no term, forms no sparse
         # matrix product and calls no np.add.at: every load is a few
         # np.bincount calls on the maps.  It factors once per direction
-        # and rejection, plus once for the Poisson start.
+        # and rejection, less one per exit refined on the standing factor,
+        # plus once for the Poisson start.
         counts = {"place": 0, "product": 0, "add.at": 0, "hinge": 0,
                   "factor": 0}
         building = []
@@ -931,8 +1056,10 @@ class TestBand:
         _, _, reports = solve_problem(get_problem("singular"), refinements=2)
         assert counts["hinge"] > 0
         assert sum(rep["newton_directions"] for rep in reports) > 0
+        assert sum(rep["refined_exits"] for rep in reports) > 0
         assert counts["factor"] == 1 + sum(
-            rep["iterations"] + rep["newton_rejections"] for rep in reports)
+            rep["iterations"] + rep["newton_rejections"] - rep["refined_exits"]
+            for rep in reports)
         assert (counts["place"], counts["product"], counts["add.at"]) == \
             (0, 0, 0)
 
@@ -999,6 +1126,43 @@ class TestBand:
         finer = FeSpace(triangulate(unit_square(), refinements=3), 2)
         newton_solve(finer, smooth_f, smooth_exact)
         assert len(orders) == 2
+
+    @pytest.mark.parametrize("polygon,k", [("square", 2), ("square", 3),
+                                           ("pentagon", 2)])
+    def test_maps_match_placing_each_matrix(self, polygon, k):
+        # The build ranks U's and P's entries once and places them without
+        # place(); its width, positions and every slot map equal, value and
+        # dtype, those that place() gives for U = P^T P, Q_II and P.
+        domain = unit_square() if polygon == "square" else PENTAGON
+        space = FeSpace(triangulate(domain, refinements=2), k)
+        band = solver._SpaceBand(space)
+        el = assembly.element_layer(space)
+        P = el.csr(np.ones(el.nnz))
+        U = P @ P
+        rank = band.rank
+        assert band.width == int(np.max(
+            np.repeat(rank, np.diff(U.indptr)) - rank[U.indices]))
+        upos = band.place(U)[0]
+        assert upos.dtype == band.upos.dtype
+        assert np.array_equal(band.upos, upos)
+        I = space.interior_dofs
+        jump_pos, jump = band.place(gradient_jump_matrix(space)[I][:, I])
+        assert np.array_equal(band.jump, jump)
+        for slot in [band.jump_slot, band.p_slot] + [
+                g[3] for g in band.groups]:
+            assert slot.dtype == np.int32
+        assert np.array_equal(band.upos[band.jump_slot], jump_pos)
+        lower = np.repeat(rank, np.diff(el.indptr)) >= rank[el.indices]
+        assert np.array_equal(band.upos[band.p_slot[lower]],
+                              band.place(P)[0])
+        assert np.all(band.p_slot[~lower] == len(upos))
+        cols = rank[el.indices]
+        for idx, s, t, slot in band.groups:
+            c = cols[idx]
+            assert np.all(c[:, s] >= c[:, t])
+            assert np.array_equal(band.upos[slot],
+                                  c[:, s] - c[:, t]
+                                  + c[:, t] * (band.width + 1))
 
     def test_entry_outside_the_band_raises(self, coarse_space):
         # An entry joining the two ends of the order, in either triangle,

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from mafem.errors import NonConvergenceError
-from mafem.fespace import FeSpace
+from mafem.fespace import FeFunction, FeSpace
 from mafem.mesh import triangulate
 from mafem.problems import get_problem, problem_from_json
-from mafem import study
+from mafem import ma_measure, study
 from mafem.solver import SolverConfig, continuation_solve
 from mafem.study import (StudyReport, default_bumps, interior_grid,
                          run_convergence_study, run_measure_verification,
@@ -385,6 +385,30 @@ class TestMeasureVerification:
         rec = run_measure_verification(paraboloid, u)
         assert rec["dofs"] == space.num_dofs
         assert max(rec["residuals"]) <= 1e-9
+
+    def test_one_hessian_evaluation_per_verification(self, monkeypatch):
+        # The solution's det D2u at the error rule is evaluated once and
+        # paired with every bump; the residuals are those of one
+        # measure_pairing per bump.
+        prob = get_problem("smooth")
+        u, space, _ = solve_problem(prob, refinements=2)
+        quad = space.error_quadrature()
+        fv = space.sample(prob.f, quad)
+        bumps = default_bumps(prob.interior_compact())
+        per_bump = [abs(ma_measure.measure_pairing(u, p)
+                        - space.integrate(fv * space.sample(p, quad), quad))
+                    for p in bumps]
+        calls = []
+        real = FeFunction.cell_hessians
+
+        def counted(v, q):
+            calls.append(q)
+            return real(v, q)
+
+        monkeypatch.setattr(FeFunction, "cell_hessians", counted)
+        rec = run_measure_verification(prob, u)
+        assert len(calls) == 1
+        assert np.allclose(rec["residuals"], per_bump, rtol=1e-14, atol=0.0)
 
     def test_boundary_supported_bump_rejected(self, paraboloid):
         u, _, _ = solve_problem(paraboloid, refinements=1)
