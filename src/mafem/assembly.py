@@ -13,8 +13,8 @@ of jacobian_data and second_order_data in csr.
 Everything that depends only on the space is computed once and cached on
 it: the default quadrature rule, the packed Hessian push-forward of every
 cell, the integration weights |K| w_q phi_i(x_q) and the interior sparsity
-(element_layer, which the convexity hinge reads too), and the edge jump
-operator with its Gram matrix (gradient_jump_matrix).  A residual,
+(element_layer), and the edge jump operator with its Gram matrix
+(gradient_jump_matrix).  A residual,
 Jacobian or second-order term is then a few numpy kernels and one
 np.bincount, on the Hessians of FeFunction.cell_hessians.
 """

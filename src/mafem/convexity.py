@@ -1,12 +1,18 @@
 """Cellwise convexity diagnostics and strict-convexity repair.
 
 Convexity of a piecewise polynomial is certified by sampling the cellwise
-Hessian at the points of the space's assembly rule, as the residual and
-the solver's hinge do: for degree 2 the Hessian is constant per cell and
-the check is exact; for higher degrees it is sampled, and a function
-counts as convex when no sampled eigenvalue is below -CONVEX_TOL.
-Strictification adds the interpolant of eps*|x - x0|^2, shifting every
-Hessian eigenvalue up by exactly 2*eps.
+Hessian at the points of the space's assembly rule, as the residual
+does: for degree 2 the Hessian is constant per cell and the check is
+exact; for higher degrees it is sampled, and a function counts as convex
+when no sampled eigenvalue is below -CONVEX_TOL.  A report keeps the
+interior cells, those with no boundary vertex, apart: pinned boundary
+data without a convex extension forces a concave layer on the cells that
+touch the boundary, so study.solve_problem certifies a solution by the
+interior cells alone, rejecting it when their smallest eigenvalue is
+below -CONVEX_ALLOWANCE = -1e-2.  The check reads cell Hessians only, so
+it misses a concave kink across an edge.  Strictification adds the
+interpolant of eps*|x - x0|^2, shifting every Hessian eigenvalue up by
+exactly 2*eps.
 """
 
 import json
@@ -16,6 +22,7 @@ import numpy as np
 from .fespace import FeFunction, interpolate
 
 CONVEX_TOL = 1e-9
+CONVEX_ALLOWANCE = 1e-2
 
 
 def eigmin_2x2(hxx, hxy, hyy):
@@ -26,14 +33,23 @@ def eigmin_2x2(hxx, hxy, hyy):
 
 
 class ConvexityReport:
-    """Per-cell Hessian eigenvalue and determinant minima of an FE function."""
+    """Per-cell Hessian eigenvalue and determinant minima of an FE function.
 
-    def __init__(self, cell_min_lambda1, cell_min_det, sample_order, tol):
+    interior marks the cells with no boundary vertex; interior_min_lambda1
+    is the smallest eigenvalue over them, None when there is none.
+    """
+
+    def __init__(self, cell_min_lambda1, cell_min_det, sample_order, tol,
+                 interior):
         self.cell_min_lambda1 = np.asarray(cell_min_lambda1, dtype=float)
         self.cell_min_det = np.asarray(cell_min_det, dtype=float)
         self.sample_order = int(sample_order)
         self.tol = float(tol)
+        self.interior = np.asarray(interior, dtype=bool)
         self.global_min_lambda1 = float(self.cell_min_lambda1.min())
+        self.interior_min_lambda1 = (
+            float(self.cell_min_lambda1[self.interior].min())
+            if self.interior.any() else None)
         self.global_min_det = float(self.cell_min_det.min())
         self.convex = bool(self.global_min_lambda1 >= -self.tol)
         self.strictly_convex = bool(self.global_min_det > 0.0
@@ -42,6 +58,7 @@ class ConvexityReport:
     def to_dict(self, per_cell=False):
         out = {
             "global_min_lambda1": self.global_min_lambda1,
+            "interior_min_lambda1": self.interior_min_lambda1,
             "global_min_det": self.global_min_det,
             "convex": self.convex,
             "strictly_convex": self.strictly_convex,
@@ -70,12 +87,14 @@ def analyze(u_h):
     (FeSpace.default_quadrature); u_h counts as convex when no sampled
     eigenvalue is below -CONVEX_TOL.
     """
+    mesh = u_h.space.mesh
     quad = u_h.space.default_quadrature()
     hess = u_h.cell_hessians(quad)
     lam1 = eigmin_2x2(hess[:, :, 0], hess[:, :, 1], hess[:, :, 2])
     det = hess[:, :, 0] * hess[:, :, 2] - hess[:, :, 1] ** 2
     return ConvexityReport(lam1.min(axis=1), det.min(axis=1),
-                           quad.order, CONVEX_TOL)
+                           quad.order, CONVEX_TOL,
+                           ~mesh.boundary_vertex_mask[mesh.cells].any(axis=1))
 
 
 def strictify(u_h, eps, x0=None):

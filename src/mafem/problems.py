@@ -51,9 +51,9 @@ class Problem:
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("mesh levels must strictly increase, got {}"
                              .format(list(self.levels)))
-        # rejects a negative or increasing shift and a truncation level
-        # M <= 0 or below the one before it when the problem is read,
-        # before any solve
+        # rejects a negative or increasing shift, a truncation level M <= 0
+        # or below the one before it and a mollification radius that is not
+        # positive and finite when the problem is read, before any solve
         SolverConfig(continuation_schedule=self.epsilon_schedule)
         M = list(self.truncate_schedule)
         if not all(m > 0 for m in M):
@@ -62,6 +62,10 @@ class Problem:
         if any(b < a for a, b in zip(M, M[1:])):
             raise ValueError("truncation levels M must not decrease, got {}"
                              .format(M))
+        r = self.mollify_radius
+        if r is not None and not 0.0 < r < np.inf:
+            raise ValueError("mollify_radius must be positive and finite, "
+                             "got {!r}".format(r))
 
     def interior_compact(self):
         """Fixed compact for interior sup-norm errors, set by the inradius."""

@@ -5,18 +5,21 @@ nodes, unknowns numbered by FeSpace.interior_index on one given space):
 
 * newton_solve: damped Gauss-Newton, switching to Newton (see below), on
   the penalized least-squares objective
-  Phi(c) = 1/2 ||r(c)||^2 + eta/2 * |u|_J^2 + hinge(c), where |u|_J is
-  the gradient-jump seminorm across interior edges and hinge is a
-  quadratic penalty on negative Hessian eigenvalues over interior cells.
-  The cofactor Jacobian is structurally rank deficient (its null directions
-  are fields whose cellwise Hessian contraction vanishes while
-  normal-derivative jumps move freely), so the plain discrete problem has
-  manifolds of quasi-solutions; the jump penalty selects the one closest to
-  gradient continuity and makes the Gauss-Newton normal matrix positive
-  definite, while the hinge steers the iteration onto the convex branch
-  (the determinant alone cannot tell the branches apart).  For data with an
-  exact discrete solution whose gradient is continuous (e.g. quadratic
-  patches) the penalized minimizer is that exact solution.
+  Phi(c) = 1/2 ||r(c)||^2 + eta/2 * |u|_J^2, where |u|_J is the
+  gradient-jump seminorm across interior edges.  The cofactor Jacobian is
+  structurally rank deficient (its null directions are fields whose
+  cellwise Hessian contraction vanishes while normal-derivative jumps move
+  freely), so the plain discrete problem has manifolds of quasi-solutions;
+  the jump penalty selects the one closest to gradient continuity and
+  makes the Gauss-Newton normal matrix positive definite.  For data with
+  an exact discrete solution whose gradient is continuous (e.g. quadratic
+  patches) the penalized minimizer is that exact solution.  The objective
+  has no convexity constraint, as the standard discretization has none:
+  a solve returns a penalized least-squares stationary point, and its
+  report's min_lambda1, the smallest Hessian eigenvalue of the returned
+  iterate, says on which branch (the determinant alone cannot tell a
+  convex iterate from a concave one).  study.solve_problem certifies
+  convexity once, on the iterate that ends its whole path.
 * continuation_solve: warm-started sweep over a decreasing schedule of
   positive shifts f + eps, for degenerate or unbounded data.  The first
   stage that does not converge ends the sweep.
@@ -28,8 +31,6 @@ a test can monkeypatch it:
 * JUMP_PENALTY = 1e-2, the weight eta of |u|_J^2.  It makes the normal
   matrix definite; the bias it puts on the minimizer grows with it and
   sets the error floor of the convergence studies.
-* CONVEX_PENALTY = 1, which weighs a hinge deficit like a residual of the
-  same size, and CONVEX_ALLOWANCE = 1e-2 (see _ConvexityHinge).
 * TOL_STEP = 1e-10, the sup norm of a direction, and TOL_DECREASE =
   1e-10, the decrease -grad . d it predicts relative to Phi (the Newton
   decrement test of Dennis & Schnabel, Numerical Methods for
@@ -48,13 +49,13 @@ coefficients, so T is exact and cheap (assembly.second_order_data).  The
 switch follows Fletcher & Xu (IMA J. Numer. Anal. 7, 1987; Dennis &
 Schnabel, ch. 10): the first direction of a solve, and every direction
 after a damped step, is Gauss-Newton.  After an accepted full step the
-iteration tries the Newton matrix J^T J + T + eta Q_II (+ S^T S).  It
-keeps that direction only if the factorization succeeds (the matrix is
-positive definite), the step is finite and it descends (grad . d < 0);
-otherwise, in the same iteration, it counts a Newton rejection and takes
-the Gauss-Newton direction.  The hinge enters through S^T S only.  The
-report counts newton_directions, gauss_newton_directions (they sum to
-iterations), newton_rejections and refined_exits.
+iteration tries the Newton matrix J^T J + T + eta Q_II.  It keeps that
+direction only if the factorization succeeds (the matrix is positive
+definite), the step is finite and it descends (grad . d < 0); otherwise,
+in the same iteration, it counts a Newton rejection and takes the
+Gauss-Newton direction.  The report counts newton_directions,
+gauss_newton_directions (they sum to iterations), newton_rejections and
+refined_exits.
 
 A Newton direction that ends the solve needs no factorization of its own.
 After a full step the last direction's factor still stands, since nothing
@@ -69,36 +70,34 @@ not end the solve is thus a fresh factor's: refining every Newton
 direction on a lagged factor saved factorizations but was slower on two
 of the three benchmark workloads.
 
-The Gauss-Newton normal matrix J^T J + eta Q_II (+ S^T S), definite
-through the jump penalty, and the interior Poisson stiffness matrix are
-symmetric positive definite; the Newton matrix is symmetric but can be
-indefinite away from a minimizer.  All of them are factored by one
-routine, _factor_spd: LAPACK's banded Cholesky (dpbtrf) on a reverse
-Cuthill-McKee order, the band method of George & Liu (Computer Solution
-of Large Sparse Positive Definite Systems, 1981, ch. 4), in the space's
-one band workspace (_SpaceBand), loaded through maps computed once.  Every
-term reaches it as (nnz,) data on P, the element layer's interior pattern
-(assembly.jacobian_data, second_order_data, the hinge's S^T S, the
-Poisson stiffness); other data raises ValueError.  The hinge returns its
-rows of S as (cell dofs, values), so the gradient J^T r + eta (Q u)_I +
-S^T s is two np.bincounts and the csr product Q u: after its setup a
-solve, its Poisson start included, builds no sparse matrix.  A matrix
-that is not positive definite has a non-positive pivot and is rejected.
+The Gauss-Newton normal matrix J^T J + eta Q_II, definite through the
+jump penalty, and the interior Poisson stiffness matrix are symmetric
+positive definite; the Newton matrix is symmetric but can be indefinite
+away from a minimizer.  All of them are factored by one routine,
+_factor_spd: LAPACK's banded Cholesky (dpbtrf) on a reverse Cuthill-McKee
+order, the band method of George & Liu (Computer Solution of Large Sparse
+Positive Definite Systems, 1981, ch. 4), in the space's one band
+workspace (_SpaceBand), loaded through maps computed once.  Every term
+reaches it as (nnz,) data on P, the element layer's interior pattern
+(assembly.jacobian_data, second_order_data, the Poisson stiffness); other
+data raises ValueError.  The gradient J^T r + eta (Q u)_I is one
+np.bincount and the csr product Q u: after its setup a solve, its Poisson
+start included, builds no sparse matrix.  A matrix that is not positive
+definite has a non-positive pivot and is rejected.
 
 newton_solve samples f at the quadrature points once, for the positivity
 check, the Poisson start and every residual of the solve; the residual,
-the Jacobian, the hinge and the jump values run on tables built once per
-space (see assembly.element_layer and assembly.gradient_jump_seminorm).
-The cell Hessians of each iterate and their lambda1 are evaluated once,
-by the objective, and shared by its residual and hinge, by the direction
-taken from it and, for the final iterate, by the report's min_lambda1.
-Phi's jump term is evaluated from the jump values, not as c.Qc: the
-quadratic form cancels to about 1e-16 absolute, which would hide the
-decrease of a full step once the residual is below about 1e-8.  A solve
-factors only to take a direction, and a factor lives only until the next
-matrix is loaded, so a solve factors exactly report.iterations +
-report.newton_rejections - report.refined_exits times (plus once for a
-Poisson start).
+the Jacobian and the jump values run on tables built once per space (see
+assembly.element_layer and assembly.gradient_jump_seminorm).  The cell
+Hessians of each iterate are evaluated once, by the objective, and shared
+by its residual, by the direction taken from it and, for the final
+iterate, by the report's min_lambda1.  Phi's jump term is evaluated from
+the jump values, not as c.Qc: the quadratic form cancels to about 1e-16
+absolute, which would hide the decrease of a full step once the residual
+is below about 1e-8.  A solve factors only to take a direction, and a
+factor lives only until the next matrix is loaded, so a solve factors
+exactly report.iterations + report.newton_rejections -
+report.refined_exits times (plus once for a Poisson start).
 """
 
 import json
@@ -118,8 +117,6 @@ from .errors import NonConvergenceError, SingularJacobianError
 from .fespace import FeFunction
 
 JUMP_PENALTY = 1e-2
-CONVEX_PENALTY = 1.0
-CONVEX_ALLOWANCE = 1e-2
 TOL_STEP = 1e-10
 TOL_DECREASE = 1e-10
 ARMIJO = 1e-4
@@ -212,7 +209,7 @@ class _SpaceBand:
     """The band workspace of a space, loaded by np.bincount through maps.
 
     Built once from the space's pattern U = P^T P, which holds every matrix
-    it will be loaded with (J, T, S^T S and the Poisson matrix lie on P;
+    it will be loaded with (J, T and the Poisson matrix lie on P;
     Q_II on P^T P, as the two cells of an interior edge share an interior
     dof on that edge): perm is U's reverse Cuthill-McKee order, width
     the largest distance of an entry of U from the diagonal on that order,
@@ -295,11 +292,11 @@ class _SpaceBand:
         lower = d >= 0
         return (d + j * (self.width + 1))[lower], data[lower]
 
-    def load_maps(self, eta=0.0, jac=None, *on_p):
-        """Zero-fill ab and load eta Q_II + J^T J + A_1 + A_2 + ..., jac
-        (or None) and on_p the data on P of J and of the symmetric A_k;
-        returns self.  ValueError, naming the term, for data of any other
-        shape than P's (nnz,): it is never broadcast."""
+    def load_maps(self, eta=0.0, jac=None, on_p=None):
+        """Zero-fill ab and load eta Q_II + J^T J + A, jac and on_p (each
+        or None) the data on P of J and of the symmetric A; returns self.
+        ValueError, naming the term, for data of any other shape than P's
+        (nnz,): it is never broadcast."""
         _require_on_p(self.p_slot.shape, jac, on_p)
         acc = np.zeros(len(self.upos) + 1)
         acc[self.jump_slot] = eta * self.jump  # one entry per slot
@@ -307,8 +304,8 @@ class _SpaceBand:
             prod = jac[idx][:, s]
             prod *= jac[idx][:, t]
             acc += np.bincount(slot.ravel(), prod.ravel(), minlength=acc.size)
-        if on_p:
-            acc += np.bincount(self.p_slot, sum(on_p), minlength=acc.size)
+        if on_p is not None:
+            acc += np.bincount(self.p_slot, on_p, minlength=acc.size)
         self.ab.fill(0.0)
         self.loads += 1
         self.ab.T.reshape(-1)[self.upos] = acc[:-1]
@@ -316,9 +313,9 @@ class _SpaceBand:
 
 
 def _require_on_p(shape, jac, on_p):
-    """ValueError, naming the term, unless jac (or None) and each of on_p
+    """ValueError, naming the term, unless jac and on_p (each or None)
     have P's shape (nnz,): such data is never broadcast."""
-    for name, data in [("jac", jac)] + [("on_p", a) for a in on_p]:
+    for name, data in (("jac", jac), ("on_p", on_p)):
         if data is not None and np.shape(data) != shape:
             raise ValueError("{} has shape {}, not that of the interior "
                              "pattern P".format(name, np.shape(data)))
@@ -398,65 +395,6 @@ def default_initial_guess(space, f, g):
     return u
 
 
-class _ConvexityHinge:
-    """Quadratic hinge penalty on negative Hessian eigenvalues.
-
-    The determinant residual cannot tell a convex iterate from a concave
-    one (det is sign-symmetric under u -> -u up to boundary data), so for
-    degenerate or envelope-type data the unpenalized objective admits
-    mixed-signature minimizers.  This term adds
-    CONVEX_PENALTY/2 * sum_{K, q} w_q |K| max(0, -(lambda1 + allowance))^2,
-    with allowance = CONVEX_ALLOWANCE, on the element layer at the points of
-    the assembly rule over cells with no boundary dof.  Cells touching the
-    boundary are exempt because pinned data without a convex extension
-    genuinely forces a concave layer there; the allowance keeps the hinge
-    inactive near weakly convex iterates (lambda1 >= -allowance).
-    """
-
-    def __init__(self, space):
-        self.el = el = element_layer(space)
-        exempt = (el.res_index.reshape(len(el.weights), -1) == el.n).any(1)
-        self.weights = CONVEX_PENALTY * np.where(exempt[:, None], 0.0,
-                                                 el.weights)
-
-    def deficits(self, h):
-        """lambda1 of the cell Hessians h (nc, nq, 3) at the assembly rule,
-        and the hinge activations, 0 on exempt cells."""
-        lam1 = convexity.eigmin_2x2(h[..., 0], h[..., 1], h[..., 2])
-        return lam1, np.where(self.weights > 0.0,
-                              np.maximum(0.0, -(lam1 + CONVEX_ALLOWANCE)), 0.0)
-
-    def value(self, t):
-        """The penalty at the activations t from deficits."""
-        return 0.5 * float(np.sum(self.weights * t * t))
-
-    def residual_and_jacobian(self, h, t):
-        """Weighted hinge values s, the rows of S = ds/dc as (cell dofs,
-        values), each (len(s), nloc), and S^T S as data on P (each row's
-        outer product, summed by jac_index), at h and its activations t."""
-        el = self.el
-        ci, qi = np.nonzero(t)
-        sw = np.sqrt(self.weights[ci, qi])
-        s = sw * t[ci, qi]
-        hxx, hxy, hyy = h[ci, qi, 0], h[ci, qi, 1], h[ci, qi, 2]
-        rad = np.maximum(np.sqrt((0.5 * (hxx - hyy)) ** 2 + hxy ** 2),
-                         1e-300)
-        dlam = np.column_stack([0.5 - (hxx - hyy) / (4.0 * rad),
-                                -hxy / rad,
-                                0.5 + (hxx - hyy) / (4.0 * rad)])
-        # d lambda1 . (push @ r) = (d lambda1 @ push) . r for the packed
-        # reference Hessian r of each basis function
-        dref = np.einsum("am,amb->ab", dlam, el.push[ci])
-        vals = -sw[:, None] * np.einsum("ab,alb->al", dref,
-                                        el.ref_hess[qi])
-        dofs = el.res_index.reshape(len(el.weights), -1)[ci]  # all interior
-        idx = el.jac_index.reshape(len(el.weights), -1)[ci]
-        normal = np.bincount(idx.ravel(),
-                             (vals[:, :, None] * vals[:, None]).ravel(),
-                             minlength=el.nnz + 1)[:el.nnz]
-        return s, (dofs, vals), normal
-
-
 def _ends_solve(d_sup, gd, phi):
     """newton_solve's exit test on a direction with sup norm d_sup and
     grad . d = gd at an iterate of objective value phi."""
@@ -474,12 +412,11 @@ _REFINE_STEPS = 5
 _REFINE_RTOL = float(np.sqrt(np.finfo(float).eps))
 
 
-def _newton_product(el, Q, I, eta, jac, *on_p):
-    """d -> K d for K = eta Q_II + J^T J + A_1 + A_2 + ..., the matrix
+def _newton_product(el, Q, I, eta, jac, on_p):
+    """d -> K d for K = eta Q_II + J^T J + A, the matrix
     _SpaceBand.load_maps loads from the same arguments, by the cached csr Q
-    over all dofs (I the interior ones) and the data on P."""
+    over all dofs (I the interior ones) and the data on P of J and A."""
     _require_on_p((el.nnz,), jac, on_p)
-    on_p = sum(on_p)
     full = np.zeros(Q.shape[0])
     starts = el.indptr[:-1]  # no row of P is empty: it holds its diagonal
 
@@ -546,7 +483,8 @@ def newton_solve(space, f, g, u0=None, config=None):
     * when |d|_inf <= TOL_STEP or -grad . d <= TOL_DECREASE * Phi, it takes
       the whole step and returns with status "stationary": the iterate is
       a penalized least-squares critical point, the meaningful notion of
-      discrete solution when no exact one exists;
+      discrete solution when no exact one exists.  It may be non-convex:
+      report.min_lambda1 is its smallest sampled Hessian eigenvalue;
     * when Armijo halves the step below MIN_STEP, the predicted decrease
       is below the evaluation noise of Phi.  With |d|_inf <= 1e-6 the
       iterate is terminal and the solve takes the whole step and returns
@@ -578,47 +516,40 @@ def newton_solve(space, f, g, u0=None, config=None):
     quad = space.default_quadrature()
     Q = gradient_jump_matrix(space)
     band = _space_band(space)
-    hinge = _ConvexityHinge(space)
     el = element_layer(space)
     factor = None  # of the last direction's matrix, while the band holds it
 
     def objective(u_h):
-        # Phi at u_h, with the residual and the cell Hessians, lambda1 and
-        # hinge activations it was built from, for the next direction
+        # Phi at u_h, with the residual and the cell Hessians it was built
+        # from, for the next direction
         h = u_h.cell_hessians(quad)
-        lam1, t = hinge.deficits(h)
         r = residual(u_h, fq, hess=h)
-        pen = 0.5 * eta * gradient_jump_seminorm(u_h) ** 2 + hinge.value(t)
-        return 0.5 * float(r @ r) + pen, r, (h, lam1, t)
+        pen = 0.5 * eta * gradient_jump_seminorm(u_h) ** 2
+        return 0.5 * float(r @ r) + pen, r, h
 
-    def direction(u_h, phi, r, cells, try_newton):
-        # r and cells are Phi's residual and (h, lam1, t) at u_h, from
+    def direction(u_h, phi, r, h, try_newton):
+        # r and h are Phi's residual and cell Hessians at u_h, from
         # objective.  Returns the step and the gradient J^T r + eta (Q u)_I
-        # + S^T s of Phi: the Newton step when try_newton and the Newton
-        # matrix H + T gives a finite descent direction, the Gauss-Newton
-        # step on H = eta Q_II + J^T J + S^T S otherwise.  A Newton step
-        # that ends the solve is first sought on the standing factor
-        # (_refined_exit), with no load or factorization.
+        # of Phi: the Newton step when try_newton and the Newton matrix
+        # H + T gives a finite descent direction, the Gauss-Newton step on
+        # H = eta Q_II + J^T J otherwise.  A Newton step that ends the
+        # solve is first sought on the standing factor (_refined_exit),
+        # with no load or factorization.
         nonlocal factor
-        h, _, t = cells
         jac = jacobian_data(u_h, hess=h)
-        s, (dofs, vals), normal = hinge.residual_and_jacobian(h, t)
         grad = eta * (Q @ u_h.coeffs)[I] + np.bincount(
             el.indices, jac * np.take(r, el.rows), minlength=el.n)
-        grad += np.bincount(dofs.ravel(), (s[:, None] * vals).ravel(),
-                            minlength=el.n)
         if try_newton:
             T = second_order_data(space, r)
             if factor.loaded == band.loads:  # the first direction set it
                 d = _refined_exit(factor, grad, phi,
-                                  _newton_product(el, Q, I, eta, jac,
-                                                  normal, T))
+                                  _newton_product(el, Q, I, eta, jac, T))
                 if d is not None:
                     report.newton_directions += 1
                     report.refined_exits += 1
                     return d, grad
             try:
-                factor = _factor_spd(band.load_maps(eta, jac, normal, T))
+                factor = _factor_spd(band.load_maps(eta, jac, T))
                 d = factor.solve(-grad)
                 if np.all(np.isfinite(d)) and float(grad @ d) < 0.0:
                     report.newton_directions += 1
@@ -629,7 +560,7 @@ def newton_solve(space, f, g, u0=None, config=None):
             # positive definite, or nearly singular, here
             report.newton_rejections += 1
         report.gauss_newton_directions += 1
-        factor = _factor_spd(band.load_maps(eta, jac, normal))
+        factor = _factor_spd(band.load_maps(eta, jac))
         d = factor.solve(-grad)
         if not np.all(np.isfinite(d)):
             raise SingularJacobianError(
@@ -638,8 +569,9 @@ def newton_solve(space, f, g, u0=None, config=None):
         return d, grad
 
     def finish(status, converged):
-        # min_lambda1 from the lambda1 the objective took at u
-        return report.finish(status, converged, float(cells[1].min()), t0)
+        # min_lambda1 from the Hessians the objective took at u
+        lam1 = convexity.eigmin_2x2(h[..., 0], h[..., 1], h[..., 2])
+        return report.finish(status, converged, float(lam1.min()), t0)
 
     def line_search(u_h, phi, d, gd):
         # Armijo backtracking by halving; None once the step falls below
@@ -648,17 +580,17 @@ def newton_solve(space, f, g, u0=None, config=None):
         trial = u_h.copy()
         while step >= MIN_STEP:
             trial.coeffs[I] = u_h.coeffs[I] + step * d
-            phi_t, r_t, cells_t = objective(trial)
+            phi_t, r_t, h_t = objective(trial)
             if phi_t <= phi + ARMIJO * step * gd:
-                return step, trial, phi_t, r_t, cells_t
+                return step, trial, phi_t, r_t, h_t
             step *= 0.5
         return None
 
-    phi, r, cells = objective(u)
+    phi, r, h = objective(u)
     report.record(r)
     full_step = False  # the first direction is Gauss-Newton
     for it in range(config.max_iters):
-        d, grad = direction(u, phi, r, cells, try_newton=full_step)
+        d, grad = direction(u, phi, r, h, try_newton=full_step)
         report.iterations = it + 1
         gd = float(grad @ d)
         d_sup = _sup(d)
@@ -671,10 +603,10 @@ def newton_solve(space, f, g, u0=None, config=None):
                     "line search stagnated below MIN_STEP", last_iterate=u,
                     report=report)
             u.coeffs[I] += d
-            phi, r, cells = objective(u)
+            phi, r, h = objective(u)
             report.record(r, d_sup)
             return u, finish("stationary", True)
-        step, u, phi, r, cells = accepted
+        step, u, phi, r, h = accepted
         full_step = step == 1.0
         report.record(r, step * d_sup)
     finish("max_iters", False)
@@ -692,9 +624,11 @@ def continuation_solve(space, f, g, config=None, u0=None):
     per-stage outcomes.  The first stage that does not converge ends the
     solve: it raises NonConvergenceError naming its eps and status, with
     its last iterate and a report of every stage so far whose status is
-    that stage's ("max_iters" or "stagnation").  f (a field or its
-    samples) is sampled once; each stage solves with the samples plus its
-    shift.  Raises ValueError when a sample of f is negative.
+    that stage's ("max_iters" or "stagnation").  Each stage ends on a
+    penalized least-squares stationary point, convex or not; the report's
+    min_lambda1 is that of the last stage.  f (a field or its samples) is
+    sampled once; each stage solves with the samples plus its shift.
+    Raises ValueError when a sample of f is negative.
     """
     if config is None:
         config = SolverConfig()

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import ma_measure
 from .assembly import apply_boundary
-from .convexity import analyze
+from .convexity import CONVEX_ALLOWANCE, analyze
 from .errors import NonConvergenceError
 from .fespace import FeFunction, FeSpace, broken_error_h2, l2_error, sup_error
 from .mesh import triangulate
@@ -124,6 +124,14 @@ def solve_problem(problem, refinements=None, h_target=None, u0=None,
     NonConvergenceError naming M, the stage's eps and its status, carrying
     the last iterate, that continuation's report and, as `solves`, the
     report dicts of every continuation run so far.
+
+    Convexity is certified once, on the iterate that ends the path, and
+    the last record holds its analysis as `convexity`: intermediate
+    stages may end non-convex, and later ones repair them.  When the
+    smallest Hessian eigenvalue over the cells with no boundary vertex is
+    below -CONVEX_ALLOWANCE, that record and the report become
+    converged False with status "nonconvex", and the same
+    NonConvergenceError is raised.
     """
     if space is None:
         mesh = triangulate(problem.polygon, refinements=refinements,
@@ -153,6 +161,19 @@ def solve_problem(problem, refinements=None, h_target=None, u0=None,
             err.solves = reports
             raise err from exc
         reports.append({**rep.to_dict(), "truncate_M": M})
+    certificate = analyze(u)
+    reports[-1]["convexity"] = certificate.to_dict()
+    low = certificate.interior_min_lambda1
+    if low is not None and low < -CONVEX_ALLOWANCE:
+        rep.converged, rep.status = False, "nonconvex"
+        reports[-1].update(converged=False, status="nonconvex")
+        err = NonConvergenceError(
+            "truncation stage truncate_M={}: the final iterate has status "
+            "'nonconvex', interior min lambda1 {:.3e} < -{:g}".format(
+                M, low, CONVEX_ALLOWANCE),
+            last_iterate=u, report=rep)
+        err.solves = reports
+        raise err
     return u, space, reports
 
 
@@ -214,7 +235,7 @@ def run_convergence_study(problem, levels=None, grid_n=33,
                "elapsed": time.perf_counter() - t0}
         rec.update(level_errors(u, problem, grid))
         rec["solves"] = solve_reports
-        rec["convexity"] = analyze(u).to_dict()
+        rec["convexity"] = solve_reports[-1]["convexity"]
         if with_measure:
             rec["measure_residuals"] = run_measure_verification(
                 problem, u)["residuals"]

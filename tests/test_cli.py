@@ -241,6 +241,26 @@ def test_unconverged_solve_exits_1(tmp_path, monkeypatch, capsys):
     assert not os.path.exists(os.path.join(out, "measure.json"))
 
 
+def test_nonconvex_solve_exits_1(tmp_path, paraboloid_file, monkeypatch,
+                                 capsys):
+    # An allowance of -10 fails the certificate of the paraboloid, whose
+    # lambda1 is 1: the solve reports status "nonconvex" and writes no
+    # solution.
+    monkeypatch.setattr(study, "CONVEX_ALLOWANCE", -10.0)
+    out = str(tmp_path / "run")
+    rc = cli.main(["solve", "--problem", paraboloid_file, "--out", out])
+    assert rc == 1
+    assert "nonconvex" in capsys.readouterr().err
+    with open(os.path.join(out, "report.json")) as fh:
+        rec = json.load(fh)
+    assert (rec["report"]["status"], rec["report"]["converged"]) == (
+        "nonconvex", False)
+    [last] = rec["solves"]
+    assert (last["status"], last["converged"]) == ("nonconvex", False)
+    assert last["convexity"]["interior_min_lambda1"] == pytest.approx(1.0)
+    assert not os.path.exists(os.path.join(out, "solution.txt"))
+
+
 def test_study_failure_exits_1(paraboloid_file, tmp_path, monkeypatch):
     from mafem.study import StudyReport
 
@@ -369,5 +389,19 @@ def test_negative_shift_exits_2_without_solving(command, tmp_path,
             "polygon": [[0, 0], [1, 0], [1, 1], [0, 1]],
             "f": {"name": "smooth_f"}, "g": {"name": "smooth_g"},
             "levels": [2], "regularization": reg}))
+        _exits_2_without_solving([command, "--problem", str(path)], tmp_path,
+                                 monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("command", ["solve", "study", "measure",
+                                     "check-mesh"])
+def test_nonpositive_mollify_radius_exits_2(command, tmp_path, monkeypatch,
+                                            capsys):
+    # check-mesh used to accept it and exit 0; solve and study failed only
+    # after meshing
+    for radius in (-0.1, 0):
+        path = tmp_path / "bad_radius.json"
+        path.write_text(json.dumps({
+            **PARABOLOID, "regularization": {"mollify_radius": radius}}))
         _exits_2_without_solving([command, "--problem", str(path)], tmp_path,
                                  monkeypatch, capsys)

@@ -1,5 +1,7 @@
 """Tests for convexity diagnostics and strictification."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,10 +111,45 @@ def test_strictify_rejects_negative(space):
 
 
 def test_report_json_roundtrip(space):
-    import json
-
     u = interpolate(space, lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2))
     rep = analyze(u)
     data = json.loads(rep.to_json(per_cell=True))
     assert data["convex"] is True
     assert len(data["cell_min_lambda1"]) == space.mesh.num_cells
+
+
+def test_interior_cells_of_a_convex_quadratic(space):
+    # every cell has lambda1 = 1, so the interior minimum is the global one
+    u = interpolate(space, lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2))
+    rep = analyze(u)
+    mesh = space.mesh
+    assert np.array_equal(
+        rep.interior, ~mesh.boundary_vertex_mask[mesh.cells].any(axis=1))
+    assert 0 < rep.interior.sum() < mesh.num_cells
+    assert rep.interior_min_lambda1 == rep.global_min_lambda1
+
+
+def test_interior_cells_apart_from_boundary_cells(space):
+    # Pulling the boundary dofs down bends only the cells that hold one,
+    # those with a boundary vertex, and leaves the interior cells' lambda1
+    # at 1: the interior minimum stays 1 while the global one is negative.
+    u = interpolate(space, lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2))
+    u.coeffs[space.boundary_dofs] -= 1.0
+    rep = analyze(u)
+    assert rep.global_min_lambda1 < -1.0
+    assert np.all(rep.cell_min_lambda1[~rep.interior] < 0.0)
+    assert rep.interior_min_lambda1 == pytest.approx(1.0, abs=1e-9)
+    data = json.loads(rep.to_json())
+    assert data["global_min_lambda1"] == rep.global_min_lambda1
+    assert data["interior_min_lambda1"] == rep.interior_min_lambda1
+    assert data["convex"] is False
+
+
+def test_no_interior_cell():
+    # the unit square's fan mesh: all four cells touch the boundary
+    space = FeSpace(triangulate(unit_square(), refinements=0), 2)
+    u = interpolate(space, lambda p: p[:, 0] ** 2)
+    rep = analyze(u)
+    assert not rep.interior.any()
+    assert rep.interior_min_lambda1 is None
+    assert json.loads(rep.to_json())["interior_min_lambda1"] is None

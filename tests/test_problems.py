@@ -172,6 +172,18 @@ class TestCatalogue:
                 Problem("bad", prob.polygon, prob.f, prob.g,
                         epsilon_schedule=schedule)
 
+    @pytest.mark.parametrize("radius", [-0.1, 0.0, float("nan"),
+                                        float("inf")])
+    def test_bad_mollify_radius_rejected(self, radius):
+        # it used to construct, and a solve failed only after meshing, in
+        # regularized()
+        prob = get_problem("smooth")
+        with pytest.raises(ValueError, match="mollify_radius"):
+            Problem("bad", prob.polygon, prob.f, prob.g,
+                    mollify_radius=radius)
+        ok = Problem("ok", prob.polygon, prob.f, prob.g, mollify_radius=0.05)
+        assert ok.mollify_radius == 0.05
+
     def test_to_dict_serializable(self):
         rec = get_problem("singular").to_dict()
         text = json.dumps(rec)
@@ -235,6 +247,14 @@ class TestJsonLoader:
         assert prob.truncate_schedule == (8.0, 32.0)
         assert prob.mollify_radius == 0.05
         assert "subdomain_margin" not in prob.to_dict()
+
+    @pytest.mark.parametrize("radius", [-0.1, 0])
+    def test_nonpositive_mollify_radius_raises(self, radius):
+        with pytest.raises(ValueError, match="positive and finite"):
+            problem_from_json({
+                "polygon": [[0, 0], [1, 0], [1, 1], [0, 1]],
+                "f": {"name": "one"}, "g": {"name": "zero"},
+                "regularization": {"mollify_radius": radius}})
 
     @pytest.mark.parametrize("key", ["regularization.delta",
                                      "regularization.epsilon_schedul",

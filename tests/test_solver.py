@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 import scipy.sparse as sparse
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.linalg import spsolve
 
 from mafem import (assembly, convexity, get_problem, regular_polygon,
@@ -13,7 +13,7 @@ from mafem.assembly import (apply_boundary, gradient_jump_matrix, jacobian,
                             load_vector, residual, second_order_term,
                             stiffness_matrix)
 from mafem.errors import NonConvergenceError, SingularJacobianError
-from mafem.fespace import FeFunction, FeSpace, Quadrature, interpolate
+from mafem.fespace import FeFunction, FeSpace, interpolate
 from mafem.geometry import ConvexPolygon
 from mafem.mesh import Mesh
 from mafem.solver import (
@@ -81,18 +81,6 @@ def data_on_p(space, A):
     assert np.array_equal(A.indptr, el.indptr)
     assert np.array_equal(A.indices, el.indices)
     return A.data
-
-
-def hinge_terms(space, u):
-    """The hinge's value, s, dense S over interior dofs and S^T S on P at u,
-    S built from the rows the hinge returns."""
-    hinge = solver._ConvexityHinge(space)
-    h = u.cell_hessians(space.default_quadrature())
-    _, t = hinge.deficits(h)
-    s, (dofs, vals), normal = hinge.residual_and_jacobian(h, t)
-    S = np.zeros((len(s), len(space.interior_dofs)))
-    np.add.at(S, (np.arange(len(s))[:, None], dofs), vals)
-    return hinge.value(t), s, S, normal
 
 
 @pytest.fixture
@@ -313,17 +301,14 @@ class TestNewtonSolve:
                                                   min_size=5, max_size=5))
     def test_rigid_motion_and_affine_term_map_the_solve(self, polygon, level,
                                                         k, angle, shifts):
-        # det D2u, the gradient jumps across edges and the Hessian
-        # eigenvalues of the hinge are invariant under a rotation and a
-        # translation of the mesh and the data, and an affine term a + b.x
-        # added to g is harmonic and has zero Hessian and no jumps, so the
-        # solve on the moved mesh is the moved solve plus a + b.x.  The
-        # hinge is checked on the concave -u, where it acts on every cell
-        # with no boundary vertex.  (A general affine map is not a
-        # symmetry: the jump term weighs each edge by |A^-T n_e|^2 and the
-        # hinge allowance is absolute.)  On a coarse mesh the residual does
-        # not vanish and Gauss-Newton converges linearly, so the cap is
-        # raised: a level-1 quadrilateral takes 137 iterations.
+        # det D2u and the gradient jumps across edges are invariant under a
+        # rotation and a translation of the mesh and the data, and an
+        # affine term a + b.x added to g is harmonic and has zero Hessian
+        # and no jumps, so the solve on the moved mesh is the moved solve
+        # plus a + b.x.  (A general affine map is not a symmetry: the jump
+        # term weighs each edge by |A^-T n_e|^2.)  On a coarse mesh the
+        # residual does not vanish and Gauss-Newton converges linearly, so
+        # the cap is raised: a level-1 quadrilateral takes 137 iterations.
         R = np.array([[np.cos(angle), -np.sin(angle)],
                       [np.sin(angle), np.cos(angle)]])
         t, a, b = np.array(shifts[:2]), shifts[2], np.array(shifts[3:])
@@ -343,9 +328,6 @@ class TestNewtonSolve:
         expect = u.coeffs + a + moved_space.dof_coords @ b
         assert np.max(np.abs(v.coeffs - expect)) <= 1e-9 * max(
             1.0, np.max(np.abs(expect)))
-        hinge = hinge_terms(space, FeFunction(space, -u.coeffs))[0]
-        assert hinge_terms(moved_space, FeFunction(
-            moved_space, -v.coeffs))[0] == pytest.approx(hinge, rel=1e-9)
 
     def test_report_serializable(self, coarse_space, tmp_path):
         u, report = newton_solve(coarse_space, one, paraboloid)
@@ -460,8 +442,7 @@ def objective_gradient(u, f):
     space = u.space
     I = space.interior_dofs
     J = jacobian(u)
-    _, s, S, _ = hinge_terms(space, u)
-    return (J.T @ residual(u, f) + S.T @ s
+    return (J.T @ residual(u, f)
             + solver.JUMP_PENALTY * (gradient_jump_matrix(space) @ u.coeffs)[I])
 
 
@@ -523,9 +504,9 @@ class TestPolish:
 
     def test_one_hessian_evaluation_per_iterate(self, coarse_space,
                                                 monkeypatch):
-        # The residual, the hinge and the direction taken from an iterate
-        # share its cell Hessians and their smallest eigenvalues, and the
-        # report's min_lambda1 reads those of the final iterate.
+        # The residual and the direction taken from an iterate share its
+        # cell Hessians, and the report's min_lambda1 reads those of the
+        # final iterate: one eigenvalue evaluation per solve.
         counts = {"hessians": 0, "residuals": 0, "eigmin": 0}
         real_hessians = FeFunction.cell_hessians
         real_residual = solver.residual
@@ -548,7 +529,8 @@ class TestPolish:
         monkeypatch.setattr(convexity, "eigmin_2x2", eigmin)
         _, report = newton_solve(coarse_space, smooth_f, smooth_exact)
         assert report.iterations > 1
-        assert counts["hessians"] == counts["residuals"] == counts["eigmin"]
+        assert counts["hessians"] == counts["residuals"] > report.iterations
+        assert counts["eigmin"] == 1
 
     @pytest.mark.parametrize("driver", ["newton", "continuation",
                                         "failed_continuation"])
@@ -583,25 +565,18 @@ class TestPolish:
         assert len(calls) == 2
 
     @settings(max_examples=10, deadline=None)
-    @given(convex_polygons(), st.sampled_from([2, 3]), st.booleans(),
+    @given(convex_polygons(), st.sampled_from([2, 3]),
            st.integers(0, 2 ** 32 - 1))
-    def test_gradient_matches_sparse_products(self, polygon, k, hinged,
-                                              seed):
+    def test_gradient_matches_sparse_products(self, polygon, k, seed):
         # The gradient a solve forms on the element arrays (np.bincount
-        # over P's columns and the hinge's cell dofs) against
-        # J^T r + eta (Q u)_I + S^T s from csr J and a dense S.  It is read
-        # off the first direction's right-hand side -grad.  A rough concave
-        # start activates the hinge; a convex one barely perturbed does
-        # not.
+        # over P's columns) against J^T r + eta (Q u)_I from csr J.  It is
+        # read off the first direction's right-hand side -grad, at a
+        # convex start barely perturbed.
         space = FeSpace(triangulate(polygon, refinements=2), k)
-        sign, noise = (-1.0, 0.1) if hinged else (1.0, 1e-3)
-        u = interpolate(space,
-                        lambda p: sign * np.sum(np.atleast_2d(p) ** 2, 1))
-        u.coeffs += noise * np.random.default_rng(seed).standard_normal(
+        u = interpolate(space, lambda p: np.sum(np.atleast_2d(p) ** 2, 1))
+        u.coeffs += 1e-3 * np.random.default_rng(seed).standard_normal(
             space.num_dofs)
         u.coeffs[space.boundary_dofs] = apply_boundary(space, smooth_exact)
-        s = hinge_terms(space, u)[1]
-        assume(len(s) > 0 if hinged else len(s) == 0)
         ref = objective_gradient(u, smooth_f)
         rhs = []
         real_solve = solver._BandCholesky.solve
@@ -807,86 +782,22 @@ class TestRefinedExit:
     def test_product_matches_the_loaded_matrix(self, k):
         # K d by the element arrays and the cached Q against the dense
         # matrix load_maps puts in the band from the same terms, on a rough
-        # concave iterate whose hinge is active.
+        # concave iterate.
         space = FeSpace(triangulate(PENTAGON, refinements=2), k)
         u = interpolate(space, lambda p: -np.sum(np.atleast_2d(p) ** 2, 1))
         u.coeffs += 0.1 * np.random.default_rng(k).standard_normal(
             space.num_dofs)
         el = assembly.element_layer(space)
         jac = data_on_p(space, jacobian(u))
-        normal = hinge_terms(space, u)[3]
         T = assembly.second_order_data(space, residual(u, smooth_f))
         eta = solver.JUMP_PENALTY
-        band = _space_band(space).load_maps(eta, jac, normal, T)
+        band = _space_band(space).load_maps(eta, jac, T)
         K = band_to_dense(band)
         product = solver._newton_product(el, gradient_jump_matrix(space),
-                                         space.interior_dofs, eta, jac,
-                                         normal, T)
+                                         space.interior_dofs, eta, jac, T)
         d = np.random.default_rng(0).standard_normal(el.n)
         assert np.abs(product(d) - K @ d).max() <= \
             1e-13 * np.abs(K).max() * np.abs(d).sum()
-
-
-def basis_table_hinge(space, u):
-    """Reference hinge values and dense ds/dc.
-
-    Built from a (nc, nq, nloc, 3) table of physical basis Hessians at
-    Quadrature(2k), each pushed forward by an explicit A^T H A, over the
-    cells with no boundary vertex, instead of pulling d lambda1 back to
-    the reference frame on the element layer.
-    """
-    mesh = space.mesh
-    cells = np.flatnonzero(~mesh.boundary_vertex_mask[mesh.cells].any(axis=1))
-    quad = Quadrature(2 * space.degree)
-    jinv = space.cell_jinv[cells]
-    a00, a01 = jinv[:, 0, 0], jinv[:, 0, 1]
-    a10, a11 = jinv[:, 1, 0], jinv[:, 1, 1]
-    T = np.empty((len(cells), 3, 3))
-    T[:, 0] = np.column_stack([a00 * a00, 2 * a00 * a10, a10 * a10])
-    T[:, 1] = np.column_stack([a00 * a01, a00 * a11 + a01 * a10, a10 * a11])
-    T[:, 2] = np.column_stack([a01 * a01, 2 * a01 * a11, a11 * a11])
-    ref_hess = space.ref.tabulate(quad.points_ref)["hess"]
-    basis = np.einsum("cab,qlb->cqla", T, ref_hess)
-    gdofs = space.cell_dofs[cells]
-    h = np.einsum("cqlm,cl->cqm", basis, u.coeffs[gdofs])
-    lam1 = convexity.eigmin_2x2(h[..., 0], h[..., 1], h[..., 2])
-    t = np.maximum(0.0, -(lam1 + solver.CONVEX_ALLOWANCE))
-    ci, qi = np.nonzero(t)
-    weights = (solver.CONVEX_PENALTY * space.cell_areas[cells][:, None]
-               * quad.weights[None, :])
-    sw = np.sqrt(weights[ci, qi])
-    hxx, hxy, hyy = h[ci, qi, 0], h[ci, qi, 1], h[ci, qi, 2]
-    rad = np.sqrt((0.5 * (hxx - hyy)) ** 2 + hxy ** 2)
-    dlam = np.column_stack([0.5 - (hxx - hyy) / (4.0 * rad), -hxy / rad,
-                            0.5 + (hxx - hyy) / (4.0 * rad)])
-    vals = -sw[:, None] * np.einsum("am,alm->al", dlam, basis[ci, qi])
-    col_of = {dof: col for col, dof in enumerate(space.interior_dofs)}
-    S = np.zeros((len(ci), len(space.interior_dofs)))
-    for a, c in enumerate(ci):
-        for l, dof in enumerate(gdofs[c]):
-            if dof in col_of:
-                S[a, col_of[dof]] += vals[a, l]
-    return sw * t[ci, qi], S
-
-
-class TestConvexityHinge:
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_matches_basis_table_oracle(self, k):
-        space = FeSpace(triangulate(regular_polygon(6), refinements=2), k)
-        u = FeFunction(space, np.random.default_rng(1).standard_normal(
-            space.num_dofs))
-        value, s, S, normal = hinge_terms(space, u)
-        s_ref, S_ref = basis_table_hinge(space, u)
-        assert len(s) == len(s_ref) > 100
-        assert np.abs(s - s_ref).max() <= 1e-13 * np.abs(s_ref).max()
-        assert np.abs(S - S_ref).max() <= 1e-13 * np.abs(S_ref).max()
-        # S^T S, returned as data on the element interior pattern P
-        el = assembly.element_layer(space)
-        N = sparse.csr_matrix((normal, el.indices, el.indptr),
-                              shape=(el.n, el.n)).toarray()
-        N_ref = S_ref.T @ S_ref
-        assert np.abs(N - N_ref).max() <= 1e-13 * np.abs(N_ref).max()
-        assert value == pytest.approx(0.5 * s_ref @ s_ref, rel=1e-13)
 
 
 def band_to_dense(band):
@@ -959,13 +870,12 @@ class TestFactorSpd:
 class TestBand:
     @settings(max_examples=10, deadline=None)
     @given(convex_polygons(), st.sampled_from([2, 3]), st.booleans(),
-           st.booleans(), st.integers(0, 2 ** 32 - 1))
-    def test_map_load_matches_dense(self, polygon, k, hinged, newton, seed):
+           st.integers(0, 2 ** 32 - 1))
+    def test_map_load_matches_dense(self, polygon, k, newton, seed):
         # load_maps, by the maps of the space's band, holds the dense
-        # eta Q_II + J^T J (+ S^T S) (+ T) of a direction and the interior
-        # Poisson matrix of the start.  A concave iterate, made rough by
-        # random coefficients, activates the hinge on the cells with no
-        # boundary vertex.
+        # eta Q_II + J^T J (+ T) of a direction and the interior Poisson
+        # matrix of the start, at a concave iterate made rough by random
+        # coefficients.
         space = FeSpace(triangulate(polygon, refinements=2), k)
         u = interpolate(space, lambda p: -np.sum(np.atleast_2d(p) ** 2, 1))
         u.coeffs += 0.1 * np.random.default_rng(seed).standard_normal(
@@ -975,18 +885,13 @@ class TestBand:
         J = jacobian(u)
         ref = (J.T @ J).toarray() + eta * (
             gradient_jump_matrix(space)[I][:, I].toarray())
-        terms = np.zeros_like(J.data)
-        if hinged:
-            _, _, S, normal = hinge_terms(space, u)
-            assume(len(S) > 0)  # a level-2 triangle may have no cell
-            terms += normal
-            ref += S.T @ S
+        T = None
         if newton:
             T = second_order_term(space, residual(u, smooth_f))
-            terms += data_on_p(space, T)
             ref += T.toarray()
+            T = data_on_p(space, T)
         band = _space_band(space)
-        band.load_maps(eta, data_on_p(space, J), terms)
+        band.load_maps(eta, data_on_p(space, J), T)
         assert np.abs(band_to_dense(band) - ref).max() <= \
             1e-13 * np.abs(ref).max()
         A = stiffness_matrix(space)[I][:, I]
@@ -996,12 +901,12 @@ class TestBand:
 
     def test_solve_loads_by_maps_only(self, monkeypatch):
         # Once a space's band is built, a continuation with Newton
-        # directions and an active hinge places no term, forms no sparse
-        # matrix product and calls no np.add.at: every load is a few
-        # np.bincount calls on the maps.  It factors once per direction
+        # directions places no term, forms no sparse matrix product and
+        # calls no np.add.at: every load is a few np.bincount calls on the
+        # maps, and each is factored once.  It factors once per direction
         # and rejection, less one per exit refined on the standing factor,
         # plus once for the Poisson start.
-        counts = {"place": 0, "product": 0, "add.at": 0, "hinge": 0,
+        counts = {"place": 0, "product": 0, "add.at": 0, "load": 0,
                   "factor": 0}
         building = []
 
@@ -1025,15 +930,8 @@ class TestBand:
                             counted("product",
                                     sparse._compressed._cs_matrix
                                     ._matmul_sparse))
-        real_hinge = solver._ConvexityHinge.residual_and_jacobian
-
-        def hinge(self, *args, **kwargs):
-            s, rows, normal = real_hinge(self, *args, **kwargs)
-            counts["hinge"] += s.size > 0  # directions with active rows
-            return s, rows, normal
-
-        monkeypatch.setattr(solver._ConvexityHinge, "residual_and_jacobian",
-                            hinge)
+        monkeypatch.setattr(solver._SpaceBand, "load_maps",
+                            counted("load", solver._SpaceBand.load_maps))
         monkeypatch.setattr(solver, "_factor_spd",
                             counted("factor", solver._factor_spd))
 
@@ -1054,7 +952,7 @@ class TestBand:
 
         monkeypatch.setattr(solver, "np", CountingNumpy())
         _, _, reports = solve_problem(get_problem("singular"), refinements=2)
-        assert counts["hinge"] > 0
+        assert counts["load"] == counts["factor"]
         assert sum(rep["newton_directions"] for rep in reports) > 0
         assert sum(rep["refined_exits"] for rep in reports) > 0
         assert counts["factor"] == 1 + sum(
@@ -1065,34 +963,30 @@ class TestBand:
 
     def test_solve_builds_no_sparse_matrix(self, monkeypatch):
         # Once a space has its element layer, band and Q, a continuation
-        # with a Poisson start, Newton directions and active hinge rows
-        # (the singular data at its first truncation, level 2) constructs
-        # no scipy sparse matrix: every term stays on the element arrays.
+        # with a Poisson start and Newton directions (the singular data at
+        # its first truncation, level 2) constructs no scipy sparse matrix:
+        # every term stays on the element arrays, and the band is loaded
+        # once per factorization.
         p = get_problem("singular")
         space = FeSpace(triangulate(p.polygon, refinements=2), p.degree)
         assembly.element_layer(space)
-        _space_band(space)
+        band = _space_band(space)
         gradient_jump_matrix(space)
-        built, rows = [], []
+        built = []
         real_init = sparse._compressed._cs_matrix.__init__
-        real_hinge = solver._ConvexityHinge.residual_and_jacobian
 
         def init(self, *args, **kwargs):
             built.append(type(self).__name__)
             real_init(self, *args, **kwargs)
 
-        def hinge(self, *args):
-            out = real_hinge(self, *args)
-            rows.append(len(out[0]))
-            return out
-
         monkeypatch.setattr(sparse._compressed._cs_matrix, "__init__", init)
-        monkeypatch.setattr(solver._ConvexityHinge, "residual_and_jacobian",
-                            hinge)
         f = p.regularized(truncate_M=p.truncate_schedule[0]).f_m
         cfg = SolverConfig(continuation_schedule=p.epsilon_schedule)
+        loads = band.loads
         _, report = continuation_solve(space, f, p.solve_boundary, cfg)
-        assert report.newton_directions > 0 and max(rows) > 0
+        assert report.newton_directions > 0
+        assert band.loads - loads == 1 + report.iterations + \
+            report.newton_rejections - report.refined_exits
         assert built == []
 
     def test_data_off_p_raises_naming_the_term(self, coarse_space):
@@ -1102,7 +996,7 @@ class TestBand:
         with pytest.raises(ValueError, match="jac has shape"):
             band.load_maps(1.0, data[1:])
         with pytest.raises(ValueError, match="on_p has shape"):
-            band.load_maps(1.0, data, data, data[:, None])
+            band.load_maps(1.0, data, data[:, None])
 
     def test_order_built_once_per_space(self, monkeypatch):
         # The Poisson start and every matrix of a three-stage continuation

@@ -10,7 +10,9 @@ from mafem.fespace import FeFunction, FeSpace
 from mafem.mesh import triangulate
 from mafem.problems import get_problem, problem_from_json
 from mafem import ma_measure, study
-from mafem.solver import SolverConfig, continuation_solve
+from mafem.convexity import CONVEX_ALLOWANCE, analyze
+from mafem.solver import (SolverConfig, continuation_solve,
+                          default_initial_guess)
 from mafem.study import (StudyReport, default_bumps, interior_grid,
                          run_convergence_study, run_measure_verification,
                          solve_problem)
@@ -366,6 +368,93 @@ class TestNonConvergence:
                    for r in solves)
         assert solves[-1] == {**err.value.report.to_dict(),
                               "truncate_M": 40.0}
+
+
+def concave_start(problem, space):
+    """2 h0 - u_P, with h0 and u_P the Poisson starts for f = 0 and for
+    the problem's f: it takes the boundary data, and lap = -2 sqrt(f)."""
+    h0 = default_initial_guess(space, lambda p: np.zeros(len(p)),
+                               problem.solve_boundary)
+    u_p = default_initial_guess(space, problem.f, problem.solve_boundary)
+    return FeFunction(space, 2.0 * h0.coeffs - u_p.coeffs)
+
+
+class TestConvexityCertificate:
+
+    def test_concave_start_ends_nonconvex(self):
+        # From the concave start, level 3 of the smooth problem ends
+        # stationary on the concave branch; the certificate rejects it.
+        prob = get_problem("smooth")
+        space = FeSpace(triangulate(prob.polygon, refinements=3), 2)
+        with pytest.raises(NonConvergenceError, match="nonconvex") as err:
+            solve_problem(prob, space=space, u0=concave_start(prob, space))
+        exc = err.value
+        assert exc.report.status == "nonconvex" and not exc.report.converged
+        [record] = exc.solves
+        assert record["status"] == "nonconvex"
+        assert record["converged"] is False
+        assert all(s["status"] == "stationary" for s in record["stages"])
+        low = record["convexity"]["interior_min_lambda1"]
+        assert low < -CONVEX_ALLOWANCE
+        assert low == analyze(exc.last_iterate).interior_min_lambda1
+        assert record == {**exc.report.to_dict(), "truncate_M": None,
+                          "convexity": record["convexity"]}
+
+    def test_concave_start_reaches_the_convex_branch_at_level_4(self):
+        prob = get_problem("smooth")
+        space = FeSpace(triangulate(prob.polygon, refinements=4), 2)
+        u, _, reports = solve_problem(prob, space=space,
+                                      u0=concave_start(prob, space))
+        assert reports[-1]["converged"]
+        assert reports[-1]["convexity"]["interior_min_lambda1"] > 0.9
+        ref, _, _ = solve_problem(prob, space=space)
+        assert np.abs(u.coeffs - ref.coeffs).max() <= 1e-8
+
+    def test_only_the_end_of_the_path_is_certified(self, monkeypatch):
+        # At level 3 the singular problem's M = 10 stages end non-convex,
+        # inside as well as on the boundary cells; the M = 40 and 160
+        # stages repair that, and the solve passes.
+        real = study.continuation_solve
+        ends = []
+
+        def recorded(space, f, g, config=None, u0=None):
+            u, rep = real(space, f, g, config=config, u0=u0)
+            ends.append(analyze(u).interior_min_lambda1)
+            return u, rep
+
+        monkeypatch.setattr(study, "continuation_solve", recorded)
+        u, _, reports = solve_problem(get_problem("singular"), refinements=3)
+        assert reports[0]["truncate_M"] == 10.0
+        assert all(s["min_lambda1"] < -CONVEX_ALLOWANCE
+                   for s in reports[0]["stages"])
+        assert ends[0] < -CONVEX_ALLOWANCE
+        assert all(r["converged"] for r in reports)
+        assert ["convexity" in r for r in reports] == [False, False, True]
+        assert reports[-1]["convexity"] == analyze(u).to_dict()
+        assert reports[-1]["convexity"]["interior_min_lambda1"] == ends[-1]
+        assert ends[-1] >= -CONVEX_ALLOWANCE
+
+    def test_failed_certificate_is_a_study_failure(self, paraboloid,
+                                                   monkeypatch):
+        # With an allowance of -10 no solve passes: each level is recorded
+        # as a failure whose last record has status "nonconvex".
+        monkeypatch.setattr(study, "CONVEX_ALLOWANCE", -10.0)
+        rep = run_convergence_study(paraboloid, levels=(1, 2), grid_n=9)
+        assert rep.levels == []
+        assert [f["level"] for f in rep.failures] == [1, 2]
+        for failure in rep.failures:
+            assert "nonconvex" in failure["message"]
+            last = failure["solves"][-1]
+            assert (last["status"], last["converged"]) == ("nonconvex", False)
+
+    def test_study_analyzes_each_level_once(self, paraboloid, monkeypatch):
+        calls = []
+        monkeypatch.setattr(study, "analyze",
+                            lambda u: calls.append(u) or analyze(u))
+        rep = run_convergence_study(paraboloid, levels=(1, 2), grid_n=9)
+        assert len(calls) == 2
+        for rec in rep.levels:
+            assert rec["convexity"] is rec["solves"][-1]["convexity"]
 
 
 class TestMeasureVerification:

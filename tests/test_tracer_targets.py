@@ -5,10 +5,13 @@ absent instead of failing, so a rename would make that layer's figures
 read 0.  Installing the tracer rebinds module globals, so it runs in a
 fresh interpreter.
 
-The one expected absence is scipy's splu: the tracer times
-factorizations by wrapping it, and mafem factors by banded Cholesky in
-mafem.solver._factor_spd instead, so the factor, back-solve and fill
-figures of a traced run read 0 until the tracer wraps _factor_spd.
+The expected absences are exactly these.  The solver's convexity hinge
+(mafem.solver._ConvexityHinge) is gone, since the solve has no convexity
+term, so the tracer's solver.hinge_s layer reads 0.  scipy's splu is
+absent because the tracer times factorizations by wrapping it, and mafem
+factors by banded Cholesky in mafem.solver._factor_spd instead, so the
+factor, back-solve and fill figures of a traced run read 0 until the
+tracer wraps _factor_spd.
 """
 
 import json
@@ -27,7 +30,7 @@ print(json.dumps(tracer.absent))
 """
 
 
-def test_only_splu_tracer_target_is_absent():
+def test_absent_tracer_targets_are_the_known_ones():
     env = dict(os.environ)
     paths = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     if env.get("PYTHONPATH"):
@@ -37,4 +40,7 @@ def test_only_splu_tracer_target_is_absent():
                          capture_output=True, text=True, timeout=300,
                          check=True)
     assert json.loads(out.stdout.strip().splitlines()[-1]) == [
+        "mafem.solver._ConvexityHinge.__init__",
+        "mafem.solver._ConvexityHinge.value",
+        "mafem.solver._ConvexityHinge.residual_and_jacobian",
         "scipy.sparse.linalg.splu"]
