@@ -49,7 +49,7 @@ from .mesh import (
     unit_square,
 )
 from .problems import CATALOGUE, Problem, get_problem, problem_from_json
-from .regularize import RegularizedData, mollify, shift, truncate
+from .regularize import mollify, shift, truncate
 from .solver import (
     SolverConfig,
     SolveReport,
@@ -80,7 +80,6 @@ __all__ = [
     "P1Function",
     "Problem",
     "Quadrature",
-    "RegularizedData",
     "SingularJacobianError",
     "SolveReport",
     "SolverConfig",

@@ -28,4 +28,3 @@ class NonConvergenceError(MafemError, RuntimeError):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.report = report
-        self.solves = []  # every continuation's report dict, see solve_problem

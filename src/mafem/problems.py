@@ -15,7 +15,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .geometry import ConvexPolygon
 from .mesh import interior_subdomain, unit_square
-from .regularize import RegularizedData
+from .regularize import mollify, truncate
 from .solver import SolverConfig
 
 COMPACT_FRACTION = 0.2  # share of the inradius, see Problem.interior_compact
@@ -73,12 +73,11 @@ class Problem:
                                   COMPACT_FRACTION * self.polygon.inradius())
 
     def regularized(self, truncate_M=None):
-        """f truncated at M (when given) and mollified with the problem's
-        radius (when set); the shift is applied by the solver through the
-        epsilon schedule."""
-        return RegularizedData(self.f, self.polygon,
-                               radius=self.mollify_radius,
-                               truncate_M=truncate_M)
+        """f truncated at M (when given), then mollified with the problem's
+        radius (when set); the solver applies the epsilon schedule."""
+        f = self.f if truncate_M is None else truncate(self.f, truncate_M)
+        r = self.mollify_radius
+        return f if r is None else mollify(f, r, self.polygon)
 
     def to_dict(self):
         return {

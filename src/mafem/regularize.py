@@ -5,10 +5,10 @@ through fespace.eval_field.  The mollifier is the standard compactly
 supported bump exp(-1/(1-|z/r|^2)), normalized to unit mass numerically,
 evaluated by a fixed polar quadrature over its support; near the boundary
 the field is extended by its nearest-boundary value so the mollified
-values stay inside [inf f, sup f] by construction.  RegularizedData chains
-truncation and mollification and records what was applied; the positive
-shift is applied by the solver, through the shift schedule of a solve,
-and the solver also rejects negative data.
+values stay inside [inf f, sup f] by construction.  Problem.regularized
+chains truncation and mollification; the positive shift is applied by the
+solver, through the shift schedule of a solve, and the solver also rejects
+negative data.
 """
 
 import numpy as np
@@ -94,20 +94,3 @@ def shift(f, eps):
         return np.asarray(f(np.atleast_2d(points)), dtype=float) + eps
 
     return shifted
-
-
-class RegularizedData:
-    """Pipeline record: truncation and mollification applied to f.
-
-    A solve imposes the boundary data as given, so the record holds no g."""
-
-    def __init__(self, f, polygon, radius=None, truncate_M=None):
-        self.operations = []
-        fm = f
-        if truncate_M is not None:
-            fm = truncate(fm, truncate_M)
-            self.operations.append({"op": "truncate", "M": float(truncate_M)})
-        if radius is not None:
-            fm = mollify(fm, radius, polygon)
-            self.operations.append({"op": "mollify", "radius": float(radius)})
-        self.f_m = fm

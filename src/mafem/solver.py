@@ -20,9 +20,10 @@ nodes, unknowns numbered by FeSpace.interior_index on one given space):
   iterate, says on which branch (the determinant alone cannot tell a
   convex iterate from a concave one).  study.solve_problem certifies
   convexity once, on the iterate that ends its whole path.
-* continuation_solve: warm-started sweep over a decreasing schedule of
-  positive shifts f + eps, for degenerate or unbounded data.  The first
-  stage that does not converge ends the sweep.
+* continuation_solve: the one loop over the regularization path:
+  truncations of degenerate or unbounded f, each swept over decreasing
+  shifts f + eps, every stage warm-started; the first stage that does not
+  converge ends it.
 
 A caller sets only the iteration cap and the shift schedule (SolverConfig).
 Every other setting is a module constant, read when a solve runs, so that
@@ -102,6 +103,7 @@ report.refined_exits times (plus once for a Poisson start).
 
 import json
 import time
+from itertools import product
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky_banded
@@ -167,6 +169,7 @@ class SolveReport:
         self.min_lambda1 = None
         self.wall_time = 0.0
         self.stages = []
+        self.convexity = None  # the path's certificate, see solve_problem
 
     def record(self, r, step_sup=None):
         """Append the 2- and sup norms of the residual r (and a step size)."""
@@ -615,36 +618,51 @@ def newton_solve(space, f, g, u0=None, config=None):
 
 
 def continuation_solve(space, f, g, config=None, u0=None):
-    """Warm-started Newton sweep over the shift schedule f + eps_j.
+    """Warm-started Newton sweep over the regularization path.
 
-    Solves the problems with right-hand side f + eps_j for the configured
-    decreasing schedule (eps = 0 alone when it is empty), starting each
-    stage from the previous solution (the first from u0 when given), and
-    returns the final iterate with a report whose stages record the
-    per-stage outcomes.  The first stage that does not converge ends the
-    solve: it raises NonConvergenceError naming its eps and status, with
-    its last iterate and a report of every stage so far whose status is
-    that stage's ("max_iters" or "stagnation").  Each stage ends on a
-    penalized least-squares stationary point, convex or not; the report's
-    min_lambda1 is that of the last stage.  f (a field or its samples) is
-    sampled once; each stage solves with the samples plus its shift.
-    Raises ValueError when a sample of f is negative.
+    f is a field, its samples, or the truncation path: a list of
+    (truncate_M, field) pairs, a plain f being [(None, f)].  Each field is
+    sampled once, before the first stage, and swept over the configured
+    decreasing shifts (eps = 0 alone when there are none); each stage
+    solves with the samples plus its eps, from the stage before (the first
+    from u0 when given).  Returns the final iterate and a report whose
+    stages record each outcome with its truncate_M and eps, and whose
+    counts and histories are the stages' summed; its min_lambda1 is the
+    last stage's.  A stage ends on a penalized least-squares stationary
+    point, convex or not, or ends the path: it raises NonConvergenceError
+    naming its truncate_M, eps and status ("max_iters" or "stagnation",
+    also the report's), with its last iterate and every stage so far.
+    Raises ValueError, before any stage, for an empty path, a negative
+    sample, or a sample that the last shift, the smallest, leaves <= 0.
     """
     if config is None:
         config = SolverConfig()
     t0 = time.perf_counter()
     report = SolveReport("continuation")
-    fq = f_at_qpts(space, f)
-    if fq.min() < 0.0:
-        raise ValueError("f is negative at a quadrature point (min {:.3e}); "
-                         "det D2u = f needs f >= 0".format(fq.min()))
+    shifts = config.continuation_schedule or (0.0,)
+    path = [(M, f_at_qpts(space, field))
+            for M, field in (f if isinstance(f, list) else [(None, f)])]
+    if not path:
+        raise ValueError("the regularization path holds no field")
+    for M, fq in path:
+        low, eps = fq.min(), shifts[-1]
+        if low < 0.0:
+            raise ValueError("f is negative at a quadrature point (min {:.3e}"
+                             " at truncate_M={}); det D2u = f needs f >= 0"
+                             .format(low, M))
+        if low + eps <= 0.0:
+            raise ValueError(
+                "f at truncate_M={} plus the last shift eps={} has a sample "
+                "{:.3e} <= 0; end regularization.epsilon_schedule on a "
+                "positive eps for degenerate data".format(M, eps, low + eps))
     u = u0
-    for eps in config.continuation_schedule or (0.0,):
+    for (M, fq), eps in product(path, shifts):
         try:
             u, stage = newton_solve(space, fq + eps, g, u0=u, config=config)
         except NonConvergenceError as exc:
             u, stage = exc.last_iterate, exc.report
-        report.stages.append({"eps": float(eps), **stage.to_dict()})
+        report.stages.append({"truncate_M": M, "eps": float(eps),
+                              **stage.to_dict()})
         for key in ("residual_history", "residual_history_sup",
                     "step_history", "iterations", "newton_directions",
                     "gauss_newton_directions", "newton_rejections",
@@ -653,6 +671,6 @@ def continuation_solve(space, f, g, config=None, u0=None):
         if not stage.converged:
             report.finish(stage.status, False, stage.min_lambda1, t0)
             raise NonConvergenceError(
-                "continuation stage eps={} ended with status {!r}".format(
-                    eps, stage.status), last_iterate=u, report=report)
+                "stage truncate_M={}, eps={} ended with status {!r}".format(
+                    M, eps, stage.status), last_iterate=u, report=report)
     return u, report.finish(stage.status, True, stage.min_lambda1, t0)

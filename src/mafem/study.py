@@ -57,8 +57,9 @@ class StudyReport:
         self.levels.append(record)
 
     def add_failure(self, level, exc):
-        self.failures.append({"level": int(level), "message": str(exc),
-                              "solves": exc.solves})
+        self.failures.append({
+            "level": int(level), "message": str(exc),
+            "solves": [exc.report.to_dict()] if exc.report else []})
 
     def rates(self, key="err_h2_broken"):
         """log error ratios between consecutive successful levels."""
@@ -115,23 +116,19 @@ def solve_problem(problem, refinements=None, h_target=None, u0=None,
     """One solve of a catalogue problem at a given mesh resolution.
 
     The space is built from refinements or h_target, or given as `space`
-    (of the problem's degree; then give neither).  Runs one warm-started
-    continuation_solve per truncation level M of the schedule (one with no
-    truncation for bounded data).  Returns (solution, space, list of solve
-    report dicts, each with its truncate_M); the solution lives on the
-    returned space, and every stage of every record converged.  The first
-    stage that does not converge ends the solve: it raises
-    NonConvergenceError naming M, the stage's eps and its status, carrying
-    the last iterate, that continuation's report and, as `solves`, the
-    report dicts of every continuation run so far.
+    (of the problem's degree; then give neither).  One continuation_solve
+    walks the regularization path: f truncated at each M of the truncation
+    schedule (f itself for bounded data), each swept over the epsilon
+    schedule.  Returns (solution, space, [record]): the solution lives on
+    the returned space, record is that solve's report dict, and a stage
+    that does not converge raises its NonConvergenceError.
 
     Convexity is certified once, on the iterate that ends the path, and
-    the last record holds its analysis as `convexity`: intermediate
-    stages may end non-convex, and later ones repair them.  When the
-    smallest Hessian eigenvalue over the cells with no boundary vertex is
-    below -CONVEX_ALLOWANCE, that record and the report become
-    converged False with status "nonconvex", and the same
-    NonConvergenceError is raised.
+    the report holds its analysis as `convexity`: intermediate stages may
+    end non-convex, and later ones repair them.  When the smallest Hessian
+    eigenvalue over the cells with no boundary vertex is below
+    -CONVEX_ALLOWANCE, the report becomes converged False with status
+    "nonconvex", and NonConvergenceError is raised, naming the last stage.
     """
     if space is None:
         mesh = triangulate(problem.polygon, refinements=refinements,
@@ -143,38 +140,22 @@ def solve_problem(problem, refinements=None, h_target=None, u0=None,
         raise ValueError("space has degree {}, the problem {}".format(
             space.degree, problem.degree))
     if config is None:
-        config = SolverConfig(
-            continuation_schedule=problem.epsilon_schedule)
-    reports = []
-    u = u0
-    for M in problem.truncate_schedule or (None,):
-        reg = problem.regularized(truncate_M=M)
-        try:
-            u, rep = continuation_solve(space, reg.f_m,
-                                        problem.solve_boundary,
-                                        config=config, u0=u)
-        except NonConvergenceError as exc:
-            reports.append({**exc.report.to_dict(), "truncate_M": M})
-            err = NonConvergenceError(
-                "truncation stage truncate_M={}: {}".format(M, exc),
-                last_iterate=exc.last_iterate, report=exc.report)
-            err.solves = reports
-            raise err from exc
-        reports.append({**rep.to_dict(), "truncate_M": M})
+        config = SolverConfig(continuation_schedule=problem.epsilon_schedule)
+    path = [(M, problem.regularized(M))
+            for M in problem.truncate_schedule or (None,)]
+    u, rep = continuation_solve(space, path, problem.solve_boundary,
+                                config=config, u0=u0)
     certificate = analyze(u)
-    reports[-1]["convexity"] = certificate.to_dict()
+    rep.convexity = certificate.to_dict()
     low = certificate.interior_min_lambda1
     if low is not None and low < -CONVEX_ALLOWANCE:
         rep.converged, rep.status = False, "nonconvex"
-        reports[-1].update(converged=False, status="nonconvex")
-        err = NonConvergenceError(
-            "truncation stage truncate_M={}: the final iterate has status "
-            "'nonconvex', interior min lambda1 {:.3e} < -{:g}".format(
-                M, low, CONVEX_ALLOWANCE),
+        raise NonConvergenceError(
+            "stage truncate_M={truncate_M}, eps={eps}: the final iterate has "
+            "status 'nonconvex', interior min lambda1 {0:.3e} < -{1:g}".format(
+                low, CONVEX_ALLOWANCE, **rep.stages[-1]),
             last_iterate=u, report=rep)
-        err.solves = reports
-        raise err
-    return u, space, reports
+    return u, space, [rep.to_dict()]
 
 
 def _prolong(u_coarse, space, problem):
@@ -245,13 +226,15 @@ def run_convergence_study(problem, levels=None, grid_n=33,
 
 
 def default_bumps(compact):
-    """Three fixed smooth bumps compactly supported inside the domain."""
-    lo = compact.vertices.min(axis=0)
-    hi = compact.vertices.max(axis=0)
-    centers = [0.5 * (lo + hi),
-               lo + 0.3 * (hi - lo),
-               lo + np.array([0.7, 0.4]) * (hi - lo)]
-    radius = 0.25 * min(hi - lo)
+    """Three fixed smooth bumps supported inside the convex compact: with c
+    its centroid and rho the distance from c to its boundary, centred at c,
+    c - rho (0.4, 0.4) and c + rho (0.4, -0.2), of radius rho / 2 or less,
+    as the centres' distances to the boundary allow.  On a square: at its
+    centre, at 0.3 and at (0.7, 0.4) of its side, of radius side / 4."""
+    c = compact.centroid
+    rho = compact.distance_to_boundary(c)
+    centers = c + rho * np.array([[0.0, 0.0], [-0.4, -0.4], [0.4, -0.2]])
+    radius = min(0.5 * rho, np.min(compact.distance_to_boundary(centers)))
 
     def make(c):
         def p(x):

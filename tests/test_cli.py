@@ -7,7 +7,7 @@ import os
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mafem import cli, study
+from mafem import cli, solver, study
 from mafem.errors import NonConvergenceError
 from mafem.problems import CATALOGUE, problem_from_json
 from mafem.solver import SolverConfig
@@ -119,6 +119,20 @@ def test_measure_writes_report(tmp_path, paraboloid_file):
     assert max(rec["residuals"]) <= 1e-9
 
 
+def test_measure_on_a_triangle(tmp_path):
+    # the bumps used to be placed by the compact's bounding box, and the
+    # first one crossed the hypotenuse
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({**PARABOLOID,
+                                "polygon": [[0, 0], [1, 0], [0, 1]]}))
+    out = str(tmp_path / "run")
+    rc = cli.main(["measure", "--problem", str(path), "--out", out])
+    assert rc == 0
+    with open(os.path.join(out, "measure.json")) as fh:
+        rec = json.load(fh)
+    assert max(rec["residuals"]) <= 1e-10
+
+
 def test_missing_problem_file_exits_2(tmp_path, capsys):
     rc = cli.main(["solve", "--problem", str(tmp_path / "nope.json")])
     assert rc == 2
@@ -212,7 +226,7 @@ def test_solver_failure_exits_1(tmp_path, paraboloid_file, monkeypatch,
     assert "stalled" in capsys.readouterr().err
     with open(os.path.join(out, "report.json")) as fh:
         rec = json.load(fh)
-    assert rec["report"] is None and rec["solves"] == []
+    assert "report" not in rec and rec["solves"] == []
     rc = cli.main(["measure", "--problem", paraboloid_file, "--out", out])
     assert rc == 1
 
@@ -229,11 +243,12 @@ def test_unconverged_solve_exits_1(tmp_path, monkeypatch, capsys):
     assert "max_iters" in capsys.readouterr().err
     with open(os.path.join(out, "report.json")) as fh:
         rec = json.load(fh)
-    assert rec["report"]["status"] == "max_iters"
-    assert rec["report"]["converged"] is False
-    assert [(r["truncate_M"], r["converged"]) for r in rec["solves"]] == [
-        (None, False)]
-    assert rec["solves"][0]["stages"] == rec["report"]["stages"]
+    assert "report" not in rec
+    [record] = rec["solves"]
+    assert (record["status"], record["converged"]) == ("max_iters", False)
+    assert [(s["truncate_M"], s["eps"], s["converged"])
+            for s in record["stages"]] == [(None, 1.0, True),
+                                           (None, 1e-6, False)]
     assert not os.path.exists(os.path.join(out, "solution.txt"))
     rc = cli.main(["measure", "--problem", "degenerate", "--refinements", "3",
                    "--out", out])
@@ -253,8 +268,7 @@ def test_nonconvex_solve_exits_1(tmp_path, paraboloid_file, monkeypatch,
     assert "nonconvex" in capsys.readouterr().err
     with open(os.path.join(out, "report.json")) as fh:
         rec = json.load(fh)
-    assert (rec["report"]["status"], rec["report"]["converged"]) == (
-        "nonconvex", False)
+    assert "report" not in rec
     [last] = rec["solves"]
     assert (last["status"], last["converged"]) == ("nonconvex", False)
     assert last["convexity"]["interior_min_lambda1"] == pytest.approx(1.0)
@@ -374,6 +388,27 @@ def test_negative_data_rejected(tmp_path, capsys):
                    "--out", str(tmp_path / "run")])
     assert rc == 2
     assert "f is negative" in capsys.readouterr().err
+
+
+def test_zero_density_at_the_last_shift_exits_2_before_any_stage(
+        tmp_path, monkeypatch, capsys):
+    # f truncated at M = 10 is 0 where the singular density exceeds 10, and
+    # the last shift is 0: the path is rejected before its first stage,
+    # naming the stage and the JSON key that would fix it
+    path = tmp_path / "zero_density.json"
+    path.write_text(json.dumps({
+        "polygon": CATALOGUE["singular"]().polygon.vertices.tolist(),
+        "f": {"name": "singular_f"}, "g": {"name": "singular_g"},
+        "regularization": {"truncate_schedule": [10, 40],
+                           "epsilon_schedule": [0.25, 0]}}))
+    calls = []
+    monkeypatch.setattr(solver, "newton_solve",
+                        lambda *a, **kw: calls.append(a))
+    rc = cli.main(["solve", "--problem", str(path), "--refinements", "2",
+                   "--out", str(tmp_path / "run")])
+    assert rc == 2 and calls == []
+    err = capsys.readouterr().err
+    assert "truncate_M=10.0" in err and "epsilon_schedule" in err
 
 
 @pytest.mark.parametrize("command", ["solve", "study", "measure"])

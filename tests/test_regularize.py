@@ -1,11 +1,12 @@
-"""Tests for mollification, truncation, shift and their pipeline record."""
+"""Tests for mollification, truncation, shift and their pipeline."""
 
 import numpy as np
 import pytest
 
 from mafem import unit_square
 from mafem.fespace import eval_field
-from mafem.regularize import RegularizedData, mollify, shift, truncate
+from mafem.problems import Problem
+from mafem.regularize import mollify, shift, truncate
 
 
 @pytest.fixture(scope="module")
@@ -91,11 +92,10 @@ def test_shift_composes(grid):
 
 def test_regularized_data_pipeline(square, grid):
     f = lambda p: 2.0 / (2.0 - p[:, 0] ** 2 - p[:, 1] ** 2) ** 2
-    data = RegularizedData(f, square, radius=0.05, truncate_M=10.0)
-    ops = [o["op"] for o in data.operations]
-    assert ops == ["truncate", "mollify"]
-    # truncation and mollification keep f in [0, M]
-    vals = eval_field(data.f_m, grid)
+    prob = Problem("pipeline", square, f, f, mollify_radius=0.05)
+    vals = eval_field(prob.regularized(truncate_M=10.0), grid)
+    # truncation first, then mollification, and together they keep f in
+    # [0, M]
+    assert np.array_equal(vals,
+                          mollify(truncate(f, 10.0), 0.05, square)(grid))
     assert 0.0 <= vals.min() and vals.max() <= 10.0
-    # the record describes f only: a solve imposes the boundary data as is
-    assert not hasattr(data, "g_m")

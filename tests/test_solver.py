@@ -405,6 +405,10 @@ class TestContinuationSolve:
         with pytest.raises(ValueError):
             continuation_solve(coarse_space, bad, paraboloid, cfg)
 
+    def test_empty_path_raises(self, coarse_space):
+        with pytest.raises(ValueError, match="path holds no field"):
+            continuation_solve(coarse_space, [], paraboloid)
+
     def test_failed_first_stage_is_reported(self):
         problem = get_problem("envelope")
         space = FeSpace(triangulate(problem.polygon, refinements=2),
@@ -980,7 +984,7 @@ class TestBand:
             real_init(self, *args, **kwargs)
 
         monkeypatch.setattr(sparse._compressed._cs_matrix, "__init__", init)
-        f = p.regularized(truncate_M=p.truncate_schedule[0]).f_m
+        f = p.regularized(truncate_M=p.truncate_schedule[0])
         cfg = SolverConfig(continuation_schedule=p.epsilon_schedule)
         loads = band.loads
         _, report = continuation_solve(space, f, p.solve_boundary, cfg)

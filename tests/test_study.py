@@ -4,18 +4,20 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mafem.errors import NonConvergenceError
-from mafem.fespace import FeFunction, FeSpace
+from mafem.fespace import FeFunction, FeSpace, interpolate
 from mafem.mesh import triangulate
 from mafem.problems import get_problem, problem_from_json
-from mafem import ma_measure, study
+from mafem import ma_measure, solver, study
 from mafem.convexity import CONVEX_ALLOWANCE, analyze
 from mafem.solver import (SolverConfig, continuation_solve,
                           default_initial_guess)
 from mafem.study import (StudyReport, default_bumps, interior_grid,
                          run_convergence_study, run_measure_verification,
                          solve_problem)
+from strategies import convex_polygons
 
 
 @pytest.fixture(scope="module")
@@ -56,9 +58,12 @@ class TestSolveProblem:
 
     def test_truncation_stages_recorded(self):
         prob = get_problem("singular")
-        u, space, reports = solve_problem(prob, refinements=2)
-        assert [r["truncate_M"] for r in reports] == [10.0, 40.0, 160.0]
-        assert all(r["converged"] for r in reports)
+        u, space, [record] = solve_problem(prob, refinements=2)
+        assert [(s["truncate_M"], s["eps"]) for s in record["stages"]] == [
+            (M, eps) for M in (10.0, 40.0, 160.0)
+            for eps in prob.epsilon_schedule]
+        assert record["converged"]
+        assert all(s["converged"] for s in record["stages"])
 
     def test_h_target_pathway(self):
         prob = get_problem("smooth")
@@ -91,6 +96,33 @@ class TestSolveProblem:
                                   u0=study._prolong(u1, s2, prob))
         assert u.space is space and space is not s2
         assert np.array_equal(u.coeffs, ref.coeffs)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(convex_polygons(), st.sampled_from([2, 3]),
+           st.sampled_from([1, 2]), st.integers(0, 2 ** 31))
+    def test_recovers_random_convex_quadratic_through_the_path(
+            self, polygon, k, level, seed):
+        # q = x.Ax/2 + b.x + c solves det D2u = det A exactly in every
+        # space of degree >= 2; the path truncates above f and ends on
+        # the unshifted data, so it must end on q's interpolant
+        rng = np.random.default_rng(seed)
+        L = rng.uniform(-1.0, 1.0, (2, 2))
+        A = L @ L.T + 0.2 * np.eye(2)
+        b, c = rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0)
+        q = [[c, b[1], 0.5 * A[1, 1]], [b[0], A[0, 1], 0.0],
+             [0.5 * A[0, 0], 0.0, 0.0]]  # q[i][j] multiplies x^i y^j
+        det = float(np.linalg.det(A))
+        prob = problem_from_json({
+            "polygon": polygon.vertices.tolist(), "k": k,
+            "f": {"poly": [[det]]}, "g": {"poly": q}, "exact": {"poly": q},
+            "regularization": {"truncate_schedule": [2.0 * det],
+                               "epsilon_schedule": [0.5, 0.0]}})
+        u, space, [record] = solve_problem(prob, refinements=level)
+        assert [(s["truncate_M"], s["eps"]) for s in record["stages"]] == [
+            (2.0 * det, 0.5), (2.0 * det, 0.0)]
+        exact = interpolate(space, prob.exact).coeffs
+        assert (np.max(np.abs(u.coeffs - exact))
+                <= 1e-9 * np.max(np.abs(exact)))
 
     def test_space_and_resolution_rejected(self, paraboloid):
         space = FeSpace(triangulate(paraboloid.polygon, refinements=1), 2)
@@ -278,10 +310,10 @@ class TestNonConvergence:
         assert rep.levels == []
         assert [f["level"] for f in rep.failures] == [3]
         assert "max_iters" in rep.failures[0]["message"]
-        solves = rep.failures[0]["solves"]
-        assert [(r["truncate_M"], r["converged"]) for r in solves] == [
-            (None, False)]
-        assert [st["eps"] for st in solves[0]["stages"]] == [1.0, 1e-6]
+        [record] = rep.failures[0]["solves"]
+        assert (record["status"], record["converged"]) == ("max_iters", False)
+        assert [(st["truncate_M"], st["eps"]) for st in record["stages"]] == [
+            (None, 1.0), (None, 1e-6)]
 
 
     def test_unconverged_middle_stage_ends_the_solve(self):
@@ -296,15 +328,16 @@ class TestNonConvergence:
         msg = str(err.value)
         assert "truncate_M=None" in msg and "eps=1e-06" in msg
         assert "max_iters" in msg
-        [record] = err.value.solves
-        assert record["truncate_M"] is None and not record["converged"]
-        assert [s["converged"] for s in record["stages"]] == [True, False]
-        assert record == {**err.value.report.to_dict(), "truncate_M": None}
+        rep = err.value.report
+        assert not rep.converged
+        assert [(s["truncate_M"], s["eps"], s["converged"])
+                for s in rep.stages] == [(None, 1.0, True),
+                                         (None, 1e-6, False)]
 
         space = FeSpace(triangulate(prob.polygon, refinements=3),
                         prob.degree)
         with pytest.raises(NonConvergenceError) as direct:
-            continuation_solve(space, prob.regularized().f_m,
+            continuation_solve(space, prob.regularized(),
                                prob.solve_boundary, config=cfg)
         rep = direct.value.report
         assert rep.status == "max_iters" and not rep.converged
@@ -312,62 +345,65 @@ class TestNonConvergence:
             (1.0, True), (1e-6, False)]
 
     def test_unconverged_intermediate_stage_raises(self, monkeypatch):
-        # The first of two truncation stages does not converge; the solve
-        # must not go on to the second stage.
-        real = study.continuation_solve
+        # The last M = 10 stage, ahead of the M = 40 ones, does not
+        # converge; the path must not go on to the next stage.
+        real = solver.newton_solve
         calls = []
 
-        def first_unconverged(space, f, g, config=None, u0=None):
-            u, rep = real(space, f, g, config=config, u0=u0)
+        def third_unconverged(space, f, g, u0=None, config=None):
+            u, rep = real(space, f, g, u0=u0, config=config)
             calls.append(u0)
-            if len(calls) == 1:
+            if len(calls) == 3:
                 rep.converged = False
                 rep.status = "max_iters"
                 raise NonConvergenceError("forced", last_iterate=u,
                                           report=rep)
             return u, rep
 
-        monkeypatch.setattr(study, "continuation_solve", first_unconverged)
+        monkeypatch.setattr(solver, "newton_solve", third_unconverged)
         prob = get_problem("singular")
         prob.truncate_schedule = (10.0, 40.0)
         with pytest.raises(NonConvergenceError,
-                           match="truncate_M=10.0") as err:
+                           match="truncate_M=10.0, eps=0.015625") as err:
             solve_problem(prob, refinements=1)
-        assert calls == [None]
+        assert len(calls) == 3 and calls[0] is None
         assert err.value.last_iterate is not None
-        assert not err.value.report.converged
+        rep = err.value.report
+        assert not rep.converged
+        assert [(s["truncate_M"], s["converged"]) for s in rep.stages] == [
+            (10.0, True), (10.0, True), (10.0, False)]
 
     def test_failed_stage_keeps_every_record(self, monkeypatch):
-        # The warm M = 40 stage does not converge: the error keeps the
-        # converged M = 10 record and the M = 40 one, in the layout of a
-        # successful solve, and the stage is not retried.
-        real = study.continuation_solve
+        # The warm first M = 40 stage does not converge: the error's report
+        # keeps the converged M = 10 stages and the M = 40 one, in the
+        # layout of a successful solve, and the stage is not retried.
+        real = solver.newton_solve
         starts = []
 
-        def later_unconverged(space, f, g, config=None, u0=None):
-            u, rep = real(space, f, g, config=config, u0=u0)
+        def fourth_unconverged(space, f, g, u0=None, config=None):
+            u, rep = real(space, f, g, u0=u0, config=config)
             starts.append(u0 is not None)
-            if len(starts) > 1:
+            if len(starts) == 4:
                 rep.converged = False
                 rep.status = "max_iters"
                 raise NonConvergenceError("forced", last_iterate=u,
                                           report=rep)
             return u, rep
 
-        monkeypatch.setattr(study, "continuation_solve", later_unconverged)
+        monkeypatch.setattr(solver, "newton_solve", fourth_unconverged)
         prob = get_problem("singular")
         prob.truncate_schedule = (10.0, 40.0)
         with pytest.raises(NonConvergenceError,
-                           match="truncate_M=40.0") as err:
+                           match="truncate_M=40.0, eps=0.25") as err:
             solve_problem(prob, refinements=1)
-        assert starts == [False, True]
-        solves = err.value.solves
-        assert [(r["truncate_M"], r["converged"]) for r in solves] == [
-            (10.0, True), (40.0, False)]
-        assert all(len(r["stages"]) == len(prob.epsilon_schedule)
-                   for r in solves)
-        assert solves[-1] == {**err.value.report.to_dict(),
-                              "truncate_M": 40.0}
+        assert starts == [False, True, True, True]
+        rep = err.value.report
+        assert (rep.status, rep.converged) == ("max_iters", False)
+        assert [(s["truncate_M"], s["eps"], s["converged"])
+                for s in rep.stages] == [
+            (10.0, eps, True) for eps in prob.epsilon_schedule] + [
+            (40.0, prob.epsilon_schedule[0], False)]
+        assert rep.iterations == sum(s["iterations"] for s in rep.stages)
 
 
 def concave_start(problem, space):
@@ -390,15 +426,14 @@ class TestConvexityCertificate:
             solve_problem(prob, space=space, u0=concave_start(prob, space))
         exc = err.value
         assert exc.report.status == "nonconvex" and not exc.report.converged
-        [record] = exc.solves
+        assert "truncate_M=None, eps=0.0" in str(exc)
+        record = exc.report.to_dict()
         assert record["status"] == "nonconvex"
         assert record["converged"] is False
         assert all(s["status"] == "stationary" for s in record["stages"])
         low = record["convexity"]["interior_min_lambda1"]
         assert low < -CONVEX_ALLOWANCE
         assert low == analyze(exc.last_iterate).interior_min_lambda1
-        assert record == {**exc.report.to_dict(), "truncate_M": None,
-                          "convexity": record["convexity"]}
 
     def test_concave_start_reaches_the_convex_branch_at_level_4(self):
         prob = get_problem("smooth")
@@ -414,24 +449,26 @@ class TestConvexityCertificate:
         # At level 3 the singular problem's M = 10 stages end non-convex,
         # inside as well as on the boundary cells; the M = 40 and 160
         # stages repair that, and the solve passes.
-        real = study.continuation_solve
+        real = solver.newton_solve
         ends = []
 
-        def recorded(space, f, g, config=None, u0=None):
-            u, rep = real(space, f, g, config=config, u0=u0)
+        def recorded(space, f, g, u0=None, config=None):
+            u, rep = real(space, f, g, u0=u0, config=config)
             ends.append(analyze(u).interior_min_lambda1)
             return u, rep
 
-        monkeypatch.setattr(study, "continuation_solve", recorded)
-        u, _, reports = solve_problem(get_problem("singular"), refinements=3)
-        assert reports[0]["truncate_M"] == 10.0
-        assert all(s["min_lambda1"] < -CONVEX_ALLOWANCE
-                   for s in reports[0]["stages"])
-        assert ends[0] < -CONVEX_ALLOWANCE
-        assert all(r["converged"] for r in reports)
-        assert ["convexity" in r for r in reports] == [False, False, True]
-        assert reports[-1]["convexity"] == analyze(u).to_dict()
-        assert reports[-1]["convexity"]["interior_min_lambda1"] == ends[-1]
+        monkeypatch.setattr(solver, "newton_solve", recorded)
+        u, _, [record] = solve_problem(get_problem("singular"),
+                                       refinements=3)
+        first = [s for s in record["stages"] if s["truncate_M"] == 10.0]
+        assert len(first) == 3 and len(ends) == 9
+        assert all(s["min_lambda1"] < -CONVEX_ALLOWANCE for s in first)
+        assert all(end < -CONVEX_ALLOWANCE for end in ends[:3])
+        assert record["converged"]
+        assert all(s["converged"] for s in record["stages"])
+        assert all(s["convexity"] is None for s in record["stages"])
+        assert record["convexity"] == analyze(u).to_dict()
+        assert record["convexity"]["interior_min_lambda1"] == ends[-1]
         assert ends[-1] >= -CONVEX_ALLOWANCE
 
     def test_failed_certificate_is_a_study_failure(self, paraboloid,
@@ -468,6 +505,26 @@ class TestMeasureVerification:
         for p in bumps:
             assert np.max(np.abs(p(edge))) == 0.0
             assert p(np.array([compact.vertices.mean(axis=0)]))[0] >= 0.0
+
+    def test_bumps_on_the_square_are_kept(self):
+        # on the smooth problem's compact [0.1, 0.9]^2 the bumps sit at its
+        # centre, at 0.3 of its side and at (0.7, 0.4) of it, with a quarter
+        # of the side as radius
+        bumps = default_bumps(get_problem("smooth").interior_compact())
+        pts = np.random.default_rng(0).uniform(0.0, 1.0, (500, 2))
+        for p, centre in zip(bumps, [(0.5, 0.5), (0.34, 0.34),
+                                     (0.66, 0.42)]):
+            r2 = np.sum((pts - centre) ** 2, axis=1) / 0.2 ** 2
+            ref, inside = np.zeros(len(pts)), r2 < 1.0
+            ref[inside] = np.exp(-1.0 / (1.0 - r2[inside]) + 1.0)
+            assert np.max(np.abs(p(pts) - ref)) <= 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(convex_polygons())
+    def test_bumps_vanish_on_the_compact_boundary(self, compact):
+        for p in default_bumps(compact):
+            assert np.max(np.abs(p(compact.boundary_samples(64)))) == 0.0
+            assert p(compact.vertices.mean(axis=0)[None])[0] >= 0.0
 
     def test_exact_density_pairs_to_rounding(self, paraboloid):
         u, space, _ = solve_problem(paraboloid, refinements=2)
