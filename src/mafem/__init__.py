@@ -5,8 +5,6 @@ from .assembly import (
     linearized_operator_check,
     load_vector,
     residual,
-    second_order_term,
-    stiffness_matrix,
 )
 from .convexity import ConvexityReport, analyze, strictify
 from .errors import (
@@ -109,11 +107,9 @@ __all__ = [
     "residual",
     "run_convergence_study",
     "run_measure_verification",
-    "second_order_term",
     "shape_metrics",
     "shift",
     "solve_problem",
-    "stiffness_matrix",
     "strictify",
     "subdifferential_p1",
     "sup_error",

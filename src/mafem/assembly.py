@@ -7,8 +7,10 @@ data by Lagrange-node interpolation, and the Poisson stiffness/load objects
 shared with the solvers.  Boundary dofs are eliminated: the residual is
 a plain (ni,) array and the Jacobian (ni, ni) data on P, the interior
 pattern, over the space's numbering of its ni interior dofs
-(FeSpace.interior_index); jacobian and second_order_term wrap the data
-of jacobian_data and second_order_data in csr.
+(FeSpace.interior_index); jacobian wraps the data of jacobian_data in
+csr, to compare with the dense oracle fd_jacobian.  The Poisson
+stiffness is left as cell blocks (stiffness_blocks), which the solver
+sums onto P.
 
 Everything that depends only on the space is computed once and cached on
 it: the default quadrature rule, the packed Hessian push-forward of every
@@ -182,11 +184,6 @@ def second_order_data(space, r):
                                                     el.hess_pairs))
 
 
-def second_order_term(space, r):
-    """second_order_data as an (ni, ni) csr matrix."""
-    return element_layer(space).csr(second_order_data(space, r))
-
-
 def fd_jacobian(u_h, f):
     """Central-difference Jacobian oracle, step 1e-6 (1 + |coeffs|_inf).
 
@@ -253,12 +250,6 @@ def stiffness_blocks(space):
     return kernels.stiffness_cells(space.tables(quad)["grad"],
                                    space.cell_jinv, quad.weights,
                                    space.cell_areas)
-
-
-def stiffness_matrix(space):
-    """Full Poisson stiffness matrix (all dofs), csr."""
-    return _scatter_matrix(space.num_dofs, space.cell_dofs,
-                           stiffness_blocks(space))
 
 
 def load_vector(space, f):

@@ -1,8 +1,9 @@
 """Command line driver: solve, study, measure and check-mesh runs.
 
 Problems come either from the built-in catalogue (by short name) or from
-a JSON file; reports are written as JSON, study tables as CSV.  Exit
-codes: 0 success, 1 solver or check failure, 2 invalid input.
+a JSON file; reports are written as JSON, every file by _write_json, and
+study tables as CSV.  Exit codes: 0 success, 1 solver or check failure,
+2 invalid input.
 """
 
 import argparse
@@ -59,6 +60,7 @@ def _outdir(args):
 
 
 def _write_json(path, obj):
+    """Write obj as indented JSON ending in one newline."""
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
@@ -81,7 +83,7 @@ def _cmd_solve(args):
         u, space, reports = solve_problem(problem, **kw)
     except NonConvergenceError as exc:
         _write_json(os.path.join(out, "report.json"),
-                    {"problem": problem.name, "error": str(exc),
+                    {"problem": problem.to_dict(), "error": str(exc),
                      "solves": [exc.report.to_dict()] if exc.report else []})
         print("solver failed: {}".format(exc), file=sys.stderr)
         return 1
@@ -100,7 +102,7 @@ def _cmd_study(args):
     out = _outdir(args)
     report = run_convergence_study(problem)
     report.write_csv(os.path.join(out, "study.csv"))
-    report.save(os.path.join(out, "study.json"))
+    _write_json(os.path.join(out, "study.json"), report.to_dict())
     print(report.csv_text(), end="")
     if report.failures:
         print("{} level(s) failed".format(len(report.failures)),
@@ -130,12 +132,9 @@ def _cmd_check_mesh(args):
     mesh = triangulate(problem.polygon,
                        refinements=_refinements(args, problem))
     rec = check_mesh(mesh, problem.polygon)
-    text = json.dumps(rec, indent=2, default=float)
     if getattr(args, "out", None):
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "mesh_check.json"), "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+        _write_json(os.path.join(_outdir(args), "mesh_check.json"), rec)
+    print(json.dumps(rec, indent=2))
     return 0 if rec["ok"] else 1
 
 

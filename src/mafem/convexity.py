@@ -15,8 +15,6 @@ interpolant of eps*|x - x0|^2, shifting every Hessian eigenvalue up by
 exactly 2*eps.
 """
 
-import json
-
 import numpy as np
 
 from .fespace import FeFunction, interpolate
@@ -36,7 +34,9 @@ class ConvexityReport:
     """Per-cell Hessian eigenvalue and determinant minima of an FE function.
 
     interior marks the cells with no boundary vertex; interior_min_lambda1
-    is the smallest eigenvalue over them, None when there is none.
+    is the smallest eigenvalue over them, None when there is none.  The
+    per-cell arrays are attributes only: to_dict holds the minima and
+    flags.
     """
 
     def __init__(self, cell_min_lambda1, cell_min_det, sample_order, tol,
@@ -55,8 +55,8 @@ class ConvexityReport:
         self.strictly_convex = bool(self.global_min_det > 0.0
                                     and self.global_min_lambda1 > 0.0)
 
-    def to_dict(self, per_cell=False):
-        out = {
+    def to_dict(self):
+        return {
             "global_min_lambda1": self.global_min_lambda1,
             "interior_min_lambda1": self.interior_min_lambda1,
             "global_min_det": self.global_min_det,
@@ -65,13 +65,6 @@ class ConvexityReport:
             "sample_order": self.sample_order,
             "tol": self.tol,
         }
-        if per_cell:
-            out["cell_min_lambda1"] = self.cell_min_lambda1.tolist()
-            out["cell_min_det"] = self.cell_min_det.tolist()
-        return out
-
-    def to_json(self, per_cell=False):
-        return json.dumps(self.to_dict(per_cell=per_cell), indent=2)
 
     def __repr__(self):
         return ("ConvexityReport(min_lambda1={:.3e}, min_det={:.3e}, "

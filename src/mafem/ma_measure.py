@@ -8,8 +8,6 @@ convergence tests of the measures, the Aleksandrov maximum-principle bound,
 and convex envelopes of boundary data by 3D lower hull.
 """
 
-import json
-
 import numpy as np
 
 from .errors import NonConvexInputError
@@ -229,26 +227,6 @@ class MaMeasure:
                              if inside[vtx]))
         return partial_ma_measure(self.function, region)
 
-    def atom_table(self):
-        verts = getattr(self.function, "mesh", None)
-        return [{"vertex": int(k),
-                 "x": float(verts.vertices[k][0]),
-                 "y": float(verts.vertices[k][1]),
-                 "mass": float(m)} for k, m in sorted(self.atoms.items())]
-
-    def to_dict(self, regions=None):
-        atomic = isinstance(self.function, P1Function)
-        out = {"kind": "atomic" if atomic else "density",
-               "total_atom_mass": float(sum(self.atoms.values())),
-               "atoms": self.atom_table()}
-        if regions:
-            out["region_totals"] = {name: self.total(reg)
-                                    for name, reg in regions.items()}
-        return out
-
-    def to_json(self, regions=None):
-        return json.dumps(self.to_dict(regions), indent=2)
-
 
 def cell_density(v):
     """The cellwise density det D2v of a finite element function, (nc, nq)
@@ -257,13 +235,12 @@ def cell_density(v):
     return h[..., 0] * h[..., 2] - h[..., 1] ** 2
 
 
-def measure_pairing(v, p, density=None):
+def measure_pairing(v, p):
     """Integral of the test field p against the Monge-Ampere measure of v.
 
     P1 inputs pair through their vertex atoms, finite element inputs
-    through the cellwise density det D2v with the space's error rule;
-    density, when given, is cell_density(v), so that pairings of one v
-    with many test fields evaluate its Hessians once.
+    through the cellwise density det D2v (cell_density) with the space's
+    error rule.
     """
     if isinstance(v, P1Function):
         atoms = MaMeasure(v).atoms
@@ -271,9 +248,7 @@ def measure_pairing(v, p, density=None):
         return float(sum(m * pv for m, pv in zip(atoms.values(), vals)))
     space = v.space
     quad = space.error_quadrature()
-    if density is None:
-        density = cell_density(v)
-    return space.integrate(density * space.sample(p, quad), quad)
+    return space.integrate(cell_density(v) * space.sample(p, quad), quad)
 
 
 def check_interior_support(v, p):

@@ -106,9 +106,6 @@ class Mesh:
         """(nc, 3, 2) array of cell vertex coordinates."""
         return self.vertices[self.cells]
 
-    def boundary_vertex_indices(self):
-        return np.flatnonzero(self.boundary_vertex_mask)
-
     def cell_metrics(self):
         """Per-cell (h_K, rho_K): longest edge and incircle radius 2|K|/perimeter."""
         xy = self.cell_coords()
@@ -443,8 +440,9 @@ def regular_polygon(n, radius=1.0, center=(0.0, 0.0)):
     return ConvexPolygon(c + radius * np.column_stack([np.cos(th), np.sin(th)]))
 
 
-def check_mesh(mesh, polygon=None):
-    """Sanity report: orientation, area tiling, boundary closure.
+def check_mesh(mesh, polygon):
+    """Sanity report: orientation, tiling of the polygon's area, boundary
+    closure.
 
     Returns a dict of metrics; raises nothing (inspect the 'ok' flag).
     """
@@ -459,10 +457,9 @@ def check_mesh(mesh, polygon=None):
         "shape_regularity": regularity,
         "quasi_uniformity": uniformity,
     }
-    ok = areas.min() > 0.0
-    if polygon is not None:
-        report["polygon_area"] = polygon.area
-        ok = ok and abs(areas.sum() - polygon.area) <= 1e-10 * max(polygon.area, 1.0)
+    report["polygon_area"] = polygon.area
+    ok = (areas.min() > 0.0 and abs(areas.sum() - polygon.area)
+          <= 1e-10 * max(polygon.area, 1.0))
     # Boundary edges, traversed in order, must each appear in exactly one cell.
     edges, cell_edges = mesh.edge_midpoint_index()
     counts = np.bincount(cell_edges.ravel(), minlength=len(edges))

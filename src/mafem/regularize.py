@@ -49,19 +49,19 @@ def extend_by_boundary_value(field, polygon):
     return extended
 
 
-def mollify(field, radius, polygon=None):
+def mollify(field, radius, polygon):
     """Convolve field with the normalized bump of the given radius.
 
     Returns a new field; constants are preserved exactly (the discrete
     kernel has unit mass) and sampled values stay inside [inf f, sup f].
-    With a polygon the field is first extended past the boundary by its
+    The field is first extended past the polygon's boundary by its
     nearest-boundary value, so the convolution is well defined on all of
     the closed domain.
     """
     if radius <= 0:
         raise ValueError("mollification radius must be positive")
     offsets, weights = _bump_quadrature(radius)
-    base = field if polygon is None else extend_by_boundary_value(field, polygon)
+    base = extend_by_boundary_value(field, polygon)
 
     def mollified(points):
         points = np.atleast_2d(np.asarray(points, dtype=float))

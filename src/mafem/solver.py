@@ -25,10 +25,12 @@ nodes, unknowns numbered by FeSpace.interior_index on one given space):
   shifts f + eps, every stage warm-started; the first stage that does not
   converge ends it.
 
-A caller sets only the iteration cap and the shift schedule (SolverConfig).
-Every other setting is a module constant, read when a solve runs, so that
-a test can monkeypatch it:
+A caller sets only the shift schedule of continuation_solve
+(SolverConfig).  Every other setting is a module constant, read when a
+solve runs, so that a test can monkeypatch it:
 
+* MAX_ITERS = 120, the directions one newton_solve takes before it gives
+  up.
 * JUMP_PENALTY = 1e-2, the weight eta of |u|_J^2.  It makes the normal
   matrix definite; the bias it puts on the minimizer grows with it and
   sets the error floor of the convergence studies.
@@ -101,7 +103,6 @@ exactly report.iterations + report.newton_rejections -
 report.refined_exits times (plus once for a Poisson start).
 """
 
-import json
 import time
 from itertools import product
 
@@ -118,6 +119,7 @@ from .assembly import (apply_boundary, element_layer, f_at_qpts,
 from .errors import NonConvergenceError, SingularJacobianError
 from .fespace import FeFunction
 
+MAX_ITERS = 120
 JUMP_PENALTY = 1e-2
 TOL_STEP = 1e-10
 TOL_DECREASE = 1e-10
@@ -126,28 +128,15 @@ MIN_STEP = 2.0 ** -20
 
 
 class SolverConfig:
-    """The iteration cap of each newton_solve (at least 1) and the
-    non-increasing finite shifts eps >= 0 of continuation_solve."""
+    """The non-increasing finite shifts eps >= 0 of continuation_solve."""
 
-    def __init__(self, max_iters=120, continuation_schedule=()):
-        if (isinstance(max_iters, bool)
-                or not isinstance(max_iters, (int, np.integer))
-                or max_iters < 1):
-            raise ValueError("max_iters must be an integer of at least 1, "
-                             "got {!r}".format(max_iters))
-        self.max_iters = int(max_iters)
+    def __init__(self, continuation_schedule=()):
         self.continuation_schedule = tuple(continuation_schedule)
         eps = self.continuation_schedule
         if not all(0 <= e < np.inf for e in eps) or any(
                 b > a for a, b in zip(eps, eps[1:])):
             raise ValueError("continuation shifts must be >= 0 and finite "
                              "and must not increase, got {}".format(list(eps)))
-
-    def to_dict(self):
-        return {
-            "max_iters": self.max_iters,
-            "continuation_schedule": list(self.continuation_schedule),
-        }
 
 
 class SolveReport:
@@ -189,13 +178,6 @@ class SolveReport:
         """Every attribute, each list copied."""
         return {key: list(value) if isinstance(value, list) else value
                 for key, value in vars(self).items()}
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2)
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
 
     def __repr__(self):
         return ("SolveReport(method={!r}, iterations={}, converged={}, "
@@ -478,7 +460,7 @@ def _start_on(space, u0):
     return FeFunction(space, u0.coeffs.copy())
 
 
-def newton_solve(space, f, g, u0=None, config=None):
+def newton_solve(space, f, g, u0=None):
     """Damped Gauss-Newton/Newton iteration; returns (u_h, report).
 
     A solve ends in one place, on each new direction d with gradient grad
@@ -493,15 +475,13 @@ def newton_solve(space, f, g, u0=None, config=None):
       iterate is terminal and the solve takes the whole step and returns
       "stationary"; otherwise it raises NonConvergenceError with status
       "stagnation".
-    After max_iters directions it raises NonConvergenceError with status
+    After MAX_ITERS directions it raises NonConvergenceError with status
     "max_iters".  Raises SingularJacobianError if the Gauss-Newton normal
     matrix cannot be factorized (see the module docstring for when a
     Newton direction is tried instead).
     The iterate lives on `space`: u0 is copied onto it, or raises
     ValueError unless it has the same degree, mesh vertices and cells.
     """
-    if config is None:
-        config = SolverConfig()
     t0 = time.perf_counter()
     report = SolveReport("newton")
     fq = f_at_qpts(space, f)
@@ -592,7 +572,7 @@ def newton_solve(space, f, g, u0=None, config=None):
     phi, r, h = objective(u)
     report.record(r)
     full_step = False  # the first direction is Gauss-Newton
-    for it in range(config.max_iters):
+    for it in range(MAX_ITERS):
         d, grad = direction(u, phi, r, h, try_newton=full_step)
         report.iterations = it + 1
         gd = float(grad @ d)
@@ -658,7 +638,7 @@ def continuation_solve(space, f, g, config=None, u0=None):
     u = u0
     for (M, fq), eps in product(path, shifts):
         try:
-            u, stage = newton_solve(space, fq + eps, g, u0=u, config=config)
+            u, stage = newton_solve(space, fq + eps, g, u0=u)
         except NonConvergenceError as exc:
             u, stage = exc.last_iterate, exc.report
         report.stages.append({"truncate_M": M, "eps": float(eps),

@@ -4,14 +4,13 @@ run_convergence_study solves a problem over its mesh levels, measures
 broken-H2 / L2 / sup errors against the exact solution (the sup norm on a
 fixed interior compact, where uniform convergence is the meaningful
 statement for non-smooth limits), reports log2 error ratios between
-consecutive levels, and serializes everything to JSON and CSV with full
-float precision.  run_measure_verification pairs the cellwise determinant
-of a solution against interior test bumps and the data density.
+consecutive levels, as a dict for JSON and a CSV table with full float
+precision.  run_measure_verification pairs the cellwise determinant of a
+solution against interior test bumps and the data density.
 """
 
 import csv
 import io
-import json
 import time
 
 import numpy as np
@@ -25,16 +24,20 @@ from .mesh import triangulate
 from .solver import SolverConfig, continuation_solve
 
 
-def interior_grid(compact, n=33):
-    """Deterministic lattice over the compact's bounding box, clipped.
+GRID_N = 33  # lattice points per side of interior_grid
+
+
+def interior_grid(compact):
+    """Deterministic GRID_N x GRID_N lattice over the compact's bounding
+    box, clipped to the compact.
 
     The same fixed point set is used at every mesh level so sup-norm
     errors are comparable across levels.
     """
     lo = compact.vertices.min(axis=0)
     hi = compact.vertices.max(axis=0)
-    xs = np.linspace(lo[0], hi[0], n)
-    ys = np.linspace(lo[1], hi[1], n)
+    xs = np.linspace(lo[0], hi[0], GRID_N)
+    ys = np.linspace(lo[1], hi[1], GRID_N)
     pts = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
     return pts[compact.contains(pts)]
 
@@ -83,13 +86,6 @@ class StudyReport:
             "failures": self.failures,
         }
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2)
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-
     def csv_text(self):
         """CSV table: level,h,dofs,err_h2_broken,err_linf_interior,rate_h2.
 
@@ -112,16 +108,16 @@ class StudyReport:
 
 
 def solve_problem(problem, refinements=None, h_target=None, u0=None,
-                  config=None, space=None):
+                  space=None):
     """One solve of a catalogue problem at a given mesh resolution.
 
     The space is built from refinements or h_target, or given as `space`
     (of the problem's degree; then give neither).  One continuation_solve
     walks the regularization path: f truncated at each M of the truncation
-    schedule (f itself for bounded data), each swept over the epsilon
-    schedule.  Returns (solution, space, [record]): the solution lives on
-    the returned space, record is that solve's report dict, and a stage
-    that does not converge raises its NonConvergenceError.
+    schedule (f itself for bounded data), each swept over the problem's
+    epsilon schedule.  Returns (solution, space, [record]): the solution
+    lives on the returned space, record is that solve's report dict, and a
+    stage that does not converge raises its NonConvergenceError.
 
     Convexity is certified once, on the iterate that ends the path, and
     the report holds its analysis as `convexity`: intermediate stages may
@@ -139,8 +135,7 @@ def solve_problem(problem, refinements=None, h_target=None, u0=None,
     elif space.degree != problem.degree:
         raise ValueError("space has degree {}, the problem {}".format(
             space.degree, problem.degree))
-    if config is None:
-        config = SolverConfig(continuation_schedule=problem.epsilon_schedule)
+    config = SolverConfig(continuation_schedule=problem.epsilon_schedule)
     path = [(M, problem.regularized(M))
             for M in problem.truncate_schedule or (None,)]
     u, rep = continuation_solve(space, path, problem.solve_boundary,
@@ -180,8 +175,7 @@ def level_errors(u, problem, grid):
     return rec
 
 
-def run_convergence_study(problem, levels=None, grid_n=33,
-                          with_measure=False):
+def run_convergence_study(problem, levels=None, with_measure=False):
     """Solve across mesh levels and report errors and observed rates.
 
     A failing level is recorded in the report and the study continues on
@@ -196,7 +190,7 @@ def run_convergence_study(problem, levels=None, grid_n=33,
         raise ValueError("mesh levels must strictly increase, got {}"
                          .format(list(levels)))
     compact = problem.interior_compact()
-    grid = interior_grid(compact, n=grid_n)
+    grid = interior_grid(compact)
     report = StudyReport(problem.name, problem.degree)
     u_prev = None
     for level in levels:
@@ -248,24 +242,25 @@ def default_bumps(compact):
     return [make(c) for c in centers]
 
 
-def run_measure_verification(problem, u, bumps=None):
-    """Residuals |int p d(det D2u) - int f p dx| for interior test bumps.
+def run_measure_verification(problem, u):
+    """Residuals |int p d(det D2u) - int f p dx| for the default_bumps of
+    the problem's interior compact.
 
-    The bumps must be supported strictly inside the domain; under mesh
+    Both integrals use the space's error rule, the pairing the cellwise
+    density det D2u (ma_measure.cell_density).  Raises ValueError when a
+    bump's support touches the boundary of the mesh.  Under mesh
     refinement these residuals are the desk-scale form of weak convergence
     of the discrete Monge-Ampere measures to f dx.
     """
     space = u.space
-    if bumps is None:
-        bumps = default_bumps(problem.interior_compact())
     quad = space.error_quadrature()
     fv = space.sample(problem.f, quad)
     density = ma_measure.cell_density(u)
     residuals = []
-    for p in bumps:
+    for p in default_bumps(problem.interior_compact()):
         ma_measure.check_interior_support(u, p)
-        target = space.integrate(fv * space.sample(p, quad), quad)
-        pairing = ma_measure.measure_pairing(u, p, density)
-        residuals.append(abs(pairing - target))
+        pv = space.sample(p, quad)
+        residuals.append(abs(space.integrate(density * pv, quad)
+                             - space.integrate(fv * pv, quad)))
     return {"problem": problem.name, "dofs": int(space.num_dofs),
             "h": float(space.mesh.mesh_size()), "residuals": residuals}

@@ -14,12 +14,13 @@ from mafem.assembly import (
     linearized_operator_check,
     load_vector,
     residual,
-    second_order_term,
-    stiffness_matrix,
+    second_order_data,
+    stiffness_blocks,
 )
 from mafem.assembly import (
     _assemble_edge_jump_blocks,
     _assemble_jump_matrix,
+    _scatter_matrix,
     element_layer,
     f_at_qpts,
 )
@@ -31,6 +32,18 @@ from strategies import convex_polygons
 def paraboloid(p):
     p = np.atleast_2d(p)
     return 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2)
+
+
+def second_order_term(space, r):
+    """second_order_data as an (ni, ni) csr matrix."""
+    return element_layer(space).csr(second_order_data(space, r))
+
+
+def stiffness_matrix(space):
+    """The Poisson stiffness matrix over all dofs, csr, scattered from the
+    cell blocks."""
+    return _scatter_matrix(space.num_dofs, space.cell_dofs,
+                           stiffness_blocks(space))
 
 
 def two_cell_mesh():

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mafem import cli, solver, study
 from mafem.errors import NonConvergenceError
-from mafem.problems import CATALOGUE, problem_from_json
+from mafem.problems import CATALOGUE, get_problem, problem_from_json
 from mafem.solver import SolverConfig
 
 PARABOLOID = {
@@ -231,11 +231,18 @@ def test_solver_failure_exits_1(tmp_path, paraboloid_file, monkeypatch,
     assert rc == 1
 
 
-def test_unconverged_solve_exits_1(tmp_path, monkeypatch, capsys):
-    # Solver settings under which the degenerate problem's final shift
-    # stage stops at max_iters; nothing is written as a solution.
+def starve(monkeypatch):
+    """Solves capped at MAX_ITERS = 5 on the shift schedule (1, 1e-6),
+    under which the degenerate problem's final shift stage at level 3
+    stops at max_iters."""
+    monkeypatch.setattr(solver, "MAX_ITERS", 5)
     monkeypatch.setattr(study, "SolverConfig", lambda **kw: SolverConfig(
-        max_iters=5, continuation_schedule=(1.0, 1e-6)))
+        continuation_schedule=(1.0, 1e-6)))
+
+
+def test_unconverged_solve_exits_1(tmp_path, monkeypatch, capsys):
+    # nothing is written as a solution
+    starve(monkeypatch)
     out = str(tmp_path / "run")
     rc = cli.main(["solve", "--problem", "degenerate", "--refinements", "3",
                    "--out", out])
@@ -254,6 +261,57 @@ def test_unconverged_solve_exits_1(tmp_path, monkeypatch, capsys):
                    "--out", out])
     assert rc == 1
     assert not os.path.exists(os.path.join(out, "measure.json"))
+
+
+def test_failure_report_holds_the_problem_record(tmp_path, monkeypatch):
+    # the failure report.json writes the problem as Problem.to_dict(), as
+    # the success file does, not as a bare name
+    starve(monkeypatch)
+    out = str(tmp_path / "run")
+    rc = cli.main(["solve", "--problem", "degenerate", "--refinements", "3",
+                   "--out", out])
+    assert rc == 1
+    with open(os.path.join(out, "report.json")) as fh:
+        rec = json.load(fh)
+    problem = get_problem("degenerate")
+    assert rec["problem"]["name"] == problem.name
+    assert rec["problem"] == json.loads(json.dumps(problem.to_dict()))
+
+
+def test_every_json_file_goes_through_the_one_writer(tmp_path,
+                                                     paraboloid_file,
+                                                     monkeypatch):
+    # report.json (success and failure), study.json, measure.json and
+    # mesh_check.json are each written by cli._write_json, parse to the
+    # dict it was given and end in exactly one newline
+    written = []
+    real = cli._write_json
+
+    def spy(path, obj):
+        written.append((os.path.basename(path), json.loads(json.dumps(obj))))
+        real(path, obj)
+
+    def fail(problem, **kw):
+        raise NonConvergenceError("stalled")
+
+    monkeypatch.setattr(cli, "_write_json", spy)
+    runs = [("solve", 0, "report.json"), ("study", 0, "study.json"),
+            ("measure", 0, "measure.json"),
+            ("check-mesh", 0, "mesh_check.json"), ("solve", 1, "report.json")]
+    for i, (command, code, name) in enumerate(runs):
+        if i == len(runs) - 1:
+            monkeypatch.setattr(cli, "solve_problem", fail)
+        out = tmp_path / str(i)
+        written.clear()
+        assert cli.main([command, "--problem", paraboloid_file,
+                         "--out", str(out)]) == code
+        assert sorted(p.name for p in out.glob("*.json")) == [name]
+        [(path, obj)] = written
+        assert path == name
+        text = (out / name).read_text()
+        assert json.loads(text) == obj
+        assert text.endswith("\n") and not text.endswith("\n\n")
+    assert obj["solves"] == [] and obj["problem"]["name"] == "paraboloid"
 
 
 def test_nonconvex_solve_exits_1(tmp_path, paraboloid_file, monkeypatch,

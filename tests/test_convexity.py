@@ -113,9 +113,11 @@ def test_strictify_rejects_negative(space):
 def test_report_json_roundtrip(space):
     u = interpolate(space, lambda p: 0.5 * (p[:, 0] ** 2 + p[:, 1] ** 2))
     rep = analyze(u)
-    data = json.loads(rep.to_json(per_cell=True))
+    data = json.loads(json.dumps(rep.to_dict()))
     assert data["convex"] is True
-    assert len(data["cell_min_lambda1"]) == space.mesh.num_cells
+    assert "cell_min_lambda1" not in data  # per cell: attributes only
+    assert rep.cell_min_lambda1.shape == (space.mesh.num_cells,)
+    assert rep.cell_min_det.shape == (space.mesh.num_cells,)
 
 
 def test_interior_cells_of_a_convex_quadratic(space):
@@ -139,7 +141,7 @@ def test_interior_cells_apart_from_boundary_cells(space):
     assert rep.global_min_lambda1 < -1.0
     assert np.all(rep.cell_min_lambda1[~rep.interior] < 0.0)
     assert rep.interior_min_lambda1 == pytest.approx(1.0, abs=1e-9)
-    data = json.loads(rep.to_json())
+    data = json.loads(json.dumps(rep.to_dict()))
     assert data["global_min_lambda1"] == rep.global_min_lambda1
     assert data["interior_min_lambda1"] == rep.interior_min_lambda1
     assert data["convex"] is False
@@ -152,4 +154,5 @@ def test_no_interior_cell():
     rep = analyze(u)
     assert not rep.interior.any()
     assert rep.interior_min_lambda1 is None
-    assert json.loads(rep.to_json())["interior_min_lambda1"] is None
+    assert json.loads(json.dumps(rep.to_dict()))["interior_min_lambda1"] \
+        is None

@@ -1,7 +1,5 @@
 """Tests for normal mappings, Monge-Ampere measures and envelopes."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -121,7 +119,7 @@ class TestSubdifferential:
         vals = (0.7 * square_mesh.vertices[:, 0]
                 + 0.1 * square_mesh.vertices[:, 1])
         v = mm.P1Function(square_mesh, vals)
-        boundary = set(map(int, square_mesh.boundary_vertex_indices()))
+        boundary = set(np.flatnonzero(square_mesh.boundary_vertex_mask))
         vertex = next(i for i in range(square_mesh.num_vertices)
                       if i not in boundary)
         poly = mm.subdifferential_p1(v, vertex)
@@ -164,7 +162,7 @@ class TestSubdifferential:
 
     def test_boundary_vertex_unsupported(self, square_mesh):
         v = mm.interpolate_p1(square_mesh, centered_paraboloid)
-        vertex = int(square_mesh.boundary_vertex_indices()[0])
+        vertex = int(np.flatnonzero(square_mesh.boundary_vertex_mask)[0])
         with pytest.raises(ValueError, match="boundary"):
             mm.subdifferential_p1(v, vertex)
 
@@ -214,26 +212,33 @@ class TestMaMeasure:
             errs.append(err)
         assert errs[-1] <= 0.01
 
-    def test_report_serializable(self):
+    def test_cone_atom_carries_the_region_total(self):
+        # the cone's one atom, at its apex, is the area 4 sin(pi / 4) of
+        # its octagonal gradient polygon, and a region around the apex
+        # holds all of it
         cone = fan_cone(8, np.cos(np.pi / 8))
         measure = mm.MaMeasure(cone)
         E = square_region((-0.2, -0.2), (0.2, 0.2))
-        blob = json.loads(measure.to_json(regions={"center": E}))
-        assert blob["kind"] == "atomic"
-        assert abs(blob["total_atom_mass"] - 4 * np.sin(np.pi / 4)) <= 1e-10
-        assert blob["region_totals"]["center"] == blob["total_atom_mass"]
-        assert len(blob["atoms"]) == 1
+        total = sum(measure.atoms.values())
+        assert abs(total - 4 * np.sin(np.pi / 4)) <= 1e-10
+        assert measure.total(E) == total
+        assert len(measure.atoms) == 1
 
 
     def test_kind_follows_the_input_type(self, quad_space):
         # a one-triangle mesh has no interior vertex, so no atoms
         tri = meshmod.triangulate(
             ConvexPolygon([[0, 0], [1, 0], [0, 1]]), refinements=0)
+        # and P1 inputs are measured by their atoms alone; finite element
+        # inputs have none and are measured by their density
+        E = square_region((0.1, 0.1), (0.3, 0.3))
         p1 = mm.MaMeasure(mm.interpolate_p1(tri, centered_paraboloid))
         assert p1.atoms == {}
-        assert p1.to_dict()["kind"] == "atomic"
-        fe = mm.MaMeasure(interpolate(quad_space, centered_paraboloid))
-        assert fe.to_dict()["kind"] == "density"
+        assert p1.total(E) == 0.0
+        u = interpolate(quad_space, centered_paraboloid)
+        fe = mm.MaMeasure(u)
+        assert fe.atoms == {}
+        assert fe.total(E) == mm.partial_ma_measure(u, E) > 0.0
 
 
 class TestPartialMeasure:

@@ -560,5 +560,3 @@ class TestTopologyTables:
                 fan, np.flatnonzero((mesh.cells == vertex).any(axis=1)))
         assert np.array_equal(np.flatnonzero(mesh.boundary_vertex_mask),
                               np.unique(mesh.boundary_edges))
-        assert np.array_equal(mesh.boundary_vertex_indices(),
-                              np.unique(mesh.boundary_edges))

@@ -49,8 +49,8 @@ class TestInteriorGrid:
 
     def test_deterministic(self):
         compact = get_problem("smooth").interior_compact()
-        a = interior_grid(compact, n=17)
-        b = interior_grid(compact, n=17)
+        a = interior_grid(compact)
+        b = interior_grid(compact)
         assert np.array_equal(a, b)
 
 
@@ -73,7 +73,7 @@ class TestSolveProblem:
 
     def test_exact_in_space_solution(self, paraboloid):
         u, space, reports = solve_problem(paraboloid, refinements=2)
-        pts = interior_grid(paraboloid.interior_compact(), n=9)
+        pts = interior_grid(paraboloid.interior_compact())
         assert np.max(np.abs(u(pts) - paraboloid.exact(pts))) <= 1e-9
 
 
@@ -182,7 +182,7 @@ class TestStudyReport:
             assert float(cells[4]) == rec["err_linf_interior"]
 
     def test_json_roundtrip(self, smooth_study):
-        obj = json.loads(smooth_study.to_json())
+        obj = json.loads(json.dumps(smooth_study.to_dict()))
         assert obj["problem"] == "smooth_exponential"
         assert len(obj["levels"]) == 3
         assert obj["failures"] == []
@@ -224,7 +224,7 @@ class TestConvergenceStudy:
             run_convergence_study(paraboloid, levels=levels)
 
     def test_exact_in_space_saturates(self, paraboloid):
-        rep = run_convergence_study(paraboloid, levels=(1, 2), grid_n=9,
+        rep = run_convergence_study(paraboloid, levels=(1, 2),
                                     with_measure=True)
         for rec in rep.levels:
             assert rec["err_h2_broken"] <= 1e-9
@@ -232,8 +232,8 @@ class TestConvergenceStudy:
             assert max(rec["measure_residuals"]) <= 1e-9
 
     def test_deterministic_csv(self, paraboloid):
-        a = run_convergence_study(paraboloid, levels=(1, 2), grid_n=9)
-        b = run_convergence_study(paraboloid, levels=(1, 2), grid_n=9)
+        a = run_convergence_study(paraboloid, levels=(1, 2))
+        b = run_convergence_study(paraboloid, levels=(1, 2))
         assert a.csv_text() == b.csv_text()
 
     def test_one_space_per_level(self, paraboloid, monkeypatch):
@@ -254,7 +254,7 @@ class TestConvergenceStudy:
             return out
 
         monkeypatch.setattr(study, "solve_problem", capture)
-        rep = run_convergence_study(paraboloid, levels=(1, 2, 3), grid_n=9)
+        rep = run_convergence_study(paraboloid, levels=(1, 2, 3))
         assert len(rep.levels) == 3 and len(builds) == 3
         for (u, space, _), built in zip(captured, builds):
             assert u.space is space and space is built
@@ -274,7 +274,7 @@ class TestConvergenceStudy:
             return real(problem, space=space, **kw)
 
         monkeypatch.setattr(study, "solve_problem", flaky)
-        rep = run_convergence_study(paraboloid, levels=(1, 2), grid_n=9)
+        rep = run_convergence_study(paraboloid, levels=(1, 2))
         assert calls == [1, 2]
         assert len(rep.failures) == 1
         assert rep.failures[0]["level"] == 1
@@ -283,17 +283,21 @@ class TestConvergenceStudy:
         assert rep.levels[0]["level"] == 2
 
 
-# Five iterations reach the eps = 1 solution of the degenerate problem at
-# level 3 (which takes 4) but not the eps = 1e-6 one (which takes 6).
-STARVED = dict(max_iters=5, continuation_schedule=(1.0, 1e-6))
+def starved(monkeypatch, schedule=(1.0, 1e-6)):
+    """The degenerate problem on a short shift schedule, with solves capped
+    at MAX_ITERS = 5.  Five iterations reach the eps = 1 solution at level
+    3 (which takes 4) but not the eps = 1e-6 one (which takes 6)."""
+    monkeypatch.setattr(solver, "MAX_ITERS", 5)
+    prob = get_problem("degenerate")
+    prob.epsilon_schedule = schedule
+    return prob
 
 
 class TestNonConvergence:
 
-    def test_unconverged_final_stage_raises(self):
+    def test_unconverged_final_stage_raises(self, monkeypatch):
         with pytest.raises(NonConvergenceError) as err:
-            solve_problem(get_problem("degenerate"), refinements=3,
-                          config=SolverConfig(**STARVED))
+            solve_problem(starved(monkeypatch), refinements=3)
         rep = err.value.report
         assert rep.status == "max_iters" and not rep.converged
         assert [s["eps"] for s in rep.stages] == [1.0, 1e-6]
@@ -303,10 +307,7 @@ class TestNonConvergence:
         assert "max_iters" in str(err.value)
 
     def test_study_records_unconverged_level(self, monkeypatch):
-        monkeypatch.setattr(study, "SolverConfig",
-                            lambda **kw: SolverConfig(**STARVED))
-        rep = run_convergence_study(get_problem("degenerate"), levels=(3,),
-                                    grid_n=9)
+        rep = run_convergence_study(starved(monkeypatch), levels=(3,))
         assert rep.levels == []
         assert [f["level"] for f in rep.failures] == [3]
         assert "max_iters" in rep.failures[0]["message"]
@@ -316,15 +317,13 @@ class TestNonConvergence:
             (None, 1.0), (None, 1e-6)]
 
 
-    def test_unconverged_middle_stage_ends_the_solve(self):
+    def test_unconverged_middle_stage_ends_the_solve(self, monkeypatch):
         # The second of three shift stages runs out of iterations; the
         # solve must stop there rather than go on to the third stage from
         # its unconverged iterate and return.
-        prob = get_problem("degenerate")
-        cfg = SolverConfig(max_iters=5,
-                           continuation_schedule=(1.0, 1e-6, 1e-6))
+        prob = starved(monkeypatch, (1.0, 1e-6, 1e-6))
         with pytest.raises(NonConvergenceError) as err:
-            solve_problem(prob, refinements=3, config=cfg)
+            solve_problem(prob, refinements=3)
         msg = str(err.value)
         assert "truncate_M=None" in msg and "eps=1e-06" in msg
         assert "max_iters" in msg
@@ -338,7 +337,8 @@ class TestNonConvergence:
                         prob.degree)
         with pytest.raises(NonConvergenceError) as direct:
             continuation_solve(space, prob.regularized(),
-                               prob.solve_boundary, config=cfg)
+                               prob.solve_boundary, config=SolverConfig(
+                                   continuation_schedule=prob.epsilon_schedule))
         rep = direct.value.report
         assert rep.status == "max_iters" and not rep.converged
         assert [(s["eps"], s["converged"]) for s in rep.stages] == [
@@ -350,8 +350,8 @@ class TestNonConvergence:
         real = solver.newton_solve
         calls = []
 
-        def third_unconverged(space, f, g, u0=None, config=None):
-            u, rep = real(space, f, g, u0=u0, config=config)
+        def third_unconverged(space, f, g, u0=None):
+            u, rep = real(space, f, g, u0=u0)
             calls.append(u0)
             if len(calls) == 3:
                 rep.converged = False
@@ -380,8 +380,8 @@ class TestNonConvergence:
         real = solver.newton_solve
         starts = []
 
-        def fourth_unconverged(space, f, g, u0=None, config=None):
-            u, rep = real(space, f, g, u0=u0, config=config)
+        def fourth_unconverged(space, f, g, u0=None):
+            u, rep = real(space, f, g, u0=u0)
             starts.append(u0 is not None)
             if len(starts) == 4:
                 rep.converged = False
@@ -452,8 +452,8 @@ class TestConvexityCertificate:
         real = solver.newton_solve
         ends = []
 
-        def recorded(space, f, g, u0=None, config=None):
-            u, rep = real(space, f, g, u0=u0, config=config)
+        def recorded(space, f, g, u0=None):
+            u, rep = real(space, f, g, u0=u0)
             ends.append(analyze(u).interior_min_lambda1)
             return u, rep
 
@@ -476,7 +476,7 @@ class TestConvexityCertificate:
         # With an allowance of -10 no solve passes: each level is recorded
         # as a failure whose last record has status "nonconvex".
         monkeypatch.setattr(study, "CONVEX_ALLOWANCE", -10.0)
-        rep = run_convergence_study(paraboloid, levels=(1, 2), grid_n=9)
+        rep = run_convergence_study(paraboloid, levels=(1, 2))
         assert rep.levels == []
         assert [f["level"] for f in rep.failures] == [1, 2]
         for failure in rep.failures:
@@ -488,7 +488,7 @@ class TestConvexityCertificate:
         calls = []
         monkeypatch.setattr(study, "analyze",
                             lambda u: calls.append(u) or analyze(u))
-        rep = run_convergence_study(paraboloid, levels=(1, 2), grid_n=9)
+        rep = run_convergence_study(paraboloid, levels=(1, 2))
         assert len(calls) == 2
         for rec in rep.levels:
             assert rec["convexity"] is rec["solves"][-1]["convexity"]
@@ -535,7 +535,7 @@ class TestMeasureVerification:
     def test_one_hessian_evaluation_per_verification(self, monkeypatch):
         # The solution's det D2u at the error rule is evaluated once and
         # paired with every bump; the residuals are those of one
-        # measure_pairing per bump.
+        # measure_pairing per bump, bit for bit.
         prob = get_problem("smooth")
         u, space, _ = solve_problem(prob, refinements=2)
         quad = space.error_quadrature()
@@ -554,10 +554,11 @@ class TestMeasureVerification:
         monkeypatch.setattr(FeFunction, "cell_hessians", counted)
         rec = run_measure_verification(prob, u)
         assert len(calls) == 1
-        assert np.allclose(rec["residuals"], per_bump, rtol=1e-14, atol=0.0)
+        assert rec["residuals"] == per_bump
 
-    def test_boundary_supported_bump_rejected(self, paraboloid):
+    def test_boundary_supported_bump_rejected(self, paraboloid, monkeypatch):
         u, _, _ = solve_problem(paraboloid, refinements=1)
         ones = lambda x: np.ones(len(np.atleast_2d(x)))
+        monkeypatch.setattr(study, "default_bumps", lambda compact: [ones])
         with pytest.raises(ValueError, match="support"):
-            run_measure_verification(paraboloid, u, bumps=[ones])
+            run_measure_verification(paraboloid, u)

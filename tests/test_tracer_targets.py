@@ -5,7 +5,8 @@ absent instead of failing, so a rename would make that layer's figures
 read 0.  Installing the tracer rebinds module globals, so it runs in a
 fresh interpreter.
 
-The expected absences are exactly these.  The solver's convexity hinge
+The expected absences are exactly these, in the order the tracer
+installs its wrappers.  The solver's convexity hinge
 (mafem.solver._ConvexityHinge) is gone, since the solve has no convexity
 term, so the tracer's solver.hinge_s layer reads 0.  scipy's splu is
 absent because the tracer times factorizations by wrapping it, and mafem
@@ -14,7 +15,10 @@ factor, back-solve and fill figures of a traced run read 0 until the
 tracer wraps _factor_spd.  mafem.regularize.RegularizedData is gone, since
 Problem.regularized returns the regularized field itself, so the
 tracer's regularize.data_s layer reads 0: it only ever timed the building
-of two closures.
+of two closures.  mafem.assembly.stiffness_matrix is gone, since the
+solve stopped calling it when the Poisson start began loading its
+stiffness from the cell blocks, so the tracer's assembly.poisson layer
+already counted load_vector alone.
 """
 
 import json
@@ -47,4 +51,5 @@ def test_absent_tracer_targets_are_the_known_ones():
         "mafem.solver._ConvexityHinge.value",
         "mafem.solver._ConvexityHinge.residual_and_jacobian",
         "scipy.sparse.linalg.splu",
+        "mafem.assembly.stiffness_matrix",
         "mafem.regularize.RegularizedData.__init__"]
