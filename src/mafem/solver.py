@@ -22,8 +22,9 @@ nodes, unknowns numbered by FeSpace.interior_index on one given space):
   convexity once, on the iterate that ends its whole path.
 * continuation_solve: the one loop over the regularization path:
   truncations of degenerate or unbounded f, each swept over decreasing
-  shifts f + eps, every stage warm-started; the first stage that does not
-  converge ends it.
+  shifts f + eps, every stage warm-started, from the secant through the
+  two stages before it on the same field when there are two; the first
+  stage that does not converge ends it.
 
 A caller sets only the shift schedule of continuation_solve
 (SolverConfig).  Every other setting is a module constant, read when a
@@ -57,8 +58,8 @@ direction only if the factorization succeeds (the matrix is positive
 definite), the step is finite and it descends (grad . d < 0); otherwise,
 in the same iteration, it counts a Newton rejection and takes the
 Gauss-Newton direction.  The report counts newton_directions,
-gauss_newton_directions (they sum to iterations), newton_rejections and
-refined_exits.
+gauss_newton_directions (they sum to iterations), newton_rejections,
+refined_exits and declined_exits.
 
 A Newton direction that ends the solve needs no factorization of its own.
 After a full step the last direction's factor still stands, since nothing
@@ -68,10 +69,10 @@ refined against the Newton matrix on the same factor and, if the
 refinement converges and the result is finite, descends and still passes
 the test, ends the solve as a refined exit, a Newton direction counted in
 refined_exits.  Otherwise, after one back-solve or a failed refinement,
-the direction is loaded and factored as above.  Every direction that does
-not end the solve is thus a fresh factor's: refining every Newton
-direction on a lagged factor saved factorizations but was slower on two
-of the three benchmark workloads.
+the direction is loaded and factored as above, and declined_exits counts
+the attempt.  Every direction that does not end the solve is thus a fresh
+factor's: refining every Newton direction on a lagged factor saved
+factorizations but was slower on two of the three benchmark workloads.
 
 The Gauss-Newton normal matrix J^T J + eta Q_II, definite through the
 jump penalty, and the interior Poisson stiffness matrix are symmetric
@@ -150,6 +151,7 @@ class SolveReport:
         self.gauss_newton_directions = 0
         self.newton_rejections = 0
         self.refined_exits = 0
+        self.declined_exits = 0
         self.converged = False
         self.status = "running"
         self.residual_history = []
@@ -531,6 +533,7 @@ def newton_solve(space, f, g, u0=None):
                     report.newton_directions += 1
                     report.refined_exits += 1
                     return d, grad
+                report.declined_exits += 1
             try:
                 factor = _factor_spd(band.load_maps(eta, jac, T))
                 d = factor.solve(-grad)
@@ -604,14 +607,23 @@ def continuation_solve(space, f, g, config=None, u0=None):
     (truncate_M, field) pairs, a plain f being [(None, f)].  Each field is
     sampled once, before the first stage, and swept over the configured
     decreasing shifts (eps = 0 alone when there are none); each stage
-    solves with the samples plus its eps, from the stage before (the first
-    from u0 when given).  Returns the final iterate and a report whose
-    stages record each outcome with its truncate_M and eps, and whose
-    counts and histories are the stages' summed; its min_lambda1 is the
-    last stage's.  A stage ends on a penalized least-squares stationary
-    point, convex or not, or ends the path: it raises NonConvergenceError
-    naming its truncate_M, eps and status ("max_iters" or "stagnation",
-    also the report's), with its last iterate and every stage so far.
+    solves with the samples plus its eps.  A stage at eps_j starts from
+    the secant through the two stages before it on the same field,
+    u_{j-1} + (eps_j - eps_{j-1}) / (eps_{j-1} - eps_{j-2})
+    * (u_{j-1} - u_{j-2}), which predicts the first-order change in eps
+    at no factorization's cost (Allgower & Georg, Introduction to
+    Numerical Continuation Methods, ch. 2).  It starts from the stage
+    before it when its field has fewer than two converged stages so far
+    or eps_{j-1} == eps_{j-2}; the first stage starts from u0 when given,
+    else from the Poisson start.  Each stage's record says which, as its
+    start: "poisson", "given", "secant" or "previous".  Returns the final
+    iterate and a report whose stages record each outcome with its
+    truncate_M, eps and start, and whose counts and histories are the
+    stages' summed; its min_lambda1 is the last stage's.  A stage ends on
+    a penalized least-squares stationary point, convex or not, or ends
+    the path: it raises NonConvergenceError naming its truncate_M, eps and
+    status ("max_iters" or "stagnation", also the report's), with its last
+    iterate and every stage so far.
     Raises ValueError, before any stage, for an empty path, a negative
     sample, or a sample that the last shift, the smallest, leaves <= 0.
     """
@@ -635,22 +647,30 @@ def continuation_solve(space, f, g, config=None, u0=None):
                 "f at truncate_M={} plus the last shift eps={} has a sample "
                 "{:.3e} <= 0; end regularization.epsilon_schedule on a "
                 "positive eps for degenerate data".format(M, eps, low + eps))
-    u = u0
-    for (M, fq), eps in product(path, shifts):
+    u, start = u0, "poisson" if u0 is None else "given"
+    for (M, fq), (j, eps) in product(path, enumerate(shifts)):
+        if j == 0:
+            done = []  # (eps, coeffs) of this field's last converged stages
+        elif len(done) == 2 and done[0][0] != done[1][0]:
+            (e0, c0), (e1, c1) = done
+            u = FeFunction(space, c1 + (eps - e1) / (e1 - e0) * (c1 - c0))
+            start = "secant"
         try:
             u, stage = newton_solve(space, fq + eps, g, u0=u)
         except NonConvergenceError as exc:
             u, stage = exc.last_iterate, exc.report
         report.stages.append({"truncate_M": M, "eps": float(eps),
-                              **stage.to_dict()})
+                              "start": start, **stage.to_dict()})
         for key in ("residual_history", "residual_history_sup",
                     "step_history", "iterations", "newton_directions",
                     "gauss_newton_directions", "newton_rejections",
-                    "refined_exits"):
+                    "refined_exits", "declined_exits"):
             setattr(report, key, getattr(report, key) + getattr(stage, key))
         if not stage.converged:
             report.finish(stage.status, False, stage.min_lambda1, t0)
             raise NonConvergenceError(
                 "stage truncate_M={}, eps={} ended with status {!r}".format(
                     M, eps, stage.status), last_iterate=u, report=report)
+        done = done[-1:] + [(eps, u.coeffs)]
+        start = "previous"
     return u, report.finish(stage.status, True, stage.min_lambda1, t0)

@@ -88,6 +88,9 @@ def test_study_writes_csv_and_json(tmp_path, paraboloid_file, capsys):
     with open(os.path.join(out, "study.json")) as fh:
         rec = json.load(fh)
     assert rec["failures"] == []
+    # the first level starts cold, the next from the prolonged solution
+    assert [[s["start"] for s in lv["solves"][0]["stages"]]
+            for lv in rec["levels"]] == [["poisson"], ["given"]]
 
 
 def test_study_without_exact_solution_leaves_error_cells_empty(tmp_path):
@@ -253,9 +256,9 @@ def test_unconverged_solve_exits_1(tmp_path, monkeypatch, capsys):
     assert "report" not in rec
     [record] = rec["solves"]
     assert (record["status"], record["converged"]) == ("max_iters", False)
-    assert [(s["truncate_M"], s["eps"], s["converged"])
-            for s in record["stages"]] == [(None, 1.0, True),
-                                           (None, 1e-6, False)]
+    assert [(s["truncate_M"], s["eps"], s["start"], s["converged"])
+            for s in record["stages"]] == [(None, 1.0, "poisson", True),
+                                           (None, 1e-6, "previous", False)]
     assert not os.path.exists(os.path.join(out, "solution.txt"))
     rc = cli.main(["measure", "--problem", "degenerate", "--refinements", "3",
                    "--out", out])

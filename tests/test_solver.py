@@ -398,10 +398,63 @@ class TestContinuationSolve:
         # concatenations, which the benchmark's iteration counts read
         d = report.to_dict()
         for key in ("iterations", "newton_directions",
-                    "gauss_newton_directions", "newton_rejections"):
+                    "gauss_newton_directions", "newton_rejections",
+                    "refined_exits", "declined_exits"):
             assert d[key] == sum(s[key] for s in d["stages"])
         for key in ("step_history", "residual_history"):
             assert d[key] == [x for s in d["stages"] for x in s[key]]
+
+    @pytest.mark.parametrize("name,refinements", [("envelope", 3),
+                                                  ("singular", 2)])
+    def test_secant_moves_the_start_not_the_answer(self, name, refinements):
+        # Each stage chained from the one before by newton_solve, as the
+        # loop ran before the secant start, ends on the same iterate in at
+        # least as many iterations.
+        problem = get_problem(name)
+        space = FeSpace(triangulate(problem.polygon, refinements=refinements),
+                        problem.degree)
+        path = [(M, problem.regularized(M))
+                for M in problem.truncate_schedule or (None,)]
+        cfg = SolverConfig(continuation_schedule=problem.epsilon_schedule)
+        u, report = continuation_solve(space, path, problem.solve_boundary,
+                                       cfg)
+        assert "secant" in [s["start"] for s in report.stages]
+        v, chained = None, 0
+        for _, field in path:
+            fq = assembly.f_at_qpts(space, field)
+            for eps in problem.epsilon_schedule:
+                v, stage = newton_solve(space, fq + eps,
+                                        problem.solve_boundary, u0=v)
+                chained += stage.iterations
+        assert np.abs(u.coeffs - v.coeffs).max() <= \
+            1e-9 * np.abs(v.coeffs).max()
+        assert report.iterations <= chained
+
+    @pytest.mark.parametrize("schedule,last", [((0.5, 0.5, 0.25), "previous"),
+                                               ((1.0, 0.5, 0.0), "secant")])
+    def test_schedule_shapes_of_the_secant(self, coarse_space, schedule,
+                                           last):
+        # Two equal shifts give the secant no slope, so the stage after
+        # them starts from the one before; 1.0, 0.5, 0.0 extrapolates by
+        # a factor of 1.
+        cfg = SolverConfig(continuation_schedule=schedule)
+        u, report = continuation_solve(coarse_space, one, paraboloid, cfg)
+        assert report.converged and np.all(np.isfinite(u.coeffs))
+        assert [s["start"] for s in report.stages] == \
+            ["poisson", "previous", last]
+        assert all(s["converged"] for s in report.stages)
+
+    def test_stages_record_their_start(self):
+        # The secant needs two converged stages on the same field, so it
+        # starts over with each truncation M.
+        starts = {}
+        for name in ("envelope", "singular"):
+            _, _, (rec,) = solve_problem(get_problem(name), refinements=2)
+            starts[name] = [s["start"] for s in rec["stages"]]
+        assert starts["envelope"] == ["poisson", "previous"] + \
+            ["secant"] * 4
+        assert starts["singular"] == ["poisson", "previous", "secant"] + \
+            ["previous", "previous", "secant"] * 2
 
     def test_first_stage_failure_raises(self, coarse_space):
         bad = lambda p: np.full(len(np.atleast_2d(p)), -2.0)
@@ -771,6 +824,7 @@ class TestRefinedExit:
         declined = [n for ok, n in attempts if not ok]
         assert declined and declined == [1] * len(declined)
         assert [ok for ok, _ in attempts] == [False] * len(declined) + [True]
+        assert report.declined_exits == len(declined)
         assert attempts[-1][1] >= 2
         assert len(terms) == report.newton_directions + \
             report.newton_rejections
