@@ -162,9 +162,9 @@ def jacobian_data(u_h, hess=None):
                                                 el.wphi))
 
 
-def jacobian(u_h, hess=None):
+def jacobian(u_h):
     """jacobian_data as an (ni, ni) csr matrix."""
-    return element_layer(u_h.space).csr(jacobian_data(u_h, hess))
+    return element_layer(u_h.space).csr(jacobian_data(u_h))
 
 
 def second_order_data(space, r):

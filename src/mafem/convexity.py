@@ -93,15 +93,13 @@ def analyze(u_h):
 def strictify(u_h, eps, x0=None):
     """Return u_h + interpolant of eps*|x - x0|^2 on the same space.
 
-    For degree >= 2 the quadratic is represented exactly, so the cellwise
-    Hessian changes by exactly +2*eps*I and every eigenvalue shifts up by
-    2*eps.  The value at x0 itself is unchanged.
+    Every space has degree >= 2, so the quadratic is represented exactly,
+    the cellwise Hessian changes by exactly +2*eps*I and every eigenvalue
+    shifts up by 2*eps.  The value at x0 itself is unchanged.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     space = u_h.space
-    if space.degree < 2:
-        raise ValueError("strictify requires degree >= 2")
     if x0 is None:
         x0 = space.mesh.vertices.mean(axis=0)
     x0 = np.asarray(x0, dtype=float)

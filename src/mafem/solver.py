@@ -42,7 +42,7 @@ solve runs, so that a test can monkeypatch it:
   solve (see newton_solve).
 * ARMIJO = 1e-4, the usual sufficient-decrease constant (Nocedal & Wright,
   Numerical Optimization, sec. 3.1), and MIN_STEP = 2^-20, the shortest
-  step tried.
+  step tried; a line search that falls below it raises "stagnation".
 
 Gauss-Newton leaves out the second-order term T = sum_i r_i D2r_i of the
 Hessian of 1/2 ||r||^2.  Where no exact discrete solution exists the
@@ -62,16 +62,18 @@ gauss_newton_directions (they sum to iterations), newton_rejections,
 refined_exits and declined_exits.
 
 A Newton direction that ends the solve needs no factorization of its own.
-After a full step the last direction's factor still stands, since nothing
-was loaded after it: its solve of the Newton system is the first try
-(_refined_exit).  When that lagged direction passes the exit test, it is
-refined against the Newton matrix on the same factor and, if the
-refinement converges and the result is finite, descends and still passes
-the test, ends the solve as a refined exit, a Newton direction counted in
-refined_exits.  Otherwise, after one back-solve or a failed refinement,
-the direction is loaded and factored as above, and declined_exits counts
-the attempt.  Every direction that does not end the solve is thus a fresh
-factor's: refining every Newton direction on a lagged factor saved
+A factor outlives its direction only after a Newton direction (a
+Gauss-Newton direction drops its own): after a full Newton step it still
+stands, since nothing was loaded after it, and its solve of the new
+Newton system is the first try (_refined_exit).  When that lagged
+direction passes the exit test, it is refined against the Newton matrix
+on the same factor and, if the refinement converges and the result is
+finite, descends and still passes the test, ends the solve as a refined
+exit, a Newton direction counted in refined_exits.  Otherwise, after one
+back-solve or a failed refinement, the direction is loaded and factored
+as above, and declined_exits counts the attempt, at most one per fresh
+Newton direction.  Every direction that does not end the solve is thus a
+fresh factor's: refining every Newton direction on a lagged factor saved
 factorizations but was slower on two of the three benchmark workloads.
 
 The Gauss-Newton normal matrix J^T J + eta Q_II, definite through the
@@ -422,7 +424,7 @@ def _newton_product(el, Q, I, eta, jac, on_p):
 
 def _refined_exit(factor, grad, phi, product):
     """The Newton direction K d = -grad that ends a solve, by iterative
-    refinement on a standing factor of a nearby matrix, or None.
+    refinement on the standing factor of the last Newton matrix, or None.
 
     The factor's solve of -grad is the first correction.  None, after
     that one back-solve, when it fails newton_solve's exit test; None too
@@ -465,18 +467,16 @@ def _start_on(space, u0):
 def newton_solve(space, f, g, u0=None):
     """Damped Gauss-Newton/Newton iteration; returns (u_h, report).
 
-    A solve ends in one place, on each new direction d with gradient grad
-    at the iterate, before the line search:
-    * when |d|_inf <= TOL_STEP or -grad . d <= TOL_DECREASE * Phi, it takes
-      the whole step and returns with status "stationary": the iterate is
-      a penalized least-squares critical point, the meaningful notion of
-      discrete solution when no exact one exists.  It may be non-convex:
-      report.min_lambda1 is its smallest sampled Hessian eigenvalue;
-    * when Armijo halves the step below MIN_STEP, the predicted decrease
-      is below the evaluation noise of Phi.  With |d|_inf <= 1e-6 the
-      iterate is terminal and the solve takes the whole step and returns
-      "stationary"; otherwise it raises NonConvergenceError with status
-      "stagnation".
+    A solve returns in one place, on a new direction d with gradient
+    grad at the iterate, before the line search: when |d|_inf <= TOL_STEP
+    or -grad . d <= TOL_DECREASE * Phi (_ends_solve), it takes the whole
+    step and returns with status "stationary": the iterate is a penalized
+    least-squares critical point, the meaningful notion of discrete
+    solution when no exact one exists.  It may be non-convex:
+    report.min_lambda1 is its smallest sampled Hessian eigenvalue.  Any
+    other direction goes to the Armijo search; when that halves the step
+    below MIN_STEP, the solve raises NonConvergenceError with status
+    "stagnation", whatever the size of d.
     After MAX_ITERS directions it raises NonConvergenceError with status
     "max_iters".  Raises SingularJacobianError if the Gauss-Newton normal
     matrix cannot be factorized (see the module docstring for when a
@@ -502,7 +502,7 @@ def newton_solve(space, f, g, u0=None):
     Q = gradient_jump_matrix(space)
     band = _space_band(space)
     el = element_layer(space)
-    factor = None  # of the last direction's matrix, while the band holds it
+    factor = None  # the last direction's, when that was a Newton direction
 
     def objective(u_h):
         # Phi at u_h, with the residual and the cell Hessians it was built
@@ -517,16 +517,16 @@ def newton_solve(space, f, g, u0=None):
         # objective.  Returns the step and the gradient J^T r + eta (Q u)_I
         # of Phi: the Newton step when try_newton and the Newton matrix
         # H + T gives a finite descent direction, the Gauss-Newton step on
-        # H = eta Q_II + J^T J otherwise.  A Newton step that ends the
-        # solve is first sought on the standing factor (_refined_exit),
-        # with no load or factorization.
+        # H = eta Q_II + J^T J otherwise.  After a Newton direction, a
+        # Newton step that ends the solve is first sought on its standing
+        # factor (_refined_exit), with no load or factorization.
         nonlocal factor
         jac = jacobian_data(u_h, hess=h)
         grad = eta * (Q @ u_h.coeffs)[I] + np.bincount(
             el.indices, jac * np.take(r, el.rows), minlength=el.n)
         if try_newton:
             T = second_order_data(space, r)
-            if factor.loaded == band.loads:  # the first direction set it
+            if factor is not None:
                 d = _refined_exit(factor, grad, phi,
                                   _newton_product(el, Q, I, eta, jac, T))
                 if d is not None:
@@ -546,8 +546,8 @@ def newton_solve(space, f, g, u0=None):
             # positive definite, or nearly singular, here
             report.newton_rejections += 1
         report.gauss_newton_directions += 1
-        factor = _factor_spd(band.load_maps(eta, jac))
-        d = factor.solve(-grad)
+        factor = None
+        d = _factor_spd(band.load_maps(eta, jac)).solve(-grad)
         if not np.all(np.isfinite(d)):
             raise SingularJacobianError(
                 "singular normal matrix produced a non-finite step; "
@@ -580,18 +580,16 @@ def newton_solve(space, f, g, u0=None):
         report.iterations = it + 1
         gd = float(grad @ d)
         d_sup = _sup(d)
-        small = _ends_solve(d_sup, gd, phi)
-        accepted = None if small else line_search(u, phi, d, gd)
-        if accepted is None:
-            if not small and d_sup > 1e-6:
-                finish("stagnation", False)
-                raise NonConvergenceError(
-                    "line search stagnated below MIN_STEP", last_iterate=u,
-                    report=report)
+        if _ends_solve(d_sup, gd, phi):
             u.coeffs[I] += d
             phi, r, h = objective(u)
             report.record(r, d_sup)
             return u, finish("stationary", True)
+        accepted = line_search(u, phi, d, gd)
+        if accepted is None:
+            finish("stagnation", False)
+            raise NonConvergenceError("line search stagnated below MIN_STEP",
+                                      last_iterate=u, report=report)
         step, u, phi, r, h = accepted
         full_step = step == 1.0
         report.record(r, step * d_sup)

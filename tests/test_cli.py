@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mafem import cli, solver, study
 from mafem.errors import NonConvergenceError
-from mafem.problems import CATALOGUE, get_problem, problem_from_json
+from mafem.problems import (CATALOGUE, get_problem, problem_from_json,
+                            problems_dir)
 from mafem.solver import SolverConfig
 
 PARABOLOID = {
@@ -49,6 +50,19 @@ def test_solve_writes_artifacts(tmp_path, paraboloid_file):
     assert rec["problem"]["name"] == "paraboloid"
     assert rec["dofs"] > 0
     assert all(s["converged"] for s in rec["solves"])
+
+
+@pytest.mark.parametrize("fname", sorted(os.listdir(problems_dir())))
+def test_shipped_problem_file_solves(tmp_path, fname):
+    # Each example file shipped with the package solves through the
+    # driver, every stage of every solve converged.
+    out = str(tmp_path / "run")
+    rc = cli.main(["solve", "--problem", os.path.join(problems_dir(), fname),
+                   "--refinements", "2", "--out", out])
+    assert rc == 0
+    with open(os.path.join(out, "report.json")) as fh:
+        stages = [s for rec in json.load(fh)["solves"] for s in rec["stages"]]
+    assert stages and all(s["converged"] is True for s in stages), stages
 
 
 def test_solve_h_target(tmp_path, paraboloid_file):

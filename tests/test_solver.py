@@ -540,10 +540,11 @@ class TestPolish:
                                                 start):
         # ARMIJO = 0.9 rejects the full Gauss-Newton step (it gains about
         # half the predicted decrease) and MIN_STEP = 0.75 forbids any
-        # shorter one, so the solve leaves through the MIN_STEP branch in
-        # its first iteration: from the Poisson start by stagnation, near
-        # the solution as stationary.  Either way the direction it
-        # factored counts as an iteration.
+        # shorter one, so the line search fails in the first iteration.
+        # From the Poisson start and near the solution alike (where the
+        # direction is tiny but fails the exit test) the solve raises
+        # "stagnation", and the direction it factored counts as an
+        # iteration.
         u0 = None
         if start == "near_solution":
             u0, _ = newton_solve(coarse_space, smooth_f, smooth_exact)
@@ -553,13 +554,10 @@ class TestPolish:
             factor_count.clear()
         monkeypatch.setattr(solver, "ARMIJO", 0.9)
         monkeypatch.setattr(solver, "MIN_STEP", 0.75)
-        try:
-            _, report = newton_solve(coarse_space, smooth_f, smooth_exact,
-                                     u0=u0)
-        except NonConvergenceError as exc:
-            report = exc.report
-        assert report.status == ("stagnation" if u0 is None
-                                 else "stationary")
+        with pytest.raises(NonConvergenceError) as err:
+            newton_solve(coarse_space, smooth_f, smooth_exact, u0=u0)
+        report = err.value.report
+        assert report.status == "stagnation" and not report.converged
         assert report.iterations == 1
         poisson = 1 if u0 is None else 0
         assert len(factor_count) == report.iterations + poisson
@@ -712,6 +710,19 @@ class TestNewtonDirections:
         assert sum(rep["newton_directions"] for rep in reports) > 0
         assert sum(rep["refined_exits"] for rep in reports) > 0
 
+    @pytest.mark.parametrize("problem", ["smooth", "degenerate", "singular",
+                                         "envelope"])
+    def test_lagged_attempt_follows_a_newton_direction(self, problem):
+        # Only a Newton direction leaves its factor standing, and each
+        # allows at most one lagged attempt; a refined exit is itself a
+        # Newton direction, after the one whose factor it refined on.
+        _, _, reports = solve_problem(get_problem(problem), refinements=2)
+        stages = [s for rep in reports for s in rep["stages"]]
+        assert stages
+        for s in stages:
+            assert (2 * s["refined_exits"] + s["declined_exits"]
+                    <= s["newton_directions"]), s
+
     @pytest.mark.parametrize("term", ["indefinite", "non_finite"])
     def test_rejected_newton_falls_back_to_gauss_newton(
             self, monkeypatch, events, attempts, term):
@@ -719,11 +730,9 @@ class TestNewtonDirections:
         # climbs; nan I leaves no finite step or no factor.  Every Newton
         # try is then rejected, and the solve runs on Gauss-Newton.  The
         # broken term is data on the element layer's interior pattern, as
-        # the second-order term is.  The last Gauss-Newton direction
-        # passes the exit test, but its refinement against the broken
-        # Newton matrix does not contract (its corrections grow, or are
-        # nan): that attempt declines after refining, and the solve
-        # factors as if there were no refinement.
+        # the second-order term is.  No factor outlives a Gauss-Newton
+        # direction, so no lagged exit is attempted: every direction is
+        # factored.
         space = FeSpace(triangulate(unit_square(), refinements=3), 2)
         ref, _ = newton_solve(space, smooth_f, smooth_exact)
         events.clear()
@@ -743,9 +752,8 @@ class TestNewtonDirections:
         assert report.gauss_newton_directions == report.iterations
         tries = events.count("T")
         assert report.newton_rejections == tries > 0
-        assert report.refined_exits == 0
-        assert not any(ok for ok, _ in attempts)
-        assert any(n >= 2 for _, n in attempts)  # refined, then declined
+        assert report.refined_exits == report.declined_exits == 0
+        assert attempts == []
         assert events.count("F") == 1 + report.iterations + tries
         assert np.max(np.abs(u.coeffs - ref.coeffs)) <= 1e-8
 
