@@ -35,11 +35,11 @@ solve runs, so that a test can monkeypatch it:
 * JUMP_PENALTY = 1e-2, the weight eta of |u|_J^2.  It makes the normal
   matrix definite; the bias it puts on the minimizer grows with it and
   sets the error floor of the convergence studies.
-* TOL_STEP = 1e-10, the sup norm of a direction, and TOL_DECREASE =
-  1e-10, the decrease -grad . d it predicts relative to Phi (the Newton
-  decrement test of Dennis & Schnabel, Numerical Methods for
-  Unconstrained Optimization, sec. 7.2): a direction below either ends a
-  solve (see newton_solve).
+* TOL_DECREASE = 1e-10, the decrease -grad . d a direction predicts
+  relative to Phi (the Newton decrement test of Dennis & Schnabel,
+  Numerical Methods for Unconstrained Optimization, sec. 7.2): a
+  direction below it, plus the rounding floor of grad . d, ends a solve
+  (see newton_solve).
 * ARMIJO = 1e-4, the usual sufficient-decrease constant (Nocedal & Wright,
   Numerical Optimization, sec. 3.1), and MIN_STEP = 2^-20, the shortest
   step tried; a line search that falls below it raises "stagnation".
@@ -59,7 +59,7 @@ definite), the step is finite and it descends (grad . d < 0); otherwise,
 in the same iteration, it counts a Newton rejection and takes the
 Gauss-Newton direction.  The report counts newton_directions,
 gauss_newton_directions (they sum to iterations), newton_rejections,
-refined_exits and declined_exits.
+refined_exits, declined_exits and floor_exits (see newton_solve).
 
 A Newton direction that ends the solve needs no factorization of its own.
 A factor outlives its direction only after a Newton direction (a
@@ -124,7 +124,6 @@ from .fespace import FeFunction
 
 MAX_ITERS = 120
 JUMP_PENALTY = 1e-2
-TOL_STEP = 1e-10
 TOL_DECREASE = 1e-10
 ARMIJO = 1e-4
 MIN_STEP = 2.0 ** -20
@@ -154,6 +153,7 @@ class SolveReport:
         self.newton_rejections = 0
         self.refined_exits = 0
         self.declined_exits = 0
+        self.floor_exits = 0
         self.converged = False
         self.status = "running"
         self.residual_history = []
@@ -384,10 +384,10 @@ def default_initial_guess(space, f, g):
     return u
 
 
-def _ends_solve(d_sup, gd, phi):
-    """newton_solve's exit test on a direction with sup norm d_sup and
-    grad . d = gd at an iterate of objective value phi."""
-    return d_sup <= TOL_STEP or -gd <= TOL_DECREASE * phi
+def _ends_solve(d, gd, phi, floor):
+    """newton_solve's exit test on a direction d with grad . d = gd at an
+    iterate of objective value phi, floor the rounding bound dg of grad."""
+    return -gd <= TOL_DECREASE * phi + float(np.abs(d) @ floor)
 
 
 # Iterative refinement of an exit direction on a standing factor: with the
@@ -396,7 +396,7 @@ def _ends_solve(d_sup, gd, phi):
 # is that of LAPACK's dporfs: at most ITMAX = 5 corrections, each at most
 # half the one before, and converged once a correction is below sqrt(eps)
 # of the direction, a backward error at rounding level for a direction
-# that is itself below the exit tolerances.
+# that itself passes the exit test.
 _REFINE_STEPS = 5
 _REFINE_RTOL = float(np.sqrt(np.finfo(float).eps))
 
@@ -422,7 +422,7 @@ def _newton_product(el, Q, I, eta, jac, on_p):
     return product
 
 
-def _refined_exit(factor, grad, phi, product):
+def _refined_exit(factor, grad, phi, floor, product):
     """The Newton direction K d = -grad that ends a solve, by iterative
     refinement on the standing factor of the last Newton matrix, or None.
 
@@ -430,11 +430,12 @@ def _refined_exit(factor, grad, phi, product):
     that one back-solve, when it fails newton_solve's exit test; None too
     when a correction is not at most half the one before, after
     _REFINE_STEPS corrections, or when the refined d is not finite, does
-    not descend or fails the exit test.  product is d -> K d.
+    not descend or fails the exit test.  floor is grad's rounding bound
+    dg, product is d -> K d.
     """
     d = factor.solve(-grad)
     last = _sup(d)
-    if not _ends_solve(last, float(grad @ d), phi):
+    if not _ends_solve(d, float(grad @ d), phi, floor):
         return None
     for _ in range(_REFINE_STEPS):
         c = factor.solve(-grad - product(d))
@@ -443,13 +444,31 @@ def _refined_exit(factor, grad, phi, product):
         if size <= _REFINE_RTOL * _sup(d):
             gd = float(grad @ d)
             if np.all(np.isfinite(d)) and gd < 0.0 and _ends_solve(
-                    _sup(d), gd, phi):
+                    d, gd, phi, floor):
                 return d
             return None
         if not size <= 0.5 * last:
             return None
         last = size
     return None
+
+
+def _gradient_floor(el, Q, I, eta, u, r, jac):
+    """newton_solve's dg, the rounding bound of each entry of its gradient
+    (see there), on all coefficients u and J's data jac on P, whose rows
+    are never empty.  Its temporaries, as long as Q's data, are freed
+    before the band is loaded."""
+    qu = np.take(u, Q.indices)
+    qu *= Q.data
+    q_rows = np.flatnonzero(np.diff(Q.indptr))  # a row of Q may be empty
+    q_sums = np.zeros(Q.shape[0])
+    q_sums[q_rows] = np.add.reduceat(np.abs(qu, out=qu), Q.indptr[q_rows])
+    aj = np.abs(jac)
+    u_i = np.abs(np.take(u, I))
+    ar = np.abs(r) + np.add.reduceat(aj * np.take(u_i, el.indices),
+                                     el.indptr[:-1])
+    return np.finfo(float).eps * (eta * np.take(q_sums, I) + np.bincount(
+        el.indices, aj * np.take(ar, el.rows), minlength=el.n))
 
 
 def _start_on(space, u0):
@@ -468,12 +487,19 @@ def newton_solve(space, f, g, u0=None):
     """Damped Gauss-Newton/Newton iteration; returns (u_h, report).
 
     A solve returns in one place, on a new direction d with gradient
-    grad at the iterate, before the line search: when |d|_inf <= TOL_STEP
-    or -grad . d <= TOL_DECREASE * Phi (_ends_solve), it takes the whole
-    step and returns with status "stationary": the iterate is a penalized
+    grad at the iterate, before the line search: when -grad . d <=
+    TOL_DECREASE * Phi + |d| . dg (_ends_solve), it takes the whole step
+    and returns with status "stationary": the iterate is a penalized
     least-squares critical point, the meaningful notion of discrete
-    solution when no exact one exists.  It may be non-convex:
-    report.min_lambda1 is its smallest sampled Hessian eigenvalue.  Any
+    solution when no exact one exists.  dg = eps_mach (eta (|Q||u|)_I +
+    |J|^T (|r| + |J||u_I|)) bounds the rounding of each entry of grad,
+    |J||u_I| that of r (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 3.5; Gill, Murray & Wright, Practical Optimization,
+    sec. 8.2.3).  The term |d| . dg ends the solves whose Phi is at
+    rounding level, as on an exact discrete solution; report.floor_exits
+    counts them.
+    The iterate may be non-convex: report.min_lambda1 is its smallest
+    sampled Hessian eigenvalue.  Any
     other direction goes to the Armijo search; when that halves the step
     below MIN_STEP, the solve raises NonConvergenceError with status
     "stagnation", whatever the size of d.
@@ -514,9 +540,10 @@ def newton_solve(space, f, g, u0=None):
 
     def direction(u_h, phi, r, h, try_newton):
         # r and h are Phi's residual and cell Hessians at u_h, from
-        # objective.  Returns the step and the gradient J^T r + eta (Q u)_I
-        # of Phi: the Newton step when try_newton and the Newton matrix
-        # H + T gives a finite descent direction, the Gauss-Newton step on
+        # objective.  Returns the step, the gradient g = J^T r + eta (Q u)_I
+        # of Phi and the rounding bound of each entry of g.  The step is
+        # the Newton step when try_newton and the Newton matrix H + T gives
+        # a finite descent direction, the Gauss-Newton step on
         # H = eta Q_II + J^T J otherwise.  After a Newton direction, a
         # Newton step that ends the solve is first sought on its standing
         # factor (_refined_exit), with no load or factorization.
@@ -524,22 +551,23 @@ def newton_solve(space, f, g, u0=None):
         jac = jacobian_data(u_h, hess=h)
         grad = eta * (Q @ u_h.coeffs)[I] + np.bincount(
             el.indices, jac * np.take(r, el.rows), minlength=el.n)
+        floor = _gradient_floor(el, Q, I, eta, u_h.coeffs, r, jac)
         if try_newton:
             T = second_order_data(space, r)
             if factor is not None:
-                d = _refined_exit(factor, grad, phi,
+                d = _refined_exit(factor, grad, phi, floor,
                                   _newton_product(el, Q, I, eta, jac, T))
                 if d is not None:
                     report.newton_directions += 1
                     report.refined_exits += 1
-                    return d, grad
+                    return d, grad, floor
                 report.declined_exits += 1
             try:
                 factor = _factor_spd(band.load_maps(eta, jac, T))
                 d = factor.solve(-grad)
                 if np.all(np.isfinite(d)) and float(grad @ d) < 0.0:
                     report.newton_directions += 1
-                    return d, grad
+                    return d, grad, floor
             except SingularJacobianError:
                 pass
             # no factor, no finite step or no descent: H + T is not
@@ -552,7 +580,7 @@ def newton_solve(space, f, g, u0=None):
             raise SingularJacobianError(
                 "singular normal matrix produced a non-finite step; "
                 "strictify the iterate or solve by continuation over f + eps")
-        return d, grad
+        return d, grad, floor
 
     def finish(status, converged):
         # min_lambda1 from the Hessians the objective took at u
@@ -576,11 +604,12 @@ def newton_solve(space, f, g, u0=None):
     report.record(r)
     full_step = False  # the first direction is Gauss-Newton
     for it in range(MAX_ITERS):
-        d, grad = direction(u, phi, r, h, try_newton=full_step)
+        d, grad, floor = direction(u, phi, r, h, try_newton=full_step)
         report.iterations = it + 1
         gd = float(grad @ d)
         d_sup = _sup(d)
-        if _ends_solve(d_sup, gd, phi):
+        if _ends_solve(d, gd, phi, floor):
+            report.floor_exits = int(-gd > TOL_DECREASE * phi)
             u.coeffs[I] += d
             phi, r, h = objective(u)
             report.record(r, d_sup)
@@ -662,7 +691,7 @@ def continuation_solve(space, f, g, config=None, u0=None):
         for key in ("residual_history", "residual_history_sup",
                     "step_history", "iterations", "newton_directions",
                     "gauss_newton_directions", "newton_rejections",
-                    "refined_exits", "declined_exits"):
+                    "refined_exits", "declined_exits", "floor_exits"):
             setattr(report, key, getattr(report, key) + getattr(stage, key))
         if not stage.converged:
             report.finish(stage.status, False, stage.min_lambda1, t0)

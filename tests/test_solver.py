@@ -24,7 +24,7 @@ from mafem.solver import (
     default_initial_guess,
     newton_solve,
 )
-from mafem.study import solve_problem
+from mafem.study import interior_grid, solve_problem, sup_error
 from strategies import convex_polygons
 
 
@@ -182,12 +182,16 @@ class TestNewtonSolve:
         ui = interpolate(space, paraboloid)
         assert np.max(np.abs(u.coeffs - ui.coeffs)) <= 1e-9
         assert report.converged
+        # Phi ends at rounding level, so only the rounding floor of grad . d
+        # can end the solve
+        assert report.floor_exits == 1
 
     def test_exact_start_converges_immediately(self, space):
         ui = interpolate(space, paraboloid)
         u, report = newton_solve(space, one, paraboloid, u0=ui)
         assert report.iterations <= 1
         assert report.converged and report.status == "stationary"
+        assert report.floor_exits == 1
 
     def test_smooth_problem_residual_contracts_to_floor(self):
         # No exact discrete solution exists for generic data (the vertex
@@ -282,7 +286,7 @@ class TestNewtonSolve:
         f = lambda p: np.full(len(np.atleast_2d(p)), np.linalg.det(A))
         u, report = newton_solve(space, f, quadratic)
         exact = interpolate(space, quadratic).coeffs
-        assert report.converged
+        assert report.converged and report.floor_exits == 1
         assert (np.max(np.abs(u.coeffs - exact))
                 <= 1e-10 * np.max(np.abs(exact)))
 
@@ -327,7 +331,7 @@ class TestNewtonSolve:
         u, report = newton_solve(coarse_space, one, paraboloid)
         d = json.loads(json.dumps(report.to_dict()))
         assert d["method"] == "newton"
-        assert d["converged"] is True
+        assert d["converged"] is True and d["floor_exits"] == 1
         assert len(d["residual_history"]) == len(d["residual_history_sup"])
         assert d["min_lambda1"] == pytest.approx(1.0, abs=1e-8)
         assert d["wall_time"] >= 0.0
@@ -399,7 +403,7 @@ class TestContinuationSolve:
         d = report.to_dict()
         for key in ("iterations", "newton_directions",
                     "gauss_newton_directions", "newton_rejections",
-                    "refined_exits", "declined_exits"):
+                    "refined_exits", "declined_exits", "floor_exits"):
             assert d[key] == sum(s[key] for s in d["stages"])
         for key in ("step_history", "residual_history"):
             assert d[key] == [x for s in d["stages"] for x in s[key]]
@@ -544,7 +548,11 @@ class TestPolish:
         # From the Poisson start and near the solution alike (where the
         # direction is tiny but fails the exit test) the solve raises
         # "stagnation", and the direction it factored counts as an
-        # iteration.
+        # iteration.  Neither case lies at the rounding floor: -grad . d
+        # exceeds TOL_DECREASE * Phi by about 1e11 times the floor term
+        # |d| . dg from the Poisson start (6.8e-3 against 7.9e-14) and by
+        # about 6e6 times near the solution (6.4e-13 against 1.1e-19), so a
+        # line search that fails away from the floor still stagnates.
         u0 = None
         if start == "near_solution":
             u0, _ = newton_solve(coarse_space, smooth_f, smooth_exact)
@@ -561,6 +569,34 @@ class TestPolish:
         assert report.iterations == 1
         poisson = 1 if u0 is None else 0
         assert len(factor_count) == report.iterations + poisson
+
+    def test_cold_final_envelope_data_end_at_the_floor(self):
+        # Cold at level 5, the envelope's final data f = 1/1024 reach the
+        # minimizer to rounding: Phi stays at 6.5e-12 while -grad . d falls
+        # to the noise of evaluating Phi, about 1e-21, just above
+        # TOL_DECREASE * Phi.  Only the floor term ends the solve; without
+        # it three directions in a row miss the test and the line search
+        # stagnates.  The error is the path's.
+        p = get_problem("envelope")
+        space = FeSpace(triangulate(p.polygon, refinements=5), p.degree)
+        eps = p.epsilon_schedule[-1]
+        assert eps == 1.0 / 1024
+        u, report = newton_solve(space, lambda x: p.f(x) + eps,
+                                 p.solve_boundary)
+        assert report.status == "stationary" and report.floor_exits == 1
+        err = sup_error(u, p.exact, interior_grid(p.interior_compact()))
+        assert "{:.4e}".format(err) == "6.5233e-05"
+
+    def test_floor_alone_ends_a_cold_solve(self, monkeypatch):
+        # With TOL_DECREASE = 0 only the rounding floor of grad . d can end
+        # a solve: a cold level-5 smooth solve still ends stationary, a few
+        # iterations after the Newton steps reach the minimizer.
+        monkeypatch.setattr(solver, "TOL_DECREASE", 0.0)
+        p = get_problem("smooth")
+        space = FeSpace(triangulate(p.polygon, refinements=5), p.degree)
+        u, report = newton_solve(space, p.f, p.solve_boundary)
+        assert report.status == "stationary" and report.floor_exits == 1
+        assert report.iterations <= 6
 
     def test_one_hessian_evaluation_per_iterate(self, coarse_space,
                                                 monkeypatch):
@@ -654,6 +690,26 @@ class TestPolish:
             except NonConvergenceError:
                 pass
         assert np.abs(-rhs[0] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_gradient_floor_matches_absolute_products(self, k):
+        # The rounding bound of the gradient, built on the element arrays,
+        # against eps (eta (|Q||u|)_I + |J|^T (|r| + |J||u_I|)) from csr
+        # |Q| and |J|, at a perturbed convex field.
+        space = FeSpace(triangulate(regular_polygon(5), refinements=2), k)
+        u = interpolate(space, lambda p: np.sum(np.atleast_2d(p) ** 2, 1))
+        u.coeffs += 1e-3 * np.random.default_rng(k).standard_normal(
+            space.num_dofs)
+        I = space.interior_dofs
+        r = residual(u, smooth_f)
+        Q, J = abs(gradient_jump_matrix(space)), abs(jacobian(u))
+        ref = np.finfo(float).eps * (
+            solver.JUMP_PENALTY * (Q @ np.abs(u.coeffs))[I]
+            + J.T @ (np.abs(r) + J @ np.abs(u.coeffs[I])))
+        floor = solver._gradient_floor(
+            assembly.element_layer(space), gradient_jump_matrix(space), I,
+            solver.JUMP_PENALTY, u.coeffs, r, assembly.jacobian_data(u))
+        assert np.abs(floor - ref).max() <= 1e-12 * ref.max()
 
     @pytest.mark.parametrize("refinements,k", [(2, 2), (3, 2), (2, 3)])
     def test_stationary_point_is_critical(self, refinements, k):

@@ -75,6 +75,9 @@ class TestSolveProblem:
         u, space, reports = solve_problem(paraboloid, refinements=2)
         pts = interior_grid(paraboloid.interior_compact())
         assert np.max(np.abs(u(pts) - paraboloid.exact(pts))) <= 1e-9
+        # the last stage ends at the exact solution, through the rounding
+        # floor of grad . d
+        assert reports[-1]["stages"][-1]["floor_exits"] == 1
 
 
     def test_given_space_is_used(self, paraboloid, monkeypatch):
@@ -123,6 +126,7 @@ class TestSolveProblem:
         exact = interpolate(space, prob.exact).coeffs
         assert (np.max(np.abs(u.coeffs - exact))
                 <= 1e-9 * np.max(np.abs(exact)))
+        assert record["stages"][-1]["floor_exits"] == 1
 
     def test_space_and_resolution_rejected(self, paraboloid):
         space = FeSpace(triangulate(paraboloid.polygon, refinements=1), 2)
